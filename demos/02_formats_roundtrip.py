@@ -23,7 +23,7 @@ DATA = Path(__file__).parent / "data"
 corpus = read_brat_dir(DATA / "toy_brat")
 print(f"read {len(corpus)} documents:", [d.doc_id for d in corpus])
 
-doc = corpus.document("CS/paper1")
+doc = next(d for d in corpus if d.doc_id == "CS/paper1")
 print("\nmentions of CS/paper1:")
 for m in doc.mentions:
     print(f"  [{m.start:3d},{m.end:3d}) {m.concept_type.value:8s} {m.surface!r}")

@@ -8,8 +8,6 @@ identity is a catastrophically bad signal for them.
 
 from __future__ import annotations
 
-import concurrent.futures
-
 from .model import CoreferenceCluster, Corpus, Document
 from .normalize import build_acronym_map, normalize_mention
 
@@ -40,24 +38,16 @@ def resolve(doc: Document) -> tuple[CoreferenceCluster, ...]:
     return tuple(clusters)
 
 
-def _resolve_doc(doc: Document) -> Document:
-    return Document(
-        doc_id=doc.doc_id,
-        domain=doc.domain,
-        text=doc.text,
-        mentions=doc.mentions,
-        clusters=resolve(doc),
-        entity_links=doc.entity_links,
-    )
-
-
-def resolve_corpus(corpus: Corpus, jobs: int = 1) -> Corpus:
-    """Replace every document's clusters with baseline predictions.
-
-    ``jobs > 1`` resolves documents in a process pool; results are merged in
-    input order, so the output is identical to the serial run.
-    """
-    if jobs <= 1 or len(corpus) <= 1:
-        return Corpus(tuple(_resolve_doc(doc) for doc in corpus))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return Corpus(tuple(pool.map(_resolve_doc, corpus.documents)))
+def resolve_corpus(corpus: Corpus) -> Corpus:
+    """Replace every document's clusters with baseline predictions."""
+    return Corpus(tuple(
+        Document(
+            doc_id=doc.doc_id,
+            domain=doc.domain,
+            text=doc.text,
+            mentions=doc.mentions,
+            clusters=resolve(doc),
+            entity_links=doc.entity_links,
+        )
+        for doc in corpus
+    ))

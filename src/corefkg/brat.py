@@ -17,6 +17,7 @@ import re
 from pathlib import Path
 
 from .errors import ParseError
+from .jsonl import _checked, _lines
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -60,19 +61,22 @@ def parse_brat(
     relation_label: str = DEFAULT_RELATION_LABEL,
     entity_types: dict[str, ConceptType] | None = None,
 ) -> Document:
-    """Parse one .txt/.ann pair into a Document.
+    """Parse one .txt/.ann pair into a validated Document.
 
     Raises ParseError (with the offending .ann line number) for malformed
-    lines, out-of-range offsets, surface mismatches, discontinuous spans,
-    unknown entity types and unsupported record kinds.
+    lines, out-of-range offsets, surface mismatches, repeated mention keys,
+    discontinuous spans, unknown entity types and unsupported record kinds.
+    Any other invariant violation (see ``validate``) is reported at the
+    last .ann line.
     """
     types = entity_types if entity_types is not None else _ENTITY_TYPES
     mentions_by_tid: dict[str, Mention] = {}
     order: list[str] = []
+    seen_keys: set[tuple[int, int, ConceptType]] = set()
     links = UnionFind()
 
-    for lineno, raw in enumerate(ann.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    lines = _lines(ann)
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if line.startswith("#"):  # annotator notes, ignored
@@ -102,6 +106,9 @@ def parse_brat(
                     f"surface mismatch for {tid}: annotation {surface!r} != text {actual!r}", lineno
                 )
             ctype = types[type_name]
+            if (start, end, ctype) in seen_keys:
+                raise ParseError(f"duplicate mention key [{start},{end}) type {ctype}", lineno)
+            seen_keys.add((start, end, ctype))
             source = (
                 MentionSource.COREF_ONLY
                 if ctype is ConceptType.NONE
@@ -144,7 +151,8 @@ def parse_brat(
         CoreferenceCluster(doc_id, frozenset(mentions_by_tid[t] for t in g)) for g in groups
     )
     mentions = tuple(mentions_by_tid[t] for t in order)
-    return Document(doc_id=doc_id, domain=domain, text=text, mentions=mentions, clusters=clusters)
+    doc = Document(doc_id=doc_id, domain=domain, text=text, mentions=mentions, clusters=clusters)
+    return _checked(doc, len(lines), set())
 
 
 def write_brat(doc: Document, *, relation_label: str = DEFAULT_RELATION_LABEL) -> tuple[str, str]:
@@ -180,8 +188,9 @@ def read_brat_dir(
 ) -> Corpus:
     """Read every .txt/.ann pair under ``root`` into a corpus.
 
-    The doc_id is the path relative to ``root`` without extension; the
-    domain is the first directory component (empty for flat layouts).
+    The doc_id is the path relative to ``root`` without extension, so it is
+    unique by construction; the domain is the first directory component
+    (empty for flat layouts). Errors name the .ann path and line.
     """
     root = Path(root)
     documents = []

@@ -38,7 +38,7 @@ from .kgpop import (
     populate,
 )
 from .metrics import corpus_partition, score
-from .model import Corpus, corpus_stats, validate_corpus
+from .model import Corpus, corpus_stats
 from .normalize import load_lemma_exceptions, set_default_lemma_exceptions
 
 __all__ = ["main"]
@@ -84,6 +84,7 @@ def _detect_format(path: Path, for_output: bool = False) -> str:
 
 
 def _read_corpus(path_s: str, fmt: str | None) -> Corpus:
+    """Read a corpus; the readers validate it and raise ParseError."""
     path = Path(path_s)
     if not path.exists():
         raise ParseError(f"no such file or directory: {path}")
@@ -116,12 +117,8 @@ def _write_corpus(corpus: Corpus, path_s: str, fmt: str | None) -> None:
     raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def _load_validated(path: str, fmt: str | None) -> Corpus:
-    corpus = _read_corpus(path, fmt)
-    violations = validate_corpus(corpus)
-    if violations:
-        raise ValidationError(violations)
-    return corpus
+def _strategy(args) -> CollapseStrategy:
+    return CollapseStrategy(scope=_STRATEGY[args.strategy], use_coreference=not args.no_coref)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -136,9 +133,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--format", choices=["brat", "conll", "jsonl"],
                         help="corpus format (default: detect from path)")
-    parser.add_argument("--jobs", type=int, help="per-document worker pool size")
-    parser.add_argument("--seed", type=int,
-                        help="random seed (reserved for test-data generation)")
     parser.add_argument("--lemma-exceptions", dest="lemma_exceptions",
                         help="two-column TSV overriding the plural/singular table")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -193,21 +187,21 @@ def build_parser() -> _Parser:
 
 def _cmd_convert(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
-    corpus = _load_validated(args.input, args.from_format or fmt)
+    corpus = _read_corpus(args.input, args.from_format or fmt)
     _write_corpus(corpus, args.output, args.to_format or fmt)
     return 0
 
 
 def _cmd_stats(args, cfg) -> int:
-    corpus = _load_validated(args.input, _effective(args, cfg, "format"))
+    corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
     sys.stdout.write(corpus_stats(corpus, args.group_by).to_tsv())
     return 0
 
 
 def _cmd_score(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
-    key = corpus_partition(_load_validated(args.key, fmt))
-    response = corpus_partition(_load_validated(args.response, fmt))
+    key = corpus_partition(_read_corpus(args.key, fmt))
+    response = corpus_partition(_read_corpus(args.response, fmt))
     report = score(
         key, response,
         ceafe_drop_singleton_response_parts=args.ceafe_drop_singletons,
@@ -223,18 +217,13 @@ def _cmd_score(args, cfg) -> int:
 
 def _cmd_baseline(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
-    corpus = _load_validated(args.input, fmt)
-    jobs = int(_effective(args, cfg, "jobs", 1))
-    _write_corpus(resolve_corpus(corpus, jobs=jobs), args.output, fmt)
+    _write_corpus(resolve_corpus(_read_corpus(args.input, fmt)), args.output, fmt)
     return 0
 
 
 def _cmd_populate(args, cfg) -> int:
-    corpus = _load_validated(args.input, _effective(args, cfg, "format"))
-    strategy = CollapseStrategy(
-        scope=_STRATEGY[args.strategy], use_coreference=not args.no_coref
-    )
-    kg = populate(corpus, strategy, gold=args.gold)
+    corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
+    kg = populate(corpus, _strategy(args), gold=args.gold)
     exported = export_ntriples(kg) if args.kg_format == "ntriples" else export_kg_jsonl(kg)
     _emit(exported, args.output)
     sys.stdout.write(kg_stats(kg, corpus).to_tsv())
@@ -242,7 +231,7 @@ def _cmd_populate(args, cfg) -> int:
 
 
 def _cmd_compile_gold(args, cfg) -> int:
-    corpus = _load_validated(args.input, _effective(args, cfg, "format"))
+    corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
     if args.links:
         links = read_entity_links(Path(args.links).read_text("utf-8"))
         corpus = attach_entity_links(corpus, links, skip_unmatched=args.skip_unmatched_links)
@@ -251,13 +240,10 @@ def _cmd_compile_gold(args, cfg) -> int:
 
 
 def _cmd_eval_kg(args, cfg) -> int:
-    corpus = _load_validated(args.input, _effective(args, cfg, "format"))
+    corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
     gold = read_gold_jsonl(Path(args.gold).read_text("utf-8"))
-    strategy = CollapseStrategy(
-        scope=_STRATEGY[args.strategy], use_coreference=not args.no_coref
-    )
     result = evaluate_population(
-        gold, corpus, strategy,
+        gold, corpus, _strategy(args),
         ceafe_drop_singleton_response_parts=args.ceafe_drop_singletons,
     )
     sys.stdout.write(result.report.to_table())

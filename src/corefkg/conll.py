@@ -16,9 +16,9 @@ tokens with single spaces.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .errors import ParseError
+from .jsonl import _checked, _lines
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -125,7 +125,7 @@ def write_coref_columns(corpus: Corpus) -> tuple[str, str]:
 def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
     """Parse a sidecar token table into {(doc_id, token index): (start, end)}."""
     out: dict[tuple[str, int], tuple[int, int]] = {}
-    for lineno, line in enumerate(table.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(table), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -145,25 +145,26 @@ def _token_column(cols: list[str]) -> int:
 
 
 def read_coref_columns(
-    stream: str | Iterable[str],
+    columns: str,
     token_table: str | dict[tuple[str, int], tuple[int, int]] | None = None,
 ) -> Corpus:
-    """Parse a column file into a corpus of untyped (coreference-only) mentions.
+    """Parse a column file into a validated corpus of untyped (coreference-only)
+    mentions.
 
     With a token table, character offsets are the recorded ones and the text
     is reconstructed with the original spacing; without it, tokens are joined
     by single spaces. Chain brackets must balance per document; a mention
-    span may belong to at most one chain.
+    span may belong to at most one chain. A document that violates an
+    invariant (see ``validate``) or repeats a doc_id raises ParseError at
+    its ``#end document`` line.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
+    lines = _lines(columns)
     offsets = (
         parse_token_table(token_table) if isinstance(token_table, str) else token_table
     )
 
     documents: list[Document] = []
+    seen_ids: set[str] = set()
     doc_id: str | None = None
     tokens: list[str] = []
     stacks: dict[int, list[int]] = {}
@@ -226,10 +227,9 @@ def read_coref_columns(
             clusters.append(CoreferenceCluster(doc_id, frozenset(members)))
         clusters.sort(key=CoreferenceCluster.span_key)
         mentions.sort(key=lambda m: (m.start, m.end))
-        documents.append(
-            Document(doc_id=doc_id, domain="", text=text,
-                     mentions=tuple(mentions), clusters=tuple(clusters))
-        )
+        doc = Document(doc_id=doc_id, domain="", text=text,
+                       mentions=tuple(mentions), clusters=tuple(clusters))
+        documents.append(_checked(doc, end_lineno, seen_ids))
         doc_id = None
 
     for lineno, line in enumerate(lines, start=1):

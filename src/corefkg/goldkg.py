@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ParseError, ValidationError
-from .kgpop import CollapseStrategy, collapse
+from .jsonl import _expect, _expect_entries, _json_objects, _lines
+from .kgpop import CollapseStrategy, acronym_maps, collapse
 from .metrics import Partition, ScoreReport, score
 from .model import (
     CoreferenceCluster,
@@ -25,7 +26,6 @@ from .model import (
     MentionKey,
     all_clusters,
 )
-from .normalize import build_acronym_map
 
 __all__ = [
     "GoldConcept",
@@ -121,45 +121,40 @@ def write_gold_jsonl(gold: GoldKg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_gold_jsonl(stream: str | Iterable[str]) -> GoldKg:
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
+def _gold_mention(m: dict, lineno: int) -> MentionKey:
+    return (
+        _expect(m, "doc_id", str, lineno),
+        _expect(m, "start", int, lineno),
+        _expect(m, "end", int, lineno),
+        _expect(m, "type", str, lineno),
+    )
+
+
+def read_gold_jsonl(text: str) -> GoldKg:
+    """Parse a gold KG; a malformed line raises ParseError with its number."""
     concepts: list[GoldConcept] = []
     kept = singleton = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
+    for lineno, obj in _json_objects(text):
         if obj.get("record") == "gold_kg":
-            kept = int(obj.get("clusters_kept", 0))
-            singleton = int(obj.get("singleton_clusters", 0))
+            kept = _expect(obj, "clusters_kept", int, lineno)
+            singleton = _expect(obj, "singleton_clusters", int, lineno)
             continue
-        if "entity" not in obj or "mentions" not in obj:
-            raise ParseError("gold concept line needs 'entity' and 'mentions'", lineno)
+        entity = _expect(obj, "entity", str, lineno)
         mentions = frozenset(
-            (m["doc_id"], int(m["start"]), int(m["end"]), m["type"]) for m in obj["mentions"]
+            _gold_mention(m, lineno) for m in _expect_entries(obj, "mentions", dict, lineno)
         )
         if not mentions:
             raise ParseError("gold concept without mentions", lineno)
-        concepts.append(GoldConcept(entity=obj["entity"], mentions=mentions))
+        concepts.append(GoldConcept(entity=entity, mentions=mentions))
     return GoldKg(
         concepts=tuple(concepts), n_clusters_kept=kept, n_singleton_clusters=singleton
     )
 
 
-def read_entity_links(stream: str | Iterable[str]) -> dict[MentionKey, str]:
+def read_entity_links(text: str) -> dict[MentionKey, str]:
     """Parse an entity-links TSV: doc_id, start, end, type, entity per line."""
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
     links: dict[MentionKey, str] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -243,17 +238,11 @@ def evaluate_population(
     covered: set[MentionKey] = set()
     response_clusters: list[CoreferenceCluster] = []
     for doc in corpus:
-        if strategy.use_coreference:
-            for cluster in all_clusters(doc):
-                members = frozenset(m for m in cluster.mentions if m.key in universe)
-                if members:
-                    response_clusters.append(CoreferenceCluster(doc.doc_id, members))
-                    covered.update(m.key for m in members)
-        else:
-            for m in doc.mentions:
-                if m.key in universe:
-                    response_clusters.append(CoreferenceCluster(doc.doc_id, frozenset([m])))
-                    covered.add(m.key)
+        for cluster in strategy.clusters(doc):
+            members = frozenset(m for m in cluster.mentions if m.key in universe)
+            if members:
+                response_clusters.append(CoreferenceCluster(doc.doc_id, members))
+                covered.update(m.key for m in members)
     missing = universe - covered
     if missing:
         sample = ", ".join(map(str, sorted(missing)[:3]))
@@ -262,8 +251,7 @@ def evaluate_population(
              f"({len(missing)} total)"]
         )
 
-    acronyms = {doc.doc_id: build_acronym_map(doc.text) for doc in corpus}
-    concepts = collapse(response_clusters, corpus.domains(), strategy, acronyms)
+    concepts = collapse(response_clusters, corpus.domains(), strategy, acronym_maps(corpus))
     response = Partition(
         frozenset(m.key for c in concept.clusters for m in c.mentions) for concept in concepts
     )

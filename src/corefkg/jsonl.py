@@ -10,12 +10,16 @@ Schema per line:
 Mention surfaces are not stored (they are slices of the text by invariant),
 so the round-trip is lossless. ``source`` may be omitted; it then defaults
 to ``coref_only`` for type ``None`` and ``concept_extractor`` otherwise.
+
+This module also holds the line handling and field checks that every
+line-oriented reader of the package shares (corpus, column, BRAT, KG and
+gold-KG readers), so each of those facts is decided in one place.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterator
 
 from .errors import ParseError
 from .model import (
@@ -26,6 +30,7 @@ from .model import (
     Mention,
     MentionSource,
     concept_type_from_string,
+    validate,
 )
 
 __all__ = ["write_jsonl", "read_jsonl", "document_to_dict", "document_from_dict"]
@@ -57,13 +62,80 @@ def write_jsonl(corpus: Corpus) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _lines(text: str) -> list[str]:
+    r"""Split on ``\n`` only, dropping a trailing ``\r``.
+
+    ``str.splitlines`` would also break on U+2028, U+0085 and other
+    separators that JSON strings written with ``ensure_ascii=False`` carry
+    unescaped, so it would cut such a line in two.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def _json_objects(text: str) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for every non-blank line of a JSONL text."""
+    for lineno, line in enumerate(_lines(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
+        if not isinstance(obj, dict):
+            raise ParseError("line must be a JSON object", lineno)
+        yield lineno, obj
+
+
+def _is(value, kind) -> bool:
+    # bool is a subclass of int, but JSON true/false is never an offset or index
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def _expect(obj: dict, field: str, kind, lineno: int):
     if field not in obj:
         raise ParseError(f"missing field {field!r}", lineno)
     value = obj[field]
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         raise ParseError(f"field {field!r} has wrong type {type(value).__name__}", lineno)
     return value
+
+
+def _expect_entries(obj: dict, field: str, kind, lineno: int) -> list:
+    """The list ``obj[field]``, every entry of which must be a ``kind``."""
+    entries = _expect(obj, field, list, lineno)
+    for entry in entries:
+        if not _is(entry, kind):
+            raise ParseError(f"entry of {field!r} has wrong type {type(entry).__name__}", lineno)
+    return entries
+
+
+def _expect_type(obj: dict, lineno: int) -> ConceptType:
+    name = _expect(obj, "type", str, lineno)
+    try:
+        return concept_type_from_string(name)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
+def _expect_source(obj: dict, lineno: int) -> MentionSource:
+    name = _expect(obj, "source", str, lineno)
+    if name not in _SOURCES:
+        raise ParseError(f"unknown mention source {name!r}", lineno)
+    return _SOURCES[name]
+
+
+def _checked(doc: Document, lineno: int, seen_ids: set[str]) -> Document:
+    """The readers' validation boundary: ``doc`` must be valid and its doc_id new."""
+    if doc.doc_id in seen_ids:
+        raise ParseError(f"duplicate doc_id {doc.doc_id!r}", lineno)
+    seen_ids.add(doc.doc_id)
+    violations = validate(doc)
+    if violations:
+        raise ParseError("; ".join(violations), lineno)
+    return doc
 
 
 def document_from_dict(obj: dict, lineno: int = 0) -> Document:
@@ -72,23 +144,12 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
     text = _expect(obj, "text", str, lineno)
 
     mentions: list[Mention] = []
-    for entry in _expect(obj, "mentions", list, lineno):
-        if not isinstance(entry, dict):
-            raise ParseError(f"mention entry must be an object, got {entry!r}", lineno)
+    for entry in _expect_entries(obj, "mentions", dict, lineno):
         start = _expect(entry, "start", int, lineno)
         end = _expect(entry, "end", int, lineno)
-        type_name = _expect(entry, "type", str, lineno)
-        try:
-            ctype = concept_type_from_string(type_name)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if ctype is ConceptType.MIXED:
-            raise ParseError("mentions cannot be typed 'Mixed'", lineno)
+        ctype = _expect_type(entry, lineno)
         if "source" in entry:
-            source_name = _expect(entry, "source", str, lineno)
-            if source_name not in _SOURCES:
-                raise ParseError(f"unknown mention source {source_name!r}", lineno)
-            source = _SOURCES[source_name]
+            source = _expect_source(entry, lineno)
         else:
             source = (
                 MentionSource.COREF_ONLY
@@ -103,7 +164,7 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
             raise ParseError(f"cluster must be a non-empty list of mention indices", lineno)
         members = []
         for idx in group:
-            if not isinstance(idx, int) or not (0 <= idx < len(mentions)):
+            if not _is(idx, int) or not (0 <= idx < len(mentions)):
                 raise ParseError(
                     f"mention index {idx!r} out of range (document has {len(mentions)})", lineno
                 )
@@ -117,7 +178,7 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ParseError(f"entity link must be [index, entity], got {pair!r}", lineno)
             idx, entity = pair
-            if not isinstance(idx, int) or not (0 <= idx < len(mentions)):
+            if not _is(idx, int) or not (0 <= idx < len(mentions)):
                 raise ParseError(f"entity link index {idx!r} out of range", lineno)
             if not isinstance(entity, str) or not entity:
                 raise ParseError(f"entity id must be a non-empty string, got {entity!r}", lineno)
@@ -133,21 +194,14 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
     )
 
 
-def read_jsonl(stream: str | Iterable[str]) -> Corpus:
-    """Parse a JSONL corpus; schema violations report the offending line."""
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
-    documents = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
-        if not isinstance(obj, dict):
-            raise ParseError("document line must be a JSON object", lineno)
-        documents.append(document_from_dict(obj, lineno))
-    return Corpus(tuple(documents))
+def read_jsonl(text: str) -> Corpus:
+    """Parse and validate a JSONL corpus.
+
+    Schema violations, document invariant violations (see ``validate``) and
+    repeated doc_ids raise ParseError carrying the document's line number.
+    """
+    seen: set[str] = set()
+    return Corpus(tuple(
+        _checked(document_from_dict(obj, lineno), lineno, seen)
+        for lineno, obj in _json_objects(text)
+    ))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ParseError
+from .jsonl import _expect, _expect_entries, _expect_source, _expect_type, _json_objects
 from .model import (
     CANONICAL_TYPES,
     ConceptType,
@@ -30,7 +31,6 @@ from .model import (
     Mention,
     MentionSource,
     all_clusters,
-    concept_type_from_string,
 )
 from .normalize import AcronymMap, build_acronym_map, cluster_label
 
@@ -43,6 +43,7 @@ __all__ = [
     "filter_clusters",
     "collapse",
     "assign_type",
+    "acronym_maps",
     "populate",
     "kg_stats",
     "KgStats",
@@ -68,9 +69,12 @@ class CollapseStrategy:
     scope: DomainScope = DomainScope.CROSS_DOMAIN
     use_coreference: bool = True
 
-    def describe(self) -> str:
-        tag = "cross-domain" if self.scope is DomainScope.CROSS_DOMAIN else "in-domain"
-        return tag + ("" if self.use_coreference else " without coreference")
+    def clusters(self, doc: Document) -> tuple[CoreferenceCluster, ...]:
+        """The clusters of ``doc`` this strategy collapses: annotated plus
+        implicit singletons, or one singleton per mention without coreference."""
+        if self.use_coreference:
+            return all_clusters(doc)
+        return tuple(CoreferenceCluster(doc.doc_id, frozenset([m])) for m in doc.mentions)
 
 
 #: domain_scope value of concepts built under cross-domain collapsing.
@@ -94,9 +98,6 @@ class Concept:
     concept_type: ConceptType
     clusters: tuple[CoreferenceCluster, ...]
 
-    def mentions(self) -> list[Mention]:
-        return [m for c in self.clusters for m in c.sorted_mentions()]
-
     @property
     def n_mentions(self) -> int:
         return sum(c.size for c in self.clusters)
@@ -113,11 +114,17 @@ class KnowledgeGraph:
     concepts: tuple[Concept, ...]
     edges: tuple[tuple[str, str], ...]  # (doc_id, concept_id), one per mention
 
-    def concept_by_id(self, concept_id: str) -> Concept:
-        for c in self.concepts:
-            if c.concept_id == concept_id:
-                return c
-        raise KeyError(concept_id)
+
+def _graph(papers: tuple[str, ...], concepts: Iterable[Concept]) -> KnowledgeGraph:
+    """Sort the concepts and derive the sorted ``mentions`` edges from them."""
+    concepts = sorted(concepts, key=lambda c: (c.domain_scope, c.label, c.concept_id))
+    edges = sorted(
+        (cluster.doc_id, concept.concept_id)
+        for concept in concepts
+        for cluster in concept.clusters
+        for _ in cluster.mentions
+    )
+    return KnowledgeGraph(papers=papers, concepts=tuple(concepts), edges=tuple(edges))
 
 
 def _majority_type(mentions: Iterable[Mention]) -> ConceptType:
@@ -198,14 +205,15 @@ def collapse(
     return tuple(concepts)
 
 
-def _kept_clusters(doc: Document, strategy: CollapseStrategy, gold: bool) -> list[CoreferenceCluster]:
-    if strategy.use_coreference:
-        clusters = list(all_clusters(doc))
-    else:
-        clusters = [CoreferenceCluster(doc.doc_id, frozenset([m])) for m in doc.mentions]
+def _kept(cluster: CoreferenceCluster, gold: bool) -> bool:
     if gold:
-        return [c for c in clusters if c.concept_type() is not ConceptType.NONE]
-    return [c for c in clusters if not _all_coref_only(c)]
+        return cluster.concept_type() is not ConceptType.NONE
+    return not _all_coref_only(cluster)
+
+
+def acronym_maps(corpus: Corpus) -> dict[str, AcronymMap]:
+    """Each document's acronym expansions, keyed by doc_id (see ``collapse``)."""
+    return {doc.doc_id: build_acronym_map(doc.text) for doc in corpus}
 
 
 def populate(
@@ -218,20 +226,15 @@ def populate(
     still cannot become nodes. Every kept mention contributes one edge from
     its paper to the concept of its cluster.
     """
-    docs = sorted(corpus, key=lambda d: d.doc_id)
+    kept = [
+        c
+        for doc in sorted(corpus, key=lambda d: d.doc_id)
+        for c in strategy.clusters(doc)
+        if _kept(c, gold)
+    ]
     domains = corpus.domains()
-    acronyms = {doc.doc_id: build_acronym_map(doc.text) for doc in docs}
-    kept: list[CoreferenceCluster] = []
-    for doc in docs:
-        kept.extend(_kept_clusters(doc, strategy, gold))
-    concepts = collapse(kept, domains, strategy, acronyms)
-    edges: list[tuple[str, str]] = []
-    for concept in concepts:
-        for cluster in concept.clusters:
-            edges.extend((cluster.doc_id, concept.concept_id) for _ in cluster.mentions)
-    edges.sort()
-    papers = tuple(sorted(domains))
-    return KnowledgeGraph(papers=papers, concepts=concepts, edges=tuple(edges))
+    concepts = collapse(kept, domains, strategy, acronym_maps(corpus))
+    return _graph(tuple(sorted(domains)), concepts)
 
 
 @dataclass(frozen=True)
@@ -381,58 +384,47 @@ def export_kg_jsonl(kg: KnowledgeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_kg_jsonl(stream: str | Iterable[str]) -> KnowledgeGraph:
-    """Re-import a JSONL knowledge-graph export."""
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
+def _concept_from_dict(obj: dict, lineno: int) -> Concept:
+    clusters = []
+    for entry in _expect_entries(obj, "clusters", dict, lineno):
+        doc_id = _expect(entry, "doc_id", str, lineno)
+        members = []
+        for m in _expect_entries(entry, "mentions", dict, lineno):
+            members.append(Mention(
+                doc_id,
+                _expect(m, "start", int, lineno),
+                _expect(m, "end", int, lineno),
+                _expect_type(m, lineno),
+                _expect(m, "surface", str, lineno),
+                _expect_source(m, lineno),
+            ))
+        if not members:
+            raise ParseError(f"cluster of {doc_id!r} without mentions", lineno)
+        clusters.append(CoreferenceCluster(doc_id, frozenset(members)))
+    return Concept(
+        concept_id=_expect(obj, "concept_id", str, lineno),
+        label=_expect(obj, "label", str, lineno),
+        domain_scope=_expect(obj, "domain_scope", str, lineno),
+        concept_type=_expect_type(obj, lineno),
+        clusters=tuple(clusters),
+    )
+
+
+def read_kg_jsonl(text: str) -> KnowledgeGraph:
+    """Re-import a JSONL knowledge-graph export.
+
+    A malformed record raises ParseError carrying its line number.
+    """
     papers: tuple[str, ...] | None = None
     concepts: list[Concept] = []
-    sources = {s.value: s for s in MentionSource}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
+    for lineno, obj in _json_objects(text):
         record = obj.get("record")
         if record == "kg":
-            papers = tuple(obj["papers"])
+            papers = tuple(_expect_entries(obj, "papers", str, lineno))
         elif record == "concept":
-            clusters = []
-            for centry in obj["clusters"]:
-                doc_id = centry["doc_id"]
-                members = frozenset(
-                    Mention(
-                        doc_id,
-                        m["start"],
-                        m["end"],
-                        concept_type_from_string(m["type"]),
-                        m["surface"],
-                        sources[m["source"]],
-                    )
-                    for m in centry["mentions"]
-                )
-                clusters.append(CoreferenceCluster(doc_id, members))
-            concepts.append(
-                Concept(
-                    concept_id=obj["concept_id"],
-                    label=obj["label"],
-                    domain_scope=obj["domain_scope"],
-                    concept_type=concept_type_from_string(obj["type"]),
-                    clusters=tuple(clusters),
-                )
-            )
+            concepts.append(_concept_from_dict(obj, lineno))
         else:
             raise ParseError(f"unknown record kind {record!r}", lineno)
     if papers is None:
         raise ParseError("missing kg header record")
-    edges: list[tuple[str, str]] = []
-    for concept in concepts:
-        for cluster in concept.clusters:
-            edges.extend((cluster.doc_id, concept.concept_id) for _ in cluster.mentions)
-    edges.sort()
-    concepts.sort(key=lambda c: (c.domain_scope, c.label, c.concept_id))
-    return KnowledgeGraph(papers=papers, concepts=tuple(concepts), edges=tuple(edges))
+    return _graph(papers, concepts)

@@ -6,8 +6,11 @@ by coreference annotation, e.g. pronouns). Its identity key is the 4-tuple
 (doc_id, start, end, concept_type). Clusters group mentions within a single
 document; a cluster of size one is a singleton cluster.
 
-All types are immutable value objects; every operation here is a pure
-function of its inputs, so documents can be processed concurrently.
+All types are immutable value objects and every operation here is a pure
+function of its inputs. The corpus readers are the validation boundary:
+they run ``validate`` on every document they build. Code that builds
+documents by hand checks them with ``validate_corpus``; ``all_clusters``
+and ``corpus_stats`` assume valid input and do not re-check it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-
-from .errors import ValidationError
 
 __all__ = [
     "ConceptType",
@@ -185,12 +186,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents)
 
-    def document(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.doc_id == doc_id:
-                return doc
-        raise KeyError(doc_id)
-
     def domains(self) -> dict[str, str]:
         return {doc.doc_id: doc.domain for doc in self.documents}
 
@@ -255,14 +250,10 @@ def validate_corpus(corpus: Corpus) -> list[str]:
 def all_clusters(doc: Document) -> tuple[CoreferenceCluster, ...]:
     """Annotated clusters plus one singleton per mention not covered by any.
 
-    The result is a partition of ``doc.mentions``: annotated clusters first
-    (in document order), then singletons in mention order.
-
-    Raises ValidationError for an invalid document.
+    For a valid document the result is a partition of ``doc.mentions``:
+    annotated clusters first (in document order), then singletons in
+    mention order.
     """
-    violations = validate(doc)
-    if violations:
-        raise ValidationError(violations)
     covered: set[Mention] = set()
     for cluster in doc.clusters:
         covered.update(cluster.mentions)
@@ -318,34 +309,16 @@ class StatsTable:
             "overall_clusters",
         ]
         lines = ["\t".join(header)]
-        for group, row in self.rows.items():
-            lines.append(
-                "\t".join(
-                    str(v)
-                    for v in (
-                        group,
-                        row.mentions,
-                        row.coreferent_mentions,
-                        row.coreference_clusters,
-                        row.singleton_clusters,
-                        row.overall_clusters,
-                    )
-                )
+        for group, row in [*self.rows.items(), ("Total", self.total)]:
+            values = (
+                group,
+                row.mentions,
+                row.coreferent_mentions,
+                row.coreference_clusters,
+                row.singleton_clusters,
+                row.overall_clusters,
             )
-        t = self.total
-        lines.append(
-            "\t".join(
-                str(v)
-                for v in (
-                    "Total",
-                    t.mentions,
-                    t.coreferent_mentions,
-                    t.coreference_clusters,
-                    t.singleton_clusters,
-                    t.overall_clusters,
-                )
-            )
-        )
+            lines.append("\t".join(map(str, values)))
         return "\n".join(lines) + "\n"
 
 
@@ -359,9 +332,6 @@ def corpus_stats(corpus: Corpus, group_by: str = "concept_type") -> StatsTable:
     """
     if group_by not in ("concept_type", "domain"):
         raise ValueError(f"unknown grouping {group_by!r}")
-    violations = validate_corpus(corpus)
-    if violations:
-        raise ValidationError(violations)
 
     rows: dict[str, StatRow] = {}
     if group_by == "concept_type":
@@ -377,15 +347,10 @@ def corpus_stats(corpus: Corpus, group_by: str = "concept_type") -> StatsTable:
                 group = m.concept_type.value if group_by == "concept_type" else doc.domain
                 bump(group, mentions=1)
         for cluster in clusters:
+            group = cluster.concept_type().value if group_by == "concept_type" else doc.domain
             if cluster.is_singleton:
-                group = (
-                    cluster.concept_type().value if group_by == "concept_type" else doc.domain
-                )
                 bump(group, singleton_clusters=1)
             else:
-                group = (
-                    cluster.concept_type().value if group_by == "concept_type" else doc.domain
-                )
                 bump(group, coreference_clusters=1)
                 for m in cluster.mentions:
                     g = m.concept_type.value if group_by == "concept_type" else doc.domain

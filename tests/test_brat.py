@@ -91,6 +91,13 @@ def test_parse_error_reports_line_number():
     assert err.value.line == 2
 
 
+def test_parse_error_duplicate_mention_key():
+    ann = "T1\tMaterial 0 3\tCNN\nT2\tMethod 0 3\tCNN\nT3\tMaterial 0 3\tCNN\n"
+    with pytest.raises(ParseError, match="duplicate mention key") as err:
+        parse_brat(TEXT, ann, "CS", doc_id="d1")
+    assert err.value.line == 3
+
+
 def test_parse_error_offset_out_of_range():
     with pytest.raises(ParseError, match="out of range"):
         parse_brat(TEXT, "T1\tMaterial 0 999\tCNN\n", "CS", doc_id="d1")

@@ -140,13 +140,6 @@ def test_baseline_roundtrip(corpus_path, tmp_path):
     assert len(resolved.documents[0].clusters) >= 1
 
 
-def test_baseline_jobs_flag(corpus_path, tmp_path):
-    out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert main(["--jobs", "1", "baseline", "--in", str(corpus_path), "--out", str(out1)]) == 0
-    assert main(["--jobs", "2", "baseline", "--in", str(corpus_path), "--out", str(out2)]) == 0
-    assert out1.read_text("utf-8") == out2.read_text("utf-8")
-
-
 def test_compile_gold_and_eval(corpus_path, tmp_path, capsys):
     gold_path = tmp_path / "gold.jsonl"
     assert main(["compile-gold", "--in", str(corpus_path), "--out", str(gold_path)]) == 0
@@ -183,40 +176,49 @@ def test_identical_invocations_byte_identical(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_lemma_exceptions_flag_changes_labels(tmp_path, capsys):
+@pytest.fixture
+def ox_corpus(tmp_path):
+    """'oxen' and 'ox' merge into one concept only under an oxen -> ox table."""
     from corefkg.normalize import set_default_lemma_exceptions
 
     text = "oxen and ox"
     m1 = Mention("d", 0, 4, ConceptType.MATERIAL, "oxen")
     m2 = Mention("d", 9, 11, ConceptType.MATERIAL, "ox")
-    doc = Document("d", "Agr", text, (m1, m2))
     src = tmp_path / "ox.jsonl"
-    src.write_text(write_jsonl(Corpus((doc,))), "utf-8")
+    src.write_text(write_jsonl(Corpus((Document("d", "Agr", text, (m1, m2)),))), "utf-8")
+    yield src
+    set_default_lemma_exceptions(None)
+
+
+def _populated_concepts(src, out, *global_flags) -> int:
+    assert main([*global_flags, "populate", "--in", str(src), "--strategy", "in",
+                 "--out", str(out)]) == 0
+    return out.read_text("utf-8").count('"record": "concept"')
+
+
+def test_lemma_exceptions_flag_changes_labels(ox_corpus, tmp_path, capsys):
     table = tmp_path / "irregular.tsv"
     table.write_text("oxen\tox\n", "utf-8")
-    out1, out2 = tmp_path / "kg1.jsonl", tmp_path / "kg2.jsonl"
-    try:
-        assert main(["populate", "--in", str(src), "--strategy", "in",
-                     "--out", str(out1)]) == 0
-        assert main(["--lemma-exceptions", str(table), "populate", "--in", str(src),
-                     "--strategy", "in", "--out", str(out2)]) == 0
-    finally:
-        set_default_lemma_exceptions(None)
     # default rules leave 'oxen' alone (two concepts); the override merges them
-    assert out1.read_text("utf-8").count('"record": "concept"') == 2
-    assert out2.read_text("utf-8").count('"record": "concept"') == 1
+    assert _populated_concepts(ox_corpus, tmp_path / "kg1.jsonl") == 2
+    assert _populated_concepts(ox_corpus, tmp_path / "kg2.jsonl",
+                               "--lemma-exceptions", str(table)) == 1
 
 
-def test_config_file_provides_defaults(tmp_path, capsys):
+def test_config_file_provides_defaults(ox_corpus, tmp_path, capsys):
+    merging, other = tmp_path / "merging.tsv", tmp_path / "other.tsv"
+    merging.write_text("oxen\tox\n", "utf-8")
+    other.write_text("geese\tgoose\n", "utf-8")
     cfg = tmp_path / "corefkg.conf"
-    cfg.write_text("jobs = 2\n", "utf-8")
-    rng = random.Random(15)
-    corpus = random_corpus(rng, n_docs=2)
-    src = tmp_path / "in.jsonl"
-    src.write_text(write_jsonl(corpus), "utf-8")
-    out = tmp_path / "out.jsonl"
-    assert main(["--config", str(cfg), "baseline", "--in", str(src),
-                 "--out", str(out)]) == 0
-    serial = tmp_path / "serial.jsonl"
-    assert main(["baseline", "--in", str(src), "--out", str(serial)]) == 0
-    assert out.read_text("utf-8") == serial.read_text("utf-8")
+    cfg.write_text(f"# defaults\nlemma_exceptions = {merging}\n", "utf-8")
+    # default < config: the configured table merges the two labels
+    assert _populated_concepts(ox_corpus, tmp_path / "kg1.jsonl") == 2
+    assert _populated_concepts(ox_corpus, tmp_path / "kg2.jsonl", "--config", str(cfg)) == 1
+    # config < flag: the flag's table replaces the configured one
+    assert _populated_concepts(ox_corpus, tmp_path / "kg3.jsonl", "--config", str(cfg),
+                               "--lemma-exceptions", str(other)) == 2
+
+
+def test_removed_global_options_are_usage_errors(capsys):
+    assert main(["--jobs", "2", "stats", "--in", "x.jsonl"]) == 1
+    assert main(["--seed", "0", "stats", "--in", "x.jsonl"]) == 1

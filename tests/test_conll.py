@@ -99,6 +99,13 @@ def test_duplicate_span_rejected():
         doc_from_columns("d\t0\tA\t(0)|(1)\n")
 
 
+def test_duplicate_doc_id_reports_its_end_line():
+    doc = "#begin document d\nd\t0\tA\t-\n#end document\n"
+    with pytest.raises(ParseError, match="duplicate doc_id 'd'") as err:
+        read_coref_columns(doc + "\n" + doc)
+    assert err.value.line == 7
+
+
 # --- writer ----------------------------------------------------------------------
 
 def mk_doc():

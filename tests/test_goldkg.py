@@ -85,7 +85,8 @@ def test_gold_partition_is_valid():
 def test_gold_jsonl_roundtrip():
     d1 = doc_with_links("d1", "CS", ["alpha", "beta"], {0: "Q1", 1: "Q1"},
                         cluster_idx=[(0, 1)])
-    d2 = doc_with_links("d2", "Med", ["gamma"], {0: "Q2"})
+    # U+2028 and U+0085 are written unescaped and must not split the line
+    d2 = doc_with_links("d2", "Med", ["gamma"], {0: "Q2\u2028line\x85next"})
     gold = compile_gold(Corpus((d1, d2)))
     restored = read_gold_jsonl(write_gold_jsonl(gold))
     assert restored == gold
@@ -96,6 +97,19 @@ def test_read_gold_jsonl_errors():
         read_gold_jsonl('{"entity": "Q1"}')
     with pytest.raises(ParseError, match="invalid JSON"):
         read_gold_jsonl("nope")
+
+
+@pytest.mark.parametrize("mention", [
+    '{"doc_id": "d", "start": 1.9, "end": 3, "type": "Data"}',
+    '{"doc_id": "d", "end": 3, "type": "Data"}',
+    '{"doc_id": "d", "start": true, "end": 3, "type": "Data"}',
+    '"d 0 3 Data"',
+], ids=["float-offset", "missing-offset", "bool-offset", "not-an-object"])
+def test_read_gold_jsonl_mention_fields(mention):
+    header = '{"record": "gold_kg", "clusters_kept": 1, "singleton_clusters": 1}'
+    with pytest.raises(ParseError) as err:
+        read_gold_jsonl(f'{header}\n{{"entity": "Q1", "mentions": [{mention}]}}\n')
+    assert err.value.line == 2
 
 
 def test_entity_links_tsv_roundtrip():

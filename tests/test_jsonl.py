@@ -9,8 +9,10 @@ from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Men
 from corpusgen import random_corpus
 
 
-def test_roundtrip_simple_doc():
-    text = "alpha beta"
+# U+2028 and U+0085 are written unescaped and must not split the line
+@pytest.mark.parametrize("text", ["alpha beta", "alpha\u2028beta", "alpha\x85beta"],
+                         ids=["plain", "u2028", "u0085"])
+def test_roundtrip_simple_doc(text):
     a = Mention("d", 0, 5, ConceptType.DATA, "alpha")
     b = Mention("d", 6, 10, ConceptType.NONE, "beta")
     doc = Document("d", "CS", text, (a, b),
@@ -90,3 +92,35 @@ def test_entity_link_schema_errors():
         read_jsonl(base % '[[0,""]]')
     with pytest.raises(ParseError, match="index, entity"):
         read_jsonl(base % '[["a"]]')
+
+
+def _doc_line(doc_id="d", text="ab", mentions="[]", clusters="[]", links="[]"):
+    return ('{"doc_id":"%s","domain":"","text":"%s","mentions":%s,"clusters":%s,'
+            '"entity_links":%s}' % (doc_id, text, mentions, clusters, links))
+
+
+TWO_MENTIONS = '[{"start":0,"end":1,"type":"Data"},{"start":1,"end":2,"type":"Data"}]'
+
+
+@pytest.mark.parametrize("line", [
+    _doc_line(mentions='[{"start":true,"end":2,"type":"Data"}]'),
+    _doc_line(mentions=TWO_MENTIONS, clusters="[[0,true]]"),
+    _doc_line(mentions=TWO_MENTIONS, links='[[true,"X"]]'),
+], ids=["bool-offset", "bool-cluster-index", "bool-link-index"])
+def test_offsets_and_indices_must_be_ints(line):
+    with pytest.raises(ParseError) as err:
+        read_jsonl(_doc_line(doc_id="ok") + "\n" + line)
+    assert err.value.line == 2
+
+
+def test_invalid_document_reports_its_line():
+    bad = _doc_line(doc_id="e", mentions='[{"start":0,"end":9,"type":"Data"}]')
+    with pytest.raises(ParseError, match="offset out of range") as err:
+        read_jsonl(_doc_line() + "\n\n" + bad + "\n")
+    assert err.value.line == 3
+
+
+def test_duplicate_doc_id_reports_second_line():
+    with pytest.raises(ParseError, match="duplicate doc_id 'd'") as err:
+        read_jsonl(_doc_line() + "\n" + _doc_line(doc_id="e") + "\n" + _doc_line())
+    assert err.value.line == 3

@@ -1,6 +1,10 @@
 import itertools
+import json
 import random
 
+import pytest
+
+from corefkg.errors import ParseError
 from corefkg.kgpop import (
     ALL_DOMAINS,
     CollapseStrategy,
@@ -335,3 +339,38 @@ def test_kg_jsonl_roundtrip():
         corpus = random_corpus(rng)
         kg = populate(corpus, IN)
         assert read_kg_jsonl(export_kg_jsonl(kg)) == kg
+
+
+def test_kg_jsonl_roundtrip_keeps_line_separators_in_surfaces():
+    # U+2028 and U+0085 are exported unescaped and must not split the line
+    text = "alpha\u2028beta and gamma\x85delta"
+    doc = Document("d", "CS", text, (typed("d", 0, 10, text[0:10]),
+                                     typed("d", 15, 26, text[15:26])))
+    kg = populate(Corpus((doc,)), IN)
+    assert read_kg_jsonl(export_kg_jsonl(kg)) == kg
+
+
+def _drop(record: dict, path: tuple) -> dict:
+    target = record
+    for step in path[:-1]:
+        target = target[step]
+    del target[path[-1]]
+    return record
+
+
+@pytest.mark.parametrize("line_index, path", [
+    (0, ("papers",)),
+    (1, ("clusters",)),
+    (1, ("concept_id",)),
+    (1, ("label",)),
+    (1, ("clusters", 0, "doc_id")),
+    (1, ("clusters", 0, "mentions", 0, "start")),
+    (1, ("clusters", 0, "mentions", 0, "source")),
+])
+def test_read_kg_jsonl_missing_field_reports_line(line_index, path):
+    doc = Document("d", "CS", "alpha", (typed("d", 0, 5, "alpha"),))
+    lines = export_kg_jsonl(populate(Corpus((doc,)), IN)).splitlines()
+    lines[line_index] = json.dumps(_drop(json.loads(lines[line_index]), path))
+    with pytest.raises(ParseError, match=repr(path[-1])) as err:
+        read_kg_jsonl("\n".join(lines))
+    assert err.value.line == line_index + 1

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from corefkg.errors import ValidationError
 from corefkg.model import (
     ConceptType,
     CoreferenceCluster,
@@ -88,12 +87,6 @@ def test_all_clusters_augments_singletons():
 
 def test_all_clusters_empty_doc():
     assert all_clusters(Document("d", "CS", "")) == ()
-
-
-def test_all_clusters_rejects_invalid():
-    doc = Document("d", "CS", "ab", (Mention("d", 1, 1, ConceptType.DATA, ""),))
-    with pytest.raises(ValidationError):
-        all_clusters(doc)
 
 
 def test_all_clusters_is_partition():

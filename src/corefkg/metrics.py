@@ -3,8 +3,16 @@
 All three metrics compare a gold partition of mention ids (the *key*) with a
 predicted partition (the *response*). Counting uses exact integer/rational
 arithmetic; every component of every score is a ``fractions.Fraction``, so
-results are reproducible bit-for-bit across platforms. The optimal part
-alignment needed by entity CEAF is delegated to scipy's Hungarian solver.
+results are reproducible bit-for-bit across platforms.
+
+Entity CEAF aligns parts one overlap component at a time: a key part and a
+response part are connected when they share a mention, and the optimal
+alignment of the whole partition is the union of the optimal alignments of
+its components. A component with one key part or one response part (a star)
+is solved exactly as the largest similarity it contains; only the other
+components go to scipy's Hungarian solver. Mention ids that carry their
+document, as ``corpus_partition`` builds them, never connect two documents,
+so a pooled corpus is scored as a sum of small per-document problems.
 
 Degenerate 0/0 components are defined as 0, matching the behaviour of the
 standard CoNLL scorer on partitions without links.
@@ -12,12 +20,15 @@ standard CoNLL scorer on partitions without links.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from .unionfind import UnionFind
 
 __all__ = [
     "Partition",
@@ -53,7 +64,8 @@ class Partition:
                 raise ValueError("empty part in partition")
             overlap = seen & fp
             if overlap:
-                raise ValueError(f"parts are not disjoint: {sorted(overlap)[:3]!r} repeated")
+                raise ValueError(
+                    f"parts are not disjoint: {sorted(overlap, key=repr)[:3]!r} repeated")
             seen |= fp
             frozen.append(fp)
         self.parts: tuple[frozenset, ...] = tuple(frozen)
@@ -231,8 +243,29 @@ def optimal_assignment(weights) -> dict[int, int]:
     return dict(zip(rows.tolist(), cols.tolist()))
 
 
-def _phi4(k: frozenset, r: frozenset) -> Fraction:
-    return Fraction(2 * len(k & r), len(k) + len(r))
+def _overlap_components(
+    key_parts: list[frozenset], response_parts: list[frozenset]
+) -> tuple[list[Counter], list[list[int]]]:
+    """Shared-mention counts and the components of the overlap graph.
+
+    Returns ``shared``, where ``shared[j]`` maps each key part index to the
+    number of mentions it shares with response part ``j``, and the connected
+    components as lists of response part indices. A component's key parts are
+    the keys of its response parts' counts; a key part no response part
+    touches belongs to no component and aligns to nothing.
+    """
+    key_of = {m: i for i, part in enumerate(key_parts) for m in part}
+    shared = [Counter(key_of[m] for m in part) for part in response_parts]
+    links = UnionFind()
+    for counts in shared:
+        first, *rest = counts
+        links.add(first)
+        for i in rest:
+            links.union(first, i)
+    components: dict = {}
+    for j, counts in enumerate(shared):
+        components.setdefault(links.find(next(iter(counts))), []).append(j)
+    return shared, list(components.values())
 
 
 def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts: bool = False) -> PRF:
@@ -240,9 +273,13 @@ def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts
 
     Part similarity is 2|K & R| / (|K| + |R|); recall divides the optimal
     total by the number of key parts, precision by the number of response
-    parts. ``drop_singleton_response_parts`` enables a non-standard variant
-    (found in some neural-coreference eval scripts) that removes singleton
-    response parts before aligning; leave it off for standard scoring.
+    parts. The alignment is solved per overlap component (see the module
+    docstring): a star, with one key part or one response part, scores its
+    largest similarity exactly; any other component is solved by
+    ``optimal_assignment`` on its own block; the exact totals are summed.
+    ``drop_singleton_response_parts`` enables a non-standard variant (found
+    in some neural-coreference eval scripts) that removes singleton response
+    parts before aligning; leave it off for standard scoring.
     """
     _require_aligned(key, response)
     response_parts = list(response.parts)
@@ -251,9 +288,21 @@ def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts
     key_parts = list(key.parts)
     if not key_parts or not response_parts:
         return PRF.from_pr(ZERO, ZERO)
-    phi = [[_phi4(k, r) for r in response_parts] for k in key_parts]
-    assignment = optimal_assignment([[float(x) for x in row] for row in phi])
-    total = sum((phi[i][j] for i, j in assignment.items()), start=ZERO)
+    shared, components = _overlap_components(key_parts, response_parts)
+
+    def phi4(i: int, j: int) -> Fraction:
+        return Fraction(2 * shared[j][i], len(key_parts[i]) + len(response_parts[j]))
+
+    total = ZERO
+    for cols in components:
+        rows = sorted({i for j in cols for i in shared[j]})
+        if len(rows) == 1 or len(cols) == 1:
+            # every pair of a star overlaps and only one pair can be aligned
+            total += max(phi4(i, j) for j in cols for i in shared[j])
+        else:
+            block = [[phi4(i, j) for j in cols] for i in rows]
+            assignment = optimal_assignment([[float(x) for x in row] for row in block])
+            total += sum((block[a][b] for a, b in assignment.items()), start=ZERO)
     return PRF.from_counts(total, len(response_parts), total, len(key_parts))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corefkg import metrics
 from corefkg.metrics import (
     Partition,
     align_mentions,
@@ -31,9 +32,13 @@ def test_partition_rejects_empty_part():
         Partition([set()])
 
 
-def test_partition_rejects_overlap():
+@pytest.mark.parametrize("parts", [
+    [{"a"}, {"a", "b"}],
+    [{1, "a"}, {1, "a"}],  # mixed id types must not reach an unkeyed sort
+], ids=["strings", "mixed-types"])
+def test_partition_rejects_overlap(parts):
     with pytest.raises(ValueError):
-        Partition([{"a"}, {"a", "b"}])
+        Partition(parts)
 
 
 def test_partition_equality_ignores_order():
@@ -288,6 +293,45 @@ def test_ceaf_e_total_matches_exhaustive_search(pair):
     assert prf.precision == (Fraction(best, len(resp.parts)) if resp.parts else 0)
 
 
+@st.composite
+def disjoint_pieces(draw):
+    """1-6 partition pairs with each piece's mentions relabelled (i, m), so no
+    part of one piece shares a mention with another piece."""
+    pairs = draw(st.lists(partition_pairs(), min_size=1, max_size=6))
+    return [tuple(Partition([{(i, m) for m in p} for p in side]) for side in pair)
+            for i, pair in enumerate(pairs)]
+
+
+def _union(pieces):
+    return tuple(Partition([p for piece in pieces for p in piece[side].parts]) for side in (0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(disjoint_pieces(), st.booleans())
+def test_ceaf_e_total_is_sum_over_disjoint_pieces(pieces, drop):
+    expected = Fraction(0)
+    for key, resp in pieces:
+        resp_parts = [r for r in resp.parts if len(r) > 1 or not drop]
+        if resp_parts:
+            expected += brute_force_total(
+                [[Fraction(2 * len(k & r), len(k) + len(r)) for r in resp_parts]
+                 for k in key.parts])
+    key, resp = _union(pieces)
+    n_resp = sum(len(r) > 1 or not drop for r in resp.parts)
+    prf = ceaf_e(key, resp, drop_singleton_response_parts=drop)
+    assert prf.recall * len(key.parts) == expected
+    assert prf.precision * n_resp == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_score_invariant_under_piece_order(data):
+    pieces = data.draw(disjoint_pieces())
+    shuffled = data.draw(st.permutations(pieces))
+    before, after = score(*_union(pieces)), score(*_union(shuffled))
+    assert [prf for _, prf in before.rows()] == [prf for _, prf in after.rows()]
+
+
 def test_conformance_against_independent_reference():
     rng = random.Random(20_24)
     for _ in range(150):
@@ -302,6 +346,22 @@ def test_conformance_against_independent_reference():
             for got, want in zip(prf.as_floats(), (expected[name][0], expected[name][1],
                                                    expected[name][2])):
                 assert abs(got - want) < 1e-9, f"{name}: {got} vs {want}"
+
+
+@pytest.mark.parametrize("key, resp, shapes", [
+    (part("ab", "cd"), part("a", "b", "c", "d"), []),            # two stars
+    (part("ab", "cd", "e"), part("ac", "bd", "e"), [(2, 2)]),    # 2x2 block + a 1x1 star
+])
+def test_ceaf_e_solves_only_non_star_components(monkeypatch, key, resp, shapes):
+    seen = []
+
+    def recording(weights):
+        seen.append((len(weights), len(weights[0])))
+        return optimal_assignment(weights)
+
+    monkeypatch.setattr(metrics, "optimal_assignment", recording)
+    ceaf_e(key, resp)
+    assert seen == shapes
 
 
 def test_ceafe_singleton_drop_variant():

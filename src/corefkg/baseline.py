@@ -9,7 +9,7 @@ identity is a catastrophically bad signal for them.
 from __future__ import annotations
 
 from .model import CoreferenceCluster, Corpus, Document
-from .normalize import build_acronym_map, normalize_mention
+from .normalize import _Labeler, build_acronym_map
 
 __all__ = ["PRONOUNS", "resolve", "resolve_corpus"]
 
@@ -25,12 +25,16 @@ def resolve(doc: Document) -> tuple[CoreferenceCluster, ...]:
     after normalization never merge. The result is independent of mention
     order.
     """
+    return _resolve(doc, _Labeler())
+
+
+def _resolve(doc: Document, labeler: _Labeler) -> tuple[CoreferenceCluster, ...]:
     acronyms = build_acronym_map(doc.text)
     groups: dict[str, list] = {}
     for m in doc.mentions:
         if m.surface.strip().lower() in PRONOUNS:
             continue
-        label = normalize_mention(m.surface, acronyms)
+        label = labeler.mention(m.surface, acronyms)
         key = label if label else f"\x00{m.start}:{m.end}:{m.concept_type.value}"
         groups.setdefault(key, []).append(m)
     clusters = [CoreferenceCluster(doc.doc_id, frozenset(ms)) for ms in groups.values()]
@@ -39,14 +43,19 @@ def resolve(doc: Document) -> tuple[CoreferenceCluster, ...]:
 
 
 def resolve_corpus(corpus: Corpus) -> Corpus:
-    """Replace every document's clusters with baseline predictions."""
+    """Replace every document's clusters with baseline predictions.
+
+    One labeler serves the whole call, so each distinct expanded surface is
+    normalized once.
+    """
+    labeler = _Labeler()
     return Corpus(tuple(
         Document(
             doc_id=doc.doc_id,
             domain=doc.domain,
             text=doc.text,
             mentions=doc.mentions,
-            clusters=resolve(doc),
+            clusters=_resolve(doc, labeler),
             entity_links=doc.entity_links,
         )
         for doc in corpus

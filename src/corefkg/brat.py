@@ -46,10 +46,11 @@ COREF_MENTION_LABEL = "CorefMention"
 _ENTITY_TYPES = {t.value: t for t in ConceptType if t not in (ConceptType.NONE, ConceptType.MIXED)}
 _ENTITY_TYPES[COREF_MENTION_LABEL] = ConceptType.NONE
 
-_T_LINE = re.compile(r"^(T\d+)\t(\S+) (\d+) (\d+)\t(.*)$")
-_T_DISCONT = re.compile(r"^(T\d+)\t(\S+) [\d;, ]*;[\d;, ]*\t")
-_R_LINE = re.compile(r"^R\d+\t(\S+) Arg1:(T\d+) Arg2:(T\d+)\s*$")
-_EQUIV_LINE = re.compile(r"^\*\t(\S+)((?: T\d+)+)\s*$")
+# [0-9], not \d: \d also matches non-ASCII digits such as ٣, which int() takes.
+_T_LINE = re.compile(r"^(T[0-9]+)\t(\S+) ([0-9]+) ([0-9]+)\t(.*)$")
+_T_DISCONT = re.compile(r"^(T[0-9]+)\t(\S+) [0-9;, ]*;[0-9;, ]*\t")
+_R_LINE = re.compile(r"^R[0-9]+\t(\S+) Arg1:(T[0-9]+) Arg2:(T[0-9]+)\s*$")
+_EQUIV_LINE = re.compile(r"^\*\t(\S+)((?: T[0-9]+)+)\s*$")
 
 
 def parse_brat(

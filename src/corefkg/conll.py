@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .jsonl import _checked, _lines
+from .jsonl import _checked, _digits, _lines
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -34,9 +34,9 @@ __all__ = ["write_coref_columns", "read_coref_columns", "parse_token_table"]
 _BEGIN = "#begin document "
 _END = "#end document"
 
-_OPEN = re.compile(r"^\((\d+)$")
-_CLOSE = re.compile(r"^(\d+)\)$")
-_SINGLE = re.compile(r"^\((\d+)\)$")
+_OPEN = re.compile(r"^\(([0-9]+)$")
+_CLOSE = re.compile(r"^([0-9]+)\)$")
+_SINGLE = re.compile(r"^\(([0-9]+)\)$")
 
 
 def _tokenize(text: str, boundaries: set[int]) -> list[tuple[int, int]]:
@@ -131,10 +131,8 @@ def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
         parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError(f"token table expects 4 columns, got {line!r}", lineno)
-        try:
-            out[(parts[0], int(parts[1]))] = (int(parts[2]), int(parts[3]))
-        except ValueError:
-            raise ParseError(f"non-numeric token table entry {line!r}", lineno) from None
+        index, start, end = (_digits(p, "token table entry", lineno) for p in parts[1:])
+        out[(parts[0], index)] = (start, end)
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ParseError, ValidationError
-from .jsonl import _expect, _expect_entries, _json_objects, _lines
+from .jsonl import _digits, _expect, _expect_entries, _json_objects, _lines
 from .kgpop import CollapseStrategy, acronym_maps, collapse
 from .metrics import Partition, ScoreReport, score
 from .model import (
@@ -161,10 +161,9 @@ def read_entity_links(text: str) -> dict[MentionKey, str]:
         if len(parts) != 5:
             raise ParseError(f"expected 5 tab-separated columns, got {line!r}", lineno)
         doc_id, start_s, end_s, type_name, entity = (p.strip() for p in parts)
-        try:
-            key: MentionKey = (doc_id, int(start_s), int(end_s), type_name)
-        except ValueError:
-            raise ParseError(f"non-numeric offsets in {line!r}", lineno) from None
+        key: MentionKey = (
+            doc_id, _digits(start_s, "start", lineno), _digits(end_s, "end", lineno), type_name
+        )
         if not entity:
             raise ParseError("empty entity id", lineno)
         if key in links and links[key] != entity:

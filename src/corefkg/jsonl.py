@@ -89,16 +89,13 @@ def _json_objects(text: str) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
-def _is(value, kind) -> bool:
-    # bool is a subclass of int, but JSON true/false is never an offset or index
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-
-
 def _expect(obj: dict, field: str, kind, lineno: int):
     if field not in obj:
         raise ParseError(f"missing field {field!r}", lineno)
     value = obj[field]
-    if not _is(value, kind):
+    # JSON decoding yields exact builtin types, so an exact type check also
+    # rejects true/false where an int is expected.
+    if type(value) is not kind:
         raise ParseError(f"field {field!r} has wrong type {type(value).__name__}", lineno)
     return value
 
@@ -107,9 +104,21 @@ def _expect_entries(obj: dict, field: str, kind, lineno: int) -> list:
     """The list ``obj[field]``, every entry of which must be a ``kind``."""
     entries = _expect(obj, field, list, lineno)
     for entry in entries:
-        if not _is(entry, kind):
+        if type(entry) is not kind:
             raise ParseError(f"entry of {field!r} has wrong type {type(entry).__name__}", lineno)
     return entries
+
+
+def _digits(text: str, what: str, lineno: int) -> int:
+    """The int spelled by ``text``, which must be ASCII digits only.
+
+    ``int()`` alone would also take a sign, surrounding spaces, ``_``
+    separators and non-ASCII digits such as ``٣``; the text readers must
+    not silently coerce those.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{what} must be ASCII digits, got {text!r}", lineno)
+    return int(text)
 
 
 def _expect_type(obj: dict, lineno: int) -> ConceptType:
@@ -164,7 +173,7 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
             raise ParseError(f"cluster must be a non-empty list of mention indices", lineno)
         members = []
         for idx in group:
-            if not _is(idx, int) or not (0 <= idx < len(mentions)):
+            if type(idx) is not int or not (0 <= idx < len(mentions)):
                 raise ParseError(
                     f"mention index {idx!r} out of range (document has {len(mentions)})", lineno
                 )
@@ -178,7 +187,7 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ParseError(f"entity link must be [index, entity], got {pair!r}", lineno)
             idx, entity = pair
-            if not _is(idx, int) or not (0 <= idx < len(mentions)):
+            if type(idx) is not int or not (0 <= idx < len(mentions)):
                 raise ParseError(f"entity link index {idx!r} out of range", lineno)
             if not isinstance(entity, str) or not entity:
                 raise ParseError(f"entity id must be a non-empty string, got {entity!r}", lineno)

@@ -32,7 +32,7 @@ from .model import (
     MentionSource,
     all_clusters,
 )
-from .normalize import AcronymMap, build_acronym_map, cluster_label
+from .normalize import EMPTY_ACRONYMS, AcronymMap, _Labeler, build_acronym_map
 
 __all__ = [
     "DomainScope",
@@ -171,12 +171,15 @@ def collapse(
     ``domains`` maps doc_id to its domain; ``acronyms`` optionally maps
     doc_id to the document's acronym expansions. Clusters whose label
     normalizes to the empty string never merge with anything (each becomes
-    its own concept) so a degenerate catch-all node cannot arise.
+    its own concept) so a degenerate catch-all node cannot arise. Labels
+    follow ``normalize.cluster_label``; one labeler serves the whole call,
+    so each distinct expanded surface is normalized once.
     """
     acronyms = acronyms or {}
+    labeler = _Labeler()
     groups: dict[tuple[str, str, str], list[CoreferenceCluster]] = {}
     for cluster in clusters:
-        label = cluster_label(cluster, acronyms.get(cluster.doc_id, AcronymMap({})))
+        label = labeler.cluster(cluster, acronyms.get(cluster.doc_id, EMPTY_ACRONYMS))
         scope = (
             ALL_DOMAINS
             if strategy.scope is DomainScope.CROSS_DOMAIN

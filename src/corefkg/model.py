@@ -45,7 +45,12 @@ class ConceptType(enum.Enum):
     disagree; it is never assigned to a single mention. ``NONE`` marks
     mentions found only by coreference annotation (pronouns and noun
     phrases spanning several original mentions).
+
+    Members are singletons compared by identity, so they hash by identity
+    too (``object.__hash__``), which is cheaper than ``Enum.__hash__``.
     """
+
+    __hash__ = object.__hash__
 
     PROCESS = "Process"
     METHOD = "Method"
@@ -78,7 +83,9 @@ def concept_type_from_string(name: str) -> ConceptType:
 
 
 class MentionSource(enum.Enum):
-    """Which stage produced a mention."""
+    """Which stage produced a mention; hashed by identity like ConceptType."""
+
+    __hash__ = object.__hash__
 
     CONCEPT_EXTRACTOR = "concept_extractor"
     COREF_ONLY = "coref_only"
@@ -98,6 +105,15 @@ class Mention:
     concept_type: ConceptType
     surface: str
     source: MentionSource = MentionSource.CONCEPT_EXTRACTOR
+
+    def __hash__(self) -> int:
+        """Hash of the span (doc_id, start, end) alone.
+
+        Equal mentions have equal spans, so this agrees with the generated
+        ``__eq__``; mentions differing only in type, surface or source share
+        a hash and are told apart by ``__eq__``.
+        """
+        return hash((self.doc_id, self.start, self.end))
 
     @property
     def key(self) -> MentionKey:
@@ -198,7 +214,7 @@ def validate(doc: Document) -> list[str]:
     """
     violations: list[str] = []
     n = len(doc.text)
-    seen_keys: set[MentionKey] = set()
+    seen_keys: set[tuple[str, int, int, ConceptType]] = set()
     for m in doc.mentions:
         if m.doc_id != doc.doc_id:
             violations.append(f"mention doc_id mismatch @ {m.span()} in document {doc.doc_id!r}")
@@ -212,9 +228,11 @@ def validate(doc: Document) -> list[str]:
             )
         if m.concept_type is ConceptType.MIXED:
             violations.append(f"mention typed Mixed @ {m.span()}")
-        if m.key in seen_keys:
+        # one-to-one with m.key, without building it through Enum.value
+        key = (m.doc_id, m.start, m.end, m.concept_type)
+        if key in seen_keys:
             violations.append(f"duplicate mention key @ {m.span()} type {m.concept_type}")
-        seen_keys.add(m.key)
+        seen_keys.add(key)
 
     known = set(doc.mentions)
     cluster_count: Counter[Mention] = Counter()
@@ -229,9 +247,9 @@ def validate(doc: Document) -> list[str]:
                 violations.append(f"cluster member from another document @ {m.span()}")
             if m not in known:
                 violations.append(f"cluster member not in document mentions @ {m.span()}")
-    for m, k in sorted(cluster_count.items(), key=lambda kv: (kv[0].start, kv[0].end)):
-        if k > 1:
-            violations.append(f"overlapping clusters @ {m.span()}: mention in {k} clusters")
+    overlapping = [(m, k) for m, k in cluster_count.items() if k > 1]
+    for m, k in sorted(overlapping, key=lambda kv: (kv[0].start, kv[0].end)):
+        violations.append(f"overlapping clusters @ {m.span()}: mention in {k} clusters")
     return violations
 
 

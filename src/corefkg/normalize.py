@@ -5,6 +5,11 @@ Two clusters collapse into one KG concept exactly when their labels are
 equal, so this module decides the granularity of the populated graph. The
 label of a cluster is its longest mention (measured after acronym
 expansion), normalized.
+
+A label is a function of the acronym-expanded surface and the lemma
+exception table alone. Callers that label many mentions (``resolve_corpus``
+and ``kgpop.collapse``) share one ``_Labeler`` per call, which normalizes
+each distinct expanded surface once; no memo lives beyond that call.
 """
 
 from __future__ import annotations
@@ -196,12 +201,61 @@ def singularize(token: str, exceptions: Mapping[str, str] | None = None) -> str:
 
 
 def _expand_acronyms(surface: str, acronyms: AcronymMap) -> str:
+    expansions = acronyms.expansions
     stripped = surface.strip()
-    expanded = acronyms.get(stripped)
+    expanded = expansions.get(stripped)
     if expanded is not None:
         return expanded
-    tokens = stripped.split()
-    return " ".join(acronyms.get(t) or t for t in tokens)
+    return " ".join([expansions.get(t) or t for t in stripped.split()])
+
+
+class _Labeler:
+    """Label rules plus a memo from acronym-expanded surface to label.
+
+    A label depends only on the expanded surface and the exception table,
+    so one labeler normalizes each distinct expanded surface once. Its scope
+    is one call: ``normalize_mention`` and ``cluster_label`` make a fresh
+    labeler per call, and ``resolve_corpus`` and ``collapse`` one per call
+    for all the mentions they label. Nothing outlives that call, so a table
+    swapped with ``set_default_lemma_exceptions`` applies from the next call.
+    """
+
+    def __init__(self, exceptions: Mapping[str, str] | None = None):
+        self._exceptions = exceptions if exceptions is not None else _default_exceptions()
+        self._labels: dict[str, str] = {}
+
+    def _normalize(self, expanded: str) -> str:
+        label = self._labels.get(expanded)
+        if label is not None:
+            return label
+        tokens = expanded.lower().split()
+        while tokens and tokens[0] in _LEADING_STOP:
+            tokens = tokens[1:]
+        cleaned: list[str] = []
+        for tok in tokens:
+            for suffix in ("'s", "’s", "'", "’"):
+                if tok.endswith(suffix):
+                    tok = tok[: -len(suffix)]
+                    break
+            if tok:
+                cleaned.append(singularize(tok, self._exceptions))
+        label = self._labels[expanded] = " ".join(cleaned)
+        return label
+
+    def mention(self, surface: str, acronyms: AcronymMap) -> str:
+        return self._normalize(_expand_acronyms(surface, acronyms))
+
+    def cluster(self, cluster: CoreferenceCluster, acronyms: AcronymMap) -> str:
+        if not cluster.mentions:
+            raise ValueError("cannot label an empty cluster")
+        # Each mention is expanded once; the winner's expansion is the one
+        # normalized. Equal (start, end, surface) imply equal expansions.
+        best = min(
+            (-len(expanded), m.start, m.end, m.surface, expanded)
+            for m in cluster.mentions
+            for expanded in (_expand_acronyms(m.surface, acronyms),)
+        )
+        return self._normalize(best[-1])
 
 
 def normalize_mention(surface: str, acronyms: AcronymMap = EMPTY_ACRONYMS,
@@ -213,19 +267,7 @@ def normalize_mention(surface: str, acronyms: AcronymMap = EMPTY_ACRONYMS,
     possessive markers, whitespace collapsing, and per-token singularization.
     Labels are idempotent under this function.
     """
-    text = _expand_acronyms(surface, acronyms)
-    tokens = text.lower().split()
-    while tokens and tokens[0] in _LEADING_STOP:
-        tokens = tokens[1:]
-    cleaned: list[str] = []
-    for tok in tokens:
-        for suffix in ("'s", "’s", "'", "’"):
-            if tok.endswith(suffix):
-                tok = tok[: -len(suffix)]
-                break
-        if tok:
-            cleaned.append(singularize(tok, exceptions))
-    return " ".join(cleaned)
+    return _Labeler(exceptions).mention(surface, acronyms)
 
 
 def cluster_label(cluster: CoreferenceCluster, acronyms: AcronymMap = EMPTY_ACRONYMS,
@@ -236,10 +278,4 @@ def cluster_label(cluster: CoreferenceCluster, acronyms: AcronymMap = EMPTY_ACRO
     acronym-only cluster still yields an informative label; ties break by
     earliest start offset.
     """
-    if not cluster.mentions:
-        raise ValueError("cannot label an empty cluster")
-    best = min(
-        cluster.mentions,
-        key=lambda m: (-len(_expand_acronyms(m.surface, acronyms)), m.start, m.end, m.surface),
-    )
-    return normalize_mention(best.surface, acronyms, exceptions)
+    return _Labeler(exceptions).cluster(cluster, acronyms)

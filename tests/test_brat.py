@@ -118,6 +118,16 @@ def test_parse_error_discontinuous_span():
         parse_brat(TEXT, "T1\tMaterial 0 3;5 8\tCNN wo\n", "CS", doc_id="d1")
 
 
+@pytest.mark.parametrize("line", [
+    "T1\tMaterial ٠ ٣\tCNN",        # Arabic-Indic offsets
+    "T١\tMaterial 0 3\tCNN",        # Arabic-Indic entity id
+])
+def test_parse_error_non_ascii_digits(line):
+    with pytest.raises(ParseError) as err:
+        parse_brat(TEXT, f"T2\tMaterial 13 16\tCNN\n{line}\n", "CS", doc_id="d1")
+    assert err.value.line == 2
+
+
 def test_parse_error_unknown_type():
     with pytest.raises(ParseError, match="unknown entity type"):
         parse_brat(TEXT, "T1\tGadget 0 3\tCNN\n", "CS", doc_id="d1")

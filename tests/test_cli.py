@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import corefkg
 from corefkg.cli import main
 from corefkg.jsonl import read_jsonl, write_jsonl
 from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention
@@ -222,3 +227,39 @@ def test_config_file_provides_defaults(ox_corpus, tmp_path, capsys):
 def test_removed_global_options_are_usage_errors(capsys):
     assert main(["--jobs", "2", "stats", "--in", "x.jsonl"]) == 1
     assert main(["--seed", "0", "stats", "--in", "x.jsonl"]) == 1
+
+
+def _cli_outputs(src: Path, workdir: Path, hash_seed: str) -> dict[str, bytes]:
+    """Run baseline, then populate in both formats, in fresh interpreters."""
+    package_root = str(Path(corefkg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    workdir.mkdir()
+    pred = workdir / "pred.jsonl"
+    runs = [
+        ["baseline", "--in", str(src), "--out", str(pred)],
+        ["populate", "--in", str(pred), "--strategy", "cross", "--format", "ntriples",
+         "--out", str(workdir / "kg.nt")],
+        ["populate", "--in", str(pred), "--strategy", "in", "--format", "jsonl",
+         "--out", str(workdir / "kg.jsonl")],
+    ]
+    outputs = {}
+    for i, argv in enumerate(runs):
+        done = subprocess.run([sys.executable, "-m", "corefkg.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs[f"stdout{i}"] = done.stdout
+    for path in sorted(workdir.iterdir()):
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    corpus = random_corpus(random.Random(31), n_docs=40)
+    src = tmp_path / "in.jsonl"
+    src.write_text(write_jsonl(corpus), "utf-8")
+    seed0 = _cli_outputs(src, tmp_path / "seed0", "0")
+    seed1 = _cli_outputs(src, tmp_path / "seed1", "1")
+    assert set(seed0) == {"stdout0", "stdout1", "stdout2", "pred.jsonl", "kg.nt", "kg.jsonl"}
+    assert all(seed0[name] for name in ("pred.jsonl", "kg.nt", "kg.jsonl", "stdout1"))
+    assert seed0 == seed1

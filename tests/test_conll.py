@@ -127,6 +127,24 @@ def test_writer_emits_all_mentions_and_sidecar():
     assert "(0" in columns and "0)" in columns
 
 
+@pytest.mark.parametrize("row", ["d\t+0\t0\t3", "d\t0\t1_0\t3", "d\t0\t0\t٣", "d\t0\t-0\t3",
+                                 "d\t0\t 0\t3"])
+def test_token_table_numbers_must_be_ascii_digits(row):
+    with pytest.raises(ParseError, match="ASCII digits") as err:
+        parse_token_table(f"d\t1\t4\t5\n{row}\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("coref", ["(٣)", "(٣", "٣)"])
+def test_chain_numbers_must_be_ascii_digits(coref):
+    # A close needs an open chain to be read at all, so open one with ASCII digits.
+    opened = "(3" if coref == "٣)" else "-"
+    body = f"d\t0\tab\t{opened}\nd\t1\tcd\t{coref}\n"
+    with pytest.raises(ParseError, match="malformed coreference entry") as err:
+        doc_from_columns(body)
+    assert err.value.line == 3
+
+
 def test_writer_splits_tokens_at_mention_boundaries():
     text = "ab"
     m1 = Mention("d", 0, 1, ConceptType.DATA, "a")

@@ -126,6 +126,15 @@ def test_entity_links_tsv_roundtrip():
         read_entity_links("d\t0\t1\tData\tQ1\nd\t0\t1\tData\tQ2\n")
 
 
+@pytest.mark.parametrize("start, end", [("+1_0", "٢٠"), ("+10", "20"), ("10", "٢٠"),
+                                        ("1_0", "20"), ("-1", "20")])
+def test_entity_links_offsets_must_be_ascii_digits(start, end):
+    tsv = f"d1\t0\t5\tMethod\tE\nd1\t{start}\t{end}\tMethod\tE\n"
+    with pytest.raises(ParseError, match="ASCII digits") as err:
+        read_entity_links(tsv)
+    assert err.value.line == 2
+
+
 def test_attach_entity_links():
     doc = doc_with_links("d", "CS", ["alpha"], {})
     links = {("d", 0, 5, "Material"): "Q7"}

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corefkg.model import (
     ConceptType,
@@ -180,3 +182,43 @@ def test_corpus_stats_accounting_property():
 def test_corpus_stats_unknown_grouping():
     with pytest.raises(ValueError):
         corpus_stats(Corpus(()), "banana")
+
+
+# --- hash contract ------------------------------------------------------------
+
+TYPES = st.sampled_from(list(ConceptType))
+SURFACES = st.sampled_from(["x", "y", "x y"])
+SOURCES = st.sampled_from(list(MentionSource))
+MENTIONS = st.builds(
+    Mention, st.sampled_from(["a", "b"]), st.integers(0, 2), st.integers(0, 2),
+    TYPES, SURFACES, SOURCES,
+)
+
+
+@given(a=MENTIONS, b=MENTIONS)
+def test_equal_mentions_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(span=MENTIONS, payloads=st.lists(st.tuples(TYPES, SURFACES, SOURCES),
+                                        min_size=1, max_size=12, unique=True))
+def test_mentions_differing_only_in_payload_stay_apart(span, payloads):
+    # same span, so the same hash: only __eq__ can tell them apart
+    ms = [Mention(span.doc_id, span.start, span.end, t, s, src) for t, s, src in payloads]
+    assert len({hash(m) for m in ms}) == 1
+    assert len(set(ms)) == len(ms)
+    index = {m: i for i, m in enumerate(ms)}
+    assert [index[m] for m in ms] == list(range(len(ms)))
+    twins = [Mention(m.doc_id, m.start, m.end, m.concept_type, m.surface, m.source) for m in ms]
+    assert [index[m] for m in twins] == list(range(len(ms)))
+
+
+@pytest.mark.parametrize("enum_type", [ConceptType, MentionSource])
+def test_enum_members_work_as_dict_keys(enum_type):
+    table = {member: member.value for member in enum_type}
+    assert len(table) == len(enum_type)
+    for member in enum_type:
+        assert table[member] == member.value
+        assert table[enum_type(member.value)] == member.value
+        assert member in set(enum_type)

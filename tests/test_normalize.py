@@ -2,15 +2,27 @@ import random
 
 import pytest
 
-from corefkg.model import ConceptType, CoreferenceCluster, Mention
+from corefkg.baseline import PRONOUNS, resolve_corpus
+from corefkg.kgpop import CollapseStrategy, DomainScope, populate
+from corefkg.model import (
+    ConceptType,
+    CoreferenceCluster,
+    Corpus,
+    Document,
+    Mention,
+    MentionSource,
+)
 from corefkg.normalize import (
     AcronymMap,
     build_acronym_map,
     cluster_label,
     load_lemma_exceptions,
     normalize_mention,
+    set_default_lemma_exceptions,
     singularize,
 )
+
+from corpusgen import random_corpus
 
 
 # --- acronym extraction -------------------------------------------------------
@@ -195,3 +207,86 @@ def test_cluster_label_tie_breaks_by_offset():
     # two surfaces of equal length: the earlier mention wins
     c = _cluster(["abcd", "wxyz"])
     assert cluster_label(c) == "abcd"
+
+
+# --- per-call label memo ----------------------------------------------------------
+# resolve_corpus and collapse label each distinct expanded surface once per
+# call; the references below label every mention afresh.
+
+def _doc(doc_id, domain, text, surfaces):
+    """Mentions at the successive occurrences of ``surfaces`` in ``text``."""
+    mentions, pos = [], 0
+    for surface in surfaces:
+        start = text.index(surface, pos)
+        mentions.append(Mention(doc_id, start, start + len(surface), ConceptType.METHOD, surface))
+        pos = start + len(surface)
+    return Document(doc_id, domain, text, tuple(mentions))
+
+
+# The same short form expands differently per document, so a memo keyed on
+# the raw surface instead of the expanded one would mislabel "CNN".
+ACRONYM_DOCS = (
+    _doc("acr/1", "CS", "convolutional neural networks (CNN) help; the CNN models and CNNs",
+         ["convolutional neural networks", "CNN", "CNN models", "CNNs"]),
+    _doc("acr/2", "Med", "cable news network (CNN) reports; the CNN said so; CNN",
+         ["cable news network", "CNN", "CNN"]),
+    _doc("acr/3", "Bio", "the CNN models", ["CNN models"]),
+)
+
+
+def _memo_corpora():
+    rng = random.Random(2024)
+    return [Corpus(random_corpus(rng).documents + ACRONYM_DOCS) for _ in range(8)]
+
+
+def _reference_resolve(doc):
+    acronyms = build_acronym_map(doc.text)
+    groups = {}
+    for m in doc.mentions:
+        if m.surface.strip().lower() not in PRONOUNS:
+            label = normalize_mention(m.surface, acronyms)
+            groups.setdefault(label or m, set()).add(m)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _labels_by_cluster(kg):
+    return {frozenset(cluster.mentions): concept.label
+            for concept in kg.concepts for cluster in concept.clusters}
+
+
+@pytest.mark.parametrize("corpus", _memo_corpora(), ids=lambda c: f"{len(c)}docs")
+def test_memoized_labels_match_fresh_labels(corpus):
+    for doc in resolve_corpus(corpus):
+        assert {frozenset(c.mentions) for c in doc.clusters} == _reference_resolve(doc)
+
+    acronyms = {doc.doc_id: build_acronym_map(doc.text) for doc in corpus}
+    by_mention = _labels_by_cluster(populate(corpus, CollapseStrategy(use_coreference=False)))
+    assert by_mention == {
+        frozenset([m]): normalize_mention(m.surface, acronyms[m.doc_id])
+        for doc in corpus for m in doc.mentions if m.source is MentionSource.CONCEPT_EXTRACTOR
+    }
+    kg = populate(corpus, CollapseStrategy(DomainScope.IN_DOMAIN))
+    for members, label in _labels_by_cluster(kg).items():
+        cluster = CoreferenceCluster(next(iter(members)).doc_id, members)
+        assert label == cluster_label(cluster, acronyms[cluster.doc_id])
+
+
+def test_acronym_labels_follow_each_documents_definition():
+    kg = populate(Corpus(ACRONYM_DOCS), CollapseStrategy(use_coreference=False))
+    assert set(_labels_by_cluster(kg).values()) == {
+        "convolutional neural network", "convolutional neural network model",
+        "cable news network", "cnn model", "cnn",
+    }
+
+
+def test_swapped_lemma_table_applies_to_the_next_call():
+    # Nothing may outlive one call: a process-wide memo would keep "oxen".
+    corpus = Corpus((_doc("d", "Agr", "oxen and ox", ["oxen", "ox"]),))
+    try:
+        assert [c.label for c in populate(corpus, CollapseStrategy()).concepts] == ["ox", "oxen"]
+        assert len(resolve_corpus(corpus).documents[0].clusters) == 2
+        set_default_lemma_exceptions({"oxen": "ox"})
+        assert [c.label for c in populate(corpus, CollapseStrategy()).concepts] == ["ox"]
+        assert len(resolve_corpus(corpus).documents[0].clusters) == 1
+    finally:
+        set_default_lemma_exceptions(None)

@@ -1,9 +1,12 @@
 """Reader boundary property: a valid serialisation with one random edit
 either reads back into a valid value or raises ParseError carrying a line.
 
-The edits are a changed field value, a dropped key, a truncated line and a
-swapped pair of offsets. Any other exception (KeyError, TypeError, ...) or a
-corpus that fails ``validate_corpus`` is a reader defect.
+The edits are a changed field value, a dropped key, a truncated line, a
+swapped pair of offsets and a malformed numeral (a digit of an offset, index
+or chain number replaced by ``٣``, or a ``+`` prefixed to it). Any other
+exception (KeyError, TypeError, ...) or a corpus that fails
+``validate_corpus`` is a reader defect, and so is a malformed numeral that
+reads without ParseError: it was silently coerced.
 """
 
 import json
@@ -11,7 +14,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corefkg.brat import parse_brat, write_brat
@@ -24,7 +27,7 @@ from corefkg.model import Corpus, Document, validate_corpus
 
 from corpusgen import random_corpus
 
-EDITS = ("change", "drop", "truncate", "swap")
+EDITS = ("change", "drop", "truncate", "swap", "numeral")
 
 JSON_VALUES = [-1, 0, 1, 2.5, True, None, "", "x", "Data", [], {}, [0]]
 TEXT_VALUES = ["-1", "0", "1", "999", "x", "", "(0", "0)", "(1)", "Data", "T1", "*"]
@@ -82,6 +85,40 @@ def edit_json(rng: random.Random, text: str, edit: str) -> str:
     return "\n".join(lines)
 
 
+def _bad_numeral(rng: random.Random, digits: str) -> str:
+    if rng.random() < 0.5:
+        return "+" + digits
+    i = rng.randrange(len(digits))
+    return digits[:i] + "٣" + digits[i + 1:]
+
+
+def edit_json_numeral(rng: random.Random, text: str) -> str:
+    """Replace one int value of one line by a malformed numeral."""
+    lines = text.split("\n")
+    spots = []
+    for i, line in enumerate(lines):
+        if line.strip():
+            obj = json.loads(line)
+            spots += [(i, path) for path in _paths(obj) if type(_at(obj, path)) is int]
+    assume(spots)
+    i, path = rng.choice(spots)
+    obj = json.loads(lines[i])
+    parent = _at(obj, path[:-1])
+    marker = "\x00numeral\x00"
+    numeral = _bad_numeral(rng, str(parent[path[-1]]))
+    parent[path[-1]] = marker
+    lines[i] = json.dumps(obj, ensure_ascii=False).replace(json.dumps(marker), numeral)
+    return "\n".join(lines)
+
+
+def edit_text_numeral(rng: random.Random, text: str, numbers: re.Pattern) -> str:
+    """Replace one ASCII digit run matched by a group of ``numbers``."""
+    spots = [m.span(g) for m in numbers.finditer(text) for g in range(1, numbers.groups + 1)]
+    assume(spots)
+    start, end = rng.choice(spots)
+    return text[:start] + _bad_numeral(rng, text[start:end]) + text[end:]
+
+
 def edit_fields(rng: random.Random, text: str, edit: str, swap: re.Pattern) -> str:
     """Edit a tab/space separated text; ``swap`` matches two offsets to exchange."""
     lines = text.split("\n")
@@ -109,6 +146,10 @@ def edit_fields(rng: random.Random, text: str, edit: str, swap: re.Pattern) -> s
 
 BRAT_OFFSETS = re.compile(r"^(?P<pre>T\d+\t\S+ )(?P<start>\d+)(?P<sep> )(?P<end>\d+)")
 TABLE_OFFSETS = re.compile(r"^(?P<pre>\S+\t\d+\t)(?P<start>\d+)(?P<sep>\t)(?P<end>\d+)")
+BRAT_NUMBERS = re.compile(r"^T[0-9]+\t\S+ ([0-9]+) ([0-9]+)\t", re.M)
+TABLE_NUMBERS = re.compile(r"^[^\t\n]+\t([0-9]+)\t([0-9]+)\t([0-9]+)$", re.M)
+# chain numbers of the last column ("(k", "k)" or "(k)"), after a tab or a "|"
+CHAIN_NUMBERS = re.compile(r"(?<=[\t|])\(?([0-9]+)\)?(?=\||$)", re.M)
 
 
 def _linked(corpus: Corpus) -> Corpus:
@@ -122,19 +163,30 @@ def _linked(corpus: Corpus) -> Corpus:
 
 def read_edited(reader: str, rng: random.Random, edit: str):
     corpus = random_corpus(rng, n_docs=rng.randint(1, 3))
-    if reader == "jsonl":
-        return read_jsonl(edit_json(rng, write_jsonl(corpus), edit))
-    if reader == "gold":
-        return read_gold_jsonl(edit_json(rng, write_gold_jsonl(compile_gold(_linked(corpus))), edit))
-    if reader == "kg":
-        return read_kg_jsonl(edit_json(rng, export_kg_jsonl(populate(corpus, CollapseStrategy())), edit))
+    if reader in ("jsonl", "gold", "kg"):
+        if reader == "jsonl":
+            text, read = write_jsonl(corpus), read_jsonl
+        elif reader == "gold":
+            text, read = write_gold_jsonl(compile_gold(_linked(corpus))), read_gold_jsonl
+        else:
+            text, read = export_kg_jsonl(populate(corpus, CollapseStrategy())), read_kg_jsonl
+        edited = edit_json_numeral(rng, text) if edit == "numeral" else edit_json(rng, text, edit)
+        return read(edited)
     if reader == "brat":
         doc = corpus.documents[0]
         text, ann = write_brat(doc)
-        return Corpus((parse_brat(text, edit_fields(rng, ann, edit, BRAT_OFFSETS), doc.domain,
-                                  doc_id=doc.doc_id),))
+        if edit == "numeral":
+            ann = edit_text_numeral(rng, ann, BRAT_NUMBERS)
+        else:
+            ann = edit_fields(rng, ann, edit, BRAT_OFFSETS)
+        return Corpus((parse_brat(text, ann, doc.domain, doc_id=doc.doc_id),))
     columns, table = write_coref_columns(corpus)
-    if edit == "swap" or rng.random() < 0.3:
+    if edit == "numeral":
+        if rng.random() < 0.5:
+            table = edit_text_numeral(rng, table, TABLE_NUMBERS)
+        else:
+            columns = edit_text_numeral(rng, columns, CHAIN_NUMBERS)
+    elif edit == "swap" or rng.random() < 0.3:
         table = edit_fields(rng, table, edit, TABLE_OFFSETS)
     else:
         columns = edit_fields(rng, columns, edit, TABLE_OFFSETS)
@@ -150,5 +202,6 @@ def test_edited_input_reads_valid_or_raises_parse_error_with_line(reader, rng, e
     except ParseError as exc:
         assert exc.line is not None, str(exc)
         return
+    assert edit != "numeral", "a malformed numeral was read without ParseError"
     if isinstance(result, Corpus):
         assert validate_corpus(result) == []

@@ -60,9 +60,6 @@ class GoldKg:
     def partition(self) -> Partition:
         return Partition(c.mentions for c in self.concepts)
 
-    def universe(self) -> frozenset[MentionKey]:
-        return self.partition().universe()
-
     def mix_count(self, domains: Mapping[str, str]) -> int:
         """Concepts whose mentions span at least two domains."""
         count = 0
@@ -133,6 +130,7 @@ def _gold_mention(m: dict, lineno: int) -> MentionKey:
 def read_gold_jsonl(text: str) -> GoldKg:
     """Parse a gold KG; a malformed line raises ParseError with its number."""
     concepts: list[GoldConcept] = []
+    seen: set[MentionKey] = set()
     kept = singleton = 0
     for lineno, obj in _json_objects(text):
         if obj.get("record") == "gold_kg":
@@ -145,6 +143,10 @@ def read_gold_jsonl(text: str) -> GoldKg:
         )
         if not mentions:
             raise ParseError("gold concept without mentions", lineno)
+        if not seen.isdisjoint(mentions):
+            repeated = min(seen & mentions)
+            raise ParseError(f"mention {repeated} already belongs to another gold concept", lineno)
+        seen |= mentions
         concepts.append(GoldConcept(entity=entity, mentions=mentions))
     return GoldKg(
         concepts=tuple(concepts), n_clusters_kept=kept, n_singleton_clusters=singleton
@@ -233,7 +235,8 @@ def evaluate_population(
     singleton cluster first. Raises ValidationError if the corpus does not
     cover the gold mention universe.
     """
-    universe = gold.universe()
+    key = gold.partition()
+    universe = key.universe()
     covered: set[MentionKey] = set()
     response_clusters: list[CoreferenceCluster] = []
     for doc in corpus:
@@ -255,7 +258,7 @@ def evaluate_population(
         frozenset(m.key for c in concept.clusters for m in c.mentions) for concept in concepts
     )
     report = score(
-        gold.partition(),
+        key,
         response,
         ceafe_drop_singleton_response_parts=ceafe_drop_singleton_response_parts,
     )

@@ -5,14 +5,23 @@ predicted partition (the *response*). Counting uses exact integer/rational
 arithmetic; every component of every score is a ``fractions.Fraction``, so
 results are reproducible bit-for-bit across platforms.
 
+Each metric is computed from one sparse overlap table, built in one pass over
+the mentions: for every response part, the number of mentions it shares with
+each key part it touches, plus the part sizes on both sides and the number of
+mentions N. The reference CoNLL scorer (Pradhan et al., 2014) scores from the
+same counts. MUC needs only the number of non-zero cells; B-cubed sums the
+squared cells per part size, so it builds one ``Fraction`` per distinct size.
+
 Entity CEAF aligns parts one overlap component at a time: a key part and a
 response part are connected when they share a mention, and the optimal
 alignment of the whole partition is the union of the optimal alignments of
 its components. A component with one key part or one response part (a star)
 is solved exactly as the largest similarity it contains; only the other
-components go to scipy's Hungarian solver. Mention ids that carry their
-document, as ``corpus_partition`` builds them, never connect two documents,
-so a pooled corpus is scored as a sum of small per-document problems.
+components go to scipy's Hungarian solver. Its float weights are the only
+floats in scoring: the pairs it assigns, like each star's maximum, are summed
+as exact ``Fraction``s. Mention ids that carry their document, as
+``corpus_partition`` builds them, never connect two documents, so a pooled
+corpus is scored as a sum of small per-document problems.
 
 Degenerate 0/0 components are defined as 0, matching the behaviour of the
 standard CoNLL scorer on partitions without links.
@@ -23,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -176,53 +185,73 @@ def align_mentions(key: Partition, response: Partition) -> tuple[Partition, Part
     return aligned_key, aligned_response
 
 
-def _require_aligned(key: Partition, response: Partition) -> None:
-    if key.universe() != response.universe():
-        raise ValueError("partitions cover different mentions; call align_mentions first")
+class _Overlap(NamedTuple):
+    """The sparse key x response overlap table of two aligned partitions.
+
+    ``shared[j]`` maps each key part index to the number of mentions it
+    shares with response part ``j`` (only non-zero cells are stored);
+    ``key_sizes`` and ``response_sizes`` are the part sizes and ``n`` the
+    number of mentions.
+    """
+
+    shared: list[Counter]
+    key_sizes: list[int]
+    response_sizes: list[int]
+    n: int
 
 
-def _muc_counts(a: Partition, b: Partition) -> tuple[int, int]:
-    # For each part of `a`: size minus the number of distinct parts of `b`
-    # it intersects; denominator is size minus one.
-    index: dict = {}
-    for i, part in enumerate(b):
-        for m in part:
-            index[m] = i
-    num = den = 0
-    for part in a:
-        num += len(part) - len({index[m] for m in part})
-        den += len(part) - 1
-    return num, den
+def _overlap(key: Partition, response: Partition) -> _Overlap:
+    """Count the mentions each key part shares with each response part.
+
+    Raises ValueError unless both partitions cover the same mentions.
+    """
+    unaligned = "partitions cover different mentions; call align_mentions first"
+    key_of = {m: i for i, part in enumerate(key.parts) for m in part}
+    try:
+        shared = [Counter(map(key_of.__getitem__, part)) for part in response.parts]
+    except KeyError:
+        raise ValueError(unaligned) from None
+    response_sizes = [len(part) for part in response.parts]
+    if sum(response_sizes) != len(key_of):
+        raise ValueError(unaligned)
+    return _Overlap(shared, [len(part) for part in key.parts], response_sizes, len(key_of))
 
 
 def muc(key: Partition, response: Partition) -> PRF:
-    """Link-based metric: minimal missing/extra coreference links."""
-    _require_aligned(key, response)
-    r_num, r_den = _muc_counts(key, response)
-    p_num, p_den = _muc_counts(response, key)
-    return PRF.from_counts(Fraction(p_num), p_den, Fraction(r_num), r_den)
+    """Link-based metric: minimal missing/extra coreference links.
+
+    From the overlap table: both link numerators are N minus the number of
+    non-zero cells; recall divides by N - |K|, precision by N - |R|.
+    """
+    shared, key_sizes, response_sizes, n = _overlap(key, response)
+    links = Fraction(n - sum(map(len, shared)))
+    return PRF.from_counts(links, n - len(response_sizes), links, n - len(key_sizes))
 
 
-def _b_cubed_sum(a: Partition, b: Partition) -> Fraction:
-    part_of_b: dict = {}
-    for part in b:
-        for m in part:
-            part_of_b[m] = part
-    total = ZERO
-    for part in a:
-        for m in part:
-            total += Fraction(len(part & part_of_b[m]), len(part))
-    return total
+def _sum_by_size(squares: Counter) -> Fraction:
+    # squares maps a part size to the sum of squared overlaps of its parts
+    return sum((Fraction(total, size) for size, total in squares.items()), start=ZERO)
 
 
 def b_cubed(key: Partition, response: Partition) -> PRF:
-    """Mention-weighted overlap metric averaging per-mention precision/recall."""
-    _require_aligned(key, response)
-    n = len(key.universe())
+    """Mention-weighted overlap metric averaging per-mention precision/recall.
+
+    From the overlap table: recall is the sum of n_kr^2 / |k| over the
+    non-zero cells, divided by N, and precision the same with |r|. The
+    squares are summed per part size first, so there is one ``Fraction`` per
+    distinct size rather than one per mention.
+    """
+    shared, key_sizes, response_sizes, n = _overlap(key, response)
     if n == 0:
         return PRF.from_pr(ZERO, ZERO)
-    recall = _b_cubed_sum(key, response) / n
-    precision = _b_cubed_sum(response, key) / n
+    by_key_size: Counter = Counter()
+    by_response_size: Counter = Counter()
+    for counts, response_size in zip(shared, response_sizes):
+        for i, n_kr in counts.items():
+            by_key_size[key_sizes[i]] += n_kr * n_kr
+            by_response_size[response_size] += n_kr * n_kr
+    recall = _sum_by_size(by_key_size) / n
+    precision = _sum_by_size(by_response_size) / n
     return PRF.from_pr(precision, recall)
 
 
@@ -243,29 +272,20 @@ def optimal_assignment(weights) -> dict[int, int]:
     return dict(zip(rows.tolist(), cols.tolist()))
 
 
-def _overlap_components(
-    key_parts: list[frozenset], response_parts: list[frozenset]
-) -> tuple[list[Counter], list[list[int]]]:
-    """Shared-mention counts and the components of the overlap graph.
-
-    Returns ``shared``, where ``shared[j]`` maps each key part index to the
-    number of mentions it shares with response part ``j``, and the connected
-    components as lists of response part indices. A component's key parts are
-    the keys of its response parts' counts; a key part no response part
-    touches belongs to no component and aligns to nothing.
-    """
-    key_of = {m: i for i, part in enumerate(key_parts) for m in part}
-    shared = [Counter(key_of[m] for m in part) for part in response_parts]
+def _components(shared: dict[int, Counter]) -> list[list[int]]:
+    """Connected components of the overlap graph, as lists of response part
+    indices. A component's key parts are the keys of its response parts'
+    counts; a key part no response part touches belongs to no component."""
     links = UnionFind()
-    for counts in shared:
+    for counts in shared.values():
         first, *rest = counts
         links.add(first)
         for i in rest:
             links.union(first, i)
     components: dict = {}
-    for j, counts in enumerate(shared):
+    for j, counts in shared.items():
         components.setdefault(links.find(next(iter(counts))), []).append(j)
-    return shared, list(components.values())
+    return list(components.values())
 
 
 def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts: bool = False) -> PRF:
@@ -273,37 +293,44 @@ def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts
 
     Part similarity is 2|K & R| / (|K| + |R|); recall divides the optimal
     total by the number of key parts, precision by the number of response
-    parts. The alignment is solved per overlap component (see the module
-    docstring): a star, with one key part or one response part, scores its
-    largest similarity exactly; any other component is solved by
-    ``optimal_assignment`` on its own block; the exact totals are summed.
+    parts. The alignment is solved per component of the overlap table (see
+    the module docstring): a star, with one key part or one response part,
+    scores its largest similarity exactly; any other component is solved by
+    ``optimal_assignment`` on its own block of float similarities, and only
+    the pairs it assigns are summed as exact ``Fraction``s.
     ``drop_singleton_response_parts`` enables a non-standard variant (found
     in some neural-coreference eval scripts) that removes singleton response
     parts before aligning; leave it off for standard scoring.
     """
-    _require_aligned(key, response)
-    response_parts = list(response.parts)
-    if drop_singleton_response_parts:
-        response_parts = [p for p in response_parts if len(p) > 1]
-    key_parts = list(key.parts)
-    if not key_parts or not response_parts:
+    all_shared, key_sizes, response_sizes, _ = _overlap(key, response)
+    shared = {j: counts for j, counts in enumerate(all_shared)
+              if response_sizes[j] > 1 or not drop_singleton_response_parts}
+    if not key_sizes or not shared:
         return PRF.from_pr(ZERO, ZERO)
-    shared, components = _overlap_components(key_parts, response_parts)
-
-    def phi4(i: int, j: int) -> Fraction:
-        return Fraction(2 * shared[j][i], len(key_parts[i]) + len(response_parts[j]))
 
     total = ZERO
-    for cols in components:
+    for cols in _components(shared):
         rows = sorted({i for j in cols for i in shared[j]})
         if len(rows) == 1 or len(cols) == 1:
-            # every pair of a star overlaps and only one pair can be aligned
-            total += max(phi4(i, j) for j in cols for i in shared[j])
+            # every pair of a star overlaps and only one pair can be aligned;
+            # find the largest 2n / (|K| + |R|) by cross-multiplying integers
+            best_num, best_den = 0, 1
+            for j in cols:
+                for i, n_kr in shared[j].items():
+                    den = key_sizes[i] + response_sizes[j]
+                    if 2 * n_kr * best_den > best_num * den:
+                        best_num, best_den = 2 * n_kr, den
+            total += Fraction(best_num, best_den)
         else:
-            block = [[phi4(i, j) for j in cols] for i in rows]
-            assignment = optimal_assignment([[float(x) for x in row] for row in block])
-            total += sum((block[a][b] for a, b in assignment.items()), start=ZERO)
-    return PRF.from_counts(total, len(response_parts), total, len(key_parts))
+            # int / int true division rounds correctly, so each weight is
+            # float(Fraction(2n, |K| + |R|)) exactly
+            assignment = optimal_assignment(
+                [[2 * shared[j][i] / (key_sizes[i] + response_sizes[j]) for j in cols]
+                 for i in rows])
+            for a, b in assignment.items():
+                i, j = rows[a], cols[b]
+                total += Fraction(2 * shared[j][i], key_sizes[i] + response_sizes[j])
+    return PRF.from_counts(total, len(shared), total, len(key_sizes))
 
 
 def corpus_partition(corpus) -> Partition:

@@ -99,6 +99,17 @@ def test_read_gold_jsonl_errors():
         read_gold_jsonl("nope")
 
 
+def test_read_gold_jsonl_rejects_mention_in_two_concepts():
+    header = '{"record": "gold_kg", "clusters_kept": 2, "singleton_clusters": 1}'
+    mention = '{"doc_id": "d", "start": 0, "end": 3, "type": "Material"}'
+    other = '{"doc_id": "d", "start": 5, "end": 9, "type": "Material"}'
+    text = (f'{header}\n{{"entity": "A", "mentions": [{mention}]}}\n'
+            f'{{"entity": "B", "mentions": [{other}, {mention}]}}\n')
+    with pytest.raises(ParseError, match="another gold concept") as err:
+        read_gold_jsonl(text)
+    assert err.value.line == 3
+
+
 @pytest.mark.parametrize("mention", [
     '{"doc_id": "d", "start": 1.9, "end": 3, "type": "Data"}',
     '{"doc_id": "d", "end": 3, "type": "Data"}',

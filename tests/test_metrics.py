@@ -165,8 +165,12 @@ def test_conll_f1_of_means_diagnostic():
 
 
 def test_unaligned_inputs_rejected():
-    with pytest.raises(ValueError):
-        muc(part("ab"), part("a"))
+    # a key mention missing from the response, a response mention missing
+    # from the key, and equal totals over different mentions
+    for key, resp in [(part("ab"), part("a")), (part("a"), part("ab")), (part("ab"), part("ac"))]:
+        for metric in (muc, b_cubed, ceaf_e):
+            with pytest.raises(ValueError, match="align_mentions"):
+                metric(key, resp)
 
 
 # --- optimal assignment ------------------------------------------------------
@@ -330,6 +334,83 @@ def test_score_invariant_under_piece_order(data):
     shuffled = data.draw(st.permutations(pieces))
     before, after = score(*_union(pieces)), score(*_union(shuffled))
     assert [prf for _, prf in before.rows()] == [prf for _, prf in after.rows()]
+
+
+def _reference_muc_counts(a: Partition, b: Partition) -> tuple[int, int]:
+    # per-mention definition: for each part of `a`, its size minus the number
+    # of distinct parts of `b` it intersects, over its size minus one
+    index: dict = {}
+    for i, part_b in enumerate(b):
+        for m in part_b:
+            index[m] = i
+    num = den = 0
+    for part_a in a:
+        num += len(part_a) - len({index[m] for m in part_a})
+        den += len(part_a) - 1
+    return num, den
+
+
+def _reference_b_cubed_sum(a: Partition, b: Partition) -> Fraction:
+    # per-mention definition: |a-part & b-part of m| / |a-part| for each mention m
+    part_of_b: dict = {}
+    for part_b in b:
+        for m in part_b:
+            part_of_b[m] = part_b
+    total = Fraction(0)
+    for part_a in a:
+        for m in part_a:
+            total += Fraction(len(part_a & part_of_b[m]), len(part_a))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_pairs())
+def test_muc_and_b_cubed_equal_per_mention_definitions(pair):
+    key, resp = pair
+    r_num, r_den = _reference_muc_counts(key, resp)
+    p_num, p_den = _reference_muc_counts(resp, key)
+    got = muc(key, resp)
+    assert got.recall == (Fraction(r_num, r_den) if r_den else 0)
+    assert got.precision == (Fraction(p_num, p_den) if p_den else 0)
+    n = sum(len(p) for p in key.parts)
+    got = b_cubed(key, resp)
+    assert got.recall == _reference_b_cubed_sum(key, resp) / n
+    assert got.precision == _reference_b_cubed_sum(resp, key) / n
+
+
+@settings(max_examples=60, deadline=None)
+@given(disjoint_pieces())
+def test_muc_and_b_cubed_totals_are_sums_over_disjoint_pieces(pieces):
+    def totals(key, resp):
+        n = sum(len(p) for p in key.parts)
+        m, b = muc(key, resp), b_cubed(key, resp)
+        return (m.recall * (n - len(key.parts)), m.precision * (n - len(resp.parts)),
+                b.recall * n, b.precision * n)
+
+    expected = [sum(column) for column in zip(*(totals(*piece) for piece in pieces))]
+    assert list(totals(*_union(pieces))) == expected
+
+
+@pytest.mark.parametrize("key, resp", [
+    (part("ab", "cd"), part("ac", "bd")),
+    (part("abc", "def"), part("abd", "cef")),
+    (part("abcd", "efg", "h"), part("abe", "cdfh", "g")),
+    (part("abcde", "fgh", "ij"), part("abfi", "cdgj", "eh")),
+], ids=["pairs", "triples", "uneven", "3x3"])
+def test_ceaf_e_solver_weights_are_exact_similarities_rounded(monkeypatch, key, resp):
+    # each instance is one non-star component holding every part, so the
+    # solver sees the whole key x response similarity matrix in part order
+    seen = []
+
+    def recording(weights):
+        seen.append(weights)
+        return optimal_assignment(weights)
+
+    monkeypatch.setattr(metrics, "optimal_assignment", recording)
+    ceaf_e(key, resp)
+    expected = [[float(Fraction(2 * len(k & r), len(k) + len(r))) for r in resp.parts]
+                for k in key.parts]
+    assert seen == [expected]  # float == float: bit-identical
 
 
 def test_conformance_against_independent_reference():

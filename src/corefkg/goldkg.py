@@ -237,15 +237,15 @@ def evaluate_population(
     """
     key = gold.partition()
     universe = key.universe()
-    covered: set[MentionKey] = set()
+    key_of: dict[Mention, MentionKey] = {}  # each kept mention's key, computed once
     response_clusters: list[CoreferenceCluster] = []
     for doc in corpus:
         for cluster in strategy.clusters(doc):
-            members = frozenset(m for m in cluster.mentions if m.key in universe)
+            members = {m: k for m in cluster.mentions if (k := m.key) in universe}
             if members:
-                response_clusters.append(CoreferenceCluster(doc.doc_id, members))
-                covered.update(m.key for m in members)
-    missing = universe - covered
+                response_clusters.append(CoreferenceCluster(doc.doc_id, frozenset(members)))
+                key_of.update(members)
+    missing = universe.difference(key_of.values())
     if missing:
         sample = ", ".join(map(str, sorted(missing)[:3]))
         raise ValidationError(
@@ -255,7 +255,7 @@ def evaluate_population(
 
     concepts = collapse(response_clusters, corpus.domains(), strategy, acronym_maps(corpus))
     response = Partition(
-        frozenset(m.key for c in concept.clusters for m in c.mentions) for concept in concepts
+        frozenset(key_of[m] for c in concept.clusters for m in c.mentions) for concept in concepts
     )
     report = score(
         key,

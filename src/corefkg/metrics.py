@@ -17,9 +17,10 @@ response part are connected when they share a mention, and the optimal
 alignment of the whole partition is the union of the optimal alignments of
 its components. A component with one key part or one response part (a star)
 is solved exactly as the largest similarity it contains; only the other
-components go to scipy's Hungarian solver. Its float weights are the only
-floats in scoring: the pairs it assigns, like each star's maximum, are summed
-as exact ``Fraction``s. Mention ids that carry their document, as
+components go to ``optimal_assignment``, a sparse augmenting-path solver, with
+integer weights: each similarity scaled by the lcm of the component's
+denominators. No float enters the arithmetic, so the alignment is exactly
+optimal. Mention ids that carry their document, as
 ``corpus_partition`` builds them, never connect two documents, so a pooled
 corpus is scored as a sum of small per-document problems.
 
@@ -29,13 +30,12 @@ standard CoNLL scorer on partitions without links.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Hashable, Iterable, NamedTuple
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .unionfind import UnionFind
 
@@ -258,18 +258,77 @@ def b_cubed(key: Partition, response: Partition) -> PRF:
 def optimal_assignment(weights) -> dict[int, int]:
     """Injective row->column map maximizing total weight.
 
-    ``weights`` is an n x m matrix of finite non-negative values; the result
-    assigns min(n, m) rows.
+    ``weights`` is an n x m matrix (a list of rows) of finite non-negative
+    values. Only non-zero cells are ever assigned, so a row may stay
+    unassigned. The solver grows the matching by successive shortest
+    augmenting paths: each round runs Dijkstra from all unassigned rows over
+    the non-zero cells, with reduced costs u[i] + v[j] - w[i][j] kept
+    non-negative by row potentials u and column potentials v, and it stops
+    when no augmenting path gains weight. Every row starts at the same
+    potential, the largest weight, so the unassigned rows always share one
+    potential ``level`` and a path to a free column gains ``level`` minus its
+    length. The arithmetic is the weights' own: int and ``Fraction`` weights
+    give an exact optimum.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2:
-        raise ValueError("weight matrix must be two-dimensional")
-    if w.size == 0:
-        return {}
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise ValueError("weights must be finite and non-negative")
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    return dict(zip(rows.tolist(), cols.tolist()))
+    cells = []
+    level = 0
+    for row in weights:
+        out = []
+        for j, w in enumerate(row):
+            if not 0 <= w < math.inf:
+                raise ValueError("weights must be finite and non-negative")
+            if w:
+                out.append((j, w))
+                level = max(level, w)
+        cells.append(out)
+    row_pot = [level] * len(cells)
+    col_pot = [0] * max(map(len, weights), default=0)
+    row_of: dict[int, int] = {}
+    col_of: dict[int, int] = {}
+    free = {i for i, out in enumerate(cells) if out}
+    while free:
+        # Dijkstra from every free row at distance 0; a path whose length
+        # reaches ``level`` cannot gain, so it is never pushed
+        heap: list = []
+        came: dict[int, int] = {}
+        done: dict = {}
+        reached = dict.fromkeys(free, 0)
+        scan = list(free)
+        end = None
+        while scan:
+            i = scan.pop()
+            base = reached[i] + row_pot[i]
+            for j, w in cells[i]:
+                d = base + col_pot[j] - w
+                if d < level and j not in done:
+                    heappush(heap, (d, j, i))
+            while heap and not scan:
+                d, j, i = heappop(heap)
+                if j in done:
+                    continue
+                done[j], came[j] = d, i
+                if j in row_of:
+                    reached[row_of[j]] = d
+                    scan.append(row_of[j])
+                else:
+                    end = j
+                    break
+        if end is None:
+            break
+        # shift potentials so the path is tight, then flip it
+        length = done[end]
+        for i, d in reached.items():
+            row_pot[i] -= length - d
+        for j, d in done.items():
+            col_pot[j] += length - d
+        level -= length
+        j = end
+        while j is not None:
+            i = came[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of.get(i)
+        free.discard(i)
+    return col_of
 
 
 def _components(shared: dict[int, Counter]) -> list[list[int]]:
@@ -296,8 +355,9 @@ def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts
     parts. The alignment is solved per component of the overlap table (see
     the module docstring): a star, with one key part or one response part,
     scores its largest similarity exactly; any other component is solved by
-    ``optimal_assignment`` on its own block of float similarities, and only
-    the pairs it assigns are summed as exact ``Fraction``s.
+    ``optimal_assignment`` on its own block of integer weights
+    2|K & R| * (L // (|K| + |R|)), L being the lcm of the block's non-zero
+    cells' |K| + |R|, and the assigned weights are summed and divided by L.
     ``drop_singleton_response_parts`` enables a non-standard variant (found
     in some neural-coreference eval scripts) that removes singleton response
     parts before aligning; leave it off for standard scoring.
@@ -322,14 +382,16 @@ def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts
                         best_num, best_den = 2 * n_kr, den
             total += Fraction(best_num, best_den)
         else:
-            # int / int true division rounds correctly, so each weight is
-            # float(Fraction(2n, |K| + |R|)) exactly
-            assignment = optimal_assignment(
-                [[2 * shared[j][i] / (key_sizes[i] + response_sizes[j]) for j in cols]
-                 for i in rows])
-            for a, b in assignment.items():
-                i, j = rows[a], cols[b]
-                total += Fraction(2 * shared[j][i], key_sizes[i] + response_sizes[j])
+            # integer weights 2n * (L // (|K| + |R|)) are the similarities
+            # scaled by L, the lcm of the block's denominators
+            scale = math.lcm(*{key_sizes[i] + response_sizes[j] for j in cols for i in shared[j]})
+            at = {i: a for a, i in enumerate(rows)}
+            weights = [[0] * len(cols) for _ in rows]
+            for b, j in enumerate(cols):
+                for i, n_kr in shared[j].items():
+                    weights[at[i]][b] = 2 * n_kr * (scale // (key_sizes[i] + response_sizes[j]))
+            assignment = optimal_assignment(weights)
+            total += Fraction(sum(weights[a][b] for a, b in assignment.items()), scale)
     return PRF.from_counts(total, len(shared), total, len(key_sizes))
 
 

@@ -263,3 +263,15 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert set(seed0) == {"stdout0", "stdout1", "stdout2", "pred.jsonl", "kg.nt", "kg.jsonl"}
     assert all(seed0[name] for name in ("pred.jsonl", "kg.nt", "kg.jsonl", "stdout1"))
     assert seed0 == seed1
+
+
+def test_cli_imports_neither_numpy_nor_scipy():
+    package_root = str(Path(corefkg.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            "from corefkg.cli import main\n"
+            "assert main(['--help']) == 0\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": package_root},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -212,9 +213,29 @@ def test_assignment_matches_brute_force():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         weights = [[Fraction(rng.randint(0, 20), rng.randint(1, 9)) for _ in range(m)]
                    for _ in range(n)]
-        assignment = optimal_assignment([[float(x) for x in row] for row in weights])
+        assignment = optimal_assignment(weights)
         total = sum(weights[i][j] for i, j in assignment.items())
         assert total == brute_force_total(weights)
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Up to 6 x 8 integer matrices, in both orientations, about half zeros."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        n, m = m, n
+    cell = st.one_of(st.just(0), st.integers(1, 40))
+    return [draw(st.lists(cell, min_size=m, max_size=m)) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_matrices())
+def test_assignment_is_exactly_optimal(weights):
+    assignment = optimal_assignment(weights)
+    assert len(set(assignment.values())) == len(assignment)
+    assert all(weights[i][j] > 0 for i, j in assignment.items())
+    # small integers sum exactly in the oracle's floats
+    assert sum(weights[i][j] for i, j in assignment.items()) == _reference.max_assignment_dp(weights)
 
 
 # --- properties --------------------------------------------------------------
@@ -336,6 +357,18 @@ def test_score_invariant_under_piece_order(data):
     assert [prf for _, prf in before.rows()] == [prf for _, prf in after.rows()]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scores_invariant_under_mention_relabelling(data):
+    key, resp = data.draw(partition_pairs())
+    universe = sorted(key.universe())
+    relabel = dict(zip(universe, data.draw(st.permutations(universe))))
+    key2, resp2 = (Partition([{relabel[m] for m in p} for p in side]) for side in (key, resp))
+    for metric in (muc, b_cubed, ceaf_e):
+        assert metric(key, resp) == metric(key2, resp2)
+    assert score(key, resp) == score(key2, resp2)
+
+
 def _reference_muc_counts(a: Partition, b: Partition) -> tuple[int, int]:
     # per-mention definition: for each part of `a`, its size minus the number
     # of distinct parts of `b` it intersects, over its size minus one
@@ -397,7 +430,7 @@ def test_muc_and_b_cubed_totals_are_sums_over_disjoint_pieces(pieces):
     (part("abcd", "efg", "h"), part("abe", "cdfh", "g")),
     (part("abcde", "fgh", "ij"), part("abfi", "cdgj", "eh")),
 ], ids=["pairs", "triples", "uneven", "3x3"])
-def test_ceaf_e_solver_weights_are_exact_similarities_rounded(monkeypatch, key, resp):
+def test_ceaf_e_solver_weights_are_scaled_integer_similarities(monkeypatch, key, resp):
     # each instance is one non-star component holding every part, so the
     # solver sees the whole key x response similarity matrix in part order
     seen = []
@@ -408,9 +441,11 @@ def test_ceaf_e_solver_weights_are_exact_similarities_rounded(monkeypatch, key, 
 
     monkeypatch.setattr(metrics, "optimal_assignment", recording)
     ceaf_e(key, resp)
-    expected = [[float(Fraction(2 * len(k & r), len(k) + len(r))) for r in resp.parts]
+    scale = math.lcm(*(len(k) + len(r) for k in key.parts for r in resp.parts if k & r))
+    expected = [[2 * len(k & r) * (scale // (len(k) + len(r))) for r in resp.parts]
                 for k in key.parts]
-    assert seen == [expected]  # float == float: bit-identical
+    assert seen == [expected]
+    assert all(type(w) is int for row in seen[0] for w in row)
 
 
 def test_conformance_against_independent_reference():

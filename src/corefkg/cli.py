@@ -14,6 +14,7 @@ resolve as: command-line flag, then config file (``key = value`` lines,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -273,11 +274,19 @@ def main(argv: list[str] | None = None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return 1
+    # A command builds its corpus once and keeps it, free of reference
+    # cycles, until it returns, so full collections would only walk every
+    # mention again and again. Pause the cyclic collector for the command;
+    # a caller that had it off keeps it off.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    exceptions_set = False
     try:
         cfg = _load_config(args.config)
         exceptions_path = _effective(args, cfg, "lemma_exceptions")
         if exceptions_path:
             set_default_lemma_exceptions(load_lemma_exceptions(exceptions_path))
+            exceptions_set = True
         return _COMMANDS[args.command](args, cfg)
     except ValidationError as exc:
         for violation in exc.violations:
@@ -286,6 +295,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the flag's table holds for this command only
+        if exceptions_set:
+            set_default_lemma_exceptions(None)
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -36,6 +36,8 @@ from .model import (
 __all__ = ["write_jsonl", "read_jsonl", "document_to_dict", "document_from_dict"]
 
 _SOURCES = {s.value: s for s in MentionSource}
+#: The types a single mention may carry, by name; Mixed is left to the checks.
+_MENTION_TYPES = {t.value: t for t in ConceptType if t is not ConceptType.MIXED}
 
 
 def document_to_dict(doc: Document) -> dict:
@@ -136,6 +138,22 @@ def _expect_source(obj: dict, lineno: int) -> MentionSource:
     return _SOURCES[name]
 
 
+def _mention_fields(entry: dict, lineno: int) -> tuple[int, int, ConceptType, MentionSource]:
+    """Start, end, type and source of one mention entry, each field checked."""
+    start = _expect(entry, "start", int, lineno)
+    end = _expect(entry, "end", int, lineno)
+    ctype = _expect_type(entry, lineno)
+    if "source" in entry:
+        source = _expect_source(entry, lineno)
+    else:
+        source = (
+            MentionSource.COREF_ONLY
+            if ctype is ConceptType.NONE
+            else MentionSource.CONCEPT_EXTRACTOR
+        )
+    return start, end, ctype, source
+
+
 def _checked(doc: Document, lineno: int, seen_ids: set[str]) -> Document:
     """The readers' validation boundary: ``doc`` must be valid and its doc_id new."""
     if doc.doc_id in seen_ids:
@@ -154,17 +172,16 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
 
     mentions: list[Mention] = []
     for entry in _expect_entries(obj, "mentions", dict, lineno):
-        start = _expect(entry, "start", int, lineno)
-        end = _expect(entry, "end", int, lineno)
-        ctype = _expect_type(entry, lineno)
-        if "source" in entry:
-            source = _expect_source(entry, lineno)
-        else:
-            source = (
-                MentionSource.COREF_ONLY
-                if ctype is ConceptType.NONE
-                else MentionSource.CONCEPT_EXTRACTOR
-            )
+        # A complete entry of a mention type is accepted with one lookup per
+        # field and exact type tests; any other entry (no source, Mixed, a
+        # bool or missing offset, ...) takes the field-by-field checks, which
+        # fill in the default source or raise the precise ParseError.
+        start, end = entry.get("start"), entry.get("end")
+        name, source_name = entry.get("type"), entry.get("source")
+        ctype = _MENTION_TYPES.get(name) if type(name) is str else None
+        source = _SOURCES.get(source_name) if type(source_name) is str else None
+        if ctype is None or source is None or type(start) is not int or type(end) is not int:
+            start, end, ctype, source = _mention_fields(entry, lineno)
         mentions.append(Mention(doc_id, start, end, ctype, text[start:end], source))
 
     clusters: list[CoreferenceCluster] = []

@@ -7,10 +7,13 @@ by coreference annotation, e.g. pronouns). Its identity key is the 4-tuple
 document; a cluster of size one is a singleton cluster.
 
 All types are immutable value objects and every operation here is a pure
-function of its inputs. The corpus readers are the validation boundary:
-they run ``validate`` on every document they build. Code that builds
-documents by hand checks them with ``validate_corpus``; ``all_clusters``
-and ``corpus_stats`` assume valid input and do not re-check it.
+function of its inputs. ``Mention`` and ``CoreferenceCluster``, of which a
+corpus holds one per annotation, are slotted: they carry no per-instance
+``__dict__``, so a large corpus takes less memory. The corpus readers are
+the validation boundary: they run ``validate`` on every document they
+build. Code that builds documents by hand checks them with
+``validate_corpus``; ``all_clusters`` and ``corpus_stats`` assume valid
+input and do not re-check it.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ class MentionSource(enum.Enum):
 MentionKey = tuple[str, int, int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     """A typed text span; ``surface`` must equal ``text[start:end]`` of its document."""
 
@@ -123,7 +126,7 @@ class Mention:
         return f"{self.doc_id}[{self.start},{self.end})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoreferenceCluster:
     """A non-empty set of mentions of one document referring to the same concept."""
 

@@ -168,8 +168,9 @@ def _default_exceptions() -> dict[str, str]:
 def set_default_lemma_exceptions(table: Mapping[str, str] | None) -> None:
     """Replace the packaged exception table process-wide; None restores it.
 
-    Intended for process start-up (the CLI's --lemma-exceptions flag); for
-    scoped overrides pass ``exceptions=`` to the functions instead.
+    The CLI's --lemma-exceptions flag sets it for one command and restores
+    the packaged table when the command returns; for scoped overrides in
+    library code pass ``exceptions=`` to the functions instead.
     """
     global _DEFAULT_EXCEPTIONS
     _DEFAULT_EXCEPTIONS = dict(table) if table is not None else None

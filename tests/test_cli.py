@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import corefkg
+from corefkg import cli
 from corefkg.cli import main
 from corefkg.jsonl import read_jsonl, write_jsonl
 from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention
@@ -210,6 +212,19 @@ def test_lemma_exceptions_flag_changes_labels(ox_corpus, tmp_path, capsys):
                                "--lemma-exceptions", str(table)) == 1
 
 
+def test_lemma_exceptions_flag_holds_for_one_call(ox_corpus, tmp_path, capsys):
+    table = tmp_path / "irregular.tsv"
+    table.write_text("oxen\tox\n", "utf-8")
+    assert _populated_concepts(ox_corpus, tmp_path / "kg1.jsonl",
+                               "--lemma-exceptions", str(table)) == 1
+    # the next call without the flag labels with the packaged table again
+    assert _populated_concepts(ox_corpus, tmp_path / "kg2.jsonl") == 2
+    # also after a command that failed with the flag set
+    assert main(["--lemma-exceptions", str(table), "populate", "--in", str(tmp_path / "nope.jsonl"),
+                 "--strategy", "in", "--out", str(tmp_path / "kg3.jsonl")]) == 2
+    assert _populated_concepts(ox_corpus, tmp_path / "kg4.jsonl") == 2
+
+
 def test_config_file_provides_defaults(ox_corpus, tmp_path, capsys):
     merging, other = tmp_path / "merging.tsv", tmp_path / "other.tsv"
     merging.write_text("oxen\tox\n", "utf-8")
@@ -227,6 +242,29 @@ def test_config_file_provides_defaults(ox_corpus, tmp_path, capsys):
 def test_removed_global_options_are_usage_errors(capsys):
     assert main(["--jobs", "2", "stats", "--in", "x.jsonl"]) == 1
     assert main(["--seed", "0", "stats", "--in", "x.jsonl"]) == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_pauses_gc_and_restores_the_callers_state(enabled, corpus_path, tmp_path,
+                                                       monkeypatch, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{not json}\n", "utf-8")
+    during = []
+    stats = cli._COMMANDS["stats"]
+    monkeypatch.setitem(cli._COMMANDS, "stats",
+                        lambda args, cfg: during.append(gc.isenabled()) or stats(args, cfg))
+    runs = [(["stats", "--in", str(corpus_path)], 0),
+            (["stats", "--bogus"], 1),
+            (["stats", "--in", str(bad)], 2)]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in runs:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False, False]
 
 
 def _cli_outputs(src: Path, workdir: Path, hash_seed: str) -> dict[str, bytes]:

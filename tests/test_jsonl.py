@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
+from corefkg import jsonl
 from corefkg.errors import ParseError
-from corefkg.jsonl import read_jsonl, write_jsonl
+from corefkg.jsonl import document_from_dict, read_jsonl, write_jsonl
 from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention
 
 from corpusgen import random_corpus
@@ -124,3 +126,58 @@ def test_duplicate_doc_id_reports_second_line():
     with pytest.raises(ParseError, match="duplicate doc_id 'd'") as err:
         read_jsonl(_doc_line() + "\n" + _doc_line(doc_id="e") + "\n" + _doc_line())
     assert err.value.line == 3
+
+
+class _Str(str):
+    pass
+
+
+# mention entries for a document with text "ab"
+ENTRIES = {
+    "complete": {"start": 0, "end": 2, "type": "Data", "source": "concept_extractor"},
+    "no-source-typed": {"start": 0, "end": 2, "type": "Method"},
+    "no-source-untyped": {"start": 0, "end": 2, "type": "None"},
+    "no-start": {"end": 2, "type": "Data", "source": "concept_extractor"},
+    "no-end": {"start": 0, "type": "Data", "source": "concept_extractor"},
+    "no-type": {"start": 0, "end": 2, "source": "concept_extractor"},
+    "bool-start": {"start": False, "end": 2, "type": "Data", "source": "concept_extractor"},
+    "bool-end": {"start": 0, "end": True, "type": "Data", "source": "concept_extractor"},
+    "float-start": {"start": 0.0, "end": 2, "type": "Data", "source": "concept_extractor"},
+    "str-end": {"start": 0, "end": "2", "type": "Data", "source": "concept_extractor"},
+    "mixed": {"start": 0, "end": 2, "type": "Mixed", "source": "concept_extractor"},
+    "unknown-type": {"start": 0, "end": 2, "type": "Widget", "source": "concept_extractor"},
+    "list-type": {"start": 0, "end": 2, "type": [], "source": "concept_extractor"},
+    "null-type": {"start": 0, "end": 2, "type": None, "source": "concept_extractor"},
+    "str-subclass-type": {"start": 0, "end": 2, "type": _Str("Data"), "source": "coref_only"},
+    "unknown-source": {"start": 0, "end": 2, "type": "Data", "source": "oracle"},
+    "int-source": {"start": 0, "end": 2, "type": "Data", "source": 1},
+    "list-source": {"start": 0, "end": 2, "type": "Data", "source": ["coref_only"]},
+}
+
+
+def _outcome(read, arg):
+    try:
+        return read(arg)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_mention_fast_path_is_not_observable(entry, monkeypatch):
+    obj = {"doc_id": "d", "domain": "", "text": "ab", "mentions": [entry], "clusters": []}
+    text = _doc_line(doc_id="ok") + "\n" + json.dumps(obj)
+
+    def outcomes():
+        return _outcome(lambda o: document_from_dict(o, 7), obj), _outcome(read_jsonl, text)
+
+    fast = outcomes()
+    monkeypatch.setattr(jsonl, "_MENTION_TYPES", {})  # every entry takes the field checks
+    assert fast == outcomes()
+
+
+def test_complete_mention_entries_skip_the_field_checks(monkeypatch):
+    def refuse(entry, lineno):
+        raise AssertionError(f"field checks ran for {entry}")
+
+    monkeypatch.setattr(jsonl, "_mention_fields", refuse)
+    assert read_jsonl(write_jsonl(random_corpus(random.Random(23))))

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -222,3 +225,20 @@ def test_enum_members_work_as_dict_keys(enum_type):
         assert table[member] == member.value
         assert table[enum_type(member.value)] == member.value
         assert member in set(enum_type)
+
+
+def test_mentions_and_clusters_are_slotted_and_copy_faithfully():
+    m = Mention("d", 0, 2, ConceptType.NONE, "it", MentionSource.COREF_ONLY)
+    n = Mention("d", 5, 8, ConceptType.DATA, "set")
+    cluster = CoreferenceCluster("d", frozenset([m, n]))
+    for obj in (m, n, cluster):
+        assert not hasattr(obj, "__dict__")
+        copies = [pickle.loads(pickle.dumps(obj, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(obj), copy.deepcopy(obj), dataclasses.replace(obj)]
+        for twin in copies:
+            assert twin == obj and hash(twin) == hash(obj)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.start = 1
+    moved = dataclasses.replace(n, concept_type=ConceptType.MATERIAL)
+    assert moved != n and hash(moved) == hash(n)

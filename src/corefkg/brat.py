@@ -7,12 +7,14 @@ clusters, and equivalence lines (``*<TAB>Coreference T1 T2 T3``), taken as
 whole clusters. The relation/equivalence label is configurable because
 published corpora do not agree on one.
 
-Character offsets are Unicode scalar-value counts. Discontinuous spans
-(offsets containing ';') are rejected.
+Character offsets are Unicode scalar-value counts over the text as stored:
+the .txt is read and written without newline translation, so ``\r\n`` is
+two characters. Discontinuous spans (offsets containing ';') are rejected.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -45,6 +47,10 @@ COREF_MENTION_LABEL = "CorefMention"
 
 _ENTITY_TYPES = {t.value: t for t in ConceptType if t not in (ConceptType.NONE, ConceptType.MIXED)}
 _ENTITY_TYPES[COREF_MENTION_LABEL] = ConceptType.NONE
+_SOURCE_BY_TYPE = {
+    t: MentionSource.COREF_ONLY if t is ConceptType.NONE else MentionSource.CONCEPT_EXTRACTOR
+    for t in ConceptType
+}
 
 # [0-9], not \d: \d also matches non-ASCII digits such as ٣, which int() takes.
 _T_LINE = re.compile(r"^(T[0-9]+)\t(\S+) ([0-9]+) ([0-9]+)\t(.*)$")
@@ -74,7 +80,7 @@ def parse_brat(
     mentions_by_tid: dict[str, Mention] = {}
     order: list[str] = []
     seen_keys: set[tuple[int, int, ConceptType]] = set()
-    links = UnionFind()
+    links: UnionFind | None = None  # built at the first R or * line
 
     lines = _lines(ann)
     for lineno, line in enumerate(lines, start=1):
@@ -84,15 +90,18 @@ def parse_brat(
             continue
         kind = line[0]
         if kind == "T":
-            if _T_DISCONT.match(line):
-                raise ParseError("discontinuous span is not supported", lineno)
             m = _T_LINE.match(line)
             if not m:
+                # The two patterns share the ``T<n>\t<type> `` head and cannot
+                # both match, so testing _T_DISCONT second keeps the message.
+                if _T_DISCONT.match(line):
+                    raise ParseError("discontinuous span is not supported", lineno)
                 raise ParseError(f"malformed entity line: {line!r}", lineno)
             tid, type_name, start_s, end_s, surface = m.groups()
             if tid in mentions_by_tid:
                 raise ParseError(f"duplicate entity id {tid}", lineno)
-            if type_name not in types:
+            ctype = types.get(type_name)
+            if ctype is None:
                 raise ParseError(f"unknown entity type {type_name!r}", lineno)
             start, end = int(start_s), int(end_s)
             if start < 0 or start >= end:
@@ -102,19 +111,14 @@ def parse_brat(
                     f"offsets [{start},{end}) out of range for text of length {len(text)}", lineno
                 )
             actual = text[start:end]
-            if actual.replace("\n", " ") != surface.replace("\n", " "):
+            if actual != surface and actual.replace("\n", " ") != surface.replace("\n", " "):
                 raise ParseError(
                     f"surface mismatch for {tid}: annotation {surface!r} != text {actual!r}", lineno
                 )
-            ctype = types[type_name]
             if (start, end, ctype) in seen_keys:
                 raise ParseError(f"duplicate mention key [{start},{end}) type {ctype}", lineno)
             seen_keys.add((start, end, ctype))
-            source = (
-                MentionSource.COREF_ONLY
-                if ctype is ConceptType.NONE
-                else MentionSource.CONCEPT_EXTRACTOR
-            )
+            source = _SOURCE_BY_TYPE[ctype]
             mentions_by_tid[tid] = Mention(doc_id, start, end, ctype, actual, source)
             order.append(tid)
         elif kind == "R":
@@ -127,6 +131,8 @@ def parse_brat(
             for tid in (arg1, arg2):
                 if tid not in mentions_by_tid:
                     raise ParseError(f"relation references unknown entity {tid}", lineno)
+            if links is None:
+                links = UnionFind()
             links.union(arg1, arg2)
         elif kind == "*":
             m = _EQUIV_LINE.match(line)
@@ -139,18 +145,23 @@ def parse_brat(
             for tid in tids:
                 if tid not in mentions_by_tid:
                     raise ParseError(f"equivalence references unknown entity {tid}", lineno)
+            if links is None:
+                links = UnionFind()
             for tid in tids:
                 links.union(tids[0], tid)
         else:
             raise ParseError(f"unsupported record type {kind!r}: {line!r}", lineno)
 
-    groups = sorted(
-        (sorted(g, key=lambda t: int(t[1:])) for g in links.groups()),
-        key=lambda g: min((mentions_by_tid[t].start, mentions_by_tid[t].end) for t in g),
-    )
-    clusters = tuple(
-        CoreferenceCluster(doc_id, frozenset(mentions_by_tid[t] for t in g)) for g in groups
-    )
+    groups = links.groups() if links is not None else []
+    clusters = tuple(sorted(
+        (
+            CoreferenceCluster(
+                doc_id, frozenset(mentions_by_tid[t] for t in sorted(g, key=lambda t: int(t[1:])))
+            )
+            for g in groups
+        ),
+        key=CoreferenceCluster.span_key,
+    ))
     mentions = tuple(mentions_by_tid[t] for t in order)
     doc = Document(doc_id=doc_id, domain=domain, text=text, mentions=mentions, clusters=clusters)
     return _checked(doc, len(lines), set())
@@ -181,6 +192,35 @@ def write_brat(doc: Document, *, relation_label: str = DEFAULT_RELATION_LABEL) -
     return doc.text, ann
 
 
+def _txt_files(root: str) -> list[tuple[tuple[str, ...], str]]:
+    """(components relative to ``root``, parent directory) of every ``*.txt``
+    entry, sorted.
+
+    The files and order of ``sorted(Path(root).rglob("*.txt"))``: any entry
+    whose name ends in ``.txt`` counts, symlinked and unreadable directories
+    are not entered, and POSIX ``Path`` order is the order of the component
+    tuples (``a/x`` sorts before ``a-b/x``, unlike the joined strings).
+    """
+    if not os.path.isdir(root):
+        return []
+    found = []
+    pending: list[tuple[str, tuple[str, ...]]] = [(root, ())]
+    while pending:
+        directory, dirs = pending.pop()
+        try:
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    parts = (*dirs, entry.name)
+                    if entry.name.endswith(".txt"):
+                        found.append((parts, directory))
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append((entry.path, parts))
+        except PermissionError:
+            continue
+    found.sort()
+    return found
+
+
 def read_brat_dir(
     root: str | Path,
     *,
@@ -189,32 +229,40 @@ def read_brat_dir(
 ) -> Corpus:
     """Read every .txt/.ann pair under ``root`` into a corpus.
 
+    Documents come in ``sorted(Path(root).rglob("*.txt"))`` order: component
+    by component, so ``a/x`` precedes ``a-b/x``. Symlinked directories are not
+    followed. Each .txt is read as stored, without newline translation, since
+    BRAT offsets count its characters as stored.
+
     The doc_id is the path relative to ``root`` without extension, so it is
     unique by construction; the domain is the first directory component
     (empty for flat layouts). Errors name the .ann path and line.
     """
-    root = Path(root)
     documents = []
-    for txt_path in sorted(root.rglob("*.txt")):
-        ann_path = txt_path.with_suffix(".ann")
-        if not ann_path.exists():
-            raise ParseError(f"missing annotation file for {txt_path}")
-        rel = txt_path.relative_to(root).with_suffix("")
-        doc_id = rel.as_posix()
-        domain = rel.parts[0] if len(rel.parts) > 1 else ""
+    for parts, directory in _txt_files(os.fspath(root)):
+        name = parts[-1]
+        # As Path.with_suffix: a bare ".txt" has no suffix, so it keeps its name.
+        stem = name[:-4] or name
+        try:
+            with open(os.path.join(directory, stem + ".ann"), encoding="utf-8") as f:
+                ann = f.read()
+        except FileNotFoundError:
+            raise ParseError(f"missing annotation file for {Path(root, *parts)}") from None
+        with open(os.path.join(directory, name), encoding="utf-8", newline="") as f:
+            text = f.read()
         try:
             documents.append(
                 parse_brat(
-                    txt_path.read_text("utf-8"),
-                    ann_path.read_text("utf-8"),
-                    domain,
-                    doc_id=doc_id,
+                    text,
+                    ann,
+                    parts[0] if len(parts) > 1 else "",
+                    doc_id="/".join((*parts[:-1], stem)),
                     relation_label=relation_label,
                     entity_types=entity_types,
                 )
             )
         except ParseError as exc:
-            raise ParseError(f"{ann_path}: {exc}") from exc
+            raise ParseError(f"{Path(root, *parts[:-1], stem + '.ann')}: {exc}") from exc
     return Corpus(tuple(documents))
 
 
@@ -230,5 +278,5 @@ def write_brat_dir(
             rel = Path(doc.domain) / rel
         target = root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.with_suffix(".txt").write_text(text, "utf-8")
+        target.with_suffix(".txt").write_text(text, "utf-8", newline="")
         target.with_suffix(".ann").write_text(ann, "utf-8")

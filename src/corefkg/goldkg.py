@@ -162,7 +162,9 @@ def read_entity_links(text: str) -> dict[MentionKey, str]:
         parts = line.split("\t")
         if len(parts) != 5:
             raise ParseError(f"expected 5 tab-separated columns, got {line!r}", lineno)
-        doc_id, start_s, end_s, type_name, entity = (p.strip() for p in parts)
+        if any(p != p.strip() for p in parts):
+            raise ParseError(f"field with surrounding whitespace in {line!r}", lineno)
+        doc_id, start_s, end_s, type_name, entity = parts
         key: MentionKey = (
             doc_id, _digits(start_s, "start", lineno), _digits(end_s, "end", lineno), type_name
         )

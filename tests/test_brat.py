@@ -1,10 +1,11 @@
+import os
 import random
 
 import pytest
 
 from corefkg.brat import parse_brat, read_brat_dir, write_brat, write_brat_dir
 from corefkg.errors import ParseError
-from corefkg.model import ConceptType, MentionSource, all_clusters
+from corefkg.model import ConceptType, Corpus, MentionSource, all_clusters
 from corefkg.unionfind import UnionFind
 
 from corpusgen import random_corpus
@@ -222,6 +223,48 @@ def test_read_brat_dir_missing_ann(tmp_path):
     (tmp_path / "x.txt").write_text("hello", "utf-8")
     with pytest.raises(ParseError, match="missing annotation file"):
         read_brat_dir(tmp_path)
+
+
+def test_read_brat_dir_walks_like_sorted_rglob(tmp_path):
+    root = tmp_path / "corpus"
+    for rel in ["a/x", "a/sub/deep/y", "a/sub/z", "a-b/x", "x.b", "Med/m"]:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / f"{rel}.txt").write_text("hello", "utf-8")
+        (root / f"{rel}.ann").write_text("T1\tData 0 5\thello\n", "utf-8")
+    (root / "notes.md").write_text("not a document", "utf-8")
+    try:
+        os.symlink(root / "a", root / "linked", target_is_directory=True)
+    except (OSError, NotImplementedError):
+        pass  # no symlinks on this platform; the rest of the tree still applies
+
+    reference = []
+    for txt in sorted(root.rglob("*.txt")):
+        rel = txt.relative_to(root).with_suffix("")
+        reference.append((rel.as_posix(), rel.parts[0] if len(rel.parts) > 1 else ""))
+    corpus = read_brat_dir(root)
+    assert [(d.doc_id, d.domain) for d in corpus] == reference
+    ids = [doc_id for doc_id, _ in reference]
+    assert ids.index("a/x") < ids.index("a-b/x") and sorted(ids) != ids  # not string order
+    assert not any(i.startswith("linked/") for i in ids)
+    assert all(len(d.mentions) == 1 for d in corpus)
+
+    (root / "x.b.ann").write_text("T1\tData 0 5\tworld\n", "utf-8")
+    with pytest.raises(ParseError) as err:
+        read_brat_dir(root)
+    assert str(err.value).startswith(f"{root / 'x.b.ann'}: line 1: surface mismatch for T1")
+    (root / "a" / "sub" / "z.ann").unlink()
+    with pytest.raises(ParseError) as err:
+        read_brat_dir(root)
+    assert str(err.value) == f"missing annotation file for {root / 'a' / 'sub' / 'z.txt'}"
+
+
+def test_dir_roundtrip_keeps_carriage_returns(tmp_path):
+    text = "A CNN\r\nworks.\rThe CNN\r\r\nis fast."
+    ann = "T1\tMethod 2 5\tCNN\nT2\tMethod 18 21\tCNN\n*\tCoreference T1 T2\n"
+    corpus = Corpus((parse_brat(text, ann, "CS", doc_id="CS/d1"),))
+    write_brat_dir(corpus, tmp_path)
+    assert (tmp_path / "CS" / "d1.txt").read_bytes() == text.encode("utf-8")
+    assert read_brat_dir(tmp_path) == corpus
 
 
 def test_unicode_offsets_are_scalar_values():

@@ -310,6 +310,6 @@ def test_cli_imports_neither_numpy_nor_scipy():
             "assert main(['--help']) == 0\n"
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": package_root},
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"

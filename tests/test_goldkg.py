@@ -137,6 +137,16 @@ def test_entity_links_tsv_roundtrip():
         read_entity_links("d\t0\t1\tData\tQ1\nd\t0\t1\tData\tQ2\n")
 
 
+@pytest.mark.parametrize("row", ["d1\t 17 \t38\tMethod\tE", "d1 \t17\t38\tMethod\tE",
+                                 "d1\t17\t38\t Method\tE", "d1\t17\t38\tMethod\tE ",
+                                 "d1\t17\t38\tMethod\t\u00a0E"])
+def test_entity_links_fields_must_not_be_padded(row):
+    with pytest.raises(ParseError, match="surrounding whitespace") as err:
+        read_entity_links(f"d1\t0\t5\tMethod\tE\n{row}\r\n")
+    assert err.value.line == 2
+    assert read_entity_links("d1\t17\t38\tMethod\tE\r\n") == {("d1", 17, 38, "Method"): "E"}
+
+
 @pytest.mark.parametrize("start, end", [("+1_0", "٢٠"), ("+10", "20"), ("10", "٢٠"),
                                         ("1_0", "20"), ("-1", "20")])
 def test_entity_links_offsets_must_be_ascii_digits(start, end):

@@ -57,6 +57,8 @@ _T_LINE = re.compile(r"^(T[0-9]+)\t(\S+) ([0-9]+) ([0-9]+)\t(.*)$")
 _T_DISCONT = re.compile(r"^(T[0-9]+)\t(\S+) [0-9;, ]*;[0-9;, ]*\t")
 _R_LINE = re.compile(r"^R[0-9]+\t(\S+) Arg1:(T[0-9]+) Arg2:(T[0-9]+)\s*$")
 _EQUIV_LINE = re.compile(r"^\*\t(\S+)((?: T[0-9]+)+)\s*$")
+# A mention surface on one .ann line: each line break inside it becomes a space.
+_ONE_LINE = str.maketrans("\r\n", "  ")
 
 
 def parse_brat(
@@ -111,7 +113,7 @@ def parse_brat(
                     f"offsets [{start},{end}) out of range for text of length {len(text)}", lineno
                 )
             actual = text[start:end]
-            if actual != surface and actual.replace("\n", " ") != surface.replace("\n", " "):
+            if actual != surface and actual.translate(_ONE_LINE) != surface.translate(_ONE_LINE):
                 raise ParseError(
                     f"surface mismatch for {tid}: annotation {surface!r} != text {actual!r}", lineno
                 )
@@ -181,7 +183,7 @@ def write_brat(doc: Document, *, relation_label: str = DEFAULT_RELATION_LABEL) -
             raise ValueError(f"mention typed Mixed cannot be serialized @ {m.span()}")
         tid = f"T{i}"
         tid_by_mention[m] = tid
-        surface = doc.text[m.start:m.end].replace("\n", " ")
+        surface = doc.text[m.start:m.end].translate(_ONE_LINE)
         lines.append(f"{tid}\t{label_by_type[m.concept_type]} {m.start} {m.end}\t{surface}")
     for cluster in sorted(
         (c for c in doc.clusters if c.size >= 2), key=CoreferenceCluster.span_key
@@ -201,8 +203,6 @@ def _txt_files(root: str) -> list[tuple[tuple[str, ...], str]]:
     are not entered, and POSIX ``Path`` order is the order of the component
     tuples (``a/x`` sorts before ``a-b/x``, unlike the joined strings).
     """
-    if not os.path.isdir(root):
-        return []
     found = []
     pending: list[tuple[str, tuple[str, ...]]] = [(root, ())]
     while pending:
@@ -236,8 +236,11 @@ def read_brat_dir(
 
     The doc_id is the path relative to ``root`` without extension, so it is
     unique by construction; the domain is the first directory component
-    (empty for flat layouts). Errors name the .ann path and line.
+    (empty for flat layouts). Errors name the .ann path and line; a ``root``
+    that is missing or not a directory raises ParseError too.
     """
+    if not os.path.isdir(root):
+        raise ParseError(f"BRAT root is not a directory: {root}")
     documents = []
     for parts, directory in _txt_files(os.fspath(root)):
         name = parts[-1]

@@ -65,7 +65,10 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ParseError(f"config line is not 'key = value': {raw!r}", lineno)
         key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("format", "lemma_exceptions"):
+            raise ParseError(f"unknown config key {key!r}; known: format, lemma_exceptions", lineno)
+        cfg[key] = value.strip()
     return cfg
 
 

@@ -195,7 +195,10 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
                     f"mention index {idx!r} out of range (document has {len(mentions)})", lineno
                 )
             members.append(mentions[idx])
-        clusters.append(CoreferenceCluster(doc_id, frozenset(members)))
+        cluster = frozenset(members)
+        if len(cluster) != len(members):
+            raise ParseError(f"cluster {group!r} lists a mention twice", lineno)
+        clusters.append(CoreferenceCluster(doc_id, cluster))
 
     entity_links: dict[Mention, str] | None = None
     if "entity_links" in obj:
@@ -208,7 +211,8 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
                 raise ParseError(f"entity link index {idx!r} out of range", lineno)
             if not isinstance(entity, str) or not entity:
                 raise ParseError(f"entity id must be a non-empty string, got {entity!r}", lineno)
-            entity_links[mentions[idx]] = entity
+            if entity_links.setdefault(mentions[idx], entity) != entity:
+                raise ParseError(f"conflicting entity {entity!r} for mention index {idx}", lineno)
 
     return Document(
         doc_id=doc_id,

@@ -287,37 +287,31 @@ class KgStats:
 
 
 def kg_stats(kg: KnowledgeGraph, corpus: Corpus) -> KgStats:
-    """Per-domain and total counts for a populated graph."""
+    """Per-domain counts for a populated graph; each row's Total sums its cells."""
     domains = corpus.domains()
     domain_list = tuple(sorted(set(domains.values())))
-    cols = [*domain_list, "MIX", "Total"]
-    abstracts = {c: 0 for c in cols}
-    mentions = {c: 0 for c in cols}
-    coreferent = {c: 0 for c in cols}
-    concepts = {c: 0 for c in cols}
-    by_type = {t.value: {c: 0 for c in cols} for t in CANONICAL_TYPES}
+    cols = [*domain_list, "MIX"]
+    abstracts, mentions, coreferent, concepts = (dict.fromkeys(cols, 0) for _ in range(4))
+    by_type = {t.value: dict.fromkeys(cols, 0) for t in CANONICAL_TYPES}
 
     for doc in corpus:
         abstracts[doc.domain] += 1
-        abstracts["Total"] += 1
         for m in doc.mentions:
             if m.concept_type in CANONICAL_TYPES:
                 mentions[doc.domain] += 1
-                mentions["Total"] += 1
         for cluster in doc.clusters:
             if cluster.size >= 2:
                 coreferent[doc.domain] += cluster.size
-                coreferent["Total"] += cluster.size
 
     for concept in kg.concepts:
         concept_domains = {domains[d] for d in concept.doc_ids()}
         column = next(iter(concept_domains)) if len(concept_domains) == 1 else "MIX"
         concepts[column] += 1
-        concepts["Total"] += 1
         if concept.concept_type in CANONICAL_TYPES:
             by_type[concept.concept_type.value][column] += 1
-            by_type[concept.concept_type.value]["Total"] += 1
 
+    for row in (abstracts, mentions, coreferent, concepts, *by_type.values()):
+        row["Total"] = sum(row.values())
     return KgStats(
         domains=domain_list,
         abstracts=abstracts,

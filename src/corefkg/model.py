@@ -19,8 +19,8 @@ input and do not re-check it.
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "ConceptType",
@@ -286,6 +286,12 @@ def all_clusters(doc: Document) -> tuple[CoreferenceCluster, ...]:
 
 _TYPE_GROUPS = ("Data", "Material", "Method", "Process", "Mixed", "None")
 
+#: Row name of a cluster or mention of ``doc`` with the given type, per grouping.
+_GROUPINGS = {
+    "concept_type": lambda doc, concept_type: concept_type.value,
+    "domain": lambda doc, concept_type: doc.domain,
+}
+
 
 @dataclass(frozen=True)
 class StatRow:
@@ -305,14 +311,6 @@ class StatRow:
     def overall_clusters(self) -> int:
         return self.coreference_clusters + self.singleton_clusters
 
-    def _add(self, **delta: int) -> "StatRow":
-        return StatRow(
-            mentions=self.mentions + delta.get("mentions", 0),
-            coreferent_mentions=self.coreferent_mentions + delta.get("coreferent_mentions", 0),
-            coreference_clusters=self.coreference_clusters + delta.get("coreference_clusters", 0),
-            singleton_clusters=self.singleton_clusters + delta.get("singleton_clusters", 0),
-        )
-
 
 @dataclass(frozen=True)
 class StatsTable:
@@ -321,24 +319,10 @@ class StatsTable:
     total: StatRow = StatRow()
 
     def to_tsv(self) -> str:
-        header = [
-            self.group_by,
-            "mentions",
-            "coreferent_mentions",
-            "coreference_clusters",
-            "singleton_clusters",
-            "overall_clusters",
-        ]
-        lines = ["\t".join(header)]
+        counts = [f.name for f in fields(StatRow)]
+        lines = ["\t".join([self.group_by, *counts, "overall_clusters"])]
         for group, row in [*self.rows.items(), ("Total", self.total)]:
-            values = (
-                group,
-                row.mentions,
-                row.coreferent_mentions,
-                row.coreference_clusters,
-                row.singleton_clusters,
-                row.overall_clusters,
-            )
+            values = [group, *(getattr(row, c) for c in counts), row.overall_clusters]
             lines.append("\t".join(map(str, values)))
         return "\n".join(lines) + "\n"
 
@@ -351,38 +335,25 @@ def corpus_stats(corpus: Corpus, group_by: str = "concept_type") -> StatsTable:
     The ``mentions`` column always counts concept mentions only, so its
     Mixed/None cells are zero by construction.
     """
-    if group_by not in ("concept_type", "domain"):
+    group = _GROUPINGS.get(group_by)
+    if group is None:
         raise ValueError(f"unknown grouping {group_by!r}")
 
-    rows: dict[str, StatRow] = {}
-    if group_by == "concept_type":
-        rows = {g: StatRow() for g in _TYPE_GROUPS}
-
-    def bump(group: str, **delta: int) -> None:
-        rows[group] = rows.get(group, StatRow())._add(**delta)
-
+    # per group, in StatRow field order: mentions, coreferent_mentions,
+    # coreference_clusters, singleton_clusters
+    cells: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
     for doc in corpus:
-        clusters = all_clusters(doc)
-        for m in doc.mentions:
-            if m.concept_type in CANONICAL_TYPES:
-                group = m.concept_type.value if group_by == "concept_type" else doc.domain
-                bump(group, mentions=1)
-        for cluster in clusters:
-            group = cluster.concept_type().value if group_by == "concept_type" else doc.domain
-            if cluster.is_singleton:
-                bump(group, singleton_clusters=1)
-            else:
-                bump(group, coreference_clusters=1)
-                for m in cluster.mentions:
-                    g = m.concept_type.value if group_by == "concept_type" else doc.domain
-                    bump(g, coreferent_mentions=1)
+        for cluster in all_clusters(doc):
+            coreferent = not cluster.is_singleton
+            cells[group(doc, cluster.concept_type())][2 if coreferent else 3] += 1
+            for m in cluster.mentions:
+                row = cells[group(doc, m.concept_type)]
+                if m.concept_type in CANONICAL_TYPES:
+                    row[0] += 1
+                if coreferent:
+                    row[1] += 1
 
-    if group_by == "domain":
-        rows = dict(sorted(rows.items()))
-    total = StatRow(
-        mentions=sum(r.mentions for r in rows.values()),
-        coreferent_mentions=sum(r.coreferent_mentions for r in rows.values()),
-        coreference_clusters=sum(r.coreference_clusters for r in rows.values()),
-        singleton_clusters=sum(r.singleton_clusters for r in rows.values()),
-    )
+    names = _TYPE_GROUPS if group_by == "concept_type" else sorted(cells)
+    rows = {name: StatRow(*cells[name]) for name in names}
+    total = StatRow(*map(sum, zip(*(cells[name] for name in names))))
     return StatsTable(group_by=group_by, rows=rows, total=total)

@@ -267,6 +267,27 @@ def test_dir_roundtrip_keeps_carriage_returns(tmp_path):
     assert read_brat_dir(tmp_path) == corpus
 
 
+def test_dir_roundtrip_keeps_line_breaks_inside_mentions(tmp_path):
+    text = "A deep\rnet works. A deep\r\nnet too."
+    ann = "T1\tMethod 2 10\tdeep\rnet\nT2\tMethod 20 29\tdeep  net\n*\tCoreference T1 T2\n"
+    corpus = Corpus((parse_brat(text, ann, "CS", doc_id="CS/d1"),))
+    assert [m.surface for m in corpus.documents[0].mentions] == ["deep\rnet", "deep\r\nnet"]
+    write_brat_dir(corpus, tmp_path)
+    assert read_brat_dir(tmp_path) == corpus
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_read_brat_dir_root_must_be_a_directory(tmp_path, kind):
+    root = tmp_path / "corpus"
+    if kind == "file":
+        root.write_text("T1\tData 0 5\thello\n", "utf-8")
+    with pytest.raises(ParseError, match="BRAT root is not a directory"):
+        read_brat_dir(root)
+    root = tmp_path / "empty"
+    root.mkdir()
+    assert read_brat_dir(root) == Corpus(())
+
+
 def test_unicode_offsets_are_scalar_values():
     text = "die Mößbauer-Sonde misst"
     surface = text[4:18]

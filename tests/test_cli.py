@@ -239,6 +239,20 @@ def test_config_file_provides_defaults(ox_corpus, tmp_path, capsys):
                                "--lemma-exceptions", str(other)) == 2
 
 
+@pytest.mark.parametrize("key", ["lemma_exception", "formt"])
+def test_config_file_rejects_unknown_keys(corpus_path, tmp_path, capsys, key):
+    cfg = tmp_path / "corefkg.conf"
+    cfg.write_text(f"# defaults\nformat = jsonl\n{key} = brat\n", "utf-8")
+    assert main(["--config", str(cfg), "stats", "--in", str(corpus_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 3: unknown config key {key!r}" in err
+
+
+def test_brat_root_must_be_a_directory(corpus_path, capsys):
+    assert main(["--format", "brat", "stats", "--in", str(corpus_path)]) == 2
+    assert "BRAT root is not a directory" in capsys.readouterr().err
+
+
 def test_removed_global_options_are_usage_errors(capsys):
     assert main(["--jobs", "2", "stats", "--in", "x.jsonl"]) == 1
     assert main(["--seed", "0", "stats", "--in", "x.jsonl"]) == 1

@@ -115,6 +115,23 @@ def test_offsets_and_indices_must_be_ints(line):
     assert err.value.line == 2
 
 
+def test_cluster_must_not_repeat_an_index():
+    line = _doc_line(mentions=TWO_MENTIONS, clusters="[[0,1],[0,0]]")
+    with pytest.raises(ParseError, match=r"cluster \[0, 0\] lists a mention twice") as err:
+        read_jsonl(_doc_line(doc_id="ok") + "\n" + line)
+    assert err.value.line == 2
+
+
+def test_entity_link_must_not_conflict():
+    conflicting = _doc_line(mentions=TWO_MENTIONS, links='[[0,"X"],[1,"Z"],[0,"Y"]]')
+    with pytest.raises(ParseError, match="conflicting entity 'Y' for mention index 0") as err:
+        read_jsonl(_doc_line(doc_id="ok") + "\n" + conflicting)
+    assert err.value.line == 2
+    # an identical repeated link is accepted, as by goldkg.read_entity_links
+    doc = read_jsonl(_doc_line(mentions=TWO_MENTIONS, links='[[0,"X"],[0,"X"]]')).documents[0]
+    assert list(doc.entity_links.values()) == ["X"]
+
+
 def test_invalid_document_reports_its_line():
     bad = _doc_line(doc_id="e", mentions='[{"start":0,"end":9,"type":"Data"}]')
     with pytest.raises(ParseError, match="offset out of range") as err:

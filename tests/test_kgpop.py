@@ -1,9 +1,11 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from corefkg.brat import read_brat_dir
 from corefkg.errors import ParseError
 from corefkg.kgpop import (
     ALL_DOMAINS,
@@ -302,8 +304,44 @@ def test_kg_stats_per_domain_sums_to_total():
     corpus = random_corpus(rng, n_docs=6)
     kg = populate(corpus, CROSS)
     stats = kg_stats(kg, corpus)
-    for field in (stats.abstracts, stats.mentions, stats.concepts):
+    rows = (stats.abstracts, stats.mentions, stats.coreferent_mentions, stats.concepts,
+            *stats.concepts_by_type.values())
+    for field in rows:
         assert field["Total"] == sum(field[d] for d in stats.domains) + field.get("MIX", 0)
+    assert stats.coreferent_mentions["Total"] > 0
+    assert stats.concepts["Total"] == len(kg.concepts)
+
+
+TOY_BRAT = Path(__file__).resolve().parents[1] / "demos" / "data" / "toy_brat"
+
+
+@pytest.mark.parametrize("strategy, tsv", [
+    (CROSS,
+     "stat\tCS\tMed\tMIX\tTotal\n"
+     "abstracts\t1\t2\t0\t3\n"
+     "mentions\t5\t9\t0\t14\n"
+     "coreferent_mentions\t3\t4\t0\t7\n"
+     "concepts\t2\t6\t2\t10\n"
+     "concepts_data\t1\t0\t0\t1\n"
+     "concepts_material\t0\t4\t0\t4\n"
+     "concepts_method\t0\t0\t2\t2\n"
+     "concepts_process\t1\t2\t0\t3\n"
+     "reduction\t60%\t33%\t-\t29%\n"),
+    (IN_NOCOREF,
+     "stat\tCS\tMed\tMIX\tTotal\n"
+     "abstracts\t1\t2\t0\t3\n"
+     "mentions\t5\t9\t0\t14\n"
+     "coreferent_mentions\t3\t4\t0\t7\n"
+     "concepts\t4\t8\t0\t12\n"
+     "concepts_data\t1\t0\t0\t1\n"
+     "concepts_material\t0\t4\t0\t4\n"
+     "concepts_method\t2\t2\t0\t4\n"
+     "concepts_process\t1\t2\t0\t3\n"
+     "reduction\t20%\t11%\t-\t14%\n"),
+], ids=["cross-coref", "in-nocoref"])
+def test_kg_stats_toy_corpus_tsv(strategy, tsv):
+    corpus = read_brat_dir(TOY_BRAT)
+    assert kg_stats(populate(corpus, strategy), corpus).to_tsv() == tsv
 
 
 # --- export --------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import copy
 import dataclasses
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corefkg.brat import read_brat_dir
 from corefkg.model import (
     ConceptType,
     CoreferenceCluster,
@@ -180,6 +182,31 @@ def test_corpus_stats_accounting_property():
             assert table.total.overall_clusters == sum(
                 r.overall_clusters for r in table.rows.values()
             )
+
+
+TOY_BRAT = Path(__file__).resolve().parents[1] / "demos" / "data" / "toy_brat"
+
+
+@pytest.mark.parametrize("group_by, tsv", [
+    ("concept_type",
+     "concept_type\tmentions\tcoreferent_mentions\tcoreference_clusters\tsingleton_clusters"
+     "\toverall_clusters\n"
+     "Data\t1\t0\t0\t1\t1\n"
+     "Material\t5\t2\t1\t3\t4\n"
+     "Method\t5\t2\t1\t3\t4\n"
+     "Process\t3\t1\t1\t2\t3\n"
+     "Mixed\t0\t0\t0\t0\t0\n"
+     "None\t0\t2\t0\t0\t0\n"
+     "Total\t14\t7\t3\t9\t12\n"),
+    ("domain",
+     "domain\tmentions\tcoreferent_mentions\tcoreference_clusters\tsingleton_clusters"
+     "\toverall_clusters\n"
+     "CS\t5\t3\t1\t3\t4\n"
+     "Med\t9\t4\t2\t6\t8\n"
+     "Total\t14\t7\t3\t9\t12\n"),
+])
+def test_corpus_stats_toy_corpus_tsv(group_by, tsv):
+    assert corpus_stats(read_brat_dir(TOY_BRAT), group_by).to_tsv() == tsv
 
 
 def test_corpus_stats_unknown_grouping():

@@ -75,14 +75,16 @@ def parse_brat(
     Raises ParseError (with the offending .ann line number) for malformed
     lines, out-of-range offsets, surface mismatches, repeated mention keys,
     discontinuous spans, unknown entity types and unsupported record kinds.
-    Any other invariant violation (see ``validate``) is reported at the
-    last .ann line.
+    A mention typed Mixed, which only ``entity_types`` can map to, is
+    reported as ``validate`` words it, at the last .ann line; the other
+    invariants hold by construction.
     """
     types = entity_types if entity_types is not None else _ENTITY_TYPES
     mentions_by_tid: dict[str, Mention] = {}
     order: list[str] = []
     seen_keys: set[tuple[int, int, ConceptType]] = set()
     links: UnionFind | None = None  # built at the first R or * line
+    sound = True
 
     lines = _lines(ann)
     for lineno, line in enumerate(lines, start=1):
@@ -105,6 +107,8 @@ def parse_brat(
             ctype = types.get(type_name)
             if ctype is None:
                 raise ParseError(f"unknown entity type {type_name!r}", lineno)
+            if ctype is ConceptType.MIXED:
+                sound = False
             start, end = int(start_s), int(end_s)
             if start < 0 or start >= end:
                 raise ParseError(f"offset order violated: [{start},{end})", lineno)
@@ -166,7 +170,7 @@ def parse_brat(
     ))
     mentions = tuple(mentions_by_tid[t] for t in order)
     doc = Document(doc_id=doc_id, domain=domain, text=text, mentions=mentions, clusters=clusters)
-    return _checked(doc, len(lines), set())
+    return _checked(doc, sound, len(lines), set())
 
 
 def write_brat(doc: Document, *, relation_label: str = DEFAULT_RELATION_LABEL) -> tuple[str, str]:

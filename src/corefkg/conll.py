@@ -205,6 +205,9 @@ def read_coref_columns(
                 pos += len(tok) + 1
             text = " ".join(tokens)
 
+        # Spans are unique and untyped by construction; a token table need
+        # not be monotone, so a mention may still end before it starts.
+        sound = True
         mentions: list[Mention] = []
         seen_spans: set[tuple[int, int]] = set()
         clusters: list[CoreferenceCluster] = []
@@ -217,6 +220,8 @@ def read_coref_columns(
                         f"duplicate mention span [{s},{e}) in document {doc_id!r}", end_lineno
                     )
                 seen_spans.add((s, e))
+                if not 0 <= s < e:
+                    sound = False
                 members.append(
                     Mention(doc_id, s, e, ConceptType.NONE, text[s:e], MentionSource.COREF_ONLY)
                 )
@@ -227,7 +232,7 @@ def read_coref_columns(
         mentions.sort(key=lambda m: (m.start, m.end))
         doc = Document(doc_id=doc_id, domain="", text=text,
                        mentions=tuple(mentions), clusters=tuple(clusters))
-        documents.append(_checked(doc, end_lineno, seen_ids))
+        documents.append(_checked(doc, sound, end_lineno, seen_ids))
         doc_id = None
 
     for lineno, line in enumerate(lines, start=1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ParseError, ValidationError
-from .jsonl import _digits, _expect, _expect_entries, _json_objects, _lines
+from .jsonl import _MENTION_TYPES, _digits, _expect, _expect_entries, _json_objects, _lines
 from .kgpop import CollapseStrategy, acronym_maps, collapse
 from .metrics import Partition, ScoreReport, score
 from .model import (
@@ -119,12 +119,15 @@ def write_gold_jsonl(gold: GoldKg) -> str:
 
 
 def _gold_mention(m: dict, lineno: int) -> MentionKey:
-    return (
-        _expect(m, "doc_id", str, lineno),
-        _expect(m, "start", int, lineno),
-        _expect(m, "end", int, lineno),
-        _expect(m, "type", str, lineno),
-    )
+    doc_id = _expect(m, "doc_id", str, lineno)
+    start = _expect(m, "start", int, lineno)
+    end = _expect(m, "end", int, lineno)
+    name = _expect(m, "type", str, lineno)
+    if not 0 <= start < end:
+        raise ParseError(f"offset order violated @ {doc_id}[{start},{end})", lineno)
+    if name not in _MENTION_TYPES:
+        raise ParseError(f"{name!r} is not a mention type", lineno)
+    return (doc_id, start, end, name)
 
 
 def read_gold_jsonl(text: str) -> GoldKg:
@@ -138,9 +141,10 @@ def read_gold_jsonl(text: str) -> GoldKg:
             singleton = _expect(obj, "singleton_clusters", int, lineno)
             continue
         entity = _expect(obj, "entity", str, lineno)
-        mentions = frozenset(
-            _gold_mention(m, lineno) for m in _expect_entries(obj, "mentions", dict, lineno)
-        )
+        entries = _expect_entries(obj, "mentions", dict, lineno)
+        mentions = frozenset(_gold_mention(m, lineno) for m in entries)
+        if len(mentions) != len(entries):
+            raise ParseError(f"gold concept {entity!r} lists a mention twice", lineno)
         if not mentions:
             raise ParseError("gold concept without mentions", lineno)
         if not seen.isdisjoint(mentions):

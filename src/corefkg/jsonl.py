@@ -154,23 +154,50 @@ def _mention_fields(entry: dict, lineno: int) -> tuple[int, int, ConceptType, Me
     return start, end, ctype, source
 
 
-def _checked(doc: Document, lineno: int, seen_ids: set[str]) -> Document:
-    """The readers' validation boundary: ``doc`` must be valid and its doc_id new."""
+#: Domain names that ``kgpop.kg_stats`` uses for its own columns.
+_RESERVED_DOMAINS = frozenset({"Total", "MIX"})
+
+
+def _checked(doc: Document, sound: bool, lineno: int, seen_ids: set[str]) -> Document:
+    """The readers' validation boundary: ``doc`` must be valid and its doc_id new.
+
+    A reader checks, while it builds ``doc``, the invariants it does not
+    guarantee by construction, and passes the outcome as ``sound``.
+    ``validate`` runs only on a document that failed one of them, to word
+    its violations.
+    """
     if doc.doc_id in seen_ids:
         raise ParseError(f"duplicate doc_id {doc.doc_id!r}", lineno)
     seen_ids.add(doc.doc_id)
-    violations = validate(doc)
-    if violations:
-        raise ParseError("; ".join(violations), lineno)
+    if not sound:
+        violations = validate(doc)
+        if violations:
+            raise ParseError("; ".join(violations), lineno)
+    if doc.domain in _RESERVED_DOMAINS:
+        raise ParseError(f"domain name {doc.domain!r} is reserved", lineno)
     return doc
 
 
 def document_from_dict(obj: dict, lineno: int = 0) -> Document:
+    return _document_from_dict(obj, lineno)[0]
+
+
+def _document_from_dict(obj: dict, lineno: int) -> tuple[Document, bool]:
+    """The document of one JSONL object, and whether it passed the checks
+    ``validate`` would otherwise repeat (see ``_checked``).
+
+    Doc ids, surfaces and cluster membership hold by construction; offsets,
+    Mixed types, repeated (start, end, type) keys and a mention in two
+    clusters are checked here, on integers.
+    """
     doc_id = _expect(obj, "doc_id", str, lineno)
     domain = _expect(obj, "domain", str, lineno)
     text = _expect(obj, "text", str, lineno)
+    n = len(text)
+    sound = True
 
     mentions: list[Mention] = []
+    keys: set[tuple[int, int, ConceptType]] = set()
     for entry in _expect_entries(obj, "mentions", dict, lineno):
         # A complete entry of a mention type is accepted with one lookup per
         # field and exact type tests; any other entry (no source, Mixed, a
@@ -182,9 +209,17 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
         source = _SOURCES.get(source_name) if type(source_name) is str else None
         if ctype is None or source is None or type(start) is not int or type(end) is not int:
             start, end, ctype, source = _mention_fields(entry, lineno)
+            if ctype is ConceptType.MIXED:
+                sound = False
+        if not 0 <= start < end <= n:
+            sound = False
+        keys.add((start, end, ctype))
         mentions.append(Mention(doc_id, start, end, ctype, text[start:end], source))
+    if len(keys) != len(mentions):
+        sound = False
 
     clusters: list[CoreferenceCluster] = []
+    clustered = bytearray(len(mentions))
     for group in _expect(obj, "clusters", list, lineno):
         if not isinstance(group, list) or not group:
             raise ParseError(f"cluster must be a non-empty list of mention indices", lineno)
@@ -194,7 +229,11 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
                 raise ParseError(
                     f"mention index {idx!r} out of range (document has {len(mentions)})", lineno
                 )
+            if clustered[idx]:
+                sound = False
+            clustered[idx] = 1
             members.append(mentions[idx])
+        # Compared as Mentions, not indices: two entries may spell one mention.
         cluster = frozenset(members)
         if len(cluster) != len(members):
             raise ParseError(f"cluster {group!r} lists a mention twice", lineno)
@@ -221,7 +260,7 @@ def document_from_dict(obj: dict, lineno: int = 0) -> Document:
         mentions=tuple(mentions),
         clusters=tuple(clusters),
         entity_links=entity_links,
-    )
+    ), sound
 
 
 def read_jsonl(text: str) -> Corpus:
@@ -232,6 +271,6 @@ def read_jsonl(text: str) -> Corpus:
     """
     seen: set[str] = set()
     return Corpus(tuple(
-        _checked(document_from_dict(obj, lineno), lineno, seen)
+        _checked(*_document_from_dict(obj, lineno), lineno, seen)
         for lineno, obj in _json_objects(text)
     ))

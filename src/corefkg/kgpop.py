@@ -397,7 +397,10 @@ def _concept_from_dict(obj: dict, lineno: int) -> Concept:
             ))
         if not members:
             raise ParseError(f"cluster of {doc_id!r} without mentions", lineno)
-        clusters.append(CoreferenceCluster(doc_id, frozenset(members)))
+        cluster = frozenset(members)
+        if len(cluster) != len(members):
+            raise ParseError(f"cluster of {doc_id!r} lists a mention twice", lineno)
+        clusters.append(CoreferenceCluster(doc_id, cluster))
     return Concept(
         concept_id=_expect(obj, "concept_id", str, lineno),
         label=_expect(obj, "label", str, lineno),

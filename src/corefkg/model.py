@@ -10,8 +10,10 @@ All types are immutable value objects and every operation here is a pure
 function of its inputs. ``Mention`` and ``CoreferenceCluster``, of which a
 corpus holds one per annotation, are slotted: they carry no per-instance
 ``__dict__``, so a large corpus takes less memory. The corpus readers are
-the validation boundary: they run ``validate`` on every document they
-build. Code that builds documents by hand checks them with
+the validation boundary: while they build a document they check, on
+integers, the invariants it does not hold by construction, and they call
+``validate`` only to word the violations of a document that failed those
+checks. Code that builds documents by hand checks them with
 ``validate_corpus``; ``all_clusters`` and ``corpus_stats`` assume valid
 input and do not re-check it.
 """

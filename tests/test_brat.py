@@ -288,6 +288,17 @@ def test_read_brat_dir_root_must_be_a_directory(tmp_path, kind):
     assert read_brat_dir(root) == Corpus(())
 
 
+@pytest.mark.parametrize("domain", ["Total", "MIX"])
+def test_domain_names_of_kg_stats_columns_are_reserved(tmp_path, domain):
+    with pytest.raises(ParseError, match=f"domain name '{domain}' is reserved"):
+        parse_brat(TEXT, "T1\tMaterial 0 3\tCNN\n", domain)
+    (tmp_path / domain).mkdir()
+    (tmp_path / domain / "a.txt").write_text(TEXT, "utf-8")
+    (tmp_path / domain / "a.ann").write_text("T1\tMaterial 0 3\tCNN\n", "utf-8")
+    with pytest.raises(ParseError, match=f"{domain}/a.ann: line 1: domain name"):
+        read_brat_dir(tmp_path)
+
+
 def test_unicode_offsets_are_scalar_values():
     text = "die Mößbauer-Sonde misst"
     surface = text[4:18]

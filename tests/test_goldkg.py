@@ -123,6 +123,29 @@ def test_read_gold_jsonl_mention_fields(mention):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("mentions, message", [
+    ('{"doc_id": "d", "start": 5, "end": 2, "type": "Bogus"}', r"offset order violated @ d\[5,2\)"),
+    ('{"doc_id": "d", "start": 3, "end": 3, "type": "Data"}', r"offset order violated @ d\[3,3\)"),
+    ('{"doc_id": "d", "start": -1, "end": 3, "type": "Data"}', r"offset order violated @ d\[-1,3\)"),
+    ('{"doc_id": "d", "start": 0, "end": 3, "type": "Bogus"}', "'Bogus' is not a mention type"),
+    ('{"doc_id": "d", "start": 0, "end": 3, "type": "Mixed"}', "'Mixed' is not a mention type"),
+    ('{"doc_id": "d", "start": 0, "end": 3, "type": "Data"}, '
+     '{"doc_id": "d", "start": 0, "end": 3, "type": "Data"}', "'Q1' lists a mention twice"),
+], ids=["bogus-reversed", "empty-span", "negative-start", "unknown-type", "mixed", "repeat"])
+def test_read_gold_jsonl_rejects_impossible_mentions(mentions, message):
+    header = '{"record": "gold_kg", "clusters_kept": 1, "singleton_clusters": 0}'
+    with pytest.raises(ParseError, match=message) as err:
+        read_gold_jsonl(f'{header}\n{{"entity": "Q1", "mentions": [{mentions}]}}\n')
+    assert err.value.line == 2
+
+
+def test_read_gold_jsonl_accepts_coreference_only_mentions():
+    header = '{"record": "gold_kg", "clusters_kept": 1, "singleton_clusters": 0}'
+    mention = '{"doc_id": "d", "start": 0, "end": 2, "type": "None"}'
+    gold = read_gold_jsonl(f'{header}\n{{"entity": "Q1", "mentions": [{mention}]}}\n')
+    assert gold.concepts[0].mentions == frozenset({("d", 0, 2, "None")})
+
+
 def test_entity_links_tsv_roundtrip():
     tsv = (
         "# comment\n"

@@ -122,6 +122,23 @@ def test_cluster_must_not_repeat_an_index():
     assert err.value.line == 2
 
 
+def test_cluster_must_not_list_one_mention_under_two_indices():
+    # two entries that spell the same mention are one mention twice
+    same = '[{"start":0,"end":1,"type":"Data"},{"start":0,"end":1,"type":"Data"}]'
+    with pytest.raises(ParseError, match=r"cluster \[0, 1\] lists a mention twice") as err:
+        read_jsonl(_doc_line(mentions=same, clusters="[[0,1]]"))
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("domain", ["Total", "MIX"])
+def test_domain_names_of_kg_stats_columns_are_reserved(domain):
+    line = json.dumps({"doc_id": "e", "domain": domain, "text": "ab",
+                       "mentions": [], "clusters": []})
+    with pytest.raises(ParseError, match=f"domain name '{domain}' is reserved") as err:
+        read_jsonl(_doc_line() + "\n" + line)
+    assert err.value.line == 2
+
+
 def test_entity_link_must_not_conflict():
     conflicting = _doc_line(mentions=TWO_MENTIONS, links='[[0,"X"],[1,"Z"],[0,"Y"]]')
     with pytest.raises(ParseError, match="conflicting entity 'Y' for mention index 0") as err:

@@ -396,6 +396,18 @@ def _drop(record: dict, path: tuple) -> dict:
     return record
 
 
+def test_read_kg_jsonl_rejects_a_mention_listed_twice_in_a_cluster():
+    doc = Document("d", "CS", "alpha", (typed("d", 0, 5, "alpha"),))
+    lines = export_kg_jsonl(populate(Corpus((doc,)), IN)).splitlines()
+    record = json.loads(lines[1])
+    mentions = record["clusters"][0]["mentions"]
+    mentions.append(dict(mentions[0]))
+    lines[1] = json.dumps(record)
+    with pytest.raises(ParseError, match="cluster of 'd' lists a mention twice") as err:
+        read_kg_jsonl("\n".join(lines))
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("line_index, path", [
     (0, ("papers",)),
     (1, ("clusters",)),

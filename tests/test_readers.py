@@ -7,6 +7,11 @@ or chain number replaced by ``٣``, or a ``+`` prefixed to it). Any other
 exception (KeyError, TypeError, ...) or a corpus that fails
 ``validate_corpus`` is a reader defect, and so is a malformed numeral that
 reads without ParseError: it was silently coerced.
+
+The corpus readers check invariants while they build and call ``validate``
+only to word a failure, so ``validate`` is also their oracle: a JSONL
+document with broken invariants must be rejected exactly when ``validate``
+finds violations, with ``validate``'s message.
 """
 
 import json
@@ -17,13 +22,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corefkg.brat import parse_brat, write_brat
+from corefkg import jsonl
+from corefkg.brat import parse_brat, read_brat_dir, write_brat, write_brat_dir
 from corefkg.conll import read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
 from corefkg.goldkg import compile_gold, read_gold_jsonl, write_gold_jsonl
-from corefkg.jsonl import read_jsonl, write_jsonl
+from corefkg.jsonl import document_from_dict, read_jsonl, write_jsonl
 from corefkg.kgpop import CollapseStrategy, export_kg_jsonl, populate, read_kg_jsonl
-from corefkg.model import Corpus, Document, validate_corpus
+from corefkg.model import ConceptType, Corpus, Document, validate, validate_corpus
 
 from corpusgen import random_corpus
 
@@ -205,3 +211,89 @@ def test_edited_input_reads_valid_or_raises_parse_error_with_line(reader, rng, e
     assert edit != "numeral", "a malformed numeral was read without ParseError"
     if isinstance(result, Corpus):
         assert validate_corpus(result) == []
+
+
+INVARIANT_EDITS = ("swap", "past-end", "mixed", "duplicate", "second-cluster")
+
+
+def break_invariant(rng: random.Random, obj: dict, edit: str) -> None:
+    """Edit one JSONL document object so that it may break a ``validate`` rule."""
+    mentions, clusters = obj["mentions"], obj["clusters"]
+    if not mentions:
+        return
+    mention = rng.choice(mentions)
+    if edit == "swap":
+        mention["start"], mention["end"] = mention["end"], mention["start"]
+    elif edit == "past-end":
+        mention["end"] = len(obj["text"]) + rng.randint(1, 3)
+    elif edit == "mixed":
+        mention["type"] = "Mixed"
+    elif edit == "duplicate":
+        mentions.append(dict(mention))
+    else:  # one clustered index added to a second cluster, or a new one
+        owned = [(k, idx) for k, group in enumerate(clusters) for idx in group]
+        if not owned:
+            return
+        k, idx = rng.choice(owned)
+        others = [group for j, group in enumerate(clusters) if j != k]
+        if others:
+            rng.choice(others).append(idx)
+        else:
+            clusters.append([idx])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       edits=st.lists(st.sampled_from(INVARIANT_EDITS), min_size=1, max_size=3))
+def test_jsonl_reader_rejects_exactly_what_validate_rejects(rng, edits):
+    lines = write_jsonl(random_corpus(rng, n_docs=rng.randint(1, 3))).splitlines()
+    i = rng.randrange(len(lines))
+    obj = json.loads(lines[i])
+    for edit in edits:
+        break_invariant(rng, obj, edit)
+    lines[i] = json.dumps(obj)
+    try:
+        doc = document_from_dict(obj, i + 1)
+    except ParseError:
+        return  # a schema error, which validate does not word
+    violations = validate(doc)
+    try:
+        read_jsonl("\n".join(lines))
+    except ParseError as exc:
+        assert violations, str(exc)
+        assert (str(exc), exc.line) == (f"line {i + 1}: {'; '.join(violations)}", i + 1)
+    else:
+        assert violations == []
+
+
+def test_brat_mixed_mention_is_worded_by_validate():
+    text = "CNN works. A CNN is fast."
+    ann = "T1\tFoo 0 3\tCNN\nT2\tMethod 13 16\tCNN\n"
+    types = {"Foo": ConceptType.MIXED, "Method": ConceptType.METHOD}
+    with pytest.raises(ParseError) as err:
+        parse_brat(text, ann, entity_types=types)
+    assert (str(err.value), err.value.line) == ("line 2: mention typed Mixed @ doc[0,3)", 2)
+
+
+@pytest.mark.parametrize("table", [
+    "d\t0\t3\t5\nd\t1\t0\t1\n",
+    {("d", 0): (3, 5), ("d", 1): (0, 1)},
+], ids=["tsv", "dict"])
+def test_conll_mention_ending_before_its_start_is_worded_by_validate(table):
+    columns = "#begin document d\nd\t0\tab\t(0\nd\t1\tc\t0)\n#end document\n"
+    with pytest.raises(ParseError) as err:
+        read_coref_columns(columns, table)
+    assert (str(err.value), err.value.line) == ("line 4: offset order violated @ d[3,1)", 4)
+
+
+def test_corpus_readers_do_not_validate_valid_documents(monkeypatch, tmp_path):
+    def refuse(doc):
+        raise AssertionError(f"validate ran on {doc.doc_id}")
+
+    corpus = random_corpus(random.Random(31), n_docs=6)
+    columns, table = write_coref_columns(corpus)
+    write_brat_dir(corpus, tmp_path)
+    monkeypatch.setattr(jsonl, "validate", refuse)
+    assert read_jsonl(write_jsonl(corpus)) == corpus
+    assert len(read_coref_columns(columns, table)) == len(corpus)
+    assert len(read_brat_dir(tmp_path)) == len(corpus)

@@ -45,8 +45,8 @@ def _resolve(doc: Document, labeler: _Labeler) -> tuple[CoreferenceCluster, ...]
 def resolve_corpus(corpus: Corpus) -> Corpus:
     """Replace every document's clusters with baseline predictions.
 
-    One labeler serves the whole call, so each distinct expanded surface is
-    normalized once.
+    One labeler serves the whole call, so each distinct surface is expanded
+    and normalized once.
     """
     labeler = _Labeler()
     return Corpus(tuple(

@@ -134,6 +134,7 @@ def read_gold_jsonl(text: str) -> GoldKg:
     """Parse a gold KG; a malformed line raises ParseError with its number."""
     concepts: list[GoldConcept] = []
     seen: set[MentionKey] = set()
+    entities: set[str] = set()
     kept = singleton = 0
     for lineno, obj in _json_objects(text):
         if obj.get("record") == "gold_kg":
@@ -141,6 +142,9 @@ def read_gold_jsonl(text: str) -> GoldKg:
             singleton = _expect(obj, "singleton_clusters", int, lineno)
             continue
         entity = _expect(obj, "entity", str, lineno)
+        if entity in entities:
+            raise ParseError(f"duplicate gold concept entity {entity!r}", lineno)
+        entities.add(entity)
         entries = _expect_entries(obj, "mentions", dict, lineno)
         mentions = frozenset(_gold_mention(m, lineno) for m in entries)
         if len(mentions) != len(entries):

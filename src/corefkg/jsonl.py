@@ -29,6 +29,7 @@ from .model import (
     Document,
     Mention,
     MentionSource,
+    _RESERVED_DOMAINS,
     concept_type_from_string,
     validate,
 )
@@ -152,10 +153,6 @@ def _mention_fields(entry: dict, lineno: int) -> tuple[int, int, ConceptType, Me
             else MentionSource.CONCEPT_EXTRACTOR
         )
     return start, end, ctype, source
-
-
-#: Domain names that ``kgpop.kg_stats`` uses for its own columns.
-_RESERVED_DOMAINS = frozenset({"Total", "MIX"})
 
 
 def _checked(doc: Document, sound: bool, lineno: int, seen_ids: set[str]) -> Document:

@@ -29,6 +29,7 @@ from .model import (
     Corpus,
     Document,
     Mention,
+    MentionKey,
     MentionSource,
     all_clusters,
 )
@@ -173,7 +174,7 @@ def collapse(
     normalizes to the empty string never merge with anything (each becomes
     its own concept) so a degenerate catch-all node cannot arise. Labels
     follow ``normalize.cluster_label``; one labeler serves the whole call,
-    so each distinct expanded surface is normalized once.
+    so each distinct surface is expanded and normalized once.
     """
     acronyms = acronyms or {}
     labeler = _Labeler()
@@ -322,8 +323,16 @@ def kg_stats(kg: KnowledgeGraph, corpus: Corpus) -> KgStats:
     )
 
 
-def _iri(prefix: str, value: str) -> str:
-    return f"<{prefix}:{urllib.parse.quote(value, safe='/._-~')}>"
+class _Iris(dict):
+    """IRIs under one prefix, keyed by value: each value is quoted once."""
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, value: str) -> str:
+        iri = self[value] = f"<{self.prefix}:{urllib.parse.quote(value, safe='/._-~')}>"
+        return iri
 
 
 def _literal(value: str) -> str:
@@ -339,13 +348,15 @@ def export_ntriples(kg: KnowledgeGraph) -> str:
     Each edge becomes a ``mentions`` triple (repeated edges stay repeated to
     preserve mention counts); each concept contributes label and type triples.
     """
+    papers, concepts = _Iris("paper"), _Iris("concept")
     lines: list[str] = []
     for doc_id, concept_id in kg.edges:
-        lines.append(f"{_iri('paper', doc_id)} <rel:mentions> {_iri('concept', concept_id)} .")
+        lines.append(f"{papers[doc_id]} <rel:mentions> {concepts[concept_id]} .")
     for concept in kg.concepts:
-        subject = _iri("concept", concept.concept_id)
+        subject = concepts[concept.concept_id]
         lines.append(f"{subject} <rel:label> {_literal(concept.label)} .")
         lines.append(f"{subject} <rel:type> {_literal(concept.concept_type.value)} .")
+    del papers, concepts  # before the join, where the export peaks in memory
     lines.sort()
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -387,14 +398,19 @@ def _concept_from_dict(obj: dict, lineno: int) -> Concept:
         doc_id = _expect(entry, "doc_id", str, lineno)
         members = []
         for m in _expect_entries(entry, "mentions", dict, lineno):
-            members.append(Mention(
+            mention = Mention(
                 doc_id,
                 _expect(m, "start", int, lineno),
                 _expect(m, "end", int, lineno),
                 _expect_type(m, lineno),
                 _expect(m, "surface", str, lineno),
                 _expect_source(m, lineno),
-            ))
+            )
+            if not 0 <= mention.start < mention.end:
+                raise ParseError(f"offset order violated @ {mention.span()}", lineno)
+            if mention.concept_type is ConceptType.MIXED:
+                raise ParseError(f"mention typed Mixed @ {mention.span()}", lineno)
+            members.append(mention)
         if not members:
             raise ParseError(f"cluster of {doc_id!r} without mentions", lineno)
         cluster = frozenset(members)
@@ -413,18 +429,38 @@ def _concept_from_dict(obj: dict, lineno: int) -> Concept:
 def read_kg_jsonl(text: str) -> KnowledgeGraph:
     """Re-import a JSONL knowledge-graph export.
 
-    A malformed record raises ParseError carrying its line number.
+    A malformed record raises ParseError carrying its line number, and so
+    does a graph no export can produce: a repeated concept_id, a mention in
+    two clusters, or a cluster of a document that is not among the papers
+    (reported at the first concept naming it, since the header may follow).
     """
     papers: tuple[str, ...] | None = None
     concepts: list[Concept] = []
+    concept_ids: set[str] = set()
+    clustered: set[MentionKey] = set()
+    first_line: dict[str, int] = {}  # cluster doc_id -> first line naming it
     for lineno, obj in _json_objects(text):
         record = obj.get("record")
         if record == "kg":
             papers = tuple(_expect_entries(obj, "papers", str, lineno))
         elif record == "concept":
-            concepts.append(_concept_from_dict(obj, lineno))
+            concept = _concept_from_dict(obj, lineno)
+            if concept.concept_id in concept_ids:
+                raise ParseError(f"duplicate concept_id {concept.concept_id!r}", lineno)
+            concept_ids.add(concept.concept_id)
+            for cluster in concept.clusters:
+                first_line.setdefault(cluster.doc_id, lineno)
+                keys = {m.key for m in cluster.mentions}
+                if not clustered.isdisjoint(keys):
+                    raise ParseError(f"mention {min(clustered & keys)} is in two clusters", lineno)
+                clustered |= keys
+            concepts.append(concept)
         else:
             raise ParseError(f"unknown record kind {record!r}", lineno)
     if papers is None:
         raise ParseError("missing kg header record")
+    unknown = set(first_line).difference(papers)
+    if unknown:
+        lineno, doc_id = min((first_line[d], d) for d in unknown)
+        raise ParseError(f"cluster document {doc_id!r} is not among the papers", lineno)
     return _graph(papers, concepts)

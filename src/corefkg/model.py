@@ -9,7 +9,11 @@ document; a cluster of size one is a singleton cluster.
 All types are immutable value objects and every operation here is a pure
 function of its inputs. ``Mention`` and ``CoreferenceCluster``, of which a
 corpus holds one per annotation, are slotted: they carry no per-instance
-``__dict__``, so a large corpus takes less memory. The corpus readers are
+``__dict__``, so a large corpus takes less memory. Their ``__init__`` is
+written in the class body and stores each field through its slot's member
+descriptor, which is cheaper than the generated ``object.__setattr__`` per
+field; parameters, defaults, equality, hashing, copying and
+``dataclasses.replace`` are the dataclass's. The corpus readers are
 the validation boundary: while they build a document they check, on
 integers, the invariants it does not hold by construction, and they call
 ``validate`` only to word the violations of a document that failed those
@@ -111,6 +115,15 @@ class Mention:
     surface: str
     source: MentionSource = MentionSource.CONCEPT_EXTRACTOR
 
+    def __init__(self, doc_id: str, start: int, end: int, concept_type: ConceptType,
+                 surface: str, source: MentionSource = MentionSource.CONCEPT_EXTRACTOR):
+        _set_mention_doc_id(self, doc_id)
+        _set_mention_start(self, start)
+        _set_mention_end(self, end)
+        _set_mention_concept_type(self, concept_type)
+        _set_mention_surface(self, surface)
+        _set_mention_source(self, source)
+
     def __hash__(self) -> int:
         """Hash of the span (doc_id, start, end) alone.
 
@@ -135,10 +148,12 @@ class CoreferenceCluster:
     doc_id: str
     mentions: frozenset[Mention]
 
-    def __post_init__(self):
-        object.__setattr__(self, "mentions", frozenset(self.mentions))
-        if not self.mentions:
-            raise ValueError(f"empty cluster in document {self.doc_id!r}")
+    def __init__(self, doc_id: str, mentions: frozenset[Mention]):
+        mentions = frozenset(mentions)
+        if not mentions:
+            raise ValueError(f"empty cluster in document {doc_id!r}")
+        _set_cluster_doc_id(self, doc_id)
+        _set_cluster_mentions(self, mentions)
 
     @property
     def size(self) -> int:
@@ -168,6 +183,19 @@ class CoreferenceCluster:
         if len(types) == 1:
             return next(iter(types))
         return ConceptType.MIXED
+
+
+# The __init__ of each slotted value class stores its fields through the
+# slots' member descriptors, which a frozen class's __setattr__ cannot block
+# and which cost less than the generated object.__setattr__ per field.
+_set_mention_doc_id = Mention.doc_id.__set__
+_set_mention_start = Mention.start.__set__
+_set_mention_end = Mention.end.__set__
+_set_mention_concept_type = Mention.concept_type.__set__
+_set_mention_surface = Mention.surface.__set__
+_set_mention_source = Mention.source.__set__
+_set_cluster_doc_id = CoreferenceCluster.doc_id.__set__
+_set_cluster_mentions = CoreferenceCluster.mentions.__set__
 
 
 @dataclass(frozen=True)
@@ -258,8 +286,16 @@ def validate(doc: Document) -> list[str]:
     return violations
 
 
+#: Domain names that ``kgpop.kg_stats`` uses for its own columns.
+_RESERVED_DOMAINS = frozenset({"Total", "MIX"})
+
+
 def validate_corpus(corpus: Corpus) -> list[str]:
-    """Validate every document plus corpus-level uniqueness of doc_ids."""
+    """Validate every document plus corpus-level uniqueness of doc_ids.
+
+    The domain names ``Total`` and ``MIX`` are reserved for the columns of
+    ``kgpop.kg_stats``.
+    """
     violations: list[str] = []
     seen: set[str] = set()
     for doc in corpus:
@@ -267,6 +303,8 @@ def validate_corpus(corpus: Corpus) -> list[str]:
             violations.append(f"duplicate doc_id {doc.doc_id!r}")
         seen.add(doc.doc_id)
         violations.extend(validate(doc))
+        if doc.domain in _RESERVED_DOMAINS:
+            violations.append(f"domain name {doc.domain!r} is reserved")
     return violations
 
 

@@ -8,8 +8,9 @@ expansion), normalized.
 
 A label is a function of the acronym-expanded surface and the lemma
 exception table alone. Callers that label many mentions (``resolve_corpus``
-and ``kgpop.collapse``) share one ``_Labeler`` per call, which normalizes
-each distinct expanded surface once; no memo lives beyond that call.
+and ``kgpop.collapse``) share one ``_Labeler`` per call, which expands and
+normalizes each distinct surface once; only a surface that the document's
+acronym map can touch is expanded again. No memo lives beyond that call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ POSSESSIVES = frozenset({"its", "their", "our", "his", "her"})
 _LEADING_STOP = DETERMINERS | DEMONSTRATIVES | POSSESSIVES
 
 _PAREN = re.compile(r"\(([^()]{1,80})\)")
-_WS = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,8 @@ def build_acronym_map(doc_text: str) -> AcronymMap:
         short = match.group(1).strip()
         if not _valid_short_form(short) or short in expansions:
             continue
-        before = _WS.split(doc_text[: match.start()].strip())
-        window_words = before[-min(len(short) + 5, 2 * len(short)):]
-        window = " ".join(w for w in window_words if w)
+        n = min(len(short) + 5, 2 * len(short))
+        window = " ".join(doc_text[: match.start()].rsplit(None, n)[-n:])
         if not window:
             continue
         long_form = _best_long_form(short, window)
@@ -211,19 +210,25 @@ def _expand_acronyms(surface: str, acronyms: AcronymMap) -> str:
 
 
 class _Labeler:
-    """Label rules plus a memo from acronym-expanded surface to label.
+    """Label rules plus two memos: raw surface -> its parts and plain label,
+    and acronym-expanded surface -> label.
 
     A label depends only on the expanded surface and the exception table,
-    so one labeler normalizes each distinct expanded surface once. Its scope
-    is one call: ``normalize_mention`` and ``cluster_label`` make a fresh
-    labeler per call, and ``resolve_corpus`` and ``collapse`` one per call
-    for all the mentions they label. Nothing outlives that call, so a table
-    swapped with ``set_default_lemma_exceptions`` applies from the next call.
+    and a surface whose stripped form and tokens are all absent from the
+    document's acronym map expands to its whitespace-collapsed self. So one
+    labeler expands and normalizes each distinct surface once, and expands
+    again only a surface the map can touch. Its scope is one call:
+    ``normalize_mention`` and ``cluster_label`` make a fresh labeler per
+    call, and ``resolve_corpus`` and ``collapse`` one per call for all the
+    mentions they label. Nothing outlives that call, so a table swapped with
+    ``set_default_lemma_exceptions`` applies from the next call.
     """
 
     def __init__(self, exceptions: Mapping[str, str] | None = None):
         self._exceptions = exceptions if exceptions is not None else _default_exceptions()
         self._labels: dict[str, str] = {}
+        # raw surface -> (stripped, tokens, whitespace-collapsed, its label)
+        self._surfaces: dict[str, tuple[str, tuple[str, ...], str, str]] = {}
 
     def _normalize(self, expanded: str) -> str:
         label = self._labels.get(expanded)
@@ -243,10 +248,39 @@ class _Labeler:
         label = self._labels[expanded] = " ".join(cleaned)
         return label
 
+    def _parts(self, surface: str) -> tuple[str, tuple[str, ...], str, str]:
+        parts = self._surfaces.get(surface)
+        if parts is None:
+            stripped = surface.strip()
+            tokens = stripped.split()
+            collapsed = " ".join(tokens)
+            if collapsed == stripped:
+                collapsed = stripped  # share the string the mentions hold
+            # A lone token is the stripped surface itself, which is looked up
+            # in the acronym map anyway, so tokens are kept only when several.
+            kept = tuple(tokens) if len(tokens) > 1 else ()
+            parts = (stripped, kept, collapsed, self._normalize(collapsed))
+            self._surfaces[surface] = parts
+        return parts
+
+    def _expanded(self, surface: str, acronyms: AcronymMap) -> str:
+        stripped, tokens, collapsed, _ = self._parts(surface)
+        expansions = acronyms.expansions
+        if stripped in expansions or not expansions.keys().isdisjoint(tokens):
+            return _expand_acronyms(surface, acronyms)
+        return collapsed
+
     def mention(self, surface: str, acronyms: AcronymMap) -> str:
-        return self._normalize(_expand_acronyms(surface, acronyms))
+        stripped, tokens, _, label = self._parts(surface)
+        expansions = acronyms.expansions
+        if stripped in expansions or not expansions.keys().isdisjoint(tokens):
+            return self._normalize(_expand_acronyms(surface, acronyms))
+        return label
 
     def cluster(self, cluster: CoreferenceCluster, acronyms: AcronymMap) -> str:
+        if len(cluster.mentions) == 1:  # the lone mention is the longest
+            for m in cluster.mentions:
+                return self.mention(m.surface, acronyms)
         if not cluster.mentions:
             raise ValueError("cannot label an empty cluster")
         # Each mention is expanded once; the winner's expansion is the one
@@ -254,7 +288,7 @@ class _Labeler:
         best = min(
             (-len(expanded), m.start, m.end, m.surface, expanded)
             for m in cluster.mentions
-            for expanded in (_expand_acronyms(m.surface, acronyms),)
+            for expanded in (self._expanded(m.surface, acronyms),)
         )
         return self._normalize(best[-1])
 

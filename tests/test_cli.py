@@ -317,13 +317,17 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert seed0 == seed1
 
 
-def test_cli_imports_neither_numpy_nor_scipy():
+def test_cli_imports_only_the_package_and_the_standard_library():
+    # -I -S: no environment, user site or site-packages .pth hooks, which
+    # would load third-party modules before the package is imported.
     package_root = str(Path(corefkg.__file__).resolve().parent.parent)
     code = ("import sys\n"
+            f"sys.path.insert(0, {package_root!r})\n"
             "from corefkg.cli import main\n"
             "assert main(['--help']) == 0\n"
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": package_root},
+            "print(sorted(name for name in sys.modules if name != '__main__'\n"
+            "             and name.partition('.')[0] not in (*sys.stdlib_module_names, 'corefkg')))\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                           capture_output=True, text=True, encoding="utf-8", timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"

@@ -110,6 +110,16 @@ def test_read_gold_jsonl_rejects_mention_in_two_concepts():
     assert err.value.line == 3
 
 
+def test_read_gold_jsonl_rejects_a_repeated_entity():
+    header = '{"record": "gold_kg", "clusters_kept": 2, "singleton_clusters": 2}'
+    text = (f'{header}\n{{"entity": "Q1", "mentions": [{{"doc_id": "d", "start": 0, "end": 3, '
+            f'"type": "Data"}}]}}\n{{"entity": "Q1", "mentions": [{{"doc_id": "d", "start": 5, '
+            f'"end": 9, "type": "Data"}}]}}\n')
+    with pytest.raises(ParseError, match="duplicate gold concept entity 'Q1'") as err:
+        read_gold_jsonl(text)
+    assert err.value.line == 3
+
+
 @pytest.mark.parametrize("mention", [
     '{"doc_id": "d", "start": 1.9, "end": 3, "type": "Data"}',
     '{"doc_id": "d", "end": 3, "type": "Data"}',

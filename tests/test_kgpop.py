@@ -408,6 +408,54 @@ def test_read_kg_jsonl_rejects_a_mention_listed_twice_in_a_cluster():
     assert err.value.line == 2
 
 
+def _two_concept_lines():
+    doc = Document("d", "CS", "alpha beta", (typed("d", 0, 5, "alpha"), typed("d", 6, 10, "beta")))
+    return [json.loads(line) for line in export_kg_jsonl(populate(Corpus((doc,)), IN)).splitlines()]
+
+
+def _reversed_offsets(records):
+    records[1]["clusters"][0]["mentions"][0].update(start=7, end=2)
+
+
+def _mixed_type(records):
+    records[1]["clusters"][0]["mentions"][0]["type"] = "Mixed"
+
+
+def _mention_in_two_concepts(records):
+    records[2]["clusters"].append(records[1]["clusters"][0])
+
+
+def _mention_in_two_clusters_of_a_concept(records):
+    records[2]["clusters"].append(dict(records[2]["clusters"][0]))
+
+
+def _repeated_concept_id(records):
+    records[2]["concept_id"] = records[1]["concept_id"]
+
+
+def _unknown_document(records):
+    records[2]["clusters"][0]["doc_id"] = "zzz"
+    records.append(records.pop(0))  # the header may come last
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (_reversed_offsets, 2, r"offset order violated @ d\[7,2\)"),
+    (_mixed_type, 2, r"mention typed Mixed @ d\[0,5\)"),
+    (_mention_in_two_concepts, 3, r"mention \('d', 0, 5, 'Material'\) is in two clusters"),
+    (_mention_in_two_clusters_of_a_concept, 3, r"mention \('d', 6, 10, 'Material'\) is in two"),
+    (_repeated_concept_id, 3, "duplicate concept_id"),
+    (_unknown_document, 2, "cluster document 'zzz' is not among the papers"),
+], ids=["reversed-offsets", "mixed", "in-two-concepts", "in-two-clusters", "repeated-id",
+        "unknown-document"])
+def test_read_kg_jsonl_rejects_graphs_no_export_produces(edit, line, message):
+    records = _two_concept_lines()
+    assert read_kg_jsonl("\n".join(map(json.dumps, records)))
+    edit(records)
+    with pytest.raises(ParseError, match=message) as err:
+        read_kg_jsonl("\n".join(map(json.dumps, records)))
+    assert err.value.line == line
+
+
 @pytest.mark.parametrize("line_index, path", [
     (0, ("papers",)),
     (1, ("clusters",)),

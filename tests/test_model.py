@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 from pathlib import Path
@@ -76,6 +77,12 @@ def test_validate_duplicate_key():
 def test_validate_corpus_duplicate_doc_ids():
     doc = Document("d", "CS", "abc")
     assert any("duplicate doc_id" in v for v in validate_corpus(Corpus((doc, doc))))
+
+
+@pytest.mark.parametrize("domain", ["Total", "MIX"])
+def test_validate_corpus_reports_the_domain_names_of_kg_stats_columns(domain):
+    corpus = Corpus((Document("a", domain, "abc"), Document("b", "CS", "abc")))
+    assert validate_corpus(corpus) == [f"domain name {domain!r} is reserved"]
 
 
 def test_cluster_must_be_nonempty():
@@ -269,3 +276,25 @@ def test_mentions_and_clusters_are_slotted_and_copy_faithfully():
         m.start = 1
     moved = dataclasses.replace(n, concept_type=ConceptType.MATERIAL)
     assert moved != n and hash(moved) == hash(n)
+
+
+@pytest.mark.parametrize("cls", [Mention, CoreferenceCluster])
+def test_hand_written_init_takes_the_dataclass_fields(cls):
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)
+    ]
+
+
+def test_values_built_by_position_and_by_keyword_are_equal():
+    m = Mention("d", 0, 2, ConceptType.DATA, "ab")
+    assert m.source is MentionSource.CONCEPT_EXTRACTOR
+    assert m == Mention(doc_id="d", start=0, end=2, concept_type=ConceptType.DATA, surface="ab",
+                        source=MentionSource.CONCEPT_EXTRACTOR)
+    cluster = CoreferenceCluster("d", [m])
+    assert type(cluster.mentions) is frozenset and cluster.mentions == {m}
+    assert cluster == CoreferenceCluster(mentions=frozenset([m]), doc_id="d")
+    with pytest.raises(ValueError, match="empty cluster in document 'd'"):
+        CoreferenceCluster("d", [])

@@ -1,6 +1,10 @@
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corefkg.baseline import PRONOUNS, resolve_corpus
 from corefkg.kgpop import CollapseStrategy, DomainScope, populate
@@ -14,6 +18,10 @@ from corefkg.model import (
 )
 from corefkg.normalize import (
     AcronymMap,
+    _best_long_form,
+    _expand_acronyms,
+    _Labeler,
+    _valid_short_form,
     build_acronym_map,
     cluster_label,
     load_lemma_exceptions,
@@ -62,6 +70,63 @@ def test_acronym_mixed_case_and_digits():
 
 def test_acronym_long_form_containing_short_form_rejected():
     assert "SVM" not in build_acronym_map("the SVM classifier (SVM) is used")
+
+
+#: Every character that str.split() and re's \s treat as whitespace.
+UNICODE_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+_WS = re.compile(r"\s+")
+
+
+def _whole_prefix_acronym_map(doc_text):
+    """``build_acronym_map`` as it was before its window was bounded: the
+    window is cut from a split of the whole text before the parenthesis."""
+    expansions = {}
+    for match in re.finditer(r"\(([^()]{1,80})\)", doc_text):
+        short = match.group(1).strip()
+        if not _valid_short_form(short) or short in expansions:
+            continue
+        before = _WS.split(doc_text[: match.start()].strip())
+        window_words = before[-min(len(short) + 5, 2 * len(short)):]
+        window = " ".join(w for w in window_words if w)
+        if not window:
+            continue
+        long_form = _best_long_form(short, window)
+        if not long_form:
+            continue
+        long_form = long_form.strip(" ,;:")
+        if len(long_form) <= len(short) or short in long_form:
+            continue
+        expansions[short] = long_form
+    return expansions
+
+
+_SPACES = st.text(st.sampled_from(UNICODE_SPACES), min_size=1, max_size=3)
+_WORDS = st.sampled_from(["support", "vector", "machines", "SVM", "(SVM)", "(S V)", "Sv",
+                          "neural", "nets", "(NN)", "(", ")", "a", "of", "x,", ";", "(1999)",
+                          "S", "V", "M", "N", "y", "y", "y",
+                          "support\u2003vector\tmachine (SVM)", "neural\u00a0net (NN)"])
+_JOINED = st.lists(st.tuples(_WORDS, _SPACES), max_size=30).map(
+    lambda parts: "".join(w + sp for w, sp in parts))
+_TEXTS = st.one_of(
+    st.text(st.sampled_from("abSVMN()-,;:1 " + UNICODE_SPACES), max_size=60),
+    _JOINED,
+    # a definition right after a few short words, so that the first letter
+    # of the short form often falls on the window's edge
+    st.tuples(_JOINED, st.sampled_from(["SVM", "NN", "S V", "MS"])).map(
+        lambda parts: f"{parts[0]}({parts[1]}) then"),
+)
+
+
+def test_unicode_spaces_are_the_29_that_split_and_re_agree_on():
+    assert len(UNICODE_SPACES) == 29
+    assert _WS.fullmatch(UNICODE_SPACES)
+    assert UNICODE_SPACES.split() == []
+
+
+@settings(max_examples=400)
+@given(_TEXTS)
+def test_bounded_window_matches_whole_prefix_split(text):
+    assert build_acronym_map(text).expansions == _whole_prefix_acronym_map(text)
 
 
 def test_acronym_map_invariants():
@@ -210,8 +275,47 @@ def test_cluster_label_tie_breaks_by_offset():
 
 
 # --- per-call label memo ----------------------------------------------------------
-# resolve_corpus and collapse label each distinct expanded surface once per
-# call; the references below label every mention afresh.
+# resolve_corpus and collapse label each distinct surface once per call; the
+# references below label every mention afresh.
+
+_TOKENS = st.sampled_from(["The", "A", "B", "CNN", "CNNs", "SVM", "models", "network's",
+                           "its", "Data", "x", ""])
+_SURFACES = st.lists(st.tuples(_SPACES | st.just(" "), _TOKENS), min_size=1, max_size=4).map(
+    lambda parts: "".join(sp + tok for sp, tok in parts)
+) | st.sampled_from(["A B", " A B ", "A\u2003B", "CNN", "the CNN models"])
+_LONG_FORMS = st.sampled_from(["convolutional neural network", "support vector machines",
+                               "a  b", "the models", "x", ""])
+# Short forms include two-word ones ("A B"), which only a whole surface can hit.
+_MAPS = st.lists(
+    st.dictionaries(st.sampled_from(["A B", "A", "CNN", "SVM", "models", "x", "The"]),
+                    _LONG_FORMS, max_size=3).map(
+        lambda d: AcronymMap({k: v for k, v in d.items() if k != v})),
+    min_size=1, max_size=3,
+)
+
+
+def _slow_cluster_label(cluster, acronyms):
+    """The cluster label with every mention expanded by ``_expand_acronyms``."""
+    best = min((-len(e), m.start, m.end, m.surface, e)
+               for m in cluster.mentions for e in (_expand_acronyms(m.surface, acronyms),))
+    return _Labeler()._normalize(best[-1])
+
+
+@settings(max_examples=300)
+@given(maps=_MAPS, uses=st.lists(st.tuples(_SURFACES, st.integers(0, 2)), min_size=1,
+                                 max_size=12))
+def test_label_memo_equals_the_expanding_slow_path(maps, uses):
+    labeler = _Labeler()  # shared by every surface and map below
+    for surface, i in uses:
+        acronyms = maps[i % len(maps)]
+        assert labeler.mention(surface, acronyms) == \
+            _Labeler()._normalize(_expand_acronyms(surface, acronyms))
+    for i, acronyms in enumerate(maps):
+        cluster = _cluster([surface for surface, _ in uses[i:]] or [uses[0][0]])
+        expected = _slow_cluster_label(cluster, acronyms)
+        assert labeler.cluster(cluster, acronyms) == _Labeler().cluster(cluster, acronyms) \
+            == expected
+
 
 def _doc(doc_id, domain, text, surfaces):
     """Mentions at the successive occurrences of ``surfaces`` in ``text``."""
@@ -223,8 +327,8 @@ def _doc(doc_id, domain, text, surfaces):
     return Document(doc_id, domain, text, tuple(mentions))
 
 
-# The same short form expands differently per document, so a memo keyed on
-# the raw surface instead of the expanded one would mislabel "CNN".
+# The same short form expands differently per document, so the raw-surface
+# memo may serve "CNN" only where the document's map cannot touch it.
 ACRONYM_DOCS = (
     _doc("acr/1", "CS", "convolutional neural networks (CNN) help; the CNN models and CNNs",
          ["convolutional neural networks", "CNN", "CNN models", "CNNs"]),

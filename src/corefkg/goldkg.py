@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ParseError, ValidationError
-from .jsonl import _MENTION_TYPES, _digits, _expect, _expect_entries, _json_objects, _lines
+from .jsonl import (_concept_type, _digits, _expect, _expect_entries, _json_objects, _key_group,
+                    _lines, _mention_entry, _mention_key)
 from .kgpop import CollapseStrategy, acronym_maps, collapse
 from .metrics import Partition, ScoreReport, score
 from .model import (
@@ -118,51 +119,40 @@ def write_gold_jsonl(gold: GoldKg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gold_mention(m: dict, lineno: int) -> MentionKey:
-    doc_id = _expect(m, "doc_id", str, lineno)
-    start = _expect(m, "start", int, lineno)
-    end = _expect(m, "end", int, lineno)
-    name = _expect(m, "type", str, lineno)
-    if not 0 <= start < end:
-        raise ParseError(f"offset order violated @ {doc_id}[{start},{end})", lineno)
-    if name not in _MENTION_TYPES:
-        raise ParseError(f"{name!r} is not a mention type", lineno)
-    return (doc_id, start, end, name)
-
-
 def read_gold_jsonl(text: str) -> GoldKg:
-    """Parse a gold KG; a malformed line raises ParseError with its number."""
+    """Parse a gold KG; a malformed line raises ParseError with its number, and so does
+    a second header, a repeated entity, a mention with offsets out of order or typed
+    Mixed, or a concept that is empty, lists a mention twice or shares one."""
     concepts: list[GoldConcept] = []
     seen: set[MentionKey] = set()
     entities: set[str] = set()
-    kept = singleton = 0
+    header: tuple[int, int] | None = None
     for lineno, obj in _json_objects(text):
         if obj.get("record") == "gold_kg":
-            kept = _expect(obj, "clusters_kept", int, lineno)
-            singleton = _expect(obj, "singleton_clusters", int, lineno)
+            if header is not None:
+                raise ParseError("repeated gold_kg header record", lineno)
+            header = (_expect(obj, "clusters_kept", int, lineno),
+                      _expect(obj, "singleton_clusters", int, lineno))
             continue
         entity = _expect(obj, "entity", str, lineno)
         if entity in entities:
             raise ParseError(f"duplicate gold concept entity {entity!r}", lineno)
         entities.add(entity)
-        entries = _expect_entries(obj, "mentions", dict, lineno)
-        mentions = frozenset(_gold_mention(m, lineno) for m in entries)
-        if len(mentions) != len(entries):
-            raise ParseError(f"gold concept {entity!r} lists a mention twice", lineno)
-        if not mentions:
-            raise ParseError("gold concept without mentions", lineno)
-        if not seen.isdisjoint(mentions):
-            repeated = min(seen & mentions)
-            raise ParseError(f"mention {repeated} already belongs to another gold concept", lineno)
-        seen |= mentions
+        keys = [_mention_key(_expect(m, "doc_id", str, lineno), *_mention_entry(m, lineno), lineno)
+                for m in _expect_entries(obj, "mentions", dict, lineno)]
+        mentions = _key_group(keys, f"gold concept {entity!r}", seen, lineno)
         concepts.append(GoldConcept(entity=entity, mentions=mentions))
+    kept, singleton = header or (0, 0)
     return GoldKg(
         concepts=tuple(concepts), n_clusters_kept=kept, n_singleton_clusters=singleton
     )
 
 
 def read_entity_links(text: str) -> dict[MentionKey, str]:
-    """Parse an entity-links TSV: doc_id, start, end, type, entity per line."""
+    """Parse an entity-links TSV: doc_id, start, end, type, entity per line.
+
+    Each key must have ``0 <= start < end`` and a mention type (any but Mixed).
+    """
     links: dict[MentionKey, str] = {}
     for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
@@ -173,9 +163,8 @@ def read_entity_links(text: str) -> dict[MentionKey, str]:
         if any(p != p.strip() for p in parts):
             raise ParseError(f"field with surrounding whitespace in {line!r}", lineno)
         doc_id, start_s, end_s, type_name, entity = parts
-        key: MentionKey = (
-            doc_id, _digits(start_s, "start", lineno), _digits(end_s, "end", lineno), type_name
-        )
+        key = _mention_key(doc_id, _digits(start_s, "start", lineno), _digits(end_s, "end", lineno),
+                           _concept_type(type_name, lineno), lineno)
         if not entity:
             raise ParseError("empty entity id", lineno)
         if key in links and links[key] != entity:

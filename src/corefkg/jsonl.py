@@ -11,9 +11,9 @@ Mention surfaces are not stored (they are slices of the text by invariant),
 so the round-trip is lossless. ``source`` may be omitted; it then defaults
 to ``coref_only`` for type ``None`` and ``concept_extractor`` otherwise.
 
-This module also holds the line handling and field checks that every
-line-oriented reader of the package shares (corpus, column, BRAT, KG and
-gold-KG readers), so each of those facts is decided in one place.
+This module also holds the line handling and field checks, mention entries,
+keys and key groups among them, that the package's line-oriented readers
+share, so each of those facts is decided in one place.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .model import (
     Corpus,
     Document,
     Mention,
+    MentionKey,
     MentionSource,
     _RESERVED_DOMAINS,
     concept_type_from_string,
@@ -37,8 +38,9 @@ from .model import (
 __all__ = ["write_jsonl", "read_jsonl", "document_to_dict", "document_from_dict"]
 
 _SOURCES = {s.value: s for s in MentionSource}
+_MIXED = ConceptType.MIXED  # bound once: an Enum member read off its class costs ~0.1 µs
 #: The types a single mention may carry, by name; Mixed is left to the checks.
-_MENTION_TYPES = {t.value: t for t in ConceptType if t is not ConceptType.MIXED}
+_MENTION_TYPES = {t.value: t for t in ConceptType if t is not _MIXED}
 
 
 def document_to_dict(doc: Document) -> dict:
@@ -124,8 +126,7 @@ def _digits(text: str, what: str, lineno: int) -> int:
     return int(text)
 
 
-def _expect_type(obj: dict, lineno: int) -> ConceptType:
-    name = _expect(obj, "type", str, lineno)
+def _concept_type(name: str, lineno: int) -> ConceptType:
     try:
         return concept_type_from_string(name)
     except ValueError as exc:
@@ -139,20 +140,40 @@ def _expect_source(obj: dict, lineno: int) -> MentionSource:
     return _SOURCES[name]
 
 
-def _mention_fields(entry: dict, lineno: int) -> tuple[int, int, ConceptType, MentionSource]:
-    """Start, end, type and source of one mention entry, each field checked."""
-    start = _expect(entry, "start", int, lineno)
-    end = _expect(entry, "end", int, lineno)
-    ctype = _expect_type(entry, lineno)
-    if "source" in entry:
-        source = _expect_source(entry, lineno)
-    else:
-        source = (
-            MentionSource.COREF_ONLY
-            if ctype is ConceptType.NONE
-            else MentionSource.CONCEPT_EXTRACTOR
-        )
-    return start, end, ctype, source
+def _mention_entry(entry: dict, lineno: int) -> tuple[int, int, ConceptType]:
+    """Start, end and type of a corpus, gold-KG or KG mention entry: one lookup per field
+    for int offsets and a mention type, else the field checks, which word any error."""
+    start, end, name = entry.get("start"), entry.get("end"), entry.get("type")
+    ctype = _MENTION_TYPES.get(name) if type(name) is str else None
+    if ctype is None or type(start) is not int or type(end) is not int:
+        start = _expect(entry, "start", int, lineno)
+        end = _expect(entry, "end", int, lineno)
+        ctype = _concept_type(_expect(entry, "type", str, lineno), lineno)
+    return start, end, ctype
+
+
+def _mention_key(doc_id: str, start: int, end: int, ctype: ConceptType, lineno: int) -> MentionKey:
+    """The key of a mention from outside a corpus: ParseError, in ``validate``'s
+    words, unless ``0 <= start < end`` and the type is not Mixed."""
+    if not 0 <= start < end:
+        raise ParseError(f"offset order violated @ {doc_id}[{start},{end})", lineno)
+    if ctype is _MIXED:
+        raise ParseError(f"mention typed Mixed @ {doc_id}[{start},{end})", lineno)
+    return (doc_id, start, end, ctype.value)
+
+
+def _key_group(keys: list[MentionKey], label: str, seen: set[MentionKey], lineno: int) -> frozenset:
+    """``keys`` as a group: non-empty, no key twice, none in ``seen`` (earlier groups' keys)."""
+    group = frozenset(keys)
+    if not group:
+        raise ParseError(f"{label} without mentions", lineno)
+    if len(group) != len(keys):
+        raise ParseError(f"{label} lists a mention twice", lineno)
+    if not seen.isdisjoint(group):
+        shared = min(seen & group)
+        raise ParseError(f"{label} shares mention {shared} with an earlier group", lineno)
+    seen |= group
+    return group
 
 
 def _checked(doc: Document, sound: bool, lineno: int, seen_ids: set[str]) -> Document:
@@ -196,19 +217,14 @@ def _document_from_dict(obj: dict, lineno: int) -> tuple[Document, bool]:
     mentions: list[Mention] = []
     keys: set[tuple[int, int, ConceptType]] = set()
     for entry in _expect_entries(obj, "mentions", dict, lineno):
-        # A complete entry of a mention type is accepted with one lookup per
-        # field and exact type tests; any other entry (no source, Mixed, a
-        # bool or missing offset, ...) takes the field-by-field checks, which
-        # fill in the default source or raise the precise ParseError.
-        start, end = entry.get("start"), entry.get("end")
-        name, source_name = entry.get("type"), entry.get("source")
-        ctype = _MENTION_TYPES.get(name) if type(name) is str else None
-        source = _SOURCES.get(source_name) if type(source_name) is str else None
-        if ctype is None or source is None or type(start) is not int or type(end) is not int:
-            start, end, ctype, source = _mention_fields(entry, lineno)
-            if ctype is ConceptType.MIXED:
-                sound = False
-        if not 0 <= start < end <= n:
+        start, end, ctype = _mention_entry(entry, lineno)
+        name = entry.get("source")
+        source = _SOURCES.get(name) if type(name) is str else None
+        if source is None:  # a missing source defaults by type
+            source = _expect_source(entry, lineno) if "source" in entry else (
+                MentionSource.COREF_ONLY if ctype is ConceptType.NONE
+                else MentionSource.CONCEPT_EXTRACTOR)
+        if not 0 <= start < end <= n or ctype is _MIXED:
             sound = False
         keys.add((start, end, ctype))
         mentions.append(Mention(doc_id, start, end, ctype, text[start:end], source))

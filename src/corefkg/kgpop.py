@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ParseError
-from .jsonl import _expect, _expect_entries, _expect_source, _expect_type, _json_objects
+from .jsonl import (_concept_type, _expect, _expect_entries, _expect_source, _json_objects,
+                    _key_group, _mention_entry, _mention_key)
 from .model import (
     CANONICAL_TYPES,
     ConceptType,
@@ -392,36 +393,24 @@ def export_kg_jsonl(kg: KnowledgeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _concept_from_dict(obj: dict, lineno: int) -> Concept:
+def _concept_from_dict(obj: dict, lineno: int, clustered: set[MentionKey]) -> Concept:
+    """One concept record; ``clustered`` holds the keys of earlier clusters and gains its own."""
     clusters = []
     for entry in _expect_entries(obj, "clusters", dict, lineno):
         doc_id = _expect(entry, "doc_id", str, lineno)
-        members = []
+        keys, members = [], []
         for m in _expect_entries(entry, "mentions", dict, lineno):
-            mention = Mention(
-                doc_id,
-                _expect(m, "start", int, lineno),
-                _expect(m, "end", int, lineno),
-                _expect_type(m, lineno),
-                _expect(m, "surface", str, lineno),
-                _expect_source(m, lineno),
-            )
-            if not 0 <= mention.start < mention.end:
-                raise ParseError(f"offset order violated @ {mention.span()}", lineno)
-            if mention.concept_type is ConceptType.MIXED:
-                raise ParseError(f"mention typed Mixed @ {mention.span()}", lineno)
-            members.append(mention)
-        if not members:
-            raise ParseError(f"cluster of {doc_id!r} without mentions", lineno)
-        cluster = frozenset(members)
-        if len(cluster) != len(members):
-            raise ParseError(f"cluster of {doc_id!r} lists a mention twice", lineno)
-        clusters.append(CoreferenceCluster(doc_id, cluster))
+            start, end, ctype = _mention_entry(m, lineno)
+            keys.append(_mention_key(doc_id, start, end, ctype, lineno))
+            surface = _expect(m, "surface", str, lineno)
+            members.append(Mention(doc_id, start, end, ctype, surface, _expect_source(m, lineno)))
+        _key_group(keys, f"cluster of {doc_id!r}", clustered, lineno)
+        clusters.append(CoreferenceCluster(doc_id, members))
     return Concept(
         concept_id=_expect(obj, "concept_id", str, lineno),
         label=_expect(obj, "label", str, lineno),
         domain_scope=_expect(obj, "domain_scope", str, lineno),
-        concept_type=_expect_type(obj, lineno),
+        concept_type=_concept_type(_expect(obj, "type", str, lineno), lineno),
         clusters=tuple(clusters),
     )
 
@@ -430,9 +419,12 @@ def read_kg_jsonl(text: str) -> KnowledgeGraph:
     """Re-import a JSONL knowledge-graph export.
 
     A malformed record raises ParseError carrying its line number, and so
-    does a graph no export can produce: a repeated concept_id, a mention in
-    two clusters, or a cluster of a document that is not among the papers
-    (reported at the first concept naming it, since the header may follow).
+    does a graph no export can produce: a second header, a repeated
+    concept_id, a mention with offsets out of order or typed Mixed, a
+    cluster that is empty or lists a (start, end, type) twice or that
+    another cluster lists, or a cluster of a document that is not among the
+    papers (reported at the first concept naming it, since the header may
+    follow).
     """
     papers: tuple[str, ...] | None = None
     concepts: list[Concept] = []
@@ -442,18 +434,16 @@ def read_kg_jsonl(text: str) -> KnowledgeGraph:
     for lineno, obj in _json_objects(text):
         record = obj.get("record")
         if record == "kg":
+            if papers is not None:
+                raise ParseError("repeated kg header record", lineno)
             papers = tuple(_expect_entries(obj, "papers", str, lineno))
         elif record == "concept":
-            concept = _concept_from_dict(obj, lineno)
+            concept = _concept_from_dict(obj, lineno, clustered)
             if concept.concept_id in concept_ids:
                 raise ParseError(f"duplicate concept_id {concept.concept_id!r}", lineno)
             concept_ids.add(concept.concept_id)
             for cluster in concept.clusters:
                 first_line.setdefault(cluster.doc_id, lineno)
-                keys = {m.key for m in cluster.mentions}
-                if not clustered.isdisjoint(keys):
-                    raise ParseError(f"mention {min(clustered & keys)} is in two clusters", lineno)
-                clustered |= keys
             concepts.append(concept)
         else:
             raise ParseError(f"unknown record kind {record!r}", lineno)

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,22 @@ def test_compile_gold_with_links_file(tmp_path, capsys):
     assert main(["compile-gold", "--in", str(src), "--links", str(links),
                  "--out", str(gold_path)]) == 0
     assert "Q_alpha" in gold_path.read_text("utf-8")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("d1\t5\t2\tData\tQ", r"offset order violated @ d1\[5,2\)"),
+    ("d1\t5\t2\tBogus\tQ", "unknown concept type 'Bogus'"),
+    ("d1\t0\t5\tMixed\tQ", r"mention typed Mixed @ d1\[0,5\)"),
+], ids=["reversed", "unknown-type", "mixed"])
+def test_compile_gold_rejects_link_rows_no_mention_can_match(tmp_path, capsys, row, message):
+    doc = Document("d1", "CS", "alpha", (Mention("d1", 0, 5, ConceptType.DATA, "alpha"),))
+    src = tmp_path / "c.jsonl"
+    src.write_text(write_jsonl(Corpus((doc,))), "utf-8")
+    links = tmp_path / "links.tsv"
+    links.write_text(f"d1\t0\t5\tData\tQ_alpha\n{row}\n", "utf-8")
+    assert main(["compile-gold", "--in", str(src), "--links", str(links), "--skip-unmatched-links",
+                 "--out", str(tmp_path / "gold.jsonl")]) == 2
+    assert re.search(f"line 2: {message}", capsys.readouterr().err)
 
 
 def test_identical_invocations_byte_identical(tmp_path, capsys):

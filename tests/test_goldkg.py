@@ -105,7 +105,8 @@ def test_read_gold_jsonl_rejects_mention_in_two_concepts():
     other = '{"doc_id": "d", "start": 5, "end": 9, "type": "Material"}'
     text = (f'{header}\n{{"entity": "A", "mentions": [{mention}]}}\n'
             f'{{"entity": "B", "mentions": [{other}, {mention}]}}\n')
-    with pytest.raises(ParseError, match="another gold concept") as err:
+    with pytest.raises(ParseError, match=r"gold concept 'B' shares mention "
+                       r"\('d', 0, 3, 'Material'\) with an earlier group") as err:
         read_gold_jsonl(text)
     assert err.value.line == 3
 
@@ -116,6 +117,16 @@ def test_read_gold_jsonl_rejects_a_repeated_entity():
             f'"type": "Data"}}]}}\n{{"entity": "Q1", "mentions": [{{"doc_id": "d", "start": 5, '
             f'"end": 9, "type": "Data"}}]}}\n')
     with pytest.raises(ParseError, match="duplicate gold concept entity 'Q1'") as err:
+        read_gold_jsonl(text)
+    assert err.value.line == 3
+
+
+def test_read_gold_jsonl_rejects_a_repeated_header():
+    mention = '{"doc_id": "d", "start": 0, "end": 3, "type": "Data"}'
+    text = ('{"record": "gold_kg", "clusters_kept": 5, "singleton_clusters": 1}\n'
+            f'{{"entity": "Q1", "mentions": [{mention}]}}\n'
+            '{"record": "gold_kg", "clusters_kept": 9, "singleton_clusters": 1}\n')
+    with pytest.raises(ParseError, match="repeated gold_kg header record") as err:
         read_gold_jsonl(text)
     assert err.value.line == 3
 
@@ -134,11 +145,12 @@ def test_read_gold_jsonl_mention_fields(mention):
 
 
 @pytest.mark.parametrize("mentions, message", [
-    ('{"doc_id": "d", "start": 5, "end": 2, "type": "Bogus"}', r"offset order violated @ d\[5,2\)"),
+    # the type is decoded before the span is checked, as in every JSON reader
+    ('{"doc_id": "d", "start": 5, "end": 2, "type": "Bogus"}', "unknown concept type 'Bogus'"),
     ('{"doc_id": "d", "start": 3, "end": 3, "type": "Data"}', r"offset order violated @ d\[3,3\)"),
     ('{"doc_id": "d", "start": -1, "end": 3, "type": "Data"}', r"offset order violated @ d\[-1,3\)"),
-    ('{"doc_id": "d", "start": 0, "end": 3, "type": "Bogus"}', "'Bogus' is not a mention type"),
-    ('{"doc_id": "d", "start": 0, "end": 3, "type": "Mixed"}', "'Mixed' is not a mention type"),
+    ('{"doc_id": "d", "start": 0, "end": 3, "type": "Bogus"}', "unknown concept type 'Bogus'"),
+    ('{"doc_id": "d", "start": 0, "end": 3, "type": "Mixed"}', r"mention typed Mixed @ d\[0,3\)"),
     ('{"doc_id": "d", "start": 0, "end": 3, "type": "Data"}, '
      '{"doc_id": "d", "start": 0, "end": 3, "type": "Data"}', "'Q1' lists a mention twice"),
 ], ids=["bogus-reversed", "empty-span", "negative-start", "unknown-type", "mixed", "repeat"])

@@ -429,6 +429,16 @@ def _mention_in_two_clusters_of_a_concept(records):
     records[2]["clusters"].append(dict(records[2]["clusters"][0]))
 
 
+def _one_key_under_two_surfaces(records):
+    mentions = records[1]["clusters"][0]["mentions"]
+    mentions.append(dict(mentions[0], surface="omega"))
+
+
+def _repeated_header(records):
+    records[0]["papers"] = ["x"]
+    records.append({"record": "kg", "papers": ["d", "e"]})
+
+
 def _repeated_concept_id(records):
     records[2]["concept_id"] = records[1]["concept_id"]
 
@@ -441,12 +451,16 @@ def _unknown_document(records):
 @pytest.mark.parametrize("edit, line, message", [
     (_reversed_offsets, 2, r"offset order violated @ d\[7,2\)"),
     (_mixed_type, 2, r"mention typed Mixed @ d\[0,5\)"),
-    (_mention_in_two_concepts, 3, r"mention \('d', 0, 5, 'Material'\) is in two clusters"),
-    (_mention_in_two_clusters_of_a_concept, 3, r"mention \('d', 6, 10, 'Material'\) is in two"),
+    (_mention_in_two_concepts, 3,
+     r"cluster of 'd' shares mention \('d', 0, 5, 'Material'\) with an earlier group"),
+    (_mention_in_two_clusters_of_a_concept, 3,
+     r"cluster of 'd' shares mention \('d', 6, 10, 'Material'\) with an earlier group"),
+    (_one_key_under_two_surfaces, 2, "cluster of 'd' lists a mention twice"),
+    (_repeated_header, 4, "repeated kg header record"),
     (_repeated_concept_id, 3, "duplicate concept_id"),
     (_unknown_document, 2, "cluster document 'zzz' is not among the papers"),
-], ids=["reversed-offsets", "mixed", "in-two-concepts", "in-two-clusters", "repeated-id",
-        "unknown-document"])
+], ids=["reversed-offsets", "mixed", "in-two-concepts", "in-two-clusters", "two-surfaces",
+        "repeated-header", "repeated-id", "unknown-document"])
 def test_read_kg_jsonl_rejects_graphs_no_export_produces(edit, line, message):
     records = _two_concept_lines()
     assert read_kg_jsonl("\n".join(map(json.dumps, records)))

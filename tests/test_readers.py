@@ -1,12 +1,15 @@
 """Reader boundary property: a valid serialisation with one random edit
 either reads back into a valid value or raises ParseError carrying a line.
+A corpus is valid when ``validate_corpus`` finds nothing; a gold KG or a KG
+when its groups of mention keys, concept names and cluster documents pass
+checks written here from public fields only, sharing no code with the package.
 
 The edits are a changed field value, a dropped key, a truncated line, a
-swapped pair of offsets and a malformed numeral (a digit of an offset, index
-or chain number replaced by ``٣``, or a ``+`` prefixed to it). Any other
-exception (KeyError, TypeError, ...) or a corpus that fails
-``validate_corpus`` is a reader defect, and so is a malformed numeral that
-reads without ParseError: it was silently coerced.
+swapped pair of offsets, a repeated line or list entry and a malformed
+numeral (a digit of an offset, index or chain number replaced by ``٣``, or a
+``+`` prefixed to it). Any other exception (KeyError, TypeError, ...) or an
+invalid value is a reader defect, and so is a malformed numeral that reads
+without ParseError: it was silently coerced.
 
 The corpus readers check invariants while they build and call ``validate``
 only to word a failure, so ``validate`` is also their oracle: a JSONL
@@ -26,14 +29,14 @@ from corefkg import jsonl
 from corefkg.brat import parse_brat, read_brat_dir, write_brat, write_brat_dir
 from corefkg.conll import read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
-from corefkg.goldkg import compile_gold, read_gold_jsonl, write_gold_jsonl
+from corefkg.goldkg import compile_gold, read_entity_links, read_gold_jsonl, write_gold_jsonl
 from corefkg.jsonl import document_from_dict, read_jsonl, write_jsonl
 from corefkg.kgpop import CollapseStrategy, export_kg_jsonl, populate, read_kg_jsonl
 from corefkg.model import ConceptType, Corpus, Document, validate, validate_corpus
 
 from corpusgen import random_corpus
 
-EDITS = ("change", "drop", "truncate", "swap", "numeral")
+EDITS = ("change", "drop", "truncate", "swap", "repeat", "numeral")
 
 JSON_VALUES = [-1, 0, 1, 2.5, True, None, "", "x", "Data", [], {}, [0]]
 TEXT_VALUES = ["-1", "0", "1", "999", "x", "", "(0", "0)", "(1)", "Data", "T1", "*"]
@@ -73,7 +76,14 @@ def edit_json(rng: random.Random, text: str, edit: str) -> str:
         return "\n".join(lines)
     obj = json.loads(lines[i])
     paths = list(_paths(obj))
-    if edit == "swap":
+    if edit == "repeat":
+        entries = [p for p in paths if isinstance(_at(obj, p[:-1]), list)]
+        if not entries or rng.random() < 0.3:
+            lines.insert(i, lines[i])
+            return "\n".join(lines)
+        entry = rng.choice(entries)
+        _at(obj, entry[:-1]).append(_at(obj, entry))
+    elif edit == "swap":
         spans = [p for p in paths if isinstance(_at(obj, p), dict)
                  and {"start", "end"} <= _at(obj, p).keys()]
         if not spans:
@@ -139,6 +149,9 @@ def edit_fields(rng: random.Random, text: str, edit: str, swap: re.Pattern) -> s
         return text
     if edit == "truncate":
         lines[i] = _truncate(rng, lines[i])
+        return "\n".join(lines)
+    if edit == "repeat":
+        lines.insert(i, lines[i])
         return "\n".join(lines)
     parts = re.split(r"([\t ])", lines[i])   # fields at even positions
     k = 2 * rng.randrange((len(parts) + 1) // 2)
@@ -209,8 +222,68 @@ def test_edited_input_reads_valid_or_raises_parse_error_with_line(reader, rng, e
         assert exc.line is not None, str(exc)
         return
     assert edit != "numeral", "a malformed numeral was read without ParseError"
-    if isinstance(result, Corpus):
+    if reader == "gold":
+        entities = [c.entity for c in result.concepts]
+        assert len(set(entities)) == len(entities), "an entity named twice"
+        assert_valid_groups([sorted(c.mentions) for c in result.concepts])
+    elif reader == "kg":
+        ids = [c.concept_id for c in result.concepts]
+        assert len(set(ids)) == len(ids), "a concept_id named twice"
+        clusters = [c for concept in result.concepts for c in concept.clusters]
+        assert {c.doc_id for c in clusters} <= set(result.papers)
+        assert_valid_groups([[(m.doc_id, m.start, m.end, m.concept_type.value) for m in c.mentions]
+                             for c in clusters])
+    else:
         assert validate_corpus(result) == []
+
+
+def assert_valid_groups(groups: list) -> None:
+    """Each group of mention keys ``(doc_id, start, end, type name)`` is
+    non-empty, no key is listed twice within or across groups, every span is
+    ordered and no mention is typed Mixed."""
+    keys = [key for group in groups for key in group]
+    assert all(groups), "an empty group"
+    assert len(set(keys)) == len(keys), "a mention key listed twice"
+    assert all(0 <= start < end and kind != "Mixed" for _, start, end, kind in keys), keys
+
+
+# a bad mention entry, the same entry as an entity-links row where that format
+# can spell it, and the text every reader raises for it
+BAD_ENTRIES = {
+    "reversed": ({"start": 5, "end": 2, "type": "Data"}, "d\t5\t2\tData",
+                 "offset order violated @ d[5,2)"),
+    "mixed": ({"start": 0, "end": 2, "type": "Mixed"}, "d\t0\t2\tMixed",
+              "mention typed Mixed @ d[0,2)"),
+    "unknown-type": ({"start": 0, "end": 2, "type": "Widget"}, "d\t0\t2\tWidget",
+                     "unknown concept type 'Widget'"),
+    "missing-start": ({"end": 2, "type": "Data"}, None, "missing field 'start'"),
+    "true-offset": ({"start": True, "end": 2, "type": "Data"}, None,
+                    "field 'start' has wrong type bool"),
+}
+
+
+def _with_bad_second_line(entry: dict, row: str | None):
+    """(reader, text) pairs whose line 2 holds ``entry`` as a mention of document d."""
+    doc = {"doc_id": "d", "domain": "CS", "text": "abcdef", "clusters": []}
+    ok = dict(doc, doc_id="ok", mentions=[{"start": 0, "end": 2, "type": "Data"}])
+    yield read_jsonl, f"{json.dumps(ok)}\n{json.dumps(dict(doc, mentions=[entry]))}\n"
+    cluster = {"doc_id": "d", "mentions": [dict(entry, surface="ab", source="coref_only")]}
+    concept = {"record": "concept", "concept_id": "c", "label": "ab", "domain_scope": "ALL",
+               "type": "Data", "clusters": [cluster]}
+    yield read_kg_jsonl, f'{{"record": "kg", "papers": ["d"]}}\n{json.dumps(concept)}\n'
+    header = {"record": "gold_kg", "clusters_kept": 1, "singleton_clusters": 1}
+    gold = {"entity": "Q1", "mentions": [dict(entry, doc_id="d")]}
+    yield read_gold_jsonl, f"{json.dumps(header)}\n{json.dumps(gold)}\n"
+    if row is not None:
+        yield read_entity_links, f"d\t0\t2\tData\tQ1\n{row}\tQ1\n"
+
+
+@pytest.mark.parametrize("entry, row, message", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_every_reader_words_a_bad_mention_entry_alike(entry, row, message):
+    for read, text in _with_bad_second_line(entry, row):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert (str(err.value), err.value.line) == (f"line 2: {message}", 2), read.__name__
 
 
 INVARIANT_EDITS = ("swap", "past-end", "mixed", "duplicate", "second-cluster")

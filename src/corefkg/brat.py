@@ -110,11 +110,13 @@ def parse_brat(
             if ctype is ConceptType.MIXED:
                 sound = False
             start, end = int(start_s), int(end_s)
-            if start < 0 or start >= end:
-                raise ParseError(f"offset order violated: [{start},{end})", lineno)
+            # worded as validate words them; the pattern admits no negative offset
+            if start >= end:
+                raise ParseError(f"offset order violated @ {doc_id}[{start},{end})", lineno)
             if end > len(text):
                 raise ParseError(
-                    f"offsets [{start},{end}) out of range for text of length {len(text)}", lineno
+                    f"offset out of range @ {doc_id}[{start},{end}) for text of length {len(text)}",
+                    lineno,
                 )
             actual = text[start:end]
             if actual != surface and actual.translate(_ONE_LINE) != surface.translate(_ONE_LINE):
@@ -122,7 +124,9 @@ def parse_brat(
                     f"surface mismatch for {tid}: annotation {surface!r} != text {actual!r}", lineno
                 )
             if (start, end, ctype) in seen_keys:
-                raise ParseError(f"duplicate mention key [{start},{end}) type {ctype}", lineno)
+                raise ParseError(
+                    f"duplicate mention key @ {doc_id}[{start},{end}) type {ctype}", lineno
+                )
             seen_keys.add((start, end, ctype))
             source = _SOURCE_BY_TYPE[ctype]
             mentions_by_tid[tid] = Mention(doc_id, start, end, ctype, actual, source)
@@ -160,12 +164,7 @@ def parse_brat(
 
     groups = links.groups() if links is not None else []
     clusters = tuple(sorted(
-        (
-            CoreferenceCluster(
-                doc_id, frozenset(mentions_by_tid[t] for t in sorted(g, key=lambda t: int(t[1:])))
-            )
-            for g in groups
-        ),
+        (CoreferenceCluster(doc_id, frozenset(mentions_by_tid[t] for t in g)) for g in groups),
         key=CoreferenceCluster.span_key,
     ))
     mentions = tuple(mentions_by_tid[t] for t in order)

@@ -34,9 +34,10 @@ __all__ = ["write_coref_columns", "read_coref_columns", "parse_token_table"]
 _BEGIN = "#begin document "
 _END = "#end document"
 
-_OPEN = re.compile(r"^\(([0-9]+)$")
-_CLOSE = re.compile(r"^([0-9]+)\)$")
-_SINGLE = re.compile(r"^\(([0-9]+)\)$")
+# One chain entry: "(k" opens chain k, "k)" closes it, "(k)" is both; an
+# entry needs at least one bracket. [0-9], not \d: \d also matches non-ASCII
+# digits such as ٣, which int() takes.
+_ENTRY = re.compile(r"^(\(?)([0-9]+)(\)?)$")
 
 
 def _tokenize(text: str, boundaries: set[int]) -> list[tuple[int, int]]:
@@ -82,17 +83,17 @@ def write_coref_columns(corpus: Corpus) -> tuple[str, str]:
         # canonical chain numbering: by earliest member span (the reader
         # restores the same order, making write-read-write stable)
         chains = sorted(all_clusters(doc), key=CoreferenceCluster.span_key)
-        spans_seen: dict[tuple[int, int], Mention] = {}
-        opens: dict[int, list[tuple[int, int]]] = {}
-        closes: dict[int, list[tuple[int, int]]] = {}
-        singles: dict[int, list[int]] = {}
+        spans_seen: set[tuple[int, int]] = set()
+        # the entries of each token, keyed so that sorting puts opens first (the
+        # outermost first), then one-token mentions, then closes (the innermost first)
+        cells: dict[int, list[tuple[int, int, int, str]]] = {}
         for chain_id, cluster in enumerate(chains):
             for m in cluster.mentions:
                 if (m.start, m.end) in spans_seen:
                     raise ValueError(
                         f"column format cannot represent two mentions sharing span {m.span()}"
                     )
-                spans_seen[(m.start, m.end)] = m
+                spans_seen.add((m.start, m.end))
                 try:
                     ti, tj = tok_at_start[m.start], tok_at_end[m.end]
                 except KeyError:
@@ -100,22 +101,15 @@ def write_coref_columns(corpus: Corpus) -> tuple[str, str]:
                         f"mention boundary inside whitespace @ {m.span()}"
                     ) from None
                 if ti == tj:
-                    singles.setdefault(ti, []).append(chain_id)
+                    cells.setdefault(ti, []).append((1, 0, chain_id, f"({chain_id})"))
                 else:
-                    opens.setdefault(ti, []).append((tj, chain_id))
-                    closes.setdefault(tj, []).append((ti, chain_id))
+                    cells.setdefault(ti, []).append((0, -tj, chain_id, f"({chain_id}"))
+                    cells.setdefault(tj, []).append((2, -ti, chain_id, f"{chain_id})"))
 
         lines.append(f"{_BEGIN}{doc.doc_id}")
         for idx, (s, e) in enumerate(tokens):
-            cell: list[str] = []
-            # outermost opens first; innermost closes first
-            for end_tok, chain in sorted(opens.get(idx, ()), key=lambda x: (-x[0], x[1])):
-                cell.append(f"({chain}")
-            for chain in sorted(singles.get(idx, ())):
-                cell.append(f"({chain})")
-            for start_tok, chain in sorted(closes.get(idx, ()), key=lambda x: (-x[0], x[1])):
-                cell.append(f"{chain})")
-            coref = "|".join(cell) if cell else "-"
+            entries = cells.get(idx)
+            coref = "|".join(entry[3] for entry in sorted(entries)) if entries else "-"
             lines.append(f"{doc.doc_id}\t{idx}\t{doc.text[s:e]}\t{coref}")
             table.append(f"{doc.doc_id}\t{idx}\t{s}\t{e}")
         lines.append(_END)
@@ -123,7 +117,8 @@ def write_coref_columns(corpus: Corpus) -> tuple[str, str]:
 
 
 def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
-    """Parse a sidecar token table into {(doc_id, token index): (start, end)}."""
+    """Parse a sidecar token table into {(doc_id, token index): (start, end)};
+    a second row for one token raises ParseError."""
     out: dict[tuple[str, int], tuple[int, int]] = {}
     for lineno, line in enumerate(_lines(table), start=1):
         if not line.strip() or line.startswith("#"):
@@ -132,7 +127,10 @@ def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
         if len(parts) != 4:
             raise ParseError(f"token table expects 4 columns, got {line!r}", lineno)
         index, start, end = (_digits(p, "token table entry", lineno) for p in parts[1:])
-        out[(parts[0], index)] = (start, end)
+        span = (start, end)
+        # setdefault returns an earlier row's span if the token is listed twice
+        if out.setdefault((parts[0], index), span) is not span:
+            raise ParseError(f"token table lists token {index} of {parts[0]!r} twice", lineno)
     return out
 
 
@@ -140,6 +138,66 @@ def _token_column(cols: list[str]) -> int:
     # Our own files have 4 columns (doc, index, token, coref); full
     # CoNLL-2012 exports have 12+, with the word in column 3.
     return 3 if len(cols) >= 8 else len(cols) - 2
+
+
+def _column_document(doc_id: str, tokens: list[str], chains: dict[int, list[tuple[int, int]]],
+                     offsets: dict[tuple[str, int], tuple[int, int]] | None,
+                     lineno: int) -> tuple[Document, bool]:
+    """The document of one column block, built at its ``#end document`` line,
+    and whether it passed the checks ``validate`` would otherwise repeat (see
+    ``_checked``). ``chains`` maps each chain, in the order first seen, to the
+    (first, last) token of each of its mentions.
+
+    Spans are unique and untyped by construction; a token table need not be
+    monotone, so a mention may still end before it starts.
+    """
+    spans = []
+    if offsets is None:
+        pos = 0
+        for tok in tokens:
+            spans.append((pos, pos + len(tok)))
+            pos += len(tok) + 1
+        text = " ".join(tokens)
+    else:
+        for i, tok in enumerate(tokens):
+            try:
+                s, e = offsets[(doc_id, i)]
+            except KeyError:
+                raise ParseError(
+                    f"token table has no entry for token {i} of {doc_id!r}", lineno
+                ) from None
+            if e - s != len(tok):
+                raise ParseError(f"token table span [{s},{e}) does not fit token {tok!r}", lineno)
+            spans.append((s, e))
+        chars = [" "] * max((e for _, e in spans), default=0)
+        for (s, e), tok in zip(spans, tokens):
+            chars[s:e] = tok
+        text = "".join(chars)
+        for (s, e), tok in zip(spans, tokens):
+            if text[s:e] != tok:  # a later token overlapping this one overwrote it
+                raise ParseError(
+                    f"token table span [{s},{e}) of token {tok!r} reads back {text[s:e]!r}", lineno
+                )
+
+    untyped, coref_only = ConceptType.NONE, MentionSource.COREF_ONLY  # bound once per document
+    mentions: list[Mention] = []
+    clusters: list[CoreferenceCluster] = []
+    seen_spans: set[tuple[int, int]] = set()
+    for chain_spans in chains.values():
+        members = []
+        for ti, tj in chain_spans:
+            s, e = spans[ti][0], spans[tj][1]
+            if (s, e) in seen_spans:
+                raise ParseError(f"duplicate mention span [{s},{e}) in document {doc_id!r}", lineno)
+            seen_spans.add((s, e))
+            members.append(Mention(doc_id, s, e, untyped, text[s:e], coref_only))
+        mentions.extend(members)
+        clusters.append(CoreferenceCluster(doc_id, frozenset(members)))
+    clusters.sort(key=CoreferenceCluster.span_key)
+    mentions.sort(key=lambda m: (m.start, m.end))
+    doc = Document(doc_id=doc_id, domain="", text=text,
+                   mentions=tuple(mentions), clusters=tuple(clusters))
+    return doc, all(0 <= s < e for s, e in seen_spans)
 
 
 def read_coref_columns(
@@ -150,91 +208,20 @@ def read_coref_columns(
     mentions.
 
     With a token table, character offsets are the recorded ones and the text
-    is reconstructed with the original spacing; without it, tokens are joined
-    by single spaces. Chain brackets must balance per document; a mention
-    span may belong to at most one chain. A document that violates an
-    invariant (see ``validate``) or repeats a doc_id raises ParseError at
-    its ``#end document`` line.
+    is reconstructed with the original spacing; every token must read back
+    from that text. Without it, tokens are joined by single spaces. Chain
+    brackets must balance per document; a mention span may belong to at most
+    one chain. A document that violates an invariant (see ``validate``) or
+    repeats a doc_id raises ParseError at its ``#end document`` line.
     """
     lines = _lines(columns)
     offsets = (
         parse_token_table(token_table) if isinstance(token_table, str) else token_table
     )
-
     documents: list[Document] = []
     seen_ids: set[str] = set()
     doc_id: str | None = None
-    tokens: list[str] = []
-    stacks: dict[int, list[int]] = {}
-    chain_spans: dict[int, list[tuple[int, int]]] = {}
-    chain_order: list[int] = []
     begin_line = 0
-
-    def finalize(end_lineno: int) -> None:
-        nonlocal doc_id
-        open_chains = sorted(k for k, v in stacks.items() if v)
-        if open_chains:
-            raise ParseError(
-                f"unbalanced brackets: chains {open_chains} still open", end_lineno
-            )
-        assert doc_id is not None
-        if offsets is not None:
-            spans = []
-            for i, tok in enumerate(tokens):
-                try:
-                    s, e = offsets[(doc_id, i)]
-                except KeyError:
-                    raise ParseError(
-                        f"token table has no entry for token {i} of {doc_id!r}", end_lineno
-                    ) from None
-                if e - s != len(tok):
-                    raise ParseError(
-                        f"token table span [{s},{e}) does not fit token {tok!r}", end_lineno
-                    )
-                spans.append((s, e))
-            length = max((e for _, e in spans), default=0)
-            chars = [" "] * length
-            for (s, e), tok in zip(spans, tokens):
-                chars[s:e] = tok
-            text = "".join(chars)
-        else:
-            spans = []
-            pos = 0
-            for tok in tokens:
-                spans.append((pos, pos + len(tok)))
-                pos += len(tok) + 1
-            text = " ".join(tokens)
-
-        # Spans are unique and untyped by construction; a token table need
-        # not be monotone, so a mention may still end before it starts.
-        sound = True
-        mentions: list[Mention] = []
-        seen_spans: set[tuple[int, int]] = set()
-        clusters: list[CoreferenceCluster] = []
-        for chain in chain_order:
-            members = []
-            for ti, tj in chain_spans[chain]:
-                s, e = spans[ti][0], spans[tj][1]
-                if (s, e) in seen_spans:
-                    raise ParseError(
-                        f"duplicate mention span [{s},{e}) in document {doc_id!r}", end_lineno
-                    )
-                seen_spans.add((s, e))
-                if not 0 <= s < e:
-                    sound = False
-                members.append(
-                    Mention(doc_id, s, e, ConceptType.NONE, text[s:e], MentionSource.COREF_ONLY)
-                )
-            members.sort(key=lambda m: (m.start, m.end))
-            mentions.extend(members)
-            clusters.append(CoreferenceCluster(doc_id, frozenset(members)))
-        clusters.sort(key=CoreferenceCluster.span_key)
-        mentions.sort(key=lambda m: (m.start, m.end))
-        doc = Document(doc_id=doc_id, domain="", text=text,
-                       mentions=tuple(mentions), clusters=tuple(clusters))
-        documents.append(_checked(doc, sound, end_lineno, seen_ids))
-        doc_id = None
-
     for lineno, line in enumerate(lines, start=1):
         if line.startswith(_BEGIN):
             if doc_id is not None:
@@ -242,49 +229,50 @@ def read_coref_columns(
             doc_id = line[len(_BEGIN):].strip()
             if not doc_id:
                 raise ParseError("document sentinel without an id", lineno)
-            tokens, stacks, chain_spans, chain_order = [], {}, {}, []
+            tokens: list[str] = []
+            stacks: dict[int, list[int]] = {}  # chain -> token indices of its open brackets
+            chains: dict[int, list[tuple[int, int]]] = {}
             begin_line = lineno
             continue
         if line.strip() == _END:
             if doc_id is None:
                 raise ParseError("end sentinel outside a document", lineno)
-            finalize(lineno)
+            open_chains = sorted(k for k, v in stacks.items() if v)
+            if open_chains:
+                raise ParseError(f"unbalanced brackets: chains {open_chains} still open", lineno)
+            documents.append(_checked(
+                *_column_document(doc_id, tokens, chains, offsets, lineno), lineno, seen_ids
+            ))
+            doc_id = None
             continue
-        if doc_id is None:
-            if not line.strip() or line.startswith("#"):
-                continue
-            raise ParseError(f"token line outside a document: {line!r}", lineno)
         if not line.strip() or line.startswith("#"):
             continue  # sentence break or comment
+        if doc_id is None:
+            raise ParseError(f"token line outside a document: {line!r}", lineno)
         cols = line.split()
         if len(cols) < 2:
             raise ParseError(f"expected token and coreference columns, got {line!r}", lineno)
-        token = cols[_token_column(cols)]
-        coref = cols[-1]
         idx = len(tokens)
-        tokens.append(token)
+        tokens.append(cols[_token_column(cols)])
+        coref = cols[-1]
         if coref == "-" or coref == "_":
             continue
         for entry in coref.split("|"):
-            if m := _SINGLE.match(entry):
-                chain = int(m.group(1))
-                if chain not in chain_spans:
-                    chain_order.append(chain)
-                chain_spans.setdefault(chain, []).append((idx, idx))
-            elif m := _OPEN.match(entry):
-                chain = int(m.group(1))
-                if chain not in chain_spans:
-                    chain_order.append(chain)
-                chain_spans.setdefault(chain, [])
-                stacks.setdefault(chain, []).append(idx)
-            elif m := _CLOSE.match(entry):
-                chain = int(m.group(1))
-                stack = stacks.get(chain, [])
+            m = _ENTRY.match(entry)
+            if m is None or not (m[1] or m[3]):
+                raise ParseError(f"malformed coreference entry {entry!r}", lineno)
+            opened, number, closed = m.groups()
+            chain = int(number)
+            if not opened:
+                stack = stacks.get(chain)
                 if not stack:
                     raise ParseError(f"chain {chain} closed before opened", lineno)
-                chain_spans[chain].append((stack.pop(), idx))
+                chains[chain].append((stack.pop(), idx))
+            elif closed:
+                chains.setdefault(chain, []).append((idx, idx))
             else:
-                raise ParseError(f"malformed coreference entry {entry!r}", lineno)
+                chains.setdefault(chain, [])
+                stacks.setdefault(chain, []).append(idx)
 
     if doc_id is not None:
         raise ParseError(

@@ -121,8 +121,9 @@ def write_gold_jsonl(gold: GoldKg) -> str:
 
 def read_gold_jsonl(text: str) -> GoldKg:
     """Parse a gold KG; a malformed line raises ParseError with its number, and so does
-    a second header, a repeated entity, a mention with offsets out of order or typed
-    Mixed, or a concept that is empty, lists a mention twice or shares one."""
+    a second header, header counts that break 0 <= singleton_clusters <= clusters_kept,
+    a repeated entity, a mention with offsets out of order or typed Mixed, or a concept
+    that is empty, lists a mention twice or shares one."""
     concepts: list[GoldConcept] = []
     seen: set[MentionKey] = set()
     entities: set[str] = set()
@@ -133,6 +134,9 @@ def read_gold_jsonl(text: str) -> GoldKg:
                 raise ParseError("repeated gold_kg header record", lineno)
             header = (_expect(obj, "clusters_kept", int, lineno),
                       _expect(obj, "singleton_clusters", int, lineno))
+            if not 0 <= header[1] <= header[0]:
+                raise ParseError("gold_kg header needs 0 <= singleton_clusters <= clusters_kept,"
+                                 f" got {header[1]} and {header[0]}", lineno)
             continue
         entity = _expect(obj, "entity", str, lineno)
         if entity in entities:

@@ -419,12 +419,12 @@ def read_kg_jsonl(text: str) -> KnowledgeGraph:
     """Re-import a JSONL knowledge-graph export.
 
     A malformed record raises ParseError carrying its line number, and so
-    does a graph no export can produce: a second header, a repeated
-    concept_id, a mention with offsets out of order or typed Mixed, a
-    cluster that is empty or lists a (start, end, type) twice or that
-    another cluster lists, or a cluster of a document that is not among the
-    papers (reported at the first concept naming it, since the header may
-    follow).
+    does a graph no export can produce: a second header, a header listing a
+    paper twice, a repeated concept_id, a mention with offsets out of order
+    or typed Mixed, a cluster that is empty or lists a (start, end, type)
+    twice or that another cluster lists, or a cluster of a document that is
+    not among the papers (reported at the first concept naming it, since the
+    header may follow).
     """
     papers: tuple[str, ...] | None = None
     concepts: list[Concept] = []
@@ -437,6 +437,9 @@ def read_kg_jsonl(text: str) -> KnowledgeGraph:
             if papers is not None:
                 raise ParseError("repeated kg header record", lineno)
             papers = tuple(_expect_entries(obj, "papers", str, lineno))
+            if len(set(papers)) != len(papers):
+                twice = next(p for i, p in enumerate(papers) if p in papers[:i])
+                raise ParseError(f"kg header lists paper {twice!r} twice", lineno)
         elif record == "concept":
             concept = _concept_from_dict(obj, lineno, clustered)
             if concept.concept_id in concept_ids:

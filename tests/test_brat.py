@@ -94,18 +94,19 @@ def test_parse_error_reports_line_number():
 
 def test_parse_error_duplicate_mention_key():
     ann = "T1\tMaterial 0 3\tCNN\nT2\tMethod 0 3\tCNN\nT3\tMaterial 0 3\tCNN\n"
-    with pytest.raises(ParseError, match="duplicate mention key") as err:
+    with pytest.raises(ParseError, match=r"duplicate mention key @ d1\[0,3\) type Material$") as err:
         parse_brat(TEXT, ann, "CS", doc_id="d1")
     assert err.value.line == 3
 
 
 def test_parse_error_offset_out_of_range():
-    with pytest.raises(ParseError, match="out of range"):
+    with pytest.raises(ParseError,
+                       match=r"offset out of range @ d1\[0,999\) for text of length 25$"):
         parse_brat(TEXT, "T1\tMaterial 0 999\tCNN\n", "CS", doc_id="d1")
 
 
 def test_parse_error_offset_order():
-    with pytest.raises(ParseError, match="offset order"):
+    with pytest.raises(ParseError, match=r"offset order violated @ d1\[3,3\)$"):
         parse_brat(TEXT, "T1\tMaterial 3 3\t\n", "CS", doc_id="d1")
 
 

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,35 @@ def test_malformed_bracket_entry():
         doc_from_columns("d\t0\tA\t(x)\n")
 
 
+# token 1 holds the entry, inside a mention of chain 1 over tokens 0-2 ("A B C"):
+# the clusters read, as sorted spans, or the error text and line
+@pytest.mark.parametrize("entry, expected", [
+    ("(0", ("unbalanced brackets: chains [0] still open", 5)),
+    ("0)", ("chain 0 closed before opened", 3)),
+    ("(0)", [[(0, 5)], [(2, 3)]]),
+    ("-", [[(0, 5)]]),
+    ("_", [[(0, 5)]]),
+    ("0", ("malformed coreference entry '0'", 3)),
+    ("(", ("malformed coreference entry '('", 3)),
+    (")", ("malformed coreference entry ')'", 3)),
+    ("()", ("malformed coreference entry '()'", 3)),
+    ("((0", ("malformed coreference entry '((0'", 3)),
+    ("(0))", ("malformed coreference entry '(0))'", 3)),
+    ("(0)|(1", ("unbalanced brackets: chains [1] still open", 5)),
+    ("0)|0)", ("chain 0 closed before opened", 3)),
+])
+def test_each_coreference_entry_reads_as_pinned(entry, expected):
+    body = f"d\t0\tA\t(1\nd\t1\tB\t{entry}\nd\t2\tC\t1)\n"
+    if isinstance(expected, list):
+        doc = doc_from_columns(body).documents[0]
+        assert [sorted((m.start, m.end) for m in c.mentions) for c in doc.clusters] == expected
+        return
+    message, line = expected
+    with pytest.raises(ParseError) as err:
+        doc_from_columns(body)
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
 def test_token_line_outside_document():
     with pytest.raises(ParseError, match="outside"):
         read_coref_columns("d\t0\tA\t-\n")
@@ -133,6 +164,25 @@ def test_token_table_numbers_must_be_ascii_digits(row):
     with pytest.raises(ParseError, match="ASCII digits") as err:
         parse_token_table(f"d\t1\t4\t5\n{row}\n")
     assert err.value.line == 2
+
+
+def test_token_table_lists_each_token_once():
+    with pytest.raises(ParseError) as err:
+        parse_token_table("d\t0\t0\t2\nd\t1\t3\t5\nd\t0\t5\t7\n")
+    assert (str(err.value), err.value.line) == ("line 3: token table lists token 0 of 'd' twice", 3)
+
+
+@pytest.mark.parametrize("table", [
+    "d\t0\t0\t2\nd\t1\t1\t3\n",
+    {("d", 0): (0, 2), ("d", 1): (1, 3)},
+], ids=["tsv", "dict"])
+def test_overlapping_token_spans_are_rejected(table):
+    # "cd" at [1,3) overwrites the "b" of "ab" at [0,2): the text would be "acd"
+    columns = "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
+    with pytest.raises(ParseError) as err:
+        read_coref_columns(columns, table)
+    assert (str(err.value), err.value.line) == (
+        "line 4: token table span [0,2) of token 'ab' reads back 'ac'", 4)
 
 
 @pytest.mark.parametrize("coref", ["(٣)", "(٣", "٣)"])
@@ -234,6 +284,14 @@ def test_written_files_match_independent_bracket_parser():
             }
             chains_ref = {frozenset(spans) for spans in independent[doc.doc_id]}
             assert chains_ours == chains_ref
+
+
+def test_reference_oracle_imports_nothing_from_the_package():
+    tree = ast.parse(Path(_reference.__file__).read_text("utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "corefkg"], imported
 
 
 def test_full_conll2012_style_line_is_accepted():

@@ -131,6 +131,18 @@ def test_read_gold_jsonl_rejects_a_repeated_header():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("kept, singleton", [(-4, 7), (3, 4), (2, -1)])
+def test_read_gold_jsonl_rejects_header_counts_no_compilation_produces(kept, singleton):
+    mention = '{"doc_id": "d", "start": 0, "end": 3, "type": "Data"}'
+    text = (f'{{"record": "gold_kg", "clusters_kept": {kept}, "singleton_clusters": {singleton}}}\n'
+            f'{{"entity": "Q1", "mentions": [{mention}]}}\n')
+    with pytest.raises(ParseError) as err:
+        read_gold_jsonl(text)
+    assert (str(err.value), err.value.line) == (
+        "line 1: gold_kg header needs 0 <= singleton_clusters <= clusters_kept,"
+        f" got {singleton} and {kept}", 1)
+
+
 @pytest.mark.parametrize("mention", [
     '{"doc_id": "d", "start": 1.9, "end": 3, "type": "Data"}',
     '{"doc_id": "d", "end": 3, "type": "Data"}',

@@ -439,6 +439,10 @@ def _repeated_header(records):
     records.append({"record": "kg", "papers": ["d", "e"]})
 
 
+def _repeated_paper(records):
+    records[0]["papers"] = ["d", "d"]
+
+
 def _repeated_concept_id(records):
     records[2]["concept_id"] = records[1]["concept_id"]
 
@@ -457,10 +461,11 @@ def _unknown_document(records):
      r"cluster of 'd' shares mention \('d', 6, 10, 'Material'\) with an earlier group"),
     (_one_key_under_two_surfaces, 2, "cluster of 'd' lists a mention twice"),
     (_repeated_header, 4, "repeated kg header record"),
+    (_repeated_paper, 1, "kg header lists paper 'd' twice"),
     (_repeated_concept_id, 3, "duplicate concept_id"),
     (_unknown_document, 2, "cluster document 'zzz' is not among the papers"),
 ], ids=["reversed-offsets", "mixed", "in-two-concepts", "in-two-clusters", "two-surfaces",
-        "repeated-header", "repeated-id", "unknown-document"])
+        "repeated-header", "repeated-paper", "repeated-id", "unknown-document"])
 def test_read_kg_jsonl_rejects_graphs_no_export_produces(edit, line, message):
     records = _two_concept_lines()
     assert read_kg_jsonl("\n".join(map(json.dumps, records)))

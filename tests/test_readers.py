@@ -247,22 +247,26 @@ def assert_valid_groups(groups: list) -> None:
     assert all(0 <= start < end and kind != "Mixed" for _, start, end, kind in keys), keys
 
 
-# a bad mention entry, the same entry as an entity-links row where that format
-# can spell it, and the text every reader raises for it
+# a bad mention entry, the same entry as an entity-links row and as a BRAT entity
+# line where those formats can spell it, and the text every reader raises for it
 BAD_ENTRIES = {
-    "reversed": ({"start": 5, "end": 2, "type": "Data"}, "d\t5\t2\tData",
+    "reversed": ({"start": 5, "end": 2, "type": "Data"}, "d\t5\t2\tData", "T2\tData 5 2\tx",
                  "offset order violated @ d[5,2)"),
-    "mixed": ({"start": 0, "end": 2, "type": "Mixed"}, "d\t0\t2\tMixed",
+    "mixed": ({"start": 0, "end": 2, "type": "Mixed"}, "d\t0\t2\tMixed", None,
               "mention typed Mixed @ d[0,2)"),
-    "unknown-type": ({"start": 0, "end": 2, "type": "Widget"}, "d\t0\t2\tWidget",
+    "unknown-type": ({"start": 0, "end": 2, "type": "Widget"}, "d\t0\t2\tWidget", None,
                      "unknown concept type 'Widget'"),
-    "missing-start": ({"end": 2, "type": "Data"}, None, "missing field 'start'"),
-    "true-offset": ({"start": True, "end": 2, "type": "Data"}, None,
+    "missing-start": ({"end": 2, "type": "Data"}, None, None, "missing field 'start'"),
+    "true-offset": ({"start": True, "end": 2, "type": "Data"}, None, None,
                     "field 'start' has wrong type bool"),
 }
 
 
-def _with_bad_second_line(entry: dict, row: str | None):
+def parse_brat_ann(ann: str) -> Document:
+    return parse_brat("abcdef", ann, doc_id="d")
+
+
+def _with_bad_second_line(entry: dict, row: str | None, ann: str | None):
     """(reader, text) pairs whose line 2 holds ``entry`` as a mention of document d."""
     doc = {"doc_id": "d", "domain": "CS", "text": "abcdef", "clusters": []}
     ok = dict(doc, doc_id="ok", mentions=[{"start": 0, "end": 2, "type": "Data"}])
@@ -276,11 +280,13 @@ def _with_bad_second_line(entry: dict, row: str | None):
     yield read_gold_jsonl, f"{json.dumps(header)}\n{json.dumps(gold)}\n"
     if row is not None:
         yield read_entity_links, f"d\t0\t2\tData\tQ1\n{row}\tQ1\n"
+    if ann is not None:
+        yield parse_brat_ann, f"T1\tData 0 2\tab\n{ann}\n"
 
 
-@pytest.mark.parametrize("entry, row, message", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
-def test_every_reader_words_a_bad_mention_entry_alike(entry, row, message):
-    for read, text in _with_bad_second_line(entry, row):
+@pytest.mark.parametrize("entry, row, ann, message", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_every_reader_words_a_bad_mention_entry_alike(entry, row, ann, message):
+    for read, text in _with_bad_second_line(entry, row, ann):
         with pytest.raises(ParseError) as err:
             read(text)
         assert (str(err.value), err.value.line) == (f"line 2: {message}", 2), read.__name__

@@ -19,7 +19,7 @@ import re
 from pathlib import Path
 
 from .errors import ParseError
-from .jsonl import _checked, _lines
+from .jsonl import _checked, _lines, _long_numeral
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -74,10 +74,11 @@ def parse_brat(
 
     Raises ParseError (with the offending .ann line number) for malformed
     lines, out-of-range offsets, surface mismatches, repeated mention keys,
-    discontinuous spans, unknown entity types and unsupported record kinds.
-    A mention typed Mixed, which only ``entity_types`` can map to, is
-    reported as ``validate`` words it, at the last .ann line; the other
-    invariants hold by construction.
+    discontinuous spans, unknown concept types, numerals longer than
+    ``int()`` takes and unsupported record kinds. A mention typed Mixed,
+    which only ``entity_types`` can map to, is reported as ``validate``
+    words it, at the last .ann line; the other invariants hold by
+    construction.
     """
     types = entity_types if entity_types is not None else _ENTITY_TYPES
     mentions_by_tid: dict[str, Mention] = {}
@@ -106,10 +107,13 @@ def parse_brat(
                 raise ParseError(f"duplicate entity id {tid}", lineno)
             ctype = types.get(type_name)
             if ctype is None:
-                raise ParseError(f"unknown entity type {type_name!r}", lineno)
+                raise ParseError(f"unknown concept type {type_name!r}", lineno)
             if ctype is ConceptType.MIXED:
                 sound = False
-            start, end = int(start_s), int(end_s)
+            try:
+                start, end = int(start_s), int(end_s)
+            except ValueError:  # past the interpreter's digit limit
+                raise _long_numeral("offset", lineno) from None
             # worded as validate words them; the pattern admits no negative offset
             if start >= end:
                 raise ParseError(f"offset order violated @ {doc_id}[{start},{end})", lineno)

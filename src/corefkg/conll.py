@@ -16,9 +16,10 @@ tokens with single spaces.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 
 from .errors import ParseError
-from .jsonl import _checked, _digits, _lines
+from .jsonl import _checked, _digits, _lines, _long_numeral
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -38,6 +39,13 @@ _END = "#end document"
 # entry needs at least one bracket. [0-9], not \d: \d also matches non-ASCII
 # digits such as ٣, which int() takes.
 _ENTRY = re.compile(r"^(\(?)([0-9]+)(\)?)$")
+
+# One line of a token table, before its ``\n``: a row (a doc_id that does not
+# start with "#", then three ASCII digit runs, all tab-separated, and an
+# optional "\r"), a comment or a blank line. Only a row sets the groups. It
+# is compiled at first use, through re's cache, so that commands that read
+# no token table do not pay for compiling it at start-up.
+_TABLE_LINE = r"^(?:([^#\t\n][^\t\n]*|)\t([0-9]+)\t([0-9]+)\t([0-9]+)\r?|#[^\n]*|[^\S\n]*)$"
 
 
 def _tokenize(text: str, boundaries: set[int]) -> list[tuple[int, int]]:
@@ -119,6 +127,33 @@ def write_coref_columns(corpus: Corpus) -> tuple[str, str]:
 def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
     """Parse a sidecar token table into {(doc_id, token index): (start, end)};
     a second row for one token raises ParseError."""
+    rows = _table_rows(table)
+    return rows if rows is not None else _table_lines(table)
+
+
+def _table_rows(table: str) -> dict[tuple[str, int], tuple[int, int]] | None:
+    """The rows of a sound table, with one pattern match per line; None if a
+    line is neither a row, a comment nor blank, if a token is listed twice or
+    if ``int()`` refuses a numeral. ``_table_lines`` then words the fault."""
+    out: dict[tuple[str, int], tuple[int, int]] = {}
+    rows = lines = 0
+    try:
+        for lines, m in enumerate(re.finditer(_TABLE_LINE, table, re.M), start=1):
+            doc_id, index, start, end = m.groups()
+            if index is not None:
+                out[doc_id, int(index)] = (int(start), int(end))
+                rows += 1
+    except ValueError:  # past the interpreter's digit limit
+        return None
+    # every line matched once (a final "\n" is followed by one empty line)
+    if lines != table.count("\n") + 1 or len(out) != rows:
+        return None
+    return out
+
+
+def _table_lines(table: str) -> dict[tuple[str, int], tuple[int, int]]:
+    """``parse_token_table`` line by line, with a check per field: it raises
+    ParseError at the first faulty line."""
     out: dict[tuple[str, int], tuple[int, int]] = {}
     for lineno, line in enumerate(_lines(table), start=1):
         if not line.strip() or line.startswith("#"):
@@ -134,6 +169,17 @@ def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
     return out
 
 
+def _int_pairs(table: dict) -> dict:
+    """A dict token table with each value that is not a (start, end) pair of
+    ints, as a tuple or list, replaced by None; ``_column_document`` raises
+    ParseError for it at the line of the document that uses it."""
+    return {
+        key: span if type(span) in (tuple, list) and len(span) == 2
+        and type(span[0]) is int and type(span[1]) is int else None
+        for key, span in table.items()
+    }
+
+
 def _token_column(cols: list[str]) -> int:
     # Our own files have 4 columns (doc, index, token, coref); full
     # CoNLL-2012 exports have 12+, with the word in column 3.
@@ -141,43 +187,31 @@ def _token_column(cols: list[str]) -> int:
 
 
 def _column_document(doc_id: str, tokens: list[str], chains: dict[int, list[tuple[int, int]]],
-                     offsets: dict[tuple[str, int], tuple[int, int]] | None,
+                     offsets: dict[tuple[str, int], tuple[int, int] | None] | None,
                      lineno: int) -> tuple[Document, bool]:
     """The document of one column block, built at its ``#end document`` line,
     and whether it passed the checks ``validate`` would otherwise repeat (see
     ``_checked``). ``chains`` maps each chain, in the order first seen, to the
     (first, last) token of each of its mentions.
 
-    Spans are unique and untyped by construction; a token table need not be
-    monotone, so a mention may still end before it starts.
+    Spans are unique and untyped by construction, and ordered when the
+    token spans increase; a token table need not be monotone, so a mention
+    may still end before it starts.
     """
-    spans = []
     if offsets is None:
+        spans = []
         pos = 0
         for tok in tokens:
             spans.append((pos, pos + len(tok)))
             pos += len(tok) + 1
         text = " ".join(tokens)
+        monotone = True
     else:
-        for i, tok in enumerate(tokens):
-            try:
-                s, e = offsets[(doc_id, i)]
-            except KeyError:
-                raise ParseError(
-                    f"token table has no entry for token {i} of {doc_id!r}", lineno
-                ) from None
-            if e - s != len(tok):
-                raise ParseError(f"token table span [{s},{e}) does not fit token {tok!r}", lineno)
-            spans.append((s, e))
-        chars = [" "] * max((e for _, e in spans), default=0)
-        for (s, e), tok in zip(spans, tokens):
-            chars[s:e] = tok
-        text = "".join(chars)
-        for (s, e), tok in zip(spans, tokens):
-            if text[s:e] != tok:  # a later token overlapping this one overwrote it
-                raise ParseError(
-                    f"token table span [{s},{e}) of token {tok!r} reads back {text[s:e]!r}", lineno
-                )
+        spans = list(map(offsets.get, zip(repeat(doc_id), range(len(tokens)))))
+        text = _monotone_text(tokens, spans)
+        monotone = text is not None
+        if not monotone:
+            text = _overlaid_text(doc_id, tokens, spans, offsets, lineno)
 
     untyped, coref_only = ConceptType.NONE, MentionSource.COREF_ONLY  # bound once per document
     mentions: list[Mention] = []
@@ -197,7 +231,51 @@ def _column_document(doc_id: str, tokens: list[str], chains: dict[int, list[tupl
     mentions.sort(key=lambda m: (m.start, m.end))
     doc = Document(doc_id=doc_id, domain="", text=text,
                    mentions=tuple(mentions), clusters=tuple(clusters))
-    return doc, all(0 <= s < e for s, e in seen_spans)
+    return doc, monotone or all(0 <= s < e for s, e in seen_spans)
+
+
+def _monotone_text(tokens: list[str], spans: list[tuple[int, int] | None]) -> str | None:
+    """The text of tokens whose spans fit them and increase, with spaces in
+    the gaps, so each token reads back by construction; None for any other
+    table, which ``_overlaid_text`` reads."""
+    pieces = []
+    pos = 0
+    for tok, span in zip(tokens, spans):
+        if span is None:
+            return None
+        s, e = span
+        if s < pos or e - s != len(tok):
+            return None
+        pieces.append(" " * (s - pos))
+        pieces.append(tok)
+        pos = e
+    return "".join(pieces)
+
+
+def _overlaid_text(doc_id: str, tokens: list[str], spans: list[tuple[int, int] | None],
+                   offsets: dict, lineno: int) -> str:
+    """The text of tokens written over spaces at their spans in table order,
+    or ParseError for a missing or misfit span or a token that does not read back."""
+    for i, (tok, span) in enumerate(zip(tokens, spans)):
+        if span is None:
+            if (doc_id, i) in offsets:
+                raise ParseError(
+                    f"token table span of token {i} of {doc_id!r} is not a pair of ints", lineno
+                )
+            raise ParseError(f"token table has no entry for token {i} of {doc_id!r}", lineno)
+        s, e = span
+        if e - s != len(tok):
+            raise ParseError(f"token table span [{s},{e}) does not fit token {tok!r}", lineno)
+    chars = [" "] * max((e for _, e in spans), default=0)
+    for (s, e), tok in zip(spans, tokens):
+        chars[s:e] = tok
+    text = "".join(chars)
+    for (s, e), tok in zip(spans, tokens):
+        if text[s:e] != tok:  # a later token overlapping this one overwrote it
+            raise ParseError(
+                f"token table span [{s},{e}) of token {tok!r} reads back {text[s:e]!r}", lineno
+            )
+    return text
 
 
 def read_coref_columns(
@@ -212,18 +290,28 @@ def read_coref_columns(
     from that text. Without it, tokens are joined by single spaces. Chain
     brackets must balance per document; a mention span may belong to at most
     one chain. A document that violates an invariant (see ``validate``) or
-    repeats a doc_id raises ParseError at its ``#end document`` line.
+    repeats a doc_id raises ParseError at its ``#end document`` line, and so
+    does a value of a dict token table that is not a pair of ints. A table
+    row that no token uses raises ParseError at the last line (line 1 of an
+    empty file).
     """
     lines = _lines(columns)
-    offsets = (
-        parse_token_table(token_table) if isinstance(token_table, str) else token_table
-    )
+    if isinstance(token_table, str):
+        offsets = parse_token_table(token_table)
+    else:
+        offsets = None if token_table is None else _int_pairs(token_table)
     documents: list[Document] = []
     seen_ids: set[str] = set()
+    n_tokens: dict[str, int] = {}  # doc_id -> its token count, for the unused-row check
     doc_id: str | None = None
     begin_line = 0
     for lineno, line in enumerate(lines, start=1):
-        if line.startswith(_BEGIN):
+        cols = line.split()
+        # Most lines are our own 4-column token lines, so they are tested for
+        # first; a "#"-led line (such as "#begin document a b") is not one.
+        if len(cols) == 4 and doc_id is not None and line[0] != "#":
+            token, coref = cols[2], cols[3]
+        elif line.startswith(_BEGIN):
             if doc_id is not None:
                 raise ParseError("nested document begin", lineno)
             doc_id = line[len(_BEGIN):].strip()
@@ -234,7 +322,7 @@ def read_coref_columns(
             chains: dict[int, list[tuple[int, int]]] = {}
             begin_line = lineno
             continue
-        if line.strip() == _END:
+        elif line.strip() == _END:
             if doc_id is None:
                 raise ParseError("end sentinel outside a document", lineno)
             open_chains = sorted(k for k, v in stacks.items() if v)
@@ -243,26 +331,30 @@ def read_coref_columns(
             documents.append(_checked(
                 *_column_document(doc_id, tokens, chains, offsets, lineno), lineno, seen_ids
             ))
+            n_tokens[doc_id] = len(tokens)
             doc_id = None
             continue
-        if not line.strip() or line.startswith("#"):
+        elif not cols or line[0] == "#":
             continue  # sentence break or comment
-        if doc_id is None:
+        elif doc_id is None:
             raise ParseError(f"token line outside a document: {line!r}", lineno)
-        cols = line.split()
-        if len(cols) < 2:
+        elif len(cols) < 2:
             raise ParseError(f"expected token and coreference columns, got {line!r}", lineno)
-        idx = len(tokens)
-        tokens.append(cols[_token_column(cols)])
-        coref = cols[-1]
+        else:
+            token, coref = cols[_token_column(cols)], cols[-1]
+        tokens.append(token)
         if coref == "-" or coref == "_":
             continue
+        idx = len(tokens) - 1
         for entry in coref.split("|"):
             m = _ENTRY.match(entry)
             if m is None or not (m[1] or m[3]):
                 raise ParseError(f"malformed coreference entry {entry!r}", lineno)
             opened, number, closed = m.groups()
-            chain = int(number)
+            try:
+                chain = int(number)
+            except ValueError:  # past the interpreter's digit limit
+                raise _long_numeral("chain number", lineno) from None
             if not opened:
                 stack = stacks.get(chain)
                 if not stack:
@@ -279,4 +371,9 @@ def read_coref_columns(
             f"missing end-of-document sentinel for document begun at line {begin_line}",
             len(lines),
         )
+    # Each document used one row per token, all distinct (doc_ids are unique).
+    if offsets is not None and len(offsets) != sum(n_tokens.values()):
+        used = {(d, i) for d, n in n_tokens.items() for i in range(n)}
+        unused = next(key for key in offsets if key not in used)
+        raise ParseError(f"token table row {unused!r} matches no token", max(len(lines), 1))
     return Corpus(tuple(documents))

@@ -19,6 +19,7 @@ share, so each of those facts is decided in one place.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Iterator
 
 from .errors import ParseError
@@ -77,7 +78,15 @@ def _lines(text: str) -> list[str]:
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
+    if "\r" not in text:
+        return lines
     return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def _long_numeral(what: str, lineno: int) -> ParseError:
+    """The error for a numeral that ``int()`` refuses: it has more digits than
+    ``sys.get_int_max_str_digits()`` allows."""
+    return ParseError(f"{what} has more than {sys.get_int_max_str_digits()} digits", lineno)
 
 
 def _json_objects(text: str) -> Iterator[tuple[int, dict]]:
@@ -89,6 +98,8 @@ def _json_objects(text: str) -> Iterator[tuple[int, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
+        except ValueError:  # an int past the digit limit: int() refused it
+            raise _long_numeral("JSON number", lineno) from None
         if not isinstance(obj, dict):
             raise ParseError("line must be a JSON object", lineno)
         yield lineno, obj
@@ -123,7 +134,10 @@ def _digits(text: str, what: str, lineno: int) -> int:
     """
     if not (text.isascii() and text.isdigit()):
         raise ParseError(f"{what} must be ASCII digits, got {text!r}", lineno)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise _long_numeral(what, lineno) from None
 
 
 def _concept_type(name: str, lineno: int) -> ConceptType:

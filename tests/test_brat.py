@@ -131,8 +131,9 @@ def test_parse_error_non_ascii_digits(line):
 
 
 def test_parse_error_unknown_type():
-    with pytest.raises(ParseError, match="unknown entity type"):
+    with pytest.raises(ParseError) as err:
         parse_brat(TEXT, "T1\tGadget 0 3\tCNN\n", "CS", doc_id="d1")
+    assert (str(err.value), err.value.line) == ("line 1: unknown concept type 'Gadget'", 1)
 
 
 def test_parse_error_unknown_relation_label():

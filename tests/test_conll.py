@@ -1,9 +1,14 @@
 import ast
 import random
+import re
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corefkg import conll
 from corefkg.conll import parse_token_table, read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
 from corefkg.model import (
@@ -170,6 +175,137 @@ def test_token_table_lists_each_token_once():
     with pytest.raises(ParseError) as err:
         parse_token_table("d\t0\t0\t2\nd\t1\t3\t5\nd\t0\t5\t7\n")
     assert (str(err.value), err.value.line) == ("line 3: token table lists token 0 of 'd' twice", 3)
+
+
+# A table with two rows of d, edited: a "\r" before the "\n", blank, "#" and
+# tab-only lines, odd doc fields, a repeated row, a numeral past the digit
+# limit, a changed, dropped or added field.
+TABLE_EDITS = ("crlf", "blank", "comment", "doc", "repeat", "long", "field")
+BLANK_LINES = ["", " ", "\t\t\t", "\r", " \t\x0b", "\u2028", "\x85\r"]
+DOC_FIELDS = ["", " ", "#d", " d", "d ", "\x85", "d\rd", "٣", "d\t"]
+FIELD_VALUES = ["", "0", "7", "01", "+1", "٣", " 1", "1 ", "x", "\t"]
+
+
+def edit_table(rng: random.Random, table: str, edits: list[str]) -> str:
+    lines = table.split("\n")
+    long_numeral = "1" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+    for edit in edits:
+        i = rng.randrange(len(lines))
+        fields = lines[i].split("\t")
+        if edit == "crlf":
+            lines[i] += "\r"
+        elif edit == "blank":
+            lines.insert(i, rng.choice(BLANK_LINES))
+        elif edit == "comment":
+            lines[i] = "#" + lines[i]
+        elif edit == "doc":
+            lines[i] = "\t".join([rng.choice(DOC_FIELDS)] + fields[1:])
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "long":
+            runs = [m.span() for m in re.finditer("[0-9]+", lines[i])]
+            if runs:
+                start, end = rng.choice(runs)
+                lines[i] = lines[i][:start] + long_numeral + lines[i][end:]
+        else:
+            k = rng.randrange(len(fields) + 1)
+            choice = rng.random()
+            if choice < 0.4 and k < len(fields):
+                fields[k] = rng.choice(FIELD_VALUES)
+            elif choice < 0.7 and k < len(fields):
+                del fields[k]
+            else:
+                fields.insert(k, rng.choice(FIELD_VALUES))
+            lines[i] = "\t".join(fields)
+    return "\n".join(lines)
+
+
+def table_outcome(read, table: str):
+    try:
+        return list(read(table).items())
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       edits=st.lists(st.sampled_from(TABLE_EDITS), max_size=4))
+def test_token_table_fast_path_agrees_with_its_line_loop(rng, edits):
+    _, table = write_coref_columns(random_corpus(rng, n_docs=rng.randint(1, 2)))
+    if rng.random() < 0.5:
+        table = table.replace("\n", "\r\n")
+    table = edit_table(rng, table, edits)
+    expected = table_outcome(conll._table_lines, table)
+    fast = conll._table_rows(table)
+    if isinstance(expected, tuple):  # the line loop words a fault
+        assert fast is None
+    else:
+        assert fast is not None and list(fast.items()) == expected
+    assert table_outcome(parse_token_table, table) == expected
+
+
+@pytest.mark.parametrize("value", [(0.0, 2.0), (0, 2.0), (False, 2), ("0", "2"), (0, 2, 4), None, 2])
+def test_dict_token_table_values_must_be_int_pairs(value):
+    columns = "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
+    with pytest.raises(ParseError) as err:
+        read_coref_columns(columns, {("d", 0): value, ("d", 1): (3, 5)})
+    assert (str(err.value), err.value.line) == (
+        "line 4: token table span of token 0 of 'd' is not a pair of ints", 4)
+
+
+def test_dict_token_table_values_may_be_lists():
+    columns = "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
+    doc = read_coref_columns(columns, {("d", 0): [0, 2], ("d", 1): [3, 5]}).documents[0]
+    assert (doc.text, doc.mentions[0].surface) == ("ab cd", "ab")
+
+
+@pytest.mark.parametrize("table", [
+    "d\t0\t0\t2\nd\t1\t3\t5\nd\t9\t7\t9\nzz\t0\t0\t2\n",
+    {("d", 0): (0, 2), ("d", 1): (3, 5), ("d", 9): (7, 9), ("zz", 0): (0, 2)},
+], ids=["tsv", "dict"])
+def test_token_table_rows_no_token_uses_are_rejected(table):
+    columns = "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
+    with pytest.raises(ParseError) as err:
+        read_coref_columns(columns, table)
+    assert (str(err.value), err.value.line) == (
+        "line 4: token table row ('d', 9) matches no token", 4)
+
+
+def test_token_table_rows_beside_an_empty_column_file_are_rejected_at_line_1():
+    with pytest.raises(ParseError) as err:
+        read_coref_columns("", "d\t0\t0\t2\n")
+    assert (str(err.value), err.value.line) == (
+        "line 1: token table row ('d', 0) matches no token", 1)
+
+
+# Line 3 of a document d with tokens A (0) and C (-) around it: the token-line
+# test (4 columns, inside a document, not "#"-led) must leave every line but a
+# token line to the sentinel, comment and column-count checks. The documents
+# read as (doc_id, text, mention spans), or the error text and line.
+@pytest.mark.parametrize("line, expected", [
+    ("#begin document a b", ("line 3: nested document begin", 3)),
+    (" #begin document a b", ("line 3: malformed coreference entry 'b'", 3)),
+    ("  #end document", ("line 4: token line outside a document: 'd\\t2\\tC\\t-'", 4)),
+    ("\t#end document", ("line 4: token line outside a document: 'd\\t2\\tC\\t-'", 4)),
+    ("#end document x y", [("d", "A C", [(0, 1)])]),
+    ("#d\t1\tB\t(1)", [("d", "A C", [(0, 1)])]),
+    ("  d 1 B (1)", [("d", "A B C", [(0, 1), (2, 3)])]),
+    ("B (1)", [("d", "A B C", [(0, 1), (2, 3)])]),
+    ("d\tB\t(1)", [("d", "A B C", [(0, 1), (2, 3)])]),
+    ("d\t1\t1\tB\t(1)", [("d", "A B C", [(0, 1), (2, 3)])]),
+    ("d\t1\t1\tB\tNN\t*\t-\t-\t-\t-\t*\t(1)", [("d", "A B C", [(0, 1), (2, 3)])]),
+    ("B", ("line 3: expected token and coreference columns, got 'B'", 3)),
+], ids=["begin", "spaced-begin", "spaced-end", "tabbed-end", "end-4-columns", "comment",
+        "spaced-4-columns", "2-columns", "3-columns", "5-columns", "12-columns", "1-column"])
+def test_lines_beside_token_lines_read_as_pinned(line, expected):
+    text = f"#begin document d\nd\t0\tA\t(0)\n{line}\nd\t2\tC\t-\n#end document\n"
+    try:
+        corpus = read_coref_columns(text)
+    except ParseError as exc:
+        assert (str(exc), exc.line) == expected
+    else:
+        assert [(d.doc_id, d.text, sorted((m.start, m.end) for m in d.mentions))
+                for d in corpus] == expected
 
 
 @pytest.mark.parametrize("table", [

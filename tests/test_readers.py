@@ -20,6 +20,7 @@ finds violations, with ``validate``'s message.
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from corefkg import jsonl
 from corefkg.brat import parse_brat, read_brat_dir, write_brat, write_brat_dir
-from corefkg.conll import read_coref_columns, write_coref_columns
+from corefkg.conll import parse_token_table, read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
 from corefkg.goldkg import compile_gold, read_entity_links, read_gold_jsonl, write_gold_jsonl
 from corefkg.jsonl import document_from_dict, read_jsonl, write_jsonl
@@ -254,8 +255,8 @@ BAD_ENTRIES = {
                  "offset order violated @ d[5,2)"),
     "mixed": ({"start": 0, "end": 2, "type": "Mixed"}, "d\t0\t2\tMixed", None,
               "mention typed Mixed @ d[0,2)"),
-    "unknown-type": ({"start": 0, "end": 2, "type": "Widget"}, "d\t0\t2\tWidget", None,
-                     "unknown concept type 'Widget'"),
+    "unknown-type": ({"start": 0, "end": 2, "type": "Widget"}, "d\t0\t2\tWidget",
+                     "T2\tWidget 0 2\tab", "unknown concept type 'Widget'"),
     "missing-start": ({"end": 2, "type": "Data"}, None, None, "missing field 'start'"),
     "true-offset": ({"start": True, "end": 2, "type": "Data"}, None, None,
                     "field 'start' has wrong type bool"),
@@ -290,6 +291,34 @@ def test_every_reader_words_a_bad_mention_entry_alike(entry, row, ann, message):
         with pytest.raises(ParseError) as err:
             read(text)
         assert (str(err.value), err.value.line) == (f"line 2: {message}", 2), read.__name__
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _long_numeral_second_lines(numeral: str):
+    """(reader, text, what) triples whose line 2 holds ``numeral`` where an int
+    goes; ``what`` names the field in the reader's error."""
+    entry = {"start": "N", "end": 2, "type": "Data"}
+    for read, text in _with_bad_second_line(entry, "d\tN\t2\tData", "T2\tData N 2\tab"):
+        if read in (read_jsonl, read_kg_jsonl, read_gold_jsonl):
+            yield read, text.replace('"N"', numeral), "JSON number"
+        else:
+            yield read, text.replace("N", numeral), "start" if read is read_entity_links else "offset"
+    table = f"d\t0\t0\t2\nd\t1\t3\t{numeral}\n"
+    columns = "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
+    yield parse_token_table, table, "token table entry"
+    yield lambda table: read_coref_columns(columns, table), table, "token table entry"
+    yield read_coref_columns, columns.replace("(0)", f"({numeral})"), "chain number"
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="this interpreter converts numerals of any length")
+def test_every_reader_words_a_numeral_past_the_digit_limit():
+    for read, text, what in _long_numeral_second_lines("1" * (DIGIT_LIMIT + 1)):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        message = f"line 2: {what} has more than {DIGIT_LIMIT} digits"
+        assert (str(err.value), err.value.line) == (message, 2), read.__name__
 
 
 INVARIANT_EDITS = ("swap", "past-end", "mixed", "duplicate", "second-cluster")

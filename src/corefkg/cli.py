@@ -18,22 +18,23 @@ import gc
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import brat, conll, jsonl
 from .baseline import resolve_corpus
 from .errors import ParseError, ValidationError
 from .goldkg import (
+    _gold_lines,
     attach_entity_links,
     compile_gold,
     evaluate_population,
     read_entity_links,
     read_gold_jsonl,
-    write_gold_jsonl,
 )
 from .kgpop import (
     CollapseStrategy,
     DomainScope,
-    export_kg_jsonl,
+    _kg_lines,
     export_ntriples,
     kg_stats,
     populate,
@@ -111,7 +112,7 @@ def _write_corpus(corpus: Corpus, path_s: str, fmt: str | None) -> None:
         brat.write_brat_dir(corpus, path)
         return
     if fmt == "jsonl":
-        path.write_text(jsonl.write_jsonl(corpus), "utf-8")
+        _write_file(path, jsonl._document_lines(corpus))
         return
     if fmt == "conll":
         columns, table = conll.write_coref_columns(corpus)
@@ -125,11 +126,19 @@ def _strategy(args) -> CollapseStrategy:
     return CollapseStrategy(scope=_STRATEGY[args.strategy], use_coreference=not args.no_coref)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write_file(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` one at a time, encoded and with newlines translated
+    as ``Path.write_text(..., "utf-8")`` would: no copy of the whole output."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(chunks)
+
+
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write ``chunks`` to the file ``out``, or to stdout for ``-`` or no file."""
     if out and out != "-":
-        Path(out).write_text(text, "utf-8")
+        _write_file(out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def build_parser() -> _Parser:
@@ -213,7 +222,7 @@ def _cmd_score(args, cfg) -> int:
     sys.stdout.write(report.to_table())
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.json_out:
-        _emit(payload, args.json_out)
+        _emit((payload,), args.json_out)
     else:
         sys.stdout.write(payload)
     return 0
@@ -228,8 +237,8 @@ def _cmd_baseline(args, cfg) -> int:
 def _cmd_populate(args, cfg) -> int:
     corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
     kg = populate(corpus, _strategy(args), gold=args.gold)
-    exported = export_ntriples(kg) if args.kg_format == "ntriples" else export_kg_jsonl(kg)
-    _emit(exported, args.output)
+    lines = (export_ntriples(kg),) if args.kg_format == "ntriples" else _kg_lines(kg)
+    _emit(lines, args.output)
     sys.stdout.write(kg_stats(kg, corpus).to_tsv())
     return 0
 
@@ -239,7 +248,7 @@ def _cmd_compile_gold(args, cfg) -> int:
     if args.links:
         links = read_entity_links(Path(args.links).read_text("utf-8"))
         corpus = attach_entity_links(corpus, links, skip_unmatched=args.skip_unmatched_links)
-    _emit(write_gold_jsonl(compile_gold(corpus)), args.output)
+    _emit(_gold_lines(compile_gold(corpus)), args.output)
     return 0
 
 
@@ -253,7 +262,7 @@ def _cmd_eval_kg(args, cfg) -> int:
     sys.stdout.write(result.report.to_table())
     sys.stdout.write(f"concepts\t{result.n_concepts}\n")
     if args.json_out:
-        _emit(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", args.json_out)
+        _emit((json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",), args.json_out)
     return 0
 
 

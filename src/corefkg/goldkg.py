@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import ParseError, ValidationError
 from .jsonl import (_concept_type, _digits, _expect, _expect_entries, _json_objects, _key_group,
-                    _lines, _mention_entry, _mention_key)
+                    _lines, _mention_entry, _mention_key, _quote)
 from .kgpop import CollapseStrategy, acronym_maps, collapse
 from .metrics import Partition, ScoreReport, score
 from .model import (
@@ -98,25 +98,25 @@ def compile_gold(corpus: Corpus) -> GoldKg:
     return GoldKg(concepts=concepts, n_clusters_kept=kept, n_singleton_clusters=singleton)
 
 
-def write_gold_jsonl(gold: GoldKg) -> str:
-    """One concept per line: {entity, mentions: [{doc_id, start, end, type}]}."""
-    lines = []
+def _gold_lines(gold: GoldKg) -> Iterator[str]:
+    """The header line, then one line per concept, each with its newline."""
     header = {
         "record": "gold_kg",
         "clusters_kept": gold.n_clusters_kept,
         "singleton_clusters": gold.n_singleton_clusters,
     }
-    lines.append(json.dumps(header, sort_keys=True))
+    yield json.dumps(header, sort_keys=True) + "\n"
     for concept in gold.concepts:
-        obj = {
-            "entity": concept.entity,
-            "mentions": [
-                {"doc_id": d, "start": s, "end": e, "type": t}
-                for d, s, e, t in concept.sorted_mentions()
-            ],
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-    return "\n".join(lines) + "\n"
+        mentions = ", ".join([
+            f'{{"doc_id": {_quote(d)}, "end": {e}, "start": {s}, "type": {_quote(t)}}}'
+            for d, s, e, t in concept.sorted_mentions()
+        ])
+        yield f'{{"entity": {_quote(concept.entity)}, "mentions": [{mentions}]}}\n'
+
+
+def write_gold_jsonl(gold: GoldKg) -> str:
+    """One concept per line: {entity, mentions: [{doc_id, start, end, type}]}."""
+    return "".join(_gold_lines(gold))
 
 
 def read_gold_jsonl(text: str) -> GoldKg:

@@ -13,13 +13,16 @@ to ``coref_only`` for type ``None`` and ``concept_extractor`` otherwise.
 
 This module also holds the line handling and field checks, mention entries,
 keys and key groups among them, that the package's line-oriented readers
-share, so each of those facts is decided in one place.
+share, and the JSON fragments that the corpus, KG and gold-KG writers share,
+so each of those facts is decided in one place.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
+from json.encoder import encode_basestring as _quote
 from typing import Iterator
 
 from .errors import ParseError
@@ -43,6 +46,14 @@ _MIXED = ConceptType.MIXED  # bound once: an Enum member read off its class cost
 #: The types a single mention may carry, by name; Mixed is left to the checks.
 _MENTION_TYPES = {t.value: t for t in ConceptType if t is not _MIXED}
 
+# The JSONL writers build each line from fragments. A record's line equals
+# json.dumps(record, ensure_ascii=False, sort_keys=True): keys are spelled in
+# sorted order with json's ", " and ": " separators, a free string goes
+# through ``_quote`` (json's own encoder for ensure_ascii=False) and an int is
+# its repr. Header records are written by json.dumps itself, ASCII-escaped.
+#: every ConceptType and MentionSource value as a JSON string
+_QUOTED = {member: _quote(member.value) for member in (*ConceptType, *MentionSource)}
+
 
 def document_to_dict(doc: Document) -> dict:
     index = {m: i for i, m in enumerate(doc.mentions)}
@@ -61,11 +72,29 @@ def document_to_dict(doc: Document) -> dict:
     return out
 
 
+def _document_lines(corpus: Corpus) -> Iterator[str]:
+    """The line of each document's ``document_to_dict`` object, newline included."""
+    quote, quoted = _quote, _QUOTED
+    for doc in corpus:
+        index = {m: i for i, m in enumerate(doc.mentions)}
+        # a list of lists of ints, whose repr is its JSON
+        clusters = repr(sorted([sorted([index[m] for m in c.mentions]) for c in doc.clusters]))
+        mentions = ", ".join([
+            f'{{"end": {m.end}, "source": {quoted[m.source]}, "start": {m.start}, '
+            f'"type": {quoted[m.concept_type]}}}'
+            for m in doc.mentions
+        ])
+        links = ""
+        if doc.entity_links:
+            pairs = sorted([(index[m], e) for m, e in doc.entity_links.items()])
+            links = ', "entity_links": [' + ", ".join([f"[{i}, {quote(e)}]" for i, e in pairs]) + "]"
+        yield (f'{{"clusters": {clusters}, "doc_id": {quote(doc.doc_id)}, '
+               f'"domain": {quote(doc.domain)}{links}, "mentions": [{mentions}], '
+               f'"text": {quote(doc.text)}}}\n')
+
+
 def write_jsonl(corpus: Corpus) -> str:
-    lines = [
-        json.dumps(document_to_dict(doc), ensure_ascii=False, sort_keys=True) for doc in corpus
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_document_lines(corpus))
 
 
 def _lines(text: str) -> list[str]:
@@ -89,6 +118,23 @@ def _long_numeral(what: str, lineno: int) -> ParseError:
     return ParseError(f"{what} has more than {sys.get_int_max_str_digits()} digits", lineno)
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]").search
+
+
+def _lone_surrogate(line: str, obj) -> bool:
+    """Whether ``obj``, decoded from ``line``, holds a lone surrogate, which no
+    UTF-8 text can: one raw in the line, or an escape that pairs with none (a
+    valid escaped pair decodes to one character)."""
+    try:
+        if not line.isascii():
+            line.encode("utf-8")
+        if "\\u" in line and _SURROGATE_ESCAPE(line):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _json_objects(text: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for every non-blank line of a JSONL text."""
     for lineno, line in enumerate(_lines(text), start=1):
@@ -98,10 +144,15 @@ def _json_objects(text: str) -> Iterator[tuple[int, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply", lineno) from None
         except ValueError:  # an int past the digit limit: int() refused it
             raise _long_numeral("JSON number", lineno) from None
         if not isinstance(obj, dict):
             raise ParseError("line must be a JSON object", lineno)
+        # an ASCII line without a \u escape, the common case, holds no surrogate
+        if (not line.isascii() or "\\u" in line) and _lone_surrogate(line, obj):
+            raise ParseError("lone surrogate in a string: text must be valid Unicode", lineno)
         yield lineno, obj
 
 

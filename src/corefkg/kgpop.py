@@ -18,11 +18,11 @@ import json
 import urllib.parse
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError
-from .jsonl import (_concept_type, _expect, _expect_entries, _expect_source, _json_objects,
-                    _key_group, _mention_entry, _mention_key)
+from .jsonl import (_QUOTED, _concept_type, _expect, _expect_entries, _expect_source,
+                    _json_objects, _key_group, _mention_entry, _mention_key, _quote)
 from .model import (
     CANONICAL_TYPES,
     ConceptType,
@@ -362,35 +362,27 @@ def export_ntriples(kg: KnowledgeGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _kg_lines(kg: KnowledgeGraph) -> Iterator[str]:
+    """The header line, then one line per concept, each with its newline."""
+    quote, quoted = _quote, _QUOTED
+    yield json.dumps({"record": "kg", "papers": list(kg.papers)}, sort_keys=True) + "\n"
+    for concept in kg.concepts:
+        clusters = ", ".join([
+            f'{{"doc_id": {quote(cluster.doc_id)}, "mentions": [' + ", ".join([
+                f'{{"end": {m.end}, "source": {quoted[m.source]}, "start": {m.start}, '
+                f'"surface": {quote(m.surface)}, "type": {quoted[m.concept_type]}}}'
+                for m in cluster.sorted_mentions()
+            ]) + "]}"
+            for cluster in concept.clusters
+        ])
+        yield (f'{{"clusters": [{clusters}], "concept_id": {quote(concept.concept_id)}, '
+               f'"domain_scope": {quote(concept.domain_scope)}, "label": {quote(concept.label)}, '
+               f'"record": "concept", "type": {quoted[concept.concept_type]}}}\n')
+
+
 def export_kg_jsonl(kg: KnowledgeGraph) -> str:
     """JSONL export mirroring the data model; re-importable."""
-    lines = [json.dumps({"record": "kg", "papers": list(kg.papers)}, sort_keys=True)]
-    for concept in kg.concepts:
-        obj = {
-            "record": "concept",
-            "concept_id": concept.concept_id,
-            "label": concept.label,
-            "domain_scope": concept.domain_scope,
-            "type": concept.concept_type.value,
-            "clusters": [
-                {
-                    "doc_id": cluster.doc_id,
-                    "mentions": [
-                        {
-                            "start": m.start,
-                            "end": m.end,
-                            "type": m.concept_type.value,
-                            "source": m.source.value,
-                            "surface": m.surface,
-                        }
-                        for m in cluster.sorted_mentions()
-                    ],
-                }
-                for cluster in concept.clusters
-            ],
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    return "".join(_kg_lines(kg))
 
 
 def _concept_from_dict(obj: dict, lineno: int, clustered: set[MentionKey]) -> Concept:

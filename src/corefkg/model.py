@@ -164,6 +164,8 @@ class CoreferenceCluster:
         return len(self.mentions) == 1
 
     def sorted_mentions(self) -> list[Mention]:
+        if len(self.mentions) == 1:  # most clusters: no sort key to build
+            return list(self.mentions)
         return sorted(self.mentions, key=lambda m: (m.start, m.end, m.concept_type.value))
 
     def span_key(self) -> tuple[int, int]:

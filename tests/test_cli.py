@@ -11,8 +11,11 @@ import pytest
 
 import corefkg
 from corefkg import cli
+from corefkg.baseline import resolve_corpus
 from corefkg.cli import main
+from corefkg.goldkg import compile_gold, write_gold_jsonl
 from corefkg.jsonl import read_jsonl, write_jsonl
+from corefkg.kgpop import CollapseStrategy, DomainScope, export_kg_jsonl, populate
 from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention
 
 from corpusgen import random_corpus
@@ -296,6 +299,51 @@ def test_main_pauses_gc_and_restores_the_callers_state(enabled, corpus_path, tmp
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert during == [False, False]
+
+
+@pytest.fixture
+def linked_corpus_path(tmp_path):
+    """Generated documents with non-ASCII text, U+2028 and non-ASCII entity links."""
+    rng = random.Random(42)
+    corpus = Corpus(tuple(
+        Document(d.doc_id, d.domain, d.text + "\u2028é", d.mentions, d.clusters,
+                 entity_links={m: rng.choice(["Q1", "Q_é", "Q\u2028"]) for m in d.mentions})
+        for d in random_corpus(random.Random(41), n_docs=12)
+    ))
+    path = tmp_path / "linked.jsonl"
+    path.write_text(write_jsonl(corpus), "utf-8")
+    return path
+
+
+def test_streamed_files_equal_the_library_strings(linked_corpus_path, tmp_path, capsys):
+    corpus = read_jsonl(linked_corpus_path.read_text("utf-8"))
+    src = str(linked_corpus_path)
+    pred, kg, gold = tmp_path / "pred.jsonl", tmp_path / "kg.jsonl", tmp_path / "gold.jsonl"
+    assert main(["baseline", "--in", src, "--out", str(pred)]) == 0
+    assert pred.read_bytes() == write_jsonl(resolve_corpus(corpus)).encode("utf-8")
+    assert main(["populate", "--in", src, "--strategy", "in", "--format", "jsonl",
+                 "--out", str(kg)]) == 0
+    expected_kg = export_kg_jsonl(populate(corpus, CollapseStrategy(DomainScope.IN_DOMAIN)))
+    assert kg.read_bytes() == expected_kg.encode("utf-8")
+    assert main(["compile-gold", "--in", src, "--out", str(gold)]) == 0
+    expected_gold = write_gold_jsonl(compile_gold(corpus))
+    assert '"Q_é"' in expected_gold
+    assert gold.read_bytes() == expected_gold.encode("utf-8")
+    capsys.readouterr()
+    assert main(["compile-gold", "--in", src]) == 0  # --out defaults to -, stdout
+    assert capsys.readouterr().out == expected_gold
+
+
+def test_gold_kg_on_stdout_is_byte_equal_to_the_library_string(linked_corpus_path):
+    package_root = str(Path(corefkg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "corefkg.cli", "compile-gold",
+                           "--in", str(linked_corpus_path), "--out", "-"],
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    corpus = read_jsonl(linked_corpus_path.read_text("utf-8"))
+    assert done.stdout == write_gold_jsonl(compile_gold(corpus)).encode("utf-8")
 
 
 def _cli_outputs(src: Path, workdir: Path, hash_seed: str) -> dict[str, bytes]:

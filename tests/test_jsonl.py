@@ -5,7 +5,9 @@ import pytest
 
 from corefkg import jsonl
 from corefkg.errors import ParseError
+from corefkg.goldkg import read_gold_jsonl
 from corefkg.jsonl import document_from_dict, read_jsonl, write_jsonl
+from corefkg.kgpop import read_kg_jsonl
 from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention
 
 from corpusgen import random_corpus
@@ -216,3 +218,35 @@ def test_complete_mention_entries_skip_the_field_checks(monkeypatch):
     for checks in ("_concept_type", "_expect_source"):  # only the field checks call these
         monkeypatch.setattr(jsonl, checks, refuse)
     assert read_jsonl(write_jsonl(random_corpus(random.Random(23))))
+
+
+READERS = [read_jsonl, read_kg_jsonl, read_gold_jsonl]
+READER_IDS = ["corpus", "kg", "gold"]
+
+
+@pytest.mark.parametrize("read", READERS, ids=READER_IDS)
+def test_deeply_nested_json_is_a_parse_error_at_its_line(read):
+    deep = '{"doc_id": ' + "[" * 100000 + "]" * 100000 + "}"
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        read("\n" + deep + "\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("read", READERS, ids=READER_IDS)
+@pytest.mark.parametrize("string", [
+    "\\ud800", "a\\uDC00b", "\\ude00\\ud83d", "\\ud83d", "\ud800", "\u00e9\\ud800",
+], ids=["high", "low", "reversed-pair", "high-at-end", "raw", "non-ascii-line"])
+def test_lone_surrogate_is_a_parse_error_at_its_line(read, string):
+    with pytest.raises(ParseError, match="lone surrogate") as err:
+        read('\n\n{"doc_id": "d", "text": "%s"}\n' % string)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("escaped, decoded", [
+    ("\\ud83d\\ude00", "\U0001F600"),
+    ("\\\\ud800", "\\ud800"),  # an escaped backslash, then the letters
+    ("\\u00e9\u2028\\u0020", "\u00e9\u2028 "),
+], ids=["pair", "escaped-backslash", "bmp"])
+def test_valid_escapes_still_read(escaped, decoded):
+    line = '{"doc_id": "d", "domain": "CS", "text": "%s", "mentions": [], "clusters": []}' % escaped
+    assert read_jsonl(line).documents[0].text == decoded

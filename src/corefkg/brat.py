@@ -279,14 +279,30 @@ def read_brat_dir(
 def write_brat_dir(
     corpus: Corpus, root: str | Path, *, relation_label: str = DEFAULT_RELATION_LABEL
 ) -> None:
-    """Write a corpus as .txt/.ann pairs under ``root``, one subdir per domain."""
+    """Write a corpus as .txt/.ann pairs under ``root``, one subdir per domain.
+
+    Every target is worked out before any file is written: ValueError if a
+    document's path (``<domain>/<doc_id>``, normalized without touching the
+    file system, less the suffix of its last segment) leaves ``root`` or is
+    shared with another document.
+    """
     root = Path(root)
+    targets: dict[str, Document] = {}  # path less ".txt"/".ann" -> its document
     for doc in corpus:
-        text, ann = write_brat(doc, relation_label=relation_label)
         rel = Path(doc.doc_id)
         if doc.domain and rel.parts[:1] != (doc.domain,):
             rel = Path(doc.domain) / rel
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.with_suffix(".txt").write_text(text, "utf-8", newline="")
-        target.with_suffix(".ann").write_text(ann, "utf-8")
+        stem = os.path.splitext(os.path.normpath(rel))[0]
+        if os.path.isabs(stem) or Path(stem).parts[:1] in ((), ("..",)):
+            raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} "
+                             f"would be written outside {str(root)!r}")
+        if stem in targets:
+            raise ValueError(f"doc_ids {targets[stem].doc_id!r} and {doc.doc_id!r} would both "
+                             f"be written to {os.path.join(root, stem)!r}")
+        targets[stem] = doc
+    for stem, doc in targets.items():
+        text, ann = write_brat(doc, relation_label=relation_label)
+        target = os.path.join(root, stem)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        Path(target + ".txt").write_text(text, "utf-8", newline="")
+        Path(target + ".ann").write_text(ann, "utf-8")

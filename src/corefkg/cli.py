@@ -5,10 +5,10 @@ eval-kg. Exit codes: 0 success, 1 usage error, 2 data/validation error
 (violations are printed to stderr).
 
 Corpus formats are detected from the path (directory = brat, .jsonl = jsonl,
-anything else = conll columns) and can be forced with --format. A column
-file's sidecar token table is looked up at ``<path>.tokens``. Option values
-resolve as: command-line flag, then config file (``key = value`` lines,
-``--config``), then built-in default.
+anything else = conll columns) and can be forced with --format; a corpus
+output of ``-`` is JSONL on stdout. A column file's sidecar token table is
+looked up at ``<path>.tokens``. Option values resolve as: command-line flag,
+then config file (``key = value`` lines, ``--config``), then built-in default.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def _effective(args, cfg: dict[str, str], name: str, default=None):
 
 
 def _detect_format(path: Path, for_output: bool = False) -> str:
+    if for_output and str(path) == "-":  # stdout
+        return "jsonl"
     if path.is_dir() or (for_output and not path.suffix):
         return "brat"
     if path.suffix == ".jsonl":
@@ -106,13 +108,16 @@ def _read_corpus(path_s: str, fmt: str | None) -> Corpus:
 
 
 def _write_corpus(corpus: Corpus, path_s: str, fmt: str | None) -> None:
+    """Write a corpus to ``path_s``; ``-`` is stdout, for JSONL only."""
     path = Path(path_s)
     fmt = fmt or _detect_format(path, for_output=True)
+    if path_s == "-" and fmt != "jsonl":
+        raise ValueError(f"a {fmt} corpus cannot be written to stdout; give --out a path")
     if fmt == "brat":
         brat.write_brat_dir(corpus, path)
         return
     if fmt == "jsonl":
-        _write_file(path, jsonl._document_lines(corpus))
+        _emit(jsonl._document_lines(corpus), path_s)
         return
     if fmt == "conll":
         columns, table = conll.write_coref_columns(corpus)
@@ -239,7 +244,8 @@ def _cmd_populate(args, cfg) -> int:
     kg = populate(corpus, _strategy(args), gold=args.gold)
     lines = (export_ntriples(kg),) if args.kg_format == "ntriples" else _kg_lines(kg)
     _emit(lines, args.output)
-    sys.stdout.write(kg_stats(kg, corpus).to_tsv())
+    # with the export on stdout, the table goes to stderr to keep stdout parseable
+    (sys.stderr if args.output == "-" else sys.stdout).write(kg_stats(kg, corpus).to_tsv())
     return 0
 
 

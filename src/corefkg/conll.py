@@ -8,15 +8,16 @@ single-token mention, ``-`` is none; several entries are separated by ``|``.
 
 The format is token-indexed while the data model is character-indexed, so
 the writer also emits a sidecar *token table* (TSV: doc_id, token index,
-start, end) recording the character span of every token. Reading with the
-table restores exact offsets; reading without it synthesizes text by joining
-tokens with single spaces.
+start, end) recording the character span of every token. The writer
+tokenizes left to right, so the spans of a document increase: each starts
+at or after the end of the one before. Reading with the table restores exact
+offsets; reading without it synthesizes text by joining tokens with single
+spaces.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import repeat
 
 from .errors import ParseError
 from .jsonl import _checked, _digits, _lines, _long_numeral
@@ -169,17 +170,6 @@ def _table_lines(table: str) -> dict[tuple[str, int], tuple[int, int]]:
     return out
 
 
-def _int_pairs(table: dict) -> dict:
-    """A dict token table with each value that is not a (start, end) pair of
-    ints, as a tuple or list, replaced by None; ``_column_document`` raises
-    ParseError for it at the line of the document that uses it."""
-    return {
-        key: span if type(span) in (tuple, list) and len(span) == 2
-        and type(span[0]) is int and type(span[1]) is int else None
-        for key, span in table.items()
-    }
-
-
 def _token_column(cols: list[str]) -> int:
     # Our own files have 4 columns (doc, index, token, coref); full
     # CoNLL-2012 exports have 12+, with the word in column 3.
@@ -187,16 +177,15 @@ def _token_column(cols: list[str]) -> int:
 
 
 def _column_document(doc_id: str, tokens: list[str], chains: dict[int, list[tuple[int, int]]],
-                     offsets: dict[tuple[str, int], tuple[int, int] | None] | None,
-                     lineno: int) -> tuple[Document, bool]:
-    """The document of one column block, built at its ``#end document`` line,
-    and whether it passed the checks ``validate`` would otherwise repeat (see
-    ``_checked``). ``chains`` maps each chain, in the order first seen, to the
-    (first, last) token of each of its mentions.
+                     offsets: dict[tuple[str, int], tuple[int, int]] | None,
+                     lineno: int) -> Document:
+    """The document of one column block, built at its ``#end document`` line.
+    ``chains`` maps each chain, in the order first seen, to the (first, last)
+    token of each of its mentions.
 
-    Spans are unique and untyped by construction, and ordered when the
-    token spans increase; a token table need not be monotone, so a mention
-    may still end before it starts.
+    Token spans increase and tokens are not empty, and each close pops an
+    earlier open, so every mention is ordered, in range and reads back: the
+    document is valid by construction once its spans are unique.
     """
     if offsets is None:
         spans = []
@@ -205,13 +194,8 @@ def _column_document(doc_id: str, tokens: list[str], chains: dict[int, list[tupl
             spans.append((pos, pos + len(tok)))
             pos += len(tok) + 1
         text = " ".join(tokens)
-        monotone = True
     else:
-        spans = list(map(offsets.get, zip(repeat(doc_id), range(len(tokens)))))
-        text = _monotone_text(tokens, spans)
-        monotone = text is not None
-        if not monotone:
-            text = _overlaid_text(doc_id, tokens, spans, offsets, lineno)
+        spans, text = _table_spans(doc_id, tokens, offsets, lineno)
 
     untyped, coref_only = ConceptType.NONE, MentionSource.COREF_ONLY  # bound once per document
     mentions: list[Mention] = []
@@ -229,77 +213,53 @@ def _column_document(doc_id: str, tokens: list[str], chains: dict[int, list[tupl
         clusters.append(CoreferenceCluster(doc_id, frozenset(members)))
     clusters.sort(key=CoreferenceCluster.span_key)
     mentions.sort(key=lambda m: (m.start, m.end))
-    doc = Document(doc_id=doc_id, domain="", text=text,
-                   mentions=tuple(mentions), clusters=tuple(clusters))
-    return doc, monotone or all(0 <= s < e for s, e in seen_spans)
+    return Document(doc_id=doc_id, domain="", text=text,
+                    mentions=tuple(mentions), clusters=tuple(clusters))
 
 
-def _monotone_text(tokens: list[str], spans: list[tuple[int, int] | None]) -> str | None:
-    """The text of tokens whose spans fit them and increase, with spaces in
-    the gaps, so each token reads back by construction; None for any other
-    table, which ``_overlaid_text`` reads."""
+def _table_spans(doc_id: str, tokens: list[str], offsets: dict[tuple[str, int], tuple[int, int]],
+                 lineno: int) -> tuple[list[tuple[int, int]], str]:
+    """The table spans of a document's tokens, and its text: the tokens at
+    their spans, with spaces in the gaps. ParseError for a token with no row,
+    a span that does not fit its token or one that starts before the previous
+    token ends."""
+    spans = []
     pieces = []
     pos = 0
-    for tok, span in zip(tokens, spans):
+    for i, tok in enumerate(tokens):
+        span = offsets.get((doc_id, i))
         if span is None:
-            return None
-        s, e = span
-        if s < pos or e - s != len(tok):
-            return None
-        pieces.append(" " * (s - pos))
-        pieces.append(tok)
-        pos = e
-    return "".join(pieces)
-
-
-def _overlaid_text(doc_id: str, tokens: list[str], spans: list[tuple[int, int] | None],
-                   offsets: dict, lineno: int) -> str:
-    """The text of tokens written over spaces at their spans in table order,
-    or ParseError for a missing or misfit span or a token that does not read back."""
-    for i, (tok, span) in enumerate(zip(tokens, spans)):
-        if span is None:
-            if (doc_id, i) in offsets:
-                raise ParseError(
-                    f"token table span of token {i} of {doc_id!r} is not a pair of ints", lineno
-                )
             raise ParseError(f"token table has no entry for token {i} of {doc_id!r}", lineno)
         s, e = span
         if e - s != len(tok):
             raise ParseError(f"token table span [{s},{e}) does not fit token {tok!r}", lineno)
-    chars = [" "] * max((e for _, e in spans), default=0)
-    for (s, e), tok in zip(spans, tokens):
-        chars[s:e] = tok
-    text = "".join(chars)
-    for (s, e), tok in zip(spans, tokens):
-        if text[s:e] != tok:  # a later token overlapping this one overwrote it
-            raise ParseError(
-                f"token table span [{s},{e}) of token {tok!r} reads back {text[s:e]!r}", lineno
-            )
-    return text
+        if s < pos:
+            raise ParseError(f"token table span [{s},{e}) of token {i} {tok!r} of {doc_id!r} "
+                             f"starts before the previous token ends at {pos}", lineno)
+        spans.append(span)
+        pieces.append(" " * (s - pos))
+        pieces.append(tok)
+        pos = e
+    return spans, "".join(pieces)
 
 
-def read_coref_columns(
-    columns: str,
-    token_table: str | dict[tuple[str, int], tuple[int, int]] | None = None,
-) -> Corpus:
+def read_coref_columns(columns: str, token_table: str | None = None) -> Corpus:
     """Parse a column file into a validated corpus of untyped (coreference-only)
     mentions.
 
-    With a token table, character offsets are the recorded ones and the text
-    is reconstructed with the original spacing; every token must read back
-    from that text. Without it, tokens are joined by single spaces. Chain
-    brackets must balance per document; a mention span may belong to at most
-    one chain. A document that violates an invariant (see ``validate``) or
-    repeats a doc_id raises ParseError at its ``#end document`` line, and so
-    does a value of a dict token table that is not a pair of ints. A table
+    With a token table (the text ``write_coref_columns`` returns beside the
+    columns), character offsets are the recorded ones and the text is
+    reconstructed with the original spacing. Each token needs a row whose
+    span fits it, and the spans of a document must increase, as the writer
+    writes them. Without a table, tokens are joined by single spaces. Chain
+    brackets must balance per document; a mention span may belong to at
+    most one chain. A fault in a document's tokens, spans or chains, or a
+    repeated doc_id, raises ParseError at its ``#end document`` line. A table
     row that no token uses raises ParseError at the last line (line 1 of an
     empty file).
     """
     lines = _lines(columns)
-    if isinstance(token_table, str):
-        offsets = parse_token_table(token_table)
-    else:
-        offsets = None if token_table is None else _int_pairs(token_table)
+    offsets = None if token_table is None else parse_token_table(token_table)
     documents: list[Document] = []
     seen_ids: set[str] = set()
     n_tokens: dict[str, int] = {}  # doc_id -> its token count, for the unused-row check
@@ -329,7 +289,7 @@ def read_coref_columns(
             if open_chains:
                 raise ParseError(f"unbalanced brackets: chains {open_chains} still open", lineno)
             documents.append(_checked(
-                *_column_document(doc_id, tokens, chains, offsets, lineno), lineno, seen_ids
+                _column_document(doc_id, tokens, chains, offsets, lineno), True, lineno, seen_ids
             ))
             n_tokens[doc_id] = len(tokens)
             doc_id = None

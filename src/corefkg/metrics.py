@@ -255,26 +255,26 @@ def b_cubed(key: Partition, response: Partition) -> PRF:
     return PRF.from_pr(precision, recall)
 
 
-def optimal_assignment(weights) -> dict[int, int]:
+def optimal_assignment(rows: list[dict[int, int | Fraction]]) -> dict[int, int]:
     """Injective row->column map maximizing total weight.
 
-    ``weights`` is an n x m matrix (a list of rows) of finite non-negative
-    values. Only non-zero cells are ever assigned, so a row may stay
-    unassigned. The solver grows the matching by successive shortest
-    augmenting paths: each round runs Dijkstra from all unassigned rows over
-    the non-zero cells, with reduced costs u[i] + v[j] - w[i][j] kept
-    non-negative by row potentials u and column potentials v, and it stops
-    when no augmenting path gains weight. Every row starts at the same
-    potential, the largest weight, so the unassigned rows always share one
-    potential ``level`` and a path to a free column gains ``level`` minus its
-    length. The arithmetic is the weights' own: int and ``Fraction`` weights
-    give an exact optimum.
+    ``rows`` is a sparse matrix, one ``{column: weight}`` dict per row, of
+    finite non-negative weights; zero cells may be left out and are never
+    assigned, so a row may stay unassigned. The solver grows the matching by
+    successive shortest augmenting paths: each round runs Dijkstra from all
+    unassigned rows over the non-zero cells, with reduced costs
+    u[i] + v[j] - w[i][j] kept non-negative by row potentials u and column
+    potentials v, and it stops when no augmenting path gains weight. Every
+    row starts at the same potential, the largest weight, so the unassigned
+    rows always share one potential ``level`` and a path to a free column
+    gains ``level`` minus its length. The arithmetic is the weights' own: int
+    and ``Fraction`` weights give an exact optimum.
     """
     cells = []
     level = 0
-    for row in weights:
+    for row in rows:
         out = []
-        for j, w in enumerate(row):
+        for j, w in row.items():
             if not 0 <= w < math.inf:
                 raise ValueError("weights must be finite and non-negative")
             if w:
@@ -282,7 +282,7 @@ def optimal_assignment(weights) -> dict[int, int]:
                 level = max(level, w)
         cells.append(out)
     row_pot = [level] * len(cells)
-    col_pot = [0] * max(map(len, weights), default=0)
+    col_pot = dict.fromkeys([j for out in cells for j, _ in out], 0)
     row_of: dict[int, int] = {}
     col_of: dict[int, int] = {}
     free = {i for i, out in enumerate(cells) if out}
@@ -355,9 +355,9 @@ def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts
     parts. The alignment is solved per component of the overlap table (see
     the module docstring): a star, with one key part or one response part,
     scores its largest similarity exactly; any other component is solved by
-    ``optimal_assignment`` on its own block of integer weights
-    2|K & R| * (L // (|K| + |R|)), L being the lcm of the block's non-zero
-    cells' |K| + |R|, and the assigned weights are summed and divided by L.
+    ``optimal_assignment`` on its own sparse rows, one per key part, of
+    integer weights 2|K & R| * (L // (|K| + |R|)), L being the lcm of the
+    component's cells' |K| + |R|; the assigned weights are summed and divided by L.
     ``drop_singleton_response_parts`` enables a non-standard variant (found
     in some neural-coreference eval scripts) that removes singleton response
     parts before aligning; leave it off for standard scoring.
@@ -370,8 +370,7 @@ def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts
 
     total = ZERO
     for cols in _components(shared):
-        rows = sorted({i for j in cols for i in shared[j]})
-        if len(rows) == 1 or len(cols) == 1:
+        if len(cols) == 1 or len({i for j in cols for i in shared[j]}) == 1:
             # every pair of a star overlaps and only one pair can be aligned;
             # find the largest 2n / (|K| + |R|) by cross-multiplying integers
             best_num, best_den = 0, 1
@@ -382,16 +381,17 @@ def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts
                         best_num, best_den = 2 * n_kr, den
             total += Fraction(best_num, best_den)
         else:
-            # integer weights 2n * (L // (|K| + |R|)) are the similarities
-            # scaled by L, the lcm of the block's denominators
+            # one row per key part of integer weights 2n * (L // (|K| + |R|)), the
+            # similarities scaled by L, the lcm of the component's denominators
             scale = math.lcm(*{key_sizes[i] + response_sizes[j] for j in cols for i in shared[j]})
-            at = {i: a for a, i in enumerate(rows)}
-            weights = [[0] * len(cols) for _ in rows]
-            for b, j in enumerate(cols):
+            by_key: dict[int, dict[int, int]] = {}
+            for j in cols:
                 for i, n_kr in shared[j].items():
-                    weights[at[i]][b] = 2 * n_kr * (scale // (key_sizes[i] + response_sizes[j]))
+                    den = key_sizes[i] + response_sizes[j]
+                    by_key.setdefault(i, {})[j] = 2 * n_kr * (scale // den)
+            weights = list(by_key.values())
             assignment = optimal_assignment(weights)
-            total += Fraction(sum(weights[a][b] for a, b in assignment.items()), scale)
+            total += Fraction(sum(weights[a][j] for a, j in assignment.items()), scale)
     return PRF.from_counts(total, len(shared), total, len(key_sizes))
 
 

@@ -278,6 +278,36 @@ def test_dir_roundtrip_keeps_line_breaks_inside_mentions(tmp_path):
     assert read_brat_dir(tmp_path) == corpus
 
 
+def _docs(*ids_and_domains):
+    return Corpus(tuple(parse_brat("hello", "T1\tData 0 5\thello\n", domain, doc_id=doc_id)
+                        for doc_id, domain in ids_and_domains))
+
+
+@pytest.mark.parametrize("doc_id", ["../../escaped_doc", "{tmp}/escaped_doc", "..", "x/../../../y"],
+                         ids=["parents", "absolute", "dotdot", "inner-parents"])
+def test_write_brat_dir_refuses_a_target_outside_its_root_before_writing(tmp_path, doc_id):
+    root = tmp_path / "outb" / "inner" / "brat"
+    corpus = _docs(("CS/first", "CS"), (doc_id.format(tmp=tmp_path), "CS"))
+    with pytest.raises(ValueError, match="would be written outside"):
+        write_brat_dir(corpus, root)
+    assert list(tmp_path.rglob("*")) == []  # not even the first document
+
+
+def test_write_brat_dir_refuses_two_documents_sharing_a_target_before_writing(tmp_path):
+    corpus = _docs(("first", "CS"), ("a.x", "CS"), ("a.y", "CS"))
+    with pytest.raises(ValueError) as err:
+        write_brat_dir(corpus, tmp_path / "out")
+    assert str(err.value) == (
+        f"doc_ids 'a.x' and 'a.y' would both be written to {str(tmp_path / 'out' / 'CS' / 'a')!r}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_brat_dir_writes_normalized_ids_under_their_domain(tmp_path):
+    write_brat_dir(_docs(("CS/x/../d1", "CS"), ("v1.2", "Agr"), ("e", "")), tmp_path)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.txt")) == [
+        "Agr/v1.txt", "CS/d1.txt", "e.txt"]
+
+
 @pytest.mark.parametrize("kind", ["missing", "file"])
 def test_read_brat_dir_root_must_be_a_directory(tmp_path, kind):
     root = tmp_path / "corpus"

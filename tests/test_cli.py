@@ -13,6 +13,7 @@ import corefkg
 from corefkg import cli
 from corefkg.baseline import resolve_corpus
 from corefkg.cli import main
+from corefkg.conll import write_coref_columns
 from corefkg.goldkg import compile_gold, write_gold_jsonl
 from corefkg.jsonl import read_jsonl, write_jsonl
 from corefkg.kgpop import CollapseStrategy, DomainScope, export_kg_jsonl, populate
@@ -74,6 +75,55 @@ def test_populate_writes_kg_and_stats(corpus_path, tmp_path, capsys):
     assert code == 0
     assert '"record": "kg"' in out.read_text("utf-8")
     assert "reduction" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kg_format", ["jsonl", "ntriples"])
+def test_populate_to_stdout_writes_the_stats_table_to_stderr(corpus_path, tmp_path, capsys,
+                                                             kg_format):
+    argv = ["populate", "--in", str(corpus_path), "--strategy", "cross", "--format", kg_format]
+    assert main([*argv, "--out", str(tmp_path / "kg")]) == 0
+    to_file = capsys.readouterr()
+    assert main([*argv, "--out", "-"]) == 0
+    to_stdout = capsys.readouterr()
+    assert to_file.out.startswith("stat\t") and to_file.err == ""
+    assert to_stdout.out == (tmp_path / "kg").read_text("utf-8")
+    assert to_stdout.err == to_file.out
+    if kg_format == "jsonl":
+        assert all(json.loads(line) for line in to_stdout.out.splitlines())
+
+
+def test_corpus_output_dash_is_jsonl_on_stdout(corpus_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    corpus = read_jsonl(corpus_path.read_text("utf-8"))
+    assert main(["baseline", "--in", str(corpus_path), "--out", "-"]) == 0
+    assert capsys.readouterr().out == write_jsonl(resolve_corpus(corpus))
+    assert main(["--format", "jsonl", "convert", "--in", str(corpus_path), "--out", "-"]) == 0
+    assert capsys.readouterr().out == write_jsonl(corpus)
+    assert not os.path.lexists("-")
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--to", "brat"],
+    ["convert", "--to", "conll"],
+    ["--format", "conll", "baseline"],
+], ids=["convert-brat", "convert-conll", "baseline-conll"])
+def test_corpus_output_dash_refuses_brat_and_conll(tmp_path, monkeypatch, capsys, argv):
+    rng = random.Random(5)
+    (tmp_path / "in.conll").write_text(write_coref_columns(random_corpus(rng))[0], "utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--in", "in.conll", "--out", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot be written to stdout" in err
+    assert sorted(os.listdir(tmp_path)) == ["in.conll"]
+
+
+def test_brat_output_that_would_lose_a_document_exits_2_before_writing(tmp_path, capsys):
+    docs = [Document(doc_id, "CS", "ab") for doc_id in ("a.x", "a.y")]
+    src = tmp_path / "in.jsonl"
+    src.write_text(write_jsonl(Corpus(tuple(docs))), "utf-8")
+    assert main(["convert", "--in", str(src), "--out", str(tmp_path / "brat")]) == 2
+    assert "would both be written to" in capsys.readouterr().err
+    assert not (tmp_path / "brat").exists()
 
 
 def test_malformed_ann_exits_2_with_line(tmp_path, capsys):

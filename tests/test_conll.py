@@ -244,25 +244,9 @@ def test_token_table_fast_path_agrees_with_its_line_loop(rng, edits):
     assert table_outcome(parse_token_table, table) == expected
 
 
-@pytest.mark.parametrize("value", [(0.0, 2.0), (0, 2.0), (False, 2), ("0", "2"), (0, 2, 4), None, 2])
-def test_dict_token_table_values_must_be_int_pairs(value):
-    columns = "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
-    with pytest.raises(ParseError) as err:
-        read_coref_columns(columns, {("d", 0): value, ("d", 1): (3, 5)})
-    assert (str(err.value), err.value.line) == (
-        "line 4: token table span of token 0 of 'd' is not a pair of ints", 4)
-
-
-def test_dict_token_table_values_may_be_lists():
-    columns = "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
-    doc = read_coref_columns(columns, {("d", 0): [0, 2], ("d", 1): [3, 5]}).documents[0]
-    assert (doc.text, doc.mentions[0].surface) == ("ab cd", "ab")
-
-
 @pytest.mark.parametrize("table", [
     "d\t0\t0\t2\nd\t1\t3\t5\nd\t9\t7\t9\nzz\t0\t0\t2\n",
-    {("d", 0): (0, 2), ("d", 1): (3, 5), ("d", 9): (7, 9), ("zz", 0): (0, 2)},
-], ids=["tsv", "dict"])
+], ids=["tsv"])
 def test_token_table_rows_no_token_uses_are_rejected(table):
     columns = "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
     with pytest.raises(ParseError) as err:
@@ -310,15 +294,26 @@ def test_lines_beside_token_lines_read_as_pinned(line, expected):
 
 @pytest.mark.parametrize("table", [
     "d\t0\t0\t2\nd\t1\t1\t3\n",
-    {("d", 0): (0, 2), ("d", 1): (1, 3)},
-], ids=["tsv", "dict"])
+], ids=["tsv"])
 def test_overlapping_token_spans_are_rejected(table):
-    # "cd" at [1,3) overwrites the "b" of "ab" at [0,2): the text would be "acd"
+    # "cd" at [1,3) starts inside "ab" at [0,2)
     columns = "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
     with pytest.raises(ParseError) as err:
         read_coref_columns(columns, table)
     assert (str(err.value), err.value.line) == (
-        "line 4: token table span [0,2) of token 'ab' reads back 'ac'", 4)
+        "line 4: token table span [1,3) of token 1 'cd' of 'd' starts before the previous "
+        "token ends at 2", 4)
+
+
+def test_swapped_token_table_spans_are_rejected_at_the_end_line():
+    # the spans of d's two tokens swapped: each fits, but they do not increase
+    columns = ("#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n"
+               "#begin document e\ne\t0\tx\t-\n#end document\n")
+    with pytest.raises(ParseError) as err:
+        read_coref_columns(columns, "d\t0\t3\t5\nd\t1\t0\t2\ne\t0\t0\t1\n")
+    assert (str(err.value), err.value.line) == (
+        "line 4: token table span [0,2) of token 1 'cd' of 'd' starts before the previous "
+        "token ends at 5", 4)
 
 
 @pytest.mark.parametrize("coref", ["(٣)", "(٣", "٣)"])

@@ -177,22 +177,23 @@ def test_unaligned_inputs_rejected():
 # --- optimal assignment ------------------------------------------------------
 
 def test_assignment_2x2():
-    assert optimal_assignment([[0.9, 0.1], [0.2, 0.8]]) == {0: 0, 1: 1}
+    assert optimal_assignment([{0: 0.9, 1: 0.1}, {0: 0.2, 1: 0.8}]) == {0: 0, 1: 1}
 
 
 def test_assignment_rectangular():
-    assert optimal_assignment([[0.3, 0.7]]) == {0: 1}
+    # columns are whatever keys the rows use; a zero cell is never assigned
+    assert optimal_assignment([{7: 0.3, 40: 0.7}, {7: 0}]) == {0: 40}
 
 
 def test_assignment_all_equal_total():
-    result = optimal_assignment([[0.5] * 3 for _ in range(2)])
+    result = optimal_assignment([dict.fromkeys(range(3), 0.5) for _ in range(2)])
     assert len(result) == 2
     assert len(set(result.values())) == 2
 
 
 def test_assignment_rejects_negative():
     with pytest.raises(ValueError):
-        optimal_assignment([[-1.0]])
+        optimal_assignment([{0: -1.0}])
 
 
 def brute_force_total(weights):
@@ -213,7 +214,7 @@ def test_assignment_matches_brute_force():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         weights = [[Fraction(rng.randint(0, 20), rng.randint(1, 9)) for _ in range(m)]
                    for _ in range(n)]
-        assignment = optimal_assignment(weights)
+        assignment = optimal_assignment([{j: w for j, w in enumerate(row) if w} for row in weights])
         total = sum(weights[i][j] for i, j in assignment.items())
         assert total == brute_force_total(weights)
 
@@ -231,11 +232,13 @@ def sparse_int_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_int_matrices())
 def test_assignment_is_exactly_optimal(weights):
-    assignment = optimal_assignment(weights)
+    # columns keyed by scattered labels, as ceaf_e keys them by response part
+    rows = [{10 * j + 3: w for j, w in enumerate(row) if w} for row in weights]
+    assignment = optimal_assignment(rows)
     assert len(set(assignment.values())) == len(assignment)
-    assert all(weights[i][j] > 0 for i, j in assignment.items())
+    assert all(j in rows[i] for i, j in assignment.items())
     # small integers sum exactly in the oracle's floats
-    assert sum(weights[i][j] for i, j in assignment.items()) == _reference.max_assignment_dp(weights)
+    assert sum(rows[i][j] for i, j in assignment.items()) == _reference.max_assignment_dp(weights)
 
 
 # --- properties --------------------------------------------------------------
@@ -432,20 +435,23 @@ def test_muc_and_b_cubed_totals_are_sums_over_disjoint_pieces(pieces):
 ], ids=["pairs", "triples", "uneven", "3x3"])
 def test_ceaf_e_solver_weights_are_scaled_integer_similarities(monkeypatch, key, resp):
     # each instance is one non-star component holding every part, so the
-    # solver sees the whole key x response similarity matrix in part order
+    # solver sees one row per key part, keyed by response part index, with
+    # the non-zero cells of the key x response similarity matrix
     seen = []
 
-    def recording(weights):
-        seen.append(weights)
-        return optimal_assignment(weights)
+    def recording(rows):
+        seen.append(rows)
+        return optimal_assignment(rows)
 
     monkeypatch.setattr(metrics, "optimal_assignment", recording)
     ceaf_e(key, resp)
     scale = math.lcm(*(len(k) + len(r) for k in key.parts for r in resp.parts if k & r))
-    expected = [[2 * len(k & r) * (scale // (len(k) + len(r))) for r in resp.parts]
-                for k in key.parts]
-    assert seen == [expected]
-    assert all(type(w) is int for row in seen[0] for w in row)
+    expected = [{j: 2 * len(k & r) * (scale // (len(k) + len(r)))
+                 for j, r in enumerate(resp.parts) if k & r} for k in key.parts]
+    [rows] = seen
+    assert sorted(sorted(row.items()) for row in rows) == sorted(
+        sorted(row.items()) for row in expected)
+    assert all(type(w) is int for row in rows for w in row.values())
 
 
 def test_conformance_against_independent_reference():
@@ -471,9 +477,9 @@ def test_conformance_against_independent_reference():
 def test_ceaf_e_solves_only_non_star_components(monkeypatch, key, resp, shapes):
     seen = []
 
-    def recording(weights):
-        seen.append((len(weights), len(weights[0])))
-        return optimal_assignment(weights)
+    def recording(rows):
+        seen.append((len(rows), len({j for row in rows for j in row})))
+        return optimal_assignment(rows)
 
     monkeypatch.setattr(metrics, "optimal_assignment", recording)
     ceaf_e(key, resp)

@@ -54,6 +54,7 @@ from .metrics import (
     muc,
     optimal_assignment,
     score,
+    score_corpora,
 )
 from .model import (
     ConceptType,

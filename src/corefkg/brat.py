@@ -19,7 +19,7 @@ import re
 from pathlib import Path
 
 from .errors import ParseError
-from .jsonl import _checked, _lines, _long_numeral
+from .jsonl import _checked, _lines, _long_numeral, _read_text
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -234,17 +234,20 @@ def read_brat_dir(
     relation_label: str = DEFAULT_RELATION_LABEL,
     entity_types: dict[str, ConceptType] | None = None,
 ) -> Corpus:
-    """Read every .txt/.ann pair under ``root`` into a corpus.
+    r"""Read every .txt/.ann pair under ``root`` into a corpus.
 
     Documents come in ``sorted(Path(root).rglob("*.txt"))`` order: component
     by component, so ``a/x`` precedes ``a-b/x``. Symlinked directories are not
-    followed. Each .txt is read as stored, without newline translation, since
-    BRAT offsets count its characters as stored.
+    followed. Each file is read with one unbuffered read and decoded as UTF-8;
+    the .txt stays as stored, without newline translation, since BRAT offsets
+    count its characters as stored, while the .ann has ``\r\n`` and a lone
+    ``\r`` read as ``\n``, as text mode reads them.
 
     The doc_id is the path relative to ``root`` without extension, so it is
     unique by construction; the domain is the first directory component
-    (empty for flat layouts). Errors name the .ann path and line; a ``root``
-    that is missing or not a directory raises ParseError too.
+    (empty for flat layouts). Errors name the .ann path and line, and a file
+    that is not UTF-8 its own path and line; a ``root`` that is missing or not
+    a directory raises ParseError too.
     """
     if not os.path.isdir(root):
         raise ParseError(f"BRAT root is not a directory: {root}")
@@ -254,12 +257,10 @@ def read_brat_dir(
         # As Path.with_suffix: a bare ".txt" has no suffix, so it keeps its name.
         stem = name[:-4] or name
         try:
-            with open(os.path.join(directory, stem + ".ann"), encoding="utf-8") as f:
-                ann = f.read()
+            ann = _read_text(os.path.join(directory, stem + ".ann"))
         except FileNotFoundError:
             raise ParseError(f"missing annotation file for {Path(root, *parts)}") from None
-        with open(os.path.join(directory, name), encoding="utf-8", newline="") as f:
-            text = f.read()
+        text = _read_text(os.path.join(directory, name), newlines=False)
         try:
             documents.append(
                 parse_brat(

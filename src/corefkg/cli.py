@@ -39,7 +39,7 @@ from .kgpop import (
     kg_stats,
     populate,
 )
-from .metrics import corpus_partition, score
+from .metrics import score_corpora
 from .model import Corpus, corpus_stats
 from .normalize import load_lemma_exceptions, set_default_lemma_exceptions
 
@@ -99,11 +99,11 @@ def _read_corpus(path_s: str, fmt: str | None) -> Corpus:
     if fmt == "brat":
         return brat.read_brat_dir(path)
     if fmt == "jsonl":
-        return jsonl.read_jsonl(path.read_text("utf-8"))
+        return jsonl.read_jsonl(jsonl._read_text(path))
     if fmt == "conll":
         tokens_path = Path(str(path) + ".tokens")
-        table = tokens_path.read_text("utf-8") if tokens_path.exists() else None
-        return conll.read_coref_columns(path.read_text("utf-8"), table)
+        table = jsonl._read_text(tokens_path) if tokens_path.exists() else None
+        return conll.read_coref_columns(jsonl._read_text(path), table)
     raise ValueError(f"unknown corpus format {fmt!r}")
 
 
@@ -146,6 +146,19 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_report(table: str, payload: dict, json_out: str | None) -> None:
+    """Write the TSV ``table`` to stdout and the JSON ``payload`` to the file
+    ``json_out``, if one is named. For ``-`` the JSON is all of stdout and the
+    table goes to stderr, as ``populate --out -`` sends its table."""
+    (sys.stderr if json_out == "-" else sys.stdout).write(table)
+    if json_out:
+        _emit((_json(payload),), json_out)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="corefkg", description=__doc__)
     parser.add_argument("--config", help="key = value configuration file")
@@ -168,7 +181,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("score", help="score a response corpus against a key corpus")
     p.add_argument("--key", required=True)
     p.add_argument("--response", required=True)
-    p.add_argument("--json-out", help="write the JSON report here instead of stdout")
+    p.add_argument("--json-out", help="write the JSON report to this file (default: stdout, "
+                   "after the table); with -, stdout holds only the JSON and the table "
+                   "goes to stderr")
     p.add_argument("--ceafe-drop-singletons", action="store_true",
                    help="diagnostic CEAFe variant that ignores singleton response parts")
 
@@ -198,7 +213,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", required=True)
     p.add_argument("--strategy", choices=["cross", "in"], required=True)
     p.add_argument("--no-coref", action="store_true")
-    p.add_argument("--json-out")
+    p.add_argument("--json-out", help="write the JSON report to this file; with -, stdout "
+                   "holds only the JSON and the table goes to stderr")
     p.add_argument("--ceafe-drop-singletons", action="store_true")
     return parser
 
@@ -218,18 +234,14 @@ def _cmd_stats(args, cfg) -> int:
 
 def _cmd_score(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
-    key = corpus_partition(_read_corpus(args.key, fmt))
-    response = corpus_partition(_read_corpus(args.response, fmt))
-    report = score(
-        key, response,
+    report = score_corpora(
+        _read_corpus(args.key, fmt), _read_corpus(args.response, fmt),
         ceafe_drop_singleton_response_parts=args.ceafe_drop_singletons,
     )
-    sys.stdout.write(report.to_table())
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    if args.json_out:
-        _emit((payload,), args.json_out)
-    else:
-        sys.stdout.write(payload)
+    payload = report.to_dict()
+    _write_report(report.to_table(), payload, args.json_out)
+    if not args.json_out:  # no file named: the JSON follows the table on stdout
+        sys.stdout.write(_json(payload))
     return 0
 
 
@@ -252,7 +264,7 @@ def _cmd_populate(args, cfg) -> int:
 def _cmd_compile_gold(args, cfg) -> int:
     corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
     if args.links:
-        links = read_entity_links(Path(args.links).read_text("utf-8"))
+        links = read_entity_links(jsonl._read_text(args.links))
         corpus = attach_entity_links(corpus, links, skip_unmatched=args.skip_unmatched_links)
     _emit(_gold_lines(compile_gold(corpus)), args.output)
     return 0
@@ -260,15 +272,13 @@ def _cmd_compile_gold(args, cfg) -> int:
 
 def _cmd_eval_kg(args, cfg) -> int:
     corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
-    gold = read_gold_jsonl(Path(args.gold).read_text("utf-8"))
+    gold = read_gold_jsonl(jsonl._read_text(args.gold))
     result = evaluate_population(
         gold, corpus, _strategy(args),
         ceafe_drop_singleton_response_parts=args.ceafe_drop_singletons,
     )
-    sys.stdout.write(result.report.to_table())
-    sys.stdout.write(f"concepts\t{result.n_concepts}\n")
-    if args.json_out:
-        _emit((json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",), args.json_out)
+    table = result.report.to_table() + f"concepts\t{result.n_concepts}\n"
+    _write_report(table, result.to_dict(), args.json_out)
     return 0
 
 

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 
 class ParseError(ValueError):
-    """A file could not be parsed; carries the 1-based line number when known."""
+    """A file could not be parsed; carries the 1-based line number when known.
 
-    def __init__(self, message: str, line: int | None = None):
+    The message reads ``[<path>: ][line <n>: ]<message>``.
+    """
+
+    def __init__(self, message: str, line: int | None = None, *, path: str | None = None):
         self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(f"{path}: {message}" if path is not None else message)
 
 
 class ValidationError(ValueError):

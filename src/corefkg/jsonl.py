@@ -112,6 +112,29 @@ def _lines(text: str) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
+def _read_text(path, *, newlines: bool = True) -> str:
+    r"""The UTF-8 text of the file at ``path``, read with one unbuffered read.
+
+    With ``newlines``, ``\r\n`` and a lone ``\r`` become ``\n``, as a file
+    opened in text mode reads them; without it the text stays as stored, as
+    ``newline=""`` reads it. Bytes that are not UTF-8 raise ParseError naming
+    the path and the line (one plus the ``\n`` bytes before the first bad byte).
+    """
+    with open(path, "rb", buffering=0) as f:
+        data = f.readall()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8: {exc.reason} (byte {data[exc.start]:#04x})",
+            data.count(b"\n", 0, exc.start) + 1,
+            path=str(path),
+        ) from None
+    if newlines and b"\r" in data:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _long_numeral(what: str, lineno: int) -> ParseError:
     """The error for a numeral that ``int()`` refuses: it has more digits than
     ``sys.get_int_max_str_digits()`` allows."""

@@ -5,12 +5,17 @@ predicted partition (the *response*). Counting uses exact integer/rational
 arithmetic; every component of every score is a ``fractions.Fraction``, so
 results are reproducible bit-for-bit across platforms.
 
-Each metric is computed from one sparse overlap table, built in one pass over
-the mentions: for every response part, the number of mentions it shares with
-each key part it touches, plus the part sizes on both sides and the number of
-mentions N. The reference CoNLL scorer (Pradhan et al., 2014) scores from the
-same counts. MUC needs only the number of non-zero cells; B-cubed sums the
-squared cells per part size, so it builds one ``Fraction`` per distinct size.
+All three metrics are computed from one sparse overlap table, built in one
+pass over the mentions: for every response part, the number of mentions it
+shares with each key part it touches, plus the part sizes on both sides and
+the number of mentions N. ``score`` builds that table once; a twinless
+mention, present on one side only, enters it as a singleton part on the
+other side, as ``align_mentions`` would add it. The reference CoNLL scorer
+(Pradhan et al., 2014) scores from the same counts. Each metric turns the
+table into raw counts: MUC needs N, the part counts and the number of
+non-zero cells; B-cubed sums the squared cells per part size, so it builds
+one ``Fraction`` per distinct size; CEAFe sums the aligned similarities per
+denominator.
 
 Entity CEAF aligns parts one overlap component at a time: a key part and a
 response part are connected when they share a mention, and the optimal
@@ -20,9 +25,13 @@ is solved exactly as the largest similarity it contains; only the other
 components go to ``optimal_assignment``, a sparse augmenting-path solver, with
 integer weights: each similarity scaled by the lcm of the component's
 denominators. No float enters the arithmetic, so the alignment is exactly
-optimal. Mention ids that carry their document, as
-``corpus_partition`` builds them, never connect two documents, so a pooled
-corpus is scored as a sum of small per-document problems.
+optimal.
+
+Mention ids that carry their document, as ``corpus_partition`` builds them,
+never connect two documents, so every raw count of a pooled corpus is a sum
+of per-document counts. ``score_corpora`` scores two corpora that way: it
+pairs documents by doc_id, builds one small table per pair over
+(start, end, type) ids, sums the counts and turns the sums into scores once.
 
 Degenerate 0/0 components are defined as 0, matching the behaviour of the
 standard CoNLL scorer on partitions without links.
@@ -35,9 +44,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import iadd
 from typing import Hashable, Iterable, NamedTuple
 
-from .unionfind import UnionFind
 
 __all__ = [
     "Partition",
@@ -49,6 +58,7 @@ __all__ = [
     "ceaf_e",
     "optimal_assignment",
     "score",
+    "score_corpora",
     "corpus_partition",
 ]
 
@@ -186,7 +196,7 @@ def align_mentions(key: Partition, response: Partition) -> tuple[Partition, Part
 
 
 class _Overlap(NamedTuple):
-    """The sparse key x response overlap table of two aligned partitions.
+    """The sparse key x response overlap table of two partitions.
 
     ``shared[j]`` maps each key part index to the number of mentions it
     shares with response part ``j`` (only non-zero cells are stored);
@@ -194,27 +204,78 @@ class _Overlap(NamedTuple):
     number of mentions.
     """
 
-    shared: list[Counter]
+    shared: list[dict[int, int]]
     key_sizes: list[int]
     response_sizes: list[int]
     n: int
 
 
-def _overlap(key: Partition, response: Partition) -> _Overlap:
+_UNALIGNED = "partitions cover different mentions; call align_mentions first"
+
+
+def _overlap(key_parts, response_parts, *, align: bool = False) -> _Overlap:
     """Count the mentions each key part shares with each response part.
 
-    Raises ValueError unless both partitions cover the same mentions.
+    The parts are sized collections of mention ids, disjoint on each side.
+    With ``align``, a mention found on one side only (a twinless mention)
+    counts as a singleton part on the other side, as ``align_mentions`` adds
+    it; otherwise ValueError unless both sides cover the same mentions.
     """
-    unaligned = "partitions cover different mentions; call align_mentions first"
-    key_of = {m: i for i, part in enumerate(key.parts) for m in part}
-    try:
-        shared = [Counter(map(key_of.__getitem__, part)) for part in response.parts]
-    except KeyError:
-        raise ValueError(unaligned) from None
-    response_sizes = [len(part) for part in response.parts]
-    if sum(response_sizes) != len(key_of):
-        raise ValueError(unaligned)
-    return _Overlap(shared, [len(part) for part in key.parts], response_sizes, len(key_of))
+    key_of = {m: i for i, part in enumerate(key_parts) for m in part}
+    key_sizes = [len(part) for part in key_parts]
+    n_key = len(key_sizes)
+    lookup = key_of.__getitem__
+    shared: list[dict[int, int]] = []
+    for part in response_parts:
+        try:
+            if len(part) == 1:  # most parts: no Counter to build
+                for m in part:
+                    shared.append({lookup(m): 1})
+            else:
+                shared.append(Counter(map(lookup, part)))
+        except KeyError:
+            if not align:
+                raise ValueError(_UNALIGNED) from None
+            counts: Counter = Counter()
+            for m in part:
+                i = key_of.get(m)
+                if i is None:  # twinless: a key singleton of its own
+                    i = len(key_sizes)
+                    key_sizes.append(1)
+                counts[i] += 1
+            shared.append(counts)
+    response_sizes = [len(part) for part in response_parts]
+    twinless = len(key_sizes) - n_key
+    if sum(response_sizes) - twinless != len(key_of):
+        if not align:
+            raise ValueError(_UNALIGNED)
+        # each key mention no response part holds: a response singleton
+        covered = [0] * n_key
+        for counts in shared:
+            for i, n_kr in counts.items():
+                if i < n_key:
+                    covered[i] += n_kr
+        for i, held in enumerate(covered):
+            for _ in range(key_sizes[i] - held):
+                shared.append({i: 1})
+                response_sizes.append(1)
+    return _Overlap(shared, key_sizes, response_sizes, len(key_of) + twinless)
+
+
+# Each metric is split in two: a private count function turns one overlap
+# table into the metric's raw counts, and a private PRF function turns counts
+# into the score. Counts of tables over disjoint mentions add up (ints by +,
+# Counters of numerators per denominator by +=), so the corpus scorer sums
+# them per document and applies the same PRF functions once.
+
+def _muc_counts(table: _Overlap) -> tuple[int, int, int, int]:
+    """N, the number of non-zero cells, |K| and |R|."""
+    return table.n, sum(map(len, table.shared)), len(table.key_sizes), len(table.response_sizes)
+
+
+def _muc_prf(n: int, cells: int, key_parts: int, response_parts: int) -> PRF:
+    links = Fraction(n - cells)
+    return PRF.from_counts(links, n - response_parts, links, n - key_parts)
 
 
 def muc(key: Partition, response: Partition) -> PRF:
@@ -223,14 +284,31 @@ def muc(key: Partition, response: Partition) -> PRF:
     From the overlap table: both link numerators are N minus the number of
     non-zero cells; recall divides by N - |K|, precision by N - |R|.
     """
-    shared, key_sizes, response_sizes, n = _overlap(key, response)
-    links = Fraction(n - sum(map(len, shared)))
-    return PRF.from_counts(links, n - len(response_sizes), links, n - len(key_sizes))
+    return _muc_prf(*_muc_counts(_overlap(key.parts, response.parts)))
 
 
-def _sum_by_size(squares: Counter) -> Fraction:
-    # squares maps a part size to the sum of squared overlaps of its parts
-    return sum((Fraction(total, size) for size, total in squares.items()), start=ZERO)
+def _b_cubed_counts(table: _Overlap) -> tuple[Counter, Counter, int]:
+    """The squared cells summed per key part size and per response part
+    size, and N."""
+    key_sizes = table.key_sizes
+    by_key_size: Counter = Counter()
+    by_response_size: Counter = Counter()
+    for counts, response_size in zip(table.shared, table.response_sizes):
+        for i, n_kr in counts.items():
+            by_key_size[key_sizes[i]] += n_kr * n_kr
+            by_response_size[response_size] += n_kr * n_kr
+    return by_key_size, by_response_size, table.n
+
+
+def _sum_of_ratios(numerators: Counter) -> Fraction:
+    """The sum of num / den over a Counter of numerator sums by denominator."""
+    return sum((Fraction(num, den) for den, num in numerators.items()), start=ZERO)
+
+
+def _b_cubed_prf(by_key_size: Counter, by_response_size: Counter, n: int) -> PRF:
+    if n == 0:
+        return PRF.from_pr(ZERO, ZERO)
+    return PRF.from_pr(_sum_of_ratios(by_response_size) / n, _sum_of_ratios(by_key_size) / n)
 
 
 def b_cubed(key: Partition, response: Partition) -> PRF:
@@ -241,18 +319,7 @@ def b_cubed(key: Partition, response: Partition) -> PRF:
     squares are summed per part size first, so there is one ``Fraction`` per
     distinct size rather than one per mention.
     """
-    shared, key_sizes, response_sizes, n = _overlap(key, response)
-    if n == 0:
-        return PRF.from_pr(ZERO, ZERO)
-    by_key_size: Counter = Counter()
-    by_response_size: Counter = Counter()
-    for counts, response_size in zip(shared, response_sizes):
-        for i, n_kr in counts.items():
-            by_key_size[key_sizes[i]] += n_kr * n_kr
-            by_response_size[response_size] += n_kr * n_kr
-    recall = _sum_by_size(by_key_size) / n
-    precision = _sum_by_size(by_response_size) / n
-    return PRF.from_pr(precision, recall)
+    return _b_cubed_prf(*_b_cubed_counts(_overlap(key.parts, response.parts)))
 
 
 def optimal_assignment(rows: list[dict[int, int | Fraction]]) -> dict[int, int]:
@@ -331,20 +398,73 @@ def optimal_assignment(rows: list[dict[int, int | Fraction]]) -> dict[int, int]:
     return col_of
 
 
-def _components(shared: dict[int, Counter]) -> list[list[int]]:
-    """Connected components of the overlap graph, as lists of response part
-    indices. A component's key parts are the keys of its response parts'
-    counts; a key part no response part touches belongs to no component."""
-    links = UnionFind()
-    for counts in shared.values():
-        first, *rest = counts
-        links.add(first)
-        for i in rest:
-            links.union(first, i)
-    components: dict = {}
+def _components(shared: dict[int, dict[int, int]]) -> list[tuple[list[int], list[int]]]:
+    """Connected components of the overlap graph, each as its response part
+    indices and its key part indices; a key part no response part touches
+    belongs to no component. Two components that meet are merged, the
+    smaller into the larger."""
+    component_of: dict[int, tuple[list[int], list[int]]] = {}  # by key part
     for j, counts in shared.items():
-        components.setdefault(links.find(next(iter(counts))), []).append(j)
-    return list(components.values())
+        into = None
+        for i in counts:
+            found = component_of.get(i)
+            if found is None:
+                if into is None:
+                    into = ([], [])
+                into[1].append(i)
+                component_of[i] = into
+            elif into is None:
+                into = found
+            elif found is not into:
+                if len(found[0]) + len(found[1]) > len(into[0]) + len(into[1]):
+                    found, into = into, found
+                into[0].extend(found[0])
+                into[1].extend(found[1])
+                for k in found[1]:
+                    component_of[k] = into
+        into[0].append(j)
+    return list({id(c): c for c in component_of.values()}.values())
+
+
+def _ceaf_e_counts(table: _Overlap, drop_singleton_response_parts: bool
+                   ) -> tuple[Counter, int, int]:
+    """The optimal aligned total, as numerators summed per denominator, and
+    the numbers of response parts (after any drop) and key parts."""
+    all_shared, key_sizes, response_sizes, _ = table
+    shared = {j: counts for j, counts in enumerate(all_shared)
+              if response_sizes[j] > 1 or not drop_singleton_response_parts}
+    aligned: Counter = Counter()
+    for cols, keys in _components(shared):
+        if len(cols) == 1 or len(keys) == 1:
+            # every pair of a star overlaps and only one pair can be aligned;
+            # find the largest 2n / (|K| + |R|) by cross-multiplying integers
+            best_num, best_den = 0, 1
+            for j in cols:
+                for i, n_kr in shared[j].items():
+                    den = key_sizes[i] + response_sizes[j]
+                    if 2 * n_kr * best_den > best_num * den:
+                        best_num, best_den = 2 * n_kr, den
+            aligned[best_den] += best_num
+        else:
+            # one row per key part of integer weights 2n * (L // (|K| + |R|)), the
+            # similarities scaled by L, the lcm of the component's denominators
+            scale = math.lcm(*{key_sizes[i] + response_sizes[j] for j in cols for i in shared[j]})
+            by_key: dict[int, dict[int, int]] = {}
+            # rows in the order of the table, whatever order the parts merged in
+            for j in sorted(cols):
+                for i, n_kr in shared[j].items():
+                    den = key_sizes[i] + response_sizes[j]
+                    by_key.setdefault(i, {})[j] = 2 * n_kr * (scale // den)
+            weights = list(by_key.values())
+            # through the module global, so a patched metrics.optimal_assignment sees it
+            assignment = optimal_assignment(weights)
+            aligned[scale] += sum(weights[a][j] for a, j in assignment.items())
+    return aligned, len(shared), len(key_sizes)
+
+
+def _ceaf_e_prf(aligned: Counter, response_parts: int, key_parts: int) -> PRF:
+    total = _sum_of_ratios(aligned)
+    return PRF.from_counts(total, response_parts, total, key_parts)
 
 
 def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts: bool = False) -> PRF:
@@ -362,37 +482,8 @@ def ceaf_e(key: Partition, response: Partition, *, drop_singleton_response_parts
     in some neural-coreference eval scripts) that removes singleton response
     parts before aligning; leave it off for standard scoring.
     """
-    all_shared, key_sizes, response_sizes, _ = _overlap(key, response)
-    shared = {j: counts for j, counts in enumerate(all_shared)
-              if response_sizes[j] > 1 or not drop_singleton_response_parts}
-    if not key_sizes or not shared:
-        return PRF.from_pr(ZERO, ZERO)
-
-    total = ZERO
-    for cols in _components(shared):
-        if len(cols) == 1 or len({i for j in cols for i in shared[j]}) == 1:
-            # every pair of a star overlaps and only one pair can be aligned;
-            # find the largest 2n / (|K| + |R|) by cross-multiplying integers
-            best_num, best_den = 0, 1
-            for j in cols:
-                for i, n_kr in shared[j].items():
-                    den = key_sizes[i] + response_sizes[j]
-                    if 2 * n_kr * best_den > best_num * den:
-                        best_num, best_den = 2 * n_kr, den
-            total += Fraction(best_num, best_den)
-        else:
-            # one row per key part of integer weights 2n * (L // (|K| + |R|)), the
-            # similarities scaled by L, the lcm of the component's denominators
-            scale = math.lcm(*{key_sizes[i] + response_sizes[j] for j in cols for i in shared[j]})
-            by_key: dict[int, dict[int, int]] = {}
-            for j in cols:
-                for i, n_kr in shared[j].items():
-                    den = key_sizes[i] + response_sizes[j]
-                    by_key.setdefault(i, {})[j] = 2 * n_kr * (scale // den)
-            weights = list(by_key.values())
-            assignment = optimal_assignment(weights)
-            total += Fraction(sum(weights[a][j] for a, j in assignment.items()), scale)
-    return PRF.from_counts(total, len(shared), total, len(key_sizes))
+    table = _overlap(key.parts, response.parts)
+    return _ceaf_e_prf(*_ceaf_e_counts(table, drop_singleton_response_parts))
 
 
 def corpus_partition(corpus) -> Partition:
@@ -407,20 +498,75 @@ def corpus_partition(corpus) -> Partition:
     return Partition(parts)
 
 
-def score(
-    key: Partition,
-    response: Partition,
-    *,
-    ceafe_drop_singleton_response_parts: bool = False,
-) -> ScoreReport:
-    """Align both partitions, compute all three metrics and their means."""
-    k, r = align_mentions(key, response)
-    m = muc(k, r)
-    b = b_cubed(k, r)
-    c = ceaf_e(k, r, drop_singleton_response_parts=ceafe_drop_singleton_response_parts)
+def _counts(table: _Overlap, ceafe_drop_singleton_response_parts: bool) -> tuple:
+    """The raw counts of all three metrics, from one overlap table."""
+    return (_muc_counts(table), _b_cubed_counts(table),
+            _ceaf_e_counts(table, ceafe_drop_singleton_response_parts))
+
+
+def _report(muc_counts: tuple, b_cubed_counts: tuple, ceaf_e_counts: tuple) -> ScoreReport:
+    m = _muc_prf(*muc_counts)
+    b = _b_cubed_prf(*b_cubed_counts)
+    c = _ceaf_e_prf(*ceaf_e_counts)
     conll = PRF(
         precision=(m.precision + b.precision + c.precision) / 3,
         recall=(m.recall + b.recall + c.recall) / 3,
         f1=(m.f1 + b.f1 + c.f1) / 3,
     )
     return ScoreReport(muc=m, b3=b, ceaf_e=c, conll=conll)
+
+
+def score(
+    key: Partition,
+    response: Partition,
+    *,
+    ceafe_drop_singleton_response_parts: bool = False,
+) -> ScoreReport:
+    """Compute all three metrics and their means from one overlap table.
+
+    A twinless mention counts as a singleton part on the other side, as
+    ``align_mentions`` would add it.
+    """
+    table = _overlap(key.parts, response.parts, align=True)
+    return _report(*_counts(table, ceafe_drop_singleton_response_parts))
+
+
+def _document_parts(doc) -> list[list[tuple]]:
+    """The parts of ``all_clusters(doc)``, as lists of (start, end, type) ids;
+    none for no document."""
+    if doc is None:
+        return []
+    parts = [[(m.start, m.end, m.concept_type) for m in cluster.mentions]
+             for cluster in doc.clusters]
+    covered = {i for part in parts for i in part}
+    parts += [[i] for m in doc.mentions if (i := (m.start, m.end, m.concept_type)) not in covered]
+    return parts
+
+
+def score_corpora(
+    key,
+    response,
+    *,
+    ceafe_drop_singleton_response_parts: bool = False,
+) -> ScoreReport:
+    """Score a response corpus against a key corpus, one document at a time.
+
+    Equal to ``score(corpus_partition(key), corpus_partition(response))``:
+    pooled mention ids carry their document, so every metric's raw counts
+    are sums of per-document counts. Documents are paired by doc_id; each
+    pair gets one overlap table over (start, end, type) ids, and a document
+    on one side only contributes twinless mentions. ValueError if either
+    corpus repeats a doc_id (the readers refuse that).
+    """
+    responses = {doc.doc_id: doc for doc in response}
+    if len(responses) != len(response) or len({doc.doc_id for doc in key}) != len(key):
+        raise ValueError("a corpus repeats a doc_id")
+    pairs = [(doc, responses.pop(doc.doc_id, None)) for doc in key]
+    pairs += [(None, doc) for doc in responses.values()]
+    drop = ceafe_drop_singleton_response_parts
+    totals = _counts(_overlap((), ()), drop)  # every count zero
+    for key_doc, response_doc in pairs:
+        table = _overlap(_document_parts(key_doc), _document_parts(response_doc), align=True)
+        totals = [tuple(map(iadd, total, counts))
+                  for total, counts in zip(totals, _counts(table, drop))]
+    return _report(*totals)

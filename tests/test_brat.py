@@ -1,7 +1,11 @@
 import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corefkg.brat import parse_brat, read_brat_dir, write_brat, write_brat_dir
 from corefkg.errors import ParseError
@@ -339,3 +343,70 @@ def test_unicode_offsets_are_scalar_values():
     assert doc.mentions[0].surface == "Mößbauer-Sonde"
     text2, ann2 = write_brat(doc)
     assert parse_brat(text2, ann2, "MS", doc_id="d1") == doc
+
+
+_BREAKS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def brat_files(draw):
+    """(text, ann) pairs whose .txt holds \\r\\n and lone \\r breaks and whose
+    .ann lines end in \\n, \\r\\n or a lone \\r; mentions cover one or two
+    tokens, so a surface may span a line break."""
+    words = draw(st.lists(st.sampled_from(["CNN", "net", "deep", "the", "Müller", "σ"]),
+                          min_size=1, max_size=8))
+    seps = draw(st.lists(st.sampled_from([" ", *_BREAKS, "\r\r\n"]),
+                         min_size=len(words), max_size=len(words)))
+    text, spans = "", []
+    for word, sep in zip(words, seps):
+        spans.append((len(text), len(text) + len(word)))
+        text += word + sep
+    lines, t, i = [], 0, 0
+    while i < len(spans):
+        width = draw(st.integers(0, 2))
+        if width:
+            start, end = spans[i][0], spans[min(i + width, len(spans)) - 1][1]
+            t += 1
+            surface = text[start:end].translate(str.maketrans("\r\n", "  "))
+            lines.append(f"T{t}\tMethod {start} {end}\t{surface}")
+        i += max(width, 1)
+    if t >= 2:
+        lines.append("*\tCoreference " + " ".join(f"T{k}" for k in range(1, t + 1)))
+    if draw(st.booleans()):
+        lines.insert(0, "#1\tAnnotatorNotes T1\tseen")
+    ends = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return text, "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(brat_files(), min_size=1, max_size=3))
+def test_read_brat_dir_reads_as_text_mode_and_newline_free_opens(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "CS").mkdir()
+        for i, (text, ann) in enumerate(files):
+            (root / "CS" / f"d{i}.txt").write_bytes(text.encode("utf-8"))
+            (root / "CS" / f"d{i}.ann").write_bytes(ann.encode("utf-8"))
+        expected = []
+        for i in range(len(files)):  # read as text mode and newline="" read them
+            with open(root / "CS" / f"d{i}.ann", encoding="utf-8") as f:
+                ann = f.read()
+            with open(root / "CS" / f"d{i}.txt", encoding="utf-8", newline="") as f:
+                text = f.read()
+            expected.append(parse_brat(text, ann, "CS", doc_id=f"CS/d{i}"))
+        assert read_brat_dir(root) == Corpus(tuple(expected))
+
+
+@pytest.mark.parametrize("name, line, reason, byte", [
+    ("d.ann", 1, "unexpected end of data", "0xc3"),
+    ("d.txt", 2, "invalid continuation byte", "0xe9"),
+])
+def test_read_brat_dir_names_a_file_that_is_not_utf8(tmp_path, name, line, reason, byte):
+    (tmp_path / "d.txt").write_text("A CNN\r\nworks.", "utf-8", newline="")
+    (tmp_path / "d.ann").write_text("T1\tMethod 2 5\tCNN\n", "utf-8")
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes().replace(b"works", b"w\xe9rks").replace(b"CNN\n", b"CN\xc3"))
+    with pytest.raises(ParseError) as err:
+        read_brat_dir(tmp_path)
+    assert err.value.line == line
+    assert str(err.value) == f"{path}: line {line}: not UTF-8: {reason} (byte {byte})"

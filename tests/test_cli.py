@@ -446,3 +446,70 @@ def test_cli_imports_only_the_package_and_the_standard_library():
                           capture_output=True, text=True, encoding="utf-8", timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["score", "eval-kg"])
+def test_json_out_dash_is_one_json_document_and_the_table_goes_to_stderr(
+        corpus_path, tmp_path, capsys, command):
+    if command == "score":
+        argv = ["score", "--key", str(corpus_path), "--response", str(corpus_path)]
+    else:
+        gold_path = tmp_path / "gold.jsonl"
+        assert main(["compile-gold", "--in", str(corpus_path), "--out", str(gold_path)]) == 0
+        argv = ["eval-kg", "--in", str(corpus_path), "--gold", str(gold_path), "--strategy", "in"]
+    capsys.readouterr()
+    assert main([*argv, "--json-out", str(tmp_path / "report.json")]) == 0
+    to_file = capsys.readouterr()
+    assert main([*argv, "--json-out", "-"]) == 0
+    to_stdout = capsys.readouterr()
+    assert to_file.out.startswith("metric\tP\tR\tF1\n") and to_file.err == ""
+    assert to_stdout.out == (tmp_path / "report.json").read_text("utf-8")
+    assert json.loads(to_stdout.out)["conll"]["exact"]["f1"] == "1"
+    assert to_stdout.err == to_file.out
+    if command == "eval-kg":
+        assert to_stdout.err.endswith("concepts\t1\n")
+
+
+def test_score_without_json_out_prints_the_table_then_the_json(corpus_path, tmp_path, capsys):
+    argv = ["score", "--key", str(corpus_path), "--response", str(corpus_path)]
+    assert main([*argv, "--json-out", str(tmp_path / "report.json")]) == 0
+    table = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == table + (tmp_path / "report.json").read_text("utf-8")
+
+
+@pytest.mark.parametrize("bad", ["ann", "txt", "jsonl", "columns", "tokens", "gold", "links"])
+def test_a_file_that_is_not_utf8_is_named_with_its_line(corpus_path, tmp_path, capsys, bad):
+    corpus = read_jsonl(corpus_path.read_text("utf-8"))
+    brat_dir, conll_path = tmp_path / "brat", tmp_path / "c.conll"
+    assert main(["convert", "--in", str(corpus_path), "--out", str(brat_dir)]) == 0
+    assert main(["convert", "--in", str(corpus_path), "--out", str(conll_path)]) == 0
+    gold_path, links_path = tmp_path / "gold.jsonl", tmp_path / "links.tsv"
+    gold_path.write_text(write_gold_jsonl(compile_gold(corpus)), "utf-8")
+    links_path.write_text("d1\t0\t5\tData\tQ1\n", "utf-8")
+    argv = {
+        "ann": ["stats", "--in", str(brat_dir)],
+        "txt": ["stats", "--in", str(brat_dir)],
+        "jsonl": ["stats", "--in", str(corpus_path)],
+        "columns": ["stats", "--in", str(conll_path)],
+        "tokens": ["stats", "--in", str(conll_path)],
+        "gold": ["eval-kg", "--in", str(corpus_path), "--gold", str(gold_path),
+                 "--strategy", "in"],
+        "links": ["compile-gold", "--in", str(corpus_path), "--links", str(links_path)],
+    }[bad]
+    target = {
+        "ann": brat_dir / "CS" / "d1.ann",
+        "txt": brat_dir / "CS" / "d1.txt",
+        "jsonl": corpus_path,
+        "columns": conll_path,
+        "tokens": Path(str(conll_path) + ".tokens"),
+        "gold": gold_path,
+        "links": links_path,
+    }[bad]
+    # the bad byte starts line 2, after a line that ends in "\r\n"
+    first, _, rest = target.read_bytes().partition(b"\n")
+    target.write_bytes(first.rstrip(b"\r") + b"\r\n\xff" + rest)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {target}: line 2: not UTF-8: invalid start byte (byte 0xff)\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -14,12 +15,15 @@ from corefkg.metrics import (
     b_cubed,
     ceaf_e,
     muc,
+    corpus_partition,
     optimal_assignment,
     score,
+    score_corpora,
 )
+from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document
 
 import _reference
-from corpusgen import random_partition_pair
+from corpusgen import TYPED, random_corpus, random_document, random_partition_pair
 
 
 def part(*groups):
@@ -495,3 +499,77 @@ def test_ceafe_singleton_drop_variant():
     assert variant.precision == Fraction(4, 5)  # only {a,b} remains on the response side
     assert variant.recall == Fraction(4, 5)
     assert standard.precision == Fraction(2, 5)
+
+
+@st.composite
+def partitions_with_twinless_mentions(draw):
+    """Key and response partitions over overlapping universes: each mention
+    is on the key side, the response side or both."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    sides = draw(st.lists(st.sampled_from(["key", "response", "both"]), min_size=n, max_size=n))
+    def side(name):
+        labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        groups: dict[int, set] = {}
+        for m, (where, label) in enumerate(zip(sides, labels)):
+            if where in (name, "both"):
+                groups.setdefault(label, set()).add(m)
+        return Partition(groups.values())
+    return side("key"), side("response")
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions_with_twinless_mentions(), st.booleans())
+def test_score_equals_the_metrics_of_aligned_partitions(pair, drop):
+    key, resp = pair
+    k, r = align_mentions(key, resp)
+    report = score(key, resp, ceafe_drop_singleton_response_parts=drop)
+    assert report.muc == muc(k, r)
+    assert report.b3 == b_cubed(k, r)
+    assert report.ceaf_e == ceaf_e(k, r, drop_singleton_response_parts=drop)
+
+
+_TYPES = (*TYPED, ConceptType.NONE)
+
+
+def _response_of(rng: random.Random, key: Corpus) -> Corpus:
+    """A response corpus for ``key``: some documents dropped, some mentions
+    dropped or retyped (twinless on both sides), clusters redrawn, and a few
+    documents the key does not have, in shuffled order."""
+    docs = []
+    for doc in key:
+        if rng.random() < 0.2:
+            continue
+        mentions = [m if rng.random() < 0.8 else
+                    dataclasses.replace(m, concept_type=rng.choice(
+                        [t for t in _TYPES if t is not m.concept_type]))
+                    for m in doc.mentions if rng.random() < 0.85]
+        pool = mentions[:]
+        rng.shuffle(pool)
+        clusters = []
+        while len(pool) >= 2 and rng.random() < 0.7:
+            size = rng.randint(2, min(4, len(pool)))
+            clusters.append(CoreferenceCluster(doc.doc_id, frozenset(pool[:size])))
+            pool = pool[size:]
+        docs.append(dataclasses.replace(doc, mentions=tuple(mentions), clusters=tuple(clusters)))
+    docs += [random_document(rng, f"Bio/extra{i}", "Bio") for i in range(rng.randint(0, 2))]
+    rng.shuffle(docs)
+    return Corpus(tuple(docs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_score_corpora_equals_score_of_the_pooled_partitions(seed, drop):
+    rng = random.Random(seed)
+    key = random_corpus(rng, rng.randint(0, 8))
+    response = _response_of(rng, key)
+    for k, r in ((key, response), (response, key)):
+        expected = score(corpus_partition(k), corpus_partition(r),
+                         ceafe_drop_singleton_response_parts=drop)
+        assert score_corpora(k, r, ceafe_drop_singleton_response_parts=drop) == expected
+
+
+def test_score_corpora_refuses_a_repeated_doc_id():
+    doc = Document("d", "CS", "alpha")
+    for key, response in ((Corpus((doc, doc)), Corpus()), (Corpus(), Corpus((doc, doc)))):
+        with pytest.raises(ValueError, match="repeats a doc_id"):
+            score_corpora(key, response)

@@ -126,6 +126,18 @@ def test_brat_output_that_would_lose_a_document_exits_2_before_writing(tmp_path,
     assert not (tmp_path / "brat").exists()
 
 
+def test_conll_output_of_a_hash_led_doc_id_exits_2_before_writing(tmp_path, capsys):
+    # the column format reads a "#"-led line as a comment: "#g" would read back empty
+    docs = [Document(doc_id, "CS", "ab", (Mention(doc_id, 0, 2, ConceptType.DATA, "ab"),))
+            for doc_id in ("#g", "h")]
+    src = tmp_path / "in.jsonl"
+    src.write_text(write_jsonl(Corpus(tuple(docs))), "utf-8")
+    assert main(["convert", "--in", str(src), "--out", str(tmp_path / "out.conll")]) == 2
+    assert "doc_id '#g' starts with '#'" in capsys.readouterr().err
+    assert not (tmp_path / "out.conll").exists()
+    assert not (tmp_path / "out.conll.tokens").exists()
+
+
 def test_malformed_ann_exits_2_with_line(tmp_path, capsys):
     root = tmp_path / "brat"
     root.mkdir()

@@ -172,9 +172,23 @@ def test_token_table_numbers_must_be_ascii_digits(row):
 
 
 def test_token_table_lists_each_token_once():
-    with pytest.raises(ParseError) as err:
-        parse_token_table("d\t0\t0\t2\nd\t1\t3\t5\nd\t0\t5\t7\n")
-    assert (str(err.value), err.value.line) == ("line 3: token table lists token 0 of 'd' twice", 3)
+    table = "d\t0\t0\t2\nd\t1\t3\t5\nd\t0\t5\t7\n"
+    # the column reader words a fault of the table before one of the column file
+    faulty_columns = "#begin document d\nd\t0\tab\t(x)\nd\t1\tcd\t-\n#end document\n"
+    for read in (parse_token_table, lambda table: read_coref_columns(faulty_columns, table)):
+        with pytest.raises(ParseError) as err:
+            read(table)
+        assert (str(err.value), err.value.line) == (
+            "line 3: token table lists token 0 of 'd' twice", 3)
+
+
+def test_token_table_rows_in_any_order_read_alike():
+    rng = random.Random(80)
+    for _ in range(20):
+        columns, table = write_coref_columns(random_corpus(rng))
+        rows = table.splitlines(keepends=True)
+        rng.shuffle(rows)
+        assert read_coref_columns(columns, "".join(rows)) == read_coref_columns(columns, table)
 
 
 # A table with two rows of d, edited: a "\r" before the "\n", blank, "#" and
@@ -236,11 +250,13 @@ def test_token_table_fast_path_agrees_with_its_line_loop(rng, edits):
         table = table.replace("\n", "\r\n")
     table = edit_table(rng, table, edits)
     expected = table_outcome(conll._table_lines, table)
-    fast = conll._table_rows(table)
-    if isinstance(expected, tuple):  # the line loop words a fault
-        assert fast is None
-    else:
-        assert fast is not None and list(fast.items()) == expected
+    fields = conll._table_fields(table)
+    if fields is not None:  # the bulk split took every line as a row
+        docs, index, spans = fields
+        if isinstance(expected, tuple):  # a fault the bulk split leaves to its caller
+            assert expected[0].endswith(" twice") or " digits" in expected[0], expected
+        else:
+            assert list(zip(zip(docs, map(int, index)), spans)) == expected
     assert table_outcome(parse_token_table, table) == expected
 
 
@@ -279,8 +295,16 @@ def test_token_table_rows_beside_an_empty_column_file_are_rejected_at_line_1():
     ("d\t1\t1\tB\t(1)", [("d", "A B C", [(0, 1), (2, 3)])]),
     ("d\t1\t1\tB\tNN\t*\t-\t-\t-\t-\t*\t(1)", [("d", "A B C", [(0, 1), (2, 3)])]),
     ("B", ("line 3: expected token and coreference columns, got 'B'", 3)),
+    ("", [("d", "A C", [(0, 1)])]),
+    (" \t", [("d", "A C", [(0, 1)])]),
+    ("# a comment", [("d", "A C", [(0, 1)])]),
+    ("d\t1\tB\t(1)\r", [("d", "A B C", [(0, 1), (2, 3)])]),
+    ("d\t1\tB\t(1)\x85", [("d", "A B C", [(0, 1), (2, 3)])]),
+    ("d\t1\tB\t(1)\t", [("d", "A B C", [(0, 1), (2, 3)])]),
+    ("d\t1\tB B\t(1)", [("d", "A B C", [(0, 1), (2, 3)])]),
 ], ids=["begin", "spaced-begin", "spaced-end", "tabbed-end", "end-4-columns", "comment",
-        "spaced-4-columns", "2-columns", "3-columns", "5-columns", "12-columns", "1-column"])
+        "spaced-4-columns", "2-columns", "3-columns", "5-columns", "12-columns", "1-column",
+        "sentence-break", "blank", "hash-comment", "cr", "nel-ended", "tab-ended", "spaced-token"])
 def test_lines_beside_token_lines_read_as_pinned(line, expected):
     text = f"#begin document d\nd\t0\tA\t(0)\n{line}\nd\t2\tC\t-\n#end document\n"
     try:
@@ -348,6 +372,13 @@ def test_writer_rejects_whitespace_doc_id():
     doc = Document("has space", "CS", "")
     with pytest.raises(ValueError, match="whitespace"):
         write_coref_columns(Corpus((doc,)))
+
+
+@pytest.mark.parametrize("doc_id", ["#g", "#", "#begin"])
+def test_writer_rejects_hash_led_doc_id(doc_id):
+    doc = Document(doc_id, "CS", "ab", (Mention(doc_id, 0, 2, ConceptType.DATA, "ab"),))
+    with pytest.raises(ValueError, match=f"doc_id {doc_id!r} starts with '#'"):
+        write_coref_columns(Corpus((Document("h", "CS", "x"), doc)))
 
 
 # --- round trips -------------------------------------------------------------------
@@ -426,8 +457,18 @@ def test_reference_oracle_imports_nothing_from_the_package():
 
 
 def test_full_conll2012_style_line_is_accepted():
-    line = "bc/cctv/00/cctv_0000\t0\t0\tComparing\tVBG\t(TOP*\t-\t-\t-\t-\t*\t(0)"
-    text = f"#begin document bc/cctv/00/cctv_0000\n{line}\n#end document\n"
-    corpus = read_coref_columns(text)
-    doc = corpus.documents[0]
-    assert doc.mentions[0].surface == "Comparing"
+    doc_id = "bc/cctv/00/cctv_0000"
+    rows = [("Comparing", "(0)"), ("the", "(1"), ("two", "-"), ("models", "1)"), ("", ""),
+            ("It", "(0)")]  # a sentence break before "It"
+    lines = [f"{doc_id}\t0\t{i}\t{word}\tNN\t*\t-\t-\t-\t-\t*\t{coref}" if word else ""
+             for i, (word, coref) in enumerate(rows)]
+    # the spans of a table, as a tokenized file pairs with one
+    table = "".join(f"{doc_id}\t{i}\t{s}\t{e}\n"
+                    for i, (s, e) in enumerate([(0, 9), (10, 13), (14, 17), (18, 24), (26, 28)]))
+    for newline in ("\n", "\r\n"):
+        text = newline.join([f"#begin document {doc_id}", *lines, "#end document", ""])
+        doc = read_coref_columns(text).documents[0]
+        assert doc.text == "Comparing the two models It"
+        assert [sorted(m.surface for m in c.mentions) for c in doc.clusters] == [
+            ["Comparing", "It"], ["the two models"]]
+        assert read_coref_columns(text, table).documents[0].text == "Comparing the two models  It"

@@ -21,12 +21,13 @@ import json
 import random
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corefkg import jsonl
+from corefkg import conll, jsonl
 from corefkg.brat import parse_brat, read_brat_dir, write_brat, write_brat_dir
 from corefkg.conll import parse_token_table, read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
@@ -200,6 +201,11 @@ def read_edited(reader: str, rng: random.Random, edit: str):
         else:
             ann = edit_fields(rng, ann, edit, BRAT_OFFSETS)
         return Corpus((parse_brat(text, ann, doc.domain, doc_id=doc.doc_id),))
+    return read_coref_columns(*edit_columns(rng, corpus, edit))
+
+
+def edit_columns(rng: random.Random, corpus: Corpus, edit: str) -> tuple[str, str]:
+    """The column file and token table of ``corpus``, one of them edited."""
     columns, table = write_coref_columns(corpus)
     if edit == "numeral":
         if rng.random() < 0.5:
@@ -210,7 +216,7 @@ def read_edited(reader: str, rng: random.Random, edit: str):
         table = edit_fields(rng, table, edit, TABLE_OFFSETS)
     else:
         columns = edit_fields(rng, columns, edit, TABLE_OFFSETS)
-    return read_coref_columns(columns, table)
+    return columns, table
 
 
 @pytest.mark.parametrize("reader", ["jsonl", "conll", "brat", "gold", "kg"])
@@ -236,6 +242,39 @@ def test_edited_input_reads_valid_or_raises_parse_error_with_line(reader, rng, e
                              for c in clusters])
     else:
         assert validate_corpus(result) == []
+
+
+def read_outcome(columns: str, table: str | None):
+    try:
+        return read_coref_columns(columns, table)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def line_loop_outcome(columns: str, table: str | None):
+    """``read_outcome`` with every block read by the line loop and the table
+    by ``_table_lines``: no block and no table has the writer's shape."""
+    with mock.patch.object(conll, "_writer_blocks", lambda columns: iter(())), \
+            mock.patch.object(conll, "_table_fields", lambda table: None):
+        return read_outcome(columns, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), edit=st.sampled_from((None, *EDITS)),
+       with_table=st.booleans())
+def test_conll_blocks_read_as_the_line_loop_reads_them(rng, edit, with_table):
+    # a written corpus, or one with an edited column file or token table: the
+    # same Corpus, or the same ParseError text and line, by either path
+    corpus = random_corpus(rng, n_docs=rng.randint(1, 3))
+    if edit is None:
+        columns, table = write_coref_columns(corpus)
+    else:
+        columns, table = edit_columns(rng, corpus, edit)
+    table = table if with_table else None
+    expected = line_loop_outcome(columns, table)
+    assert read_outcome(columns, table) == expected
+    if edit is None:  # the generator's texts are single-spaced, so either read restores them
+        assert [(d.doc_id, d.text) for d in expected] == [(d.doc_id, d.text) for d in corpus]
 
 
 def assert_valid_groups(groups: list) -> None:

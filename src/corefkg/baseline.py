@@ -8,6 +8,8 @@ identity is a catastrophically bad signal for them.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .model import CoreferenceCluster, Corpus, Document
 from .normalize import _Labeler, build_acronym_map
 
@@ -42,15 +44,13 @@ def _resolve(doc: Document, labeler: _Labeler) -> tuple[CoreferenceCluster, ...]
     return tuple(clusters)
 
 
-def resolve_corpus(corpus: Corpus) -> Corpus:
-    """Replace every document's clusters with baseline predictions.
-
-    One labeler serves the whole call, so each distinct surface is expanded
-    and normalized once.
-    """
+def _resolved(docs: Iterable[Document]) -> Iterator[Document]:
+    """Each of ``docs`` with its clusters replaced by baseline predictions, one
+    document at a time. One labeler serves all of them, so each distinct
+    surface is expanded and normalized once."""
     labeler = _Labeler()
-    return Corpus(tuple(
-        Document(
+    for doc in docs:
+        yield Document(
             doc_id=doc.doc_id,
             domain=doc.domain,
             text=doc.text,
@@ -58,5 +58,8 @@ def resolve_corpus(corpus: Corpus) -> Corpus:
             clusters=_resolve(doc, labeler),
             entity_links=doc.entity_links,
         )
-        for doc in corpus
-    ))
+
+
+def resolve_corpus(corpus: Corpus) -> Corpus:
+    """Replace every document's clusters with baseline predictions."""
+    return Corpus(tuple(_resolved(corpus)))

@@ -284,8 +284,8 @@ def write_brat_dir(
 
     Every target is worked out before any file is written: ValueError if a
     document's path (``<domain>/<doc_id>``, normalized without touching the
-    file system, less the suffix of its last segment) leaves ``root`` or is
-    shared with another document.
+    file system, less the suffix of its last segment) holds a null byte,
+    leaves ``root`` or is shared with another document.
     """
     root = Path(root)
     targets: dict[str, Document] = {}  # path less ".txt"/".ann" -> its document
@@ -294,6 +294,9 @@ def write_brat_dir(
         if doc.domain and rel.parts[:1] != (doc.domain,):
             rel = Path(doc.domain) / rel
         stem = os.path.splitext(os.path.normpath(rel))[0]
+        if "\0" in stem:
+            raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} holds a null "
+                             f"byte, which no file name can")
         if os.path.isabs(stem) or Path(stem).parts[:1] in ((), ("..",)):
             raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} "
                              f"would be written outside {str(root)!r}")

@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
 
 from . import brat, conll, jsonl
-from .baseline import resolve_corpus
+from .baseline import _resolved
 from .errors import ParseError, ValidationError
 from .goldkg import (
     _gold_lines,
@@ -31,16 +32,9 @@ from .goldkg import (
     read_entity_links,
     read_gold_jsonl,
 )
-from .kgpop import (
-    CollapseStrategy,
-    DomainScope,
-    _kg_lines,
-    export_ntriples,
-    kg_stats,
-    populate,
-)
+from .kgpop import CollapseStrategy, DomainScope, _kg_lines, _ntriple_lines, _Tally, populate
 from .metrics import score_corpora
-from .model import Corpus, corpus_stats
+from .model import Corpus, Document, corpus_stats
 from .normalize import load_lemma_exceptions, set_default_lemma_exceptions
 
 __all__ = ["main"]
@@ -90,8 +84,12 @@ def _detect_format(path: Path, for_output: bool = False) -> str:
     return "conll"
 
 
-def _read_corpus(path_s: str, fmt: str | None) -> Corpus:
-    """Read a corpus; the readers validate it and raise ParseError."""
+def _documents(path_s: str, fmt: str | None) -> Iterable[Document]:
+    """The documents of a corpus; the readers validate them and raise ParseError.
+
+    A JSONL file is read line by line and decoded in blocks of documents as
+    the result is iterated, so a fault is raised when its block is reached.
+    """
     path = Path(path_s)
     if not path.exists():
         raise ParseError(f"no such file or directory: {path}")
@@ -99,7 +97,7 @@ def _read_corpus(path_s: str, fmt: str | None) -> Corpus:
     if fmt == "brat":
         return brat.read_brat_dir(path)
     if fmt == "jsonl":
-        return jsonl.read_jsonl(jsonl._read_text(path))
+        return jsonl._read_documents(path)
     if fmt == "conll":
         tokens_path = Path(str(path) + ".tokens")
         table = jsonl._read_text(tokens_path) if tokens_path.exists() else None
@@ -107,22 +105,32 @@ def _read_corpus(path_s: str, fmt: str | None) -> Corpus:
     raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def _write_corpus(corpus: Corpus, path_s: str, fmt: str | None) -> None:
-    """Write a corpus to ``path_s``; ``-`` is stdout, for JSONL only."""
+def _read_corpus(path_s: str, fmt: str | None) -> Corpus:
+    """Read a whole corpus; the readers validate it and raise ParseError."""
+    return Corpus(tuple(_documents(path_s, fmt)))
+
+
+def _write_corpus(docs: Iterable[Document], path_s: str, fmt: str | None) -> None:
+    """Write a corpus to ``path_s``; ``-`` is stdout, for JSONL only.
+
+    JSONL is written one document at a time, as ``docs`` yields them; the
+    other formats are written once every document is at hand.
+    """
     path = Path(path_s)
     fmt = fmt or _detect_format(path, for_output=True)
-    if path_s == "-" and fmt != "jsonl":
+    if fmt == "jsonl":
+        _emit(jsonl._document_lines(docs), path_s)
+        return
+    corpus = Corpus(tuple(docs))
+    if path_s == "-":
         raise ValueError(f"a {fmt} corpus cannot be written to stdout; give --out a path")
     if fmt == "brat":
         brat.write_brat_dir(corpus, path)
         return
-    if fmt == "jsonl":
-        _emit(jsonl._document_lines(corpus), path_s)
-        return
     if fmt == "conll":
         columns, table = conll.write_coref_columns(corpus)
-        path.write_text(columns, "utf-8")
-        Path(str(path) + ".tokens").write_text(table, "utf-8")
+        _write_file(path, (columns,))
+        _write_file(str(path) + ".tokens", (table,))
         return
     raise ValueError(f"unknown corpus format {fmt!r}")
 
@@ -133,9 +141,27 @@ def _strategy(args) -> CollapseStrategy:
 
 def _write_file(path: str | Path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` one at a time, encoded and with newlines translated
-    as ``Path.write_text(..., "utf-8")`` would: no copy of the whole output."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(chunks)
+    as ``Path.write_text(..., "utf-8")`` would: no copy of the whole output.
+
+    A regular file is written all or nothing. The chunks go to a temporary
+    file beside it, which replaces it once the last chunk is written and is
+    removed if producing or writing a chunk fails. A symbolic link's target
+    is the file replaced. Anything else that exists at ``path``, such as
+    ``/dev/null``, is written in place.
+    """
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        return
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -221,8 +247,8 @@ def build_parser() -> _Parser:
 
 def _cmd_convert(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
-    corpus = _read_corpus(args.input, args.from_format or fmt)
-    _write_corpus(corpus, args.output, args.to_format or fmt)
+    _write_corpus(_documents(args.input, args.from_format or fmt), args.output,
+                  args.to_format or fmt)
     return 0
 
 
@@ -247,17 +273,18 @@ def _cmd_score(args, cfg) -> int:
 
 def _cmd_baseline(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
-    _write_corpus(resolve_corpus(_read_corpus(args.input, fmt)), args.output, fmt)
+    _write_corpus(_resolved(_documents(args.input, fmt)), args.output, fmt)
     return 0
 
 
 def _cmd_populate(args, cfg) -> int:
-    corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
-    kg = populate(corpus, _strategy(args), gold=args.gold)
-    lines = (export_ntriples(kg),) if args.kg_format == "ntriples" else _kg_lines(kg)
+    docs = _documents(args.input, _effective(args, cfg, "format"))
+    tally = _Tally()
+    kg = populate(map(tally.add, docs), _strategy(args), gold=args.gold)
+    lines = _ntriple_lines(kg) if args.kg_format == "ntriples" else _kg_lines(kg)
     _emit(lines, args.output)
     # with the export on stdout, the table goes to stderr to keep stdout parseable
-    (sys.stderr if args.output == "-" else sys.stdout).write(kg_stats(kg, corpus).to_tsv())
+    (sys.stderr if args.output == "-" else sys.stdout).write(tally.stats(kg).to_tsv())
     return 0
 
 
@@ -302,10 +329,11 @@ def main(argv: list[str] | None = None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return 1
-    # A command builds its corpus once and keeps it, free of reference
-    # cycles, until it returns, so full collections would only walk every
-    # mention again and again. Pause the cyclic collector for the command;
-    # a caller that had it off keeps it off.
+    # The documents a command reads, and what it builds from them, hold no
+    # reference cycles: reference counting frees each streamed document, and
+    # what a command keeps lives until it returns, so full collections would
+    # only walk every mention again and again. Pause the cyclic collector for
+    # the command; a caller that had it off keeps it off.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     exceptions_set = False

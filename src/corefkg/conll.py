@@ -97,13 +97,15 @@ def write_coref_columns(corpus: Corpus) -> tuple[str, str]:
     Every mention appears in exactly one chain: annotated clusters plus
     implicit singletons. Mention boundaries must not fall inside whitespace,
     two mentions of one document must not share a character span, and a
-    doc_id must neither hold whitespace nor start with ``#`` (the column
-    format cannot represent any of these).
+    doc_id must not be empty, hold whitespace or start with ``#`` (the
+    column format cannot represent any of these).
     """
     lines: list[str] = []
     table: list[str] = []
     for doc in corpus:
         doc_id, text = doc.doc_id, doc.text
+        if not doc_id:
+            raise ValueError("doc_id '' is empty, which the column format cannot write")
         if any(ch.isspace() for ch in doc_id):
             raise ValueError(f"doc_id {doc_id!r} contains whitespace")
         if doc_id.startswith("#"):

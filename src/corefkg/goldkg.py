@@ -128,7 +128,7 @@ def read_gold_jsonl(text: str) -> GoldKg:
     seen: set[MentionKey] = set()
     entities: set[str] = set()
     header: tuple[int, int] | None = None
-    for lineno, obj in _json_objects(text):
+    for lineno, obj in _json_objects(_lines(text)):
         if obj.get("record") == "gold_kg":
             if header is not None:
                 raise ParseError("repeated gold_kg header record", lineno)

@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 import re
 import sys
+from itertools import islice
 from json.encoder import encode_basestring as _quote
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 from .model import (
@@ -112,6 +113,12 @@ def _lines(text: str) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
+def _not_utf8(exc: UnicodeDecodeError, line: int, path) -> ParseError:
+    """The error for bytes of the file at ``path`` that are not UTF-8, at ``line``."""
+    return ParseError(f"not UTF-8: {exc.reason} (byte {exc.object[exc.start]:#04x})", line,
+                      path=str(path))
+
+
 def _read_text(path, *, newlines: bool = True) -> str:
     r"""The UTF-8 text of the file at ``path``, read with one unbuffered read.
 
@@ -125,11 +132,7 @@ def _read_text(path, *, newlines: bool = True) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"not UTF-8: {exc.reason} (byte {data[exc.start]:#04x})",
-            data.count(b"\n", 0, exc.start) + 1,
-            path=str(path),
-        ) from None
+        raise _not_utf8(exc, data.count(b"\n", 0, exc.start) + 1, path) from None
     if newlines and b"\r" in data:
         return text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -158,9 +161,9 @@ def _lone_surrogate(line: str, obj) -> bool:
     return False
 
 
-def _json_objects(text: str) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for every non-blank line of a JSONL text."""
-    for lineno, line in enumerate(_lines(text), start=1):
+def _json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for every non-blank line of a JSONL text's ``lines``."""
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -364,14 +367,70 @@ def _document_from_dict(obj: dict, lineno: int) -> tuple[Document, bool]:
     ), sound
 
 
+def _documents(lines: Iterable[str]) -> Iterator[Document]:
+    """The checked documents of a JSONL corpus's ``lines``, decoded one at a time.
+
+    Schema violations, document invariant violations (see ``validate``) and
+    repeated doc_ids raise ParseError carrying the document's line number,
+    when the decoding reaches that line.
+    """
+    seen: set[str] = set()
+    for lineno, obj in _json_objects(lines):
+        yield _checked(*_document_from_dict(obj, lineno), lineno, seen)
+
+
 def read_jsonl(text: str) -> Corpus:
     """Parse and validate a JSONL corpus.
 
     Schema violations, document invariant violations (see ``validate``) and
     repeated doc_ids raise ParseError carrying the document's line number.
     """
-    seen: set[str] = set()
-    return Corpus(tuple(
-        _checked(*_document_from_dict(obj, lineno), lineno, seen)
-        for lineno, obj in _json_objects(text)
-    ))
+    return Corpus(tuple(_documents(_lines(text))))
+
+
+#: Documents ``_read_documents`` decodes before it hands any of them on.
+#: Decoding each document between the caller's work on the others cost about
+#: 10% more CPU time in ``baseline`` and 5% in ``populate`` (10k generated
+#: documents); in blocks this size they run as fast as from a whole corpus.
+_BLOCK = 512
+
+
+def _read_documents(path) -> Iterator[Document]:
+    r"""The checked documents of the JSONL file at ``path``, read and decoded
+    one line at a time and handed on in blocks of ``_BLOCK``: the documents
+    of ``read_jsonl(_read_text(path))``, or its ParseError, raised once the
+    blocks before the faulty document's block are handed on.
+
+    The file is split at its ``\n`` bytes, which no other UTF-8 character
+    holds, and each piece is decoded with its ``\n``, so a bad byte is worded
+    as in the whole file; ``\r\n`` and a lone ``\r`` also end a line. Bytes
+    that are not UTF-8 anywhere in the file take precedence over a fault at an
+    earlier line, as when the whole file is decoded before it is parsed.
+    """
+    with open(path, "rb") as f:
+        pieces = enumerate(f, start=1)  # (one plus the \n bytes before, piece)
+        n = 0
+
+        def lines() -> Iterator[str]:
+            nonlocal n
+            for n, piece in pieces:
+                line = piece.decode("utf-8")
+                if "\r" in line:
+                    yield from _lines(line.replace("\r\n", "\n").replace("\r", "\n"))
+                else:
+                    yield line[:-1] if line.endswith("\n") else line
+
+        documents = _documents(lines())
+        try:
+            while block := list(islice(documents, _BLOCK)):
+                yield from block
+                del block  # before the next block is decoded
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, n, path) from None
+        except ParseError:
+            for n, piece in pieces:  # the rest of the file
+                try:
+                    piece.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise _not_utf8(exc, n, path) from None
+            raise

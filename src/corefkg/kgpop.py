@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError
 from .jsonl import (_QUOTED, _concept_type, _expect, _expect_entries, _expect_source,
-                    _json_objects, _key_group, _mention_entry, _mention_key, _quote)
+                    _json_objects, _key_group, _lines, _mention_entry, _mention_key, _quote)
 from .model import (
     CANONICAL_TYPES,
     ConceptType,
@@ -222,7 +222,7 @@ def acronym_maps(corpus: Corpus) -> dict[str, AcronymMap]:
 
 
 def populate(
-    corpus: Corpus, strategy: CollapseStrategy, *, gold: bool = False
+    corpus: Iterable[Document], strategy: CollapseStrategy, *, gold: bool = False
 ) -> KnowledgeGraph:
     """Populate a knowledge graph from a corpus.
 
@@ -230,15 +230,21 @@ def populate(
     ``gold=True`` the source-based filter is bypassed but untyped clusters
     still cannot become nodes. Every kept mention contributes one edge from
     its paper to the concept of its cluster.
+
+    ``corpus`` may be any iterable of documents with distinct doc_ids. It is
+    iterated once, in any order, and of each document only its domain,
+    acronym map (if not empty) and kept clusters are kept, never its text.
     """
-    kept = [
-        c
-        for doc in sorted(corpus, key=lambda d: d.doc_id)
-        for c in strategy.clusters(doc)
-        if _kept(c, gold)
-    ]
-    domains = corpus.domains()
-    concepts = collapse(kept, domains, strategy, acronym_maps(corpus))
+    domains: dict[str, str] = {}
+    acronyms: dict[str, AcronymMap] = {}
+    kept: list[CoreferenceCluster] = []
+    for doc in corpus:
+        domains[doc.doc_id] = doc.domain
+        acronym_map = build_acronym_map(doc.text)
+        if acronym_map.expansions:  # collapse reads a missing map as empty
+            acronyms[doc.doc_id] = acronym_map
+        kept += [c for c in strategy.clusters(doc) if _kept(c, gold)]
+    concepts = collapse(kept, domains, strategy, acronyms)
     return _graph(tuple(sorted(domains)), concepts)
 
 
@@ -288,40 +294,68 @@ class KgStats:
         return "\n".join(lines) + "\n"
 
 
-def kg_stats(kg: KnowledgeGraph, corpus: Corpus) -> KgStats:
-    """Per-domain counts for a populated graph; each row's Total sums its cells."""
-    domains = corpus.domains()
-    domain_list = tuple(sorted(set(domains.values())))
-    cols = [*domain_list, "MIX"]
-    abstracts, mentions, coreferent, concepts = (dict.fromkeys(cols, 0) for _ in range(4))
-    by_type = {t.value: dict.fromkeys(cols, 0) for t in CANONICAL_TYPES}
+class _Tally:
+    """The per-document counts of ``kg_stats``, taken one document at a time."""
 
-    for doc in corpus:
-        abstracts[doc.domain] += 1
+    def __init__(self):
+        self.domains: dict[str, str] = {}  # doc_id -> domain
+        # domain -> [abstracts, mentions, coreferent mentions]
+        self.counts: dict[str, list[int]] = {}
+
+    def add(self, doc: Document) -> Document:
+        """Count ``doc`` and return it, so that ``map(tally.add, docs)``
+        counts documents as they stream past."""
+        self.domains[doc.doc_id] = doc.domain
+        row = self.counts.setdefault(doc.domain, [0, 0, 0])
+        row[0] += 1
         for m in doc.mentions:
             if m.concept_type in CANONICAL_TYPES:
-                mentions[doc.domain] += 1
+                row[1] += 1
         for cluster in doc.clusters:
             if cluster.size >= 2:
-                coreferent[doc.domain] += cluster.size
+                row[2] += cluster.size
+        return doc
 
-    for concept in kg.concepts:
-        concept_domains = {domains[d] for d in concept.doc_ids()}
-        column = next(iter(concept_domains)) if len(concept_domains) == 1 else "MIX"
-        concepts[column] += 1
-        if concept.concept_type in CANONICAL_TYPES:
-            by_type[concept.concept_type.value][column] += 1
+    def stats(self, kg: KnowledgeGraph) -> KgStats:
+        """The table of ``kg``, populated from the counted documents."""
+        domains = self.domains
+        domain_list = tuple(sorted(self.counts))
+        cols = [*domain_list, "MIX"]
+        abstracts, mentions, coreferent, concepts = (dict.fromkeys(cols, 0) for _ in range(4))
+        by_type = {t.value: dict.fromkeys(cols, 0) for t in CANONICAL_TYPES}
+        for domain, (n_abstracts, n_mentions, n_coreferent) in self.counts.items():
+            abstracts[domain] = n_abstracts
+            mentions[domain] = n_mentions
+            coreferent[domain] = n_coreferent
 
-    for row in (abstracts, mentions, coreferent, concepts, *by_type.values()):
-        row["Total"] = sum(row.values())
-    return KgStats(
-        domains=domain_list,
-        abstracts=abstracts,
-        mentions=mentions,
-        coreferent_mentions=coreferent,
-        concepts=concepts,
-        concepts_by_type=by_type,
-    )
+        for concept in kg.concepts:
+            concept_domains = {domains[d] for d in concept.doc_ids()}
+            column = next(iter(concept_domains)) if len(concept_domains) == 1 else "MIX"
+            concepts[column] += 1
+            if concept.concept_type in CANONICAL_TYPES:
+                by_type[concept.concept_type.value][column] += 1
+
+        for row in (abstracts, mentions, coreferent, concepts, *by_type.values()):
+            row["Total"] = sum(row.values())
+        return KgStats(
+            domains=domain_list,
+            abstracts=abstracts,
+            mentions=mentions,
+            coreferent_mentions=coreferent,
+            concepts=concepts,
+            concepts_by_type=by_type,
+        )
+
+
+def kg_stats(kg: KnowledgeGraph, corpus: Iterable[Document]) -> KgStats:
+    """Per-domain counts for a populated graph; each row's Total sums its cells.
+
+    ``corpus`` is iterated once, as in ``populate``.
+    """
+    tally = _Tally()
+    for doc in corpus:
+        tally.add(doc)
+    return tally.stats(kg)
 
 
 class _Iris(dict):
@@ -343,12 +377,8 @@ def _literal(value: str) -> str:
     return f'"{escaped}"'
 
 
-def export_ntriples(kg: KnowledgeGraph) -> str:
-    """Deterministic N-Triples export, one line per triple, sorted.
-
-    Each edge becomes a ``mentions`` triple (repeated edges stay repeated to
-    preserve mention counts); each concept contributes label and type triples.
-    """
+def _ntriple_lines(kg: KnowledgeGraph) -> Iterator[str]:
+    """The lines of ``export_ntriples``, sorted, each with its newline."""
     papers, concepts = _Iris("paper"), _Iris("concept")
     lines: list[str] = []
     for doc_id, concept_id in kg.edges:
@@ -357,9 +387,19 @@ def export_ntriples(kg: KnowledgeGraph) -> str:
         subject = concepts[concept.concept_id]
         lines.append(f"{subject} <rel:label> {_literal(concept.label)} .")
         lines.append(f"{subject} <rel:type> {_literal(concept.concept_type.value)} .")
-    del papers, concepts  # before the join, where the export peaks in memory
+    del papers, concepts  # before the sort, where the export peaks in memory
     lines.sort()
-    return "\n".join(lines) + ("\n" if lines else "")
+    for line in lines:
+        yield line + "\n"
+
+
+def export_ntriples(kg: KnowledgeGraph) -> str:
+    """Deterministic N-Triples export, one line per triple, sorted.
+
+    Each edge becomes a ``mentions`` triple (repeated edges stay repeated to
+    preserve mention counts); each concept contributes label and type triples.
+    """
+    return "".join(_ntriple_lines(kg))
 
 
 def _kg_lines(kg: KnowledgeGraph) -> Iterator[str]:
@@ -423,7 +463,7 @@ def read_kg_jsonl(text: str) -> KnowledgeGraph:
     concept_ids: set[str] = set()
     clustered: set[MentionKey] = set()
     first_line: dict[str, int] = {}  # cluster doc_id -> first line naming it
-    for lineno, obj in _json_objects(text):
+    for lineno, obj in _json_objects(_lines(text)):
         record = obj.get("record")
         if record == "kg":
             if papers is not None:

@@ -306,6 +306,15 @@ def test_write_brat_dir_refuses_two_documents_sharing_a_target_before_writing(tm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc_id, domain", [("x\0y", "Agr"), ("x", "A\0gr")],
+                         ids=["doc_id", "domain"])
+def test_write_brat_dir_refuses_a_null_byte_before_writing(tmp_path, doc_id, domain):
+    corpus = _docs(("a", "Agr"), (doc_id, domain))
+    with pytest.raises(ValueError, match="holds a null byte"):
+        write_brat_dir(corpus, tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # not even Agr/a.txt
+
+
 def test_write_brat_dir_writes_normalized_ids_under_their_domain(tmp_path):
     write_brat_dir(_docs(("CS/x/../d1", "CS"), ("v1.2", "Agr"), ("e", "")), tmp_path)
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.txt")) == [

@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 import corefkg
-from corefkg import cli
+from corefkg import cli, jsonl
 from corefkg.baseline import resolve_corpus
 from corefkg.cli import main
 from corefkg.conll import write_coref_columns
 from corefkg.goldkg import compile_gold, write_gold_jsonl
 from corefkg.jsonl import read_jsonl, write_jsonl
-from corefkg.kgpop import CollapseStrategy, DomainScope, export_kg_jsonl, populate
+from corefkg.kgpop import (CollapseStrategy, DomainScope, export_kg_jsonl, export_ntriples,
+                           kg_stats, populate)
 from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention
 
 from corpusgen import random_corpus
@@ -394,6 +395,117 @@ def test_streamed_files_equal_the_library_strings(linked_corpus_path, tmp_path, 
     capsys.readouterr()
     assert main(["compile-gold", "--in", src]) == 0  # --out defaults to -, stdout
     assert capsys.readouterr().out == expected_gold
+
+
+POPULATE_STRATEGIES = {
+    "cross": (["--strategy", "cross"], CollapseStrategy(DomainScope.CROSS_DOMAIN), False),
+    "in-nocoref": (["--strategy", "in", "--no-coref"],
+                   CollapseStrategy(DomainScope.IN_DOMAIN, use_coreference=False), False),
+    "in-gold": (["--strategy", "in", "--gold"], CollapseStrategy(DomainScope.IN_DOMAIN), True),
+}
+
+
+@pytest.mark.parametrize("kg_format", ["jsonl", "ntriples"])
+@pytest.mark.parametrize("flags, strategy, gold", POPULATE_STRATEGIES.values(),
+                         ids=POPULATE_STRATEGIES.keys())
+def test_streamed_commands_equal_the_whole_corpus_library_results(
+        linked_corpus_path, tmp_path, capsys, kg_format, flags, strategy, gold):
+    corpus = read_jsonl(linked_corpus_path.read_text("utf-8"))
+    assert [d.doc_id for d in corpus] != sorted(d.doc_id for d in corpus)  # any order will do
+    pred = tmp_path / "pred.jsonl"
+    assert main(["baseline", "--in", str(linked_corpus_path), "--out", str(pred)]) == 0
+    predicted = resolve_corpus(corpus)
+    assert pred.read_bytes() == write_jsonl(predicted).encode("utf-8")
+    export = export_kg_jsonl if kg_format == "jsonl" else export_ntriples
+    for source, docs in ((linked_corpus_path, corpus), (pred, predicted)):
+        capsys.readouterr()
+        out = tmp_path / "kg"
+        assert main(["populate", "--in", str(source), *flags, "--format", kg_format,
+                     "--out", str(out)]) == 0
+        kg = populate(docs, strategy, gold=gold)
+        assert out.read_bytes() == export(kg).encode("utf-8")
+        table = kg_stats(kg, docs).to_tsv()
+        assert "\tMIX\t" in table and capsys.readouterr().out == table
+
+
+#: a last document that fails, and the error it reports at line 5, after four documents
+LAST_LINE_FAULTS = {
+    "bad-json": (b'{"doc_id": \n', "line 5: invalid JSON: Expecting value"),
+    "not-utf8": (b'{"doc_id": "\xff"}\n', "line 5: not UTF-8: invalid start byte (byte 0xff)"),
+    "repeated-id": (None, "line 5: duplicate doc_id"),
+}
+
+STREAMED_COMMANDS = {
+    "baseline": (["baseline"], "pred.jsonl"),
+    "convert": (["convert"], "copy.jsonl"),
+    "populate-jsonl": (["populate", "--strategy", "cross", "--format", "jsonl"], "kg.jsonl"),
+    "populate-ntriples": (["populate", "--strategy", "in", "--format", "ntriples"], "kg.nt"),
+}
+
+
+def _corpus_with_a_bad_last_line(path: Path, fault: str) -> Corpus:
+    """Four documents, then the fault's line; returns the four documents."""
+    corpus = random_corpus(random.Random(5), n_docs=4)
+    good = write_jsonl(corpus).encode("utf-8")
+    last = LAST_LINE_FAULTS[fault][0] or good.partition(b"\n")[0] + b"\n"
+    path.write_bytes(good + last)
+    return corpus
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("fault", LAST_LINE_FAULTS)
+@pytest.mark.parametrize("command, target", STREAMED_COMMANDS.values(), ids=STREAMED_COMMANDS.keys())
+def test_a_fault_in_the_last_document_leaves_the_output_as_it_was(tmp_path, capsys, command,
+                                                                   target, fault, existing):
+    src = tmp_path / "in.jsonl"
+    _corpus_with_a_bad_last_line(src, fault)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if existing:
+        (out_dir / target).write_text("an earlier output\n", "utf-8")
+    before = sorted(out_dir.iterdir())
+    assert main([*command, "--in", str(src), "--out", str(out_dir / target)]) == 2
+    out, err = capsys.readouterr()
+    assert LAST_LINE_FAULTS[fault][1] in err
+    assert sorted(out_dir.iterdir()) == before  # no output and no temporary file
+    if existing:
+        assert (out_dir / target).read_text("utf-8") == "an earlier output\n"
+    assert sorted(tmp_path.iterdir()) == [src, out_dir]
+
+
+def test_baseline_to_stdout_holds_the_blocks_before_a_fault(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(jsonl, "_BLOCK", 3)  # documents 1-3, then 4 and the fault
+    src = tmp_path / "in.jsonl"
+    corpus = _corpus_with_a_bad_last_line(src, "bad-json")
+    assert main(["baseline", "--in", str(src), "--out", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == write_jsonl(resolve_corpus(Corpus(corpus.documents[:3])))  # complete lines
+    assert err == "error: line 5: invalid JSON: Expecting value\n"
+    # populate writes nothing before it has read every document
+    assert main(["populate", "--in", str(src), "--strategy", "cross", "--out", "-"]) == 2
+    assert capsys.readouterr() == ("", "error: line 5: invalid JSON: Expecting value\n")
+
+
+def test_an_output_that_is_not_a_regular_file_is_written_in_place(corpus_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"replaced {args}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["populate", "--in", str(corpus_path), "--strategy", "cross",
+                 "--out", os.devnull]) == 0
+    assert main(["--format", "jsonl", "baseline", "--in", str(corpus_path),
+                 "--out", os.devnull]) == 0
+
+
+def test_an_output_through_a_symbolic_link_replaces_the_link_target(corpus_path, tmp_path):
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_text("an earlier output\n", "utf-8")
+    link.symlink_to(target)
+    assert main(["baseline", "--in", str(corpus_path), "--out", str(link)]) == 0
+    assert link.is_symlink() and link.read_text("utf-8") == target.read_text("utf-8")
+    assert read_jsonl(target.read_text("utf-8")).documents[0].doc_id == "d1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "link.jsonl",
+                                                          "target.jsonl"]
 
 
 def test_gold_kg_on_stdout_is_byte_equal_to_the_library_string(linked_corpus_path):

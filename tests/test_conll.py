@@ -381,6 +381,13 @@ def test_writer_rejects_hash_led_doc_id(doc_id):
         write_coref_columns(Corpus((Document("h", "CS", "x"), doc)))
 
 
+def test_writer_rejects_an_empty_doc_id():
+    # its begin line would read "#begin document ", which the reader refuses
+    doc = Document("", "CS", "ab", (Mention("", 0, 2, ConceptType.DATA, "ab"),))
+    with pytest.raises(ValueError, match="doc_id '' is empty"):
+        write_coref_columns(Corpus((Document("h", "CS", "x"), doc)))
+
+
 # --- round trips -------------------------------------------------------------------
 
 def test_write_read_identity_with_token_table():

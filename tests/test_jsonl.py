@@ -1,7 +1,11 @@
+import dataclasses
 import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corefkg import jsonl
 from corefkg.errors import ParseError
@@ -250,3 +254,76 @@ def test_lone_surrogate_is_a_parse_error_at_its_line(read, string):
 def test_valid_escapes_still_read(escaped, decoded):
     line = '{"doc_id": "d", "domain": "CS", "text": "%s", "mentions": [], "clusters": []}' % escaped
     assert read_jsonl(line).documents[0].text == decoded
+
+
+# --- the streamed file reader ------------------------------------------------------
+
+#: lines the streamed reader must fail on exactly as the whole-file reader does
+FAULTY_LINES = {
+    "bad-json": b'{"doc_id": ',
+    "not-utf8": b'{"doc_id": "\xff"}',
+    "cut-utf8": "\u00e9".encode("utf-8")[:1],  # a sequence cut by the line end or the file end
+    "lone-surrogate": b'{"doc_id": "s", "text": "\\ud800"}',
+    "bad-document": b'{"doc_id": "x", "domain": "", "text": "", "mentions": [], "clusters": [[0]]}',
+}
+
+
+def _file_outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _whole_file(path):
+    return read_jsonl(jsonl._read_text(path))
+
+
+def _streamed(path):
+    return Corpus(tuple(jsonl._read_documents(path)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       pieces=st.lists(st.sampled_from(["doc", "doc", "doc", "blank", "repeat", *FAULTY_LINES]),
+                       max_size=8),
+       endings=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=8, max_size=8),
+       final_ending=st.booleans(), block=st.sampled_from([1, 3, jsonl._BLOCK]))
+def test_streamed_reader_reads_a_file_as_the_whole_file_reader(tmp_path_factory, seed, pieces,
+                                                                endings, final_ending, block):
+    rng = random.Random(seed)
+    docs = [dataclasses.replace(d, text=d.text + "\u2028\x85\u00e9")  # non-ASCII, no line end
+            for d in random_corpus(rng, n_docs=8)]
+    lines = write_jsonl(Corpus(tuple(docs))).encode("utf-8").split(b"\n")
+    written: list[bytes] = []
+    for piece in pieces:
+        if piece == "doc":
+            written.append(lines.pop(0))
+        elif piece == "blank":
+            written.append(rng.choice([b"", b" ", b"\t "]))
+        elif piece == "repeat":  # an earlier document again: a repeated doc id
+            written.append(rng.choice([w for w in written if w.startswith(b'{"clusters"')]
+                                      or [lines.pop(0)]))
+        else:
+            written.append(FAULTY_LINES[piece])
+    data = b"".join(w + e for w, e in zip(written, endings))
+    if written and not final_ending:
+        data = data[:-len(endings[len(written) - 1])]
+    path = tmp_path_factory.getbasetemp() / "streamed.jsonl"
+    path.write_bytes(data)
+    with mock.patch.object(jsonl, "_BLOCK", block):
+        assert _file_outcome(_streamed, path) == _file_outcome(_whole_file, path)
+
+
+@pytest.mark.parametrize("first, later, line", [
+    (b"{", b"\xff", 3),  # bad JSON before a bad byte: the bad byte, as when decoded whole
+    (b"\xfe", b"\xff", 1),
+    (b"{", b"{}", 1),
+], ids=["json-then-byte", "byte-then-byte", "json-then-json"])
+def test_streamed_reader_reports_the_fault_the_whole_file_reader_reports(tmp_path, first, later,
+                                                                         line):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(first + b"\r\n\n" + later + b"\n")
+    outcome = _file_outcome(_streamed, path)
+    assert outcome == _file_outcome(_whole_file, path)
+    assert outcome[1] == line

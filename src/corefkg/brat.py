@@ -285,7 +285,10 @@ def write_brat_dir(
     Every target is worked out before any file is written: ValueError if a
     document's path (``<domain>/<doc_id>``, normalized without touching the
     file system, less the suffix of its last segment) holds a null byte,
-    leaves ``root`` or is shared with another document.
+    leaves ``root``, would be read back in another domain than the
+    document's (``read_brat_dir`` takes the first directory of the path, or
+    ``''`` for a file directly under ``root``) or is shared with another
+    document.
     """
     root = Path(root)
     targets: dict[str, Document] = {}  # path less ".txt"/".ann" -> its document
@@ -297,9 +300,13 @@ def write_brat_dir(
         if "\0" in stem:
             raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} holds a null "
                              f"byte, which no file name can")
-        if os.path.isabs(stem) or Path(stem).parts[:1] in ((), ("..",)):
+        parts = Path(stem).parts
+        if os.path.isabs(stem) or parts[:1] in ((), ("..",)):
             raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} "
                              f"would be written outside {str(root)!r}")
+        if (parts[0] if len(parts) > 1 else "") != doc.domain:
+            raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} would be written "
+                             f"to {os.path.join(root, stem)!r}, which reads back in another domain")
         if stem in targets:
             raise ValueError(f"doc_ids {targets[stem].doc_id!r} and {doc.doc_id!r} would both "
                              f"be written to {os.path.join(root, stem)!r}")

@@ -22,10 +22,10 @@ response part are connected when they share a mention, and the optimal
 alignment of the whole partition is the union of the optimal alignments of
 its components. A component with one key part or one response part (a star)
 is solved exactly as the largest similarity it contains; only the other
-components go to ``optimal_assignment``, a sparse augmenting-path solver, with
-integer weights: each similarity scaled by the lcm of the component's
-denominators. No float enters the arithmetic, so the alignment is exactly
-optimal.
+components go to ``optimal_assignment``, the textbook shortest augmenting path
+that adds one row (key part) at a time, with integer weights: each similarity
+scaled by the lcm of the component's denominators. No float enters the
+arithmetic, so the alignment is exactly optimal.
 
 Mention ids that carry their document, as ``corpus_partition`` builds them,
 never connect two documents, so every raw count of a pooled corpus is a sum
@@ -327,75 +327,56 @@ def optimal_assignment(rows: list[dict[int, int | Fraction]]) -> dict[int, int]:
 
     ``rows`` is a sparse matrix, one ``{column: weight}`` dict per row, of
     finite non-negative weights; zero cells may be left out and are never
-    assigned, so a row may stay unassigned. The solver grows the matching by
-    successive shortest augmenting paths: each round runs Dijkstra from all
-    unassigned rows over the non-zero cells, with reduced costs
+    assigned, so a row may stay unassigned. The solver is the textbook
+    shortest augmenting path (Jonker and Volgenant, 1987; Crouse, 2016). Each
+    row gets a private column of weight 0, numbered above every real column,
+    that stands for leaving it unassigned, so every row can be matched. The
+    rows are added one at a time: a Dijkstra run from the new row alone, over
+    the non-zero cells and the private columns, with reduced costs
     u[i] + v[j] - w[i][j] kept non-negative by row potentials u and column
-    potentials v, and it stops when no augmenting path gains weight. Every
-    row starts at the same potential, the largest weight, so the unassigned
-    rows always share one potential ``level`` and a path to a free column
-    gains ``level`` minus its length. The arithmetic is the weights' own: int
-    and ``Fraction`` weights give an exact optimum.
+    potentials v, stops at the first free column. The potentials are then
+    shifted so that the path is tight, and the path is flipped. The
+    arithmetic is the weights' own: int and ``Fraction`` weights give an
+    exact optimum.
     """
+    private = 1 + max((j for row in rows for j in row), default=0)
     cells = []
-    level = 0
-    for row in rows:
-        out = []
-        for j, w in row.items():
-            if not 0 <= w < math.inf:
-                raise ValueError("weights must be finite and non-negative")
-            if w:
-                out.append((j, w))
-                level = max(level, w)
-        cells.append(out)
-    row_pot = [level] * len(cells)
+    for i, row in enumerate(rows):
+        if not all(0 <= w < math.inf for w in row.values()):
+            raise ValueError("weights must be finite and non-negative")
+        cells.append([(j, w) for j, w in row.items() if w] + [(private + i, 0)])
+    row_pot = [max(w for _, w in out) for out in cells]
     col_pot = dict.fromkeys([j for out in cells for j, _ in out], 0)
     row_of: dict[int, int] = {}
     col_of: dict[int, int] = {}
-    free = {i for i, out in enumerate(cells) if out}
-    while free:
-        # Dijkstra from every free row at distance 0; a path whose length
-        # reaches ``level`` cannot gain, so it is never pushed
+    for start in range(len(cells)):
         heap: list = []
         came: dict[int, int] = {}
         done: dict = {}
-        reached = dict.fromkeys(free, 0)
-        scan = list(free)
-        end = None
-        while scan:
-            i = scan.pop()
-            base = reached[i] + row_pot[i]
+        i, d = start, 0
+        while True:
+            base = d + row_pot[i]
             for j, w in cells[i]:
-                d = base + col_pot[j] - w
-                if d < level and j not in done:
-                    heappush(heap, (d, j, i))
-            while heap and not scan:
+                if j not in done:
+                    heappush(heap, (base + col_pot[j] - w, j, i))
+            d, j, i = heappop(heap)
+            while j in done:
                 d, j, i = heappop(heap)
-                if j in done:
-                    continue
-                done[j], came[j] = d, i
-                if j in row_of:
-                    reached[row_of[j]] = d
-                    scan.append(row_of[j])
-                else:
-                    end = j
-                    break
-        if end is None:
-            break
+            done[j], came[j] = d, i
+            if j not in row_of:
+                break
+            i = row_of[j]
         # shift potentials so the path is tight, then flip it
-        length = done[end]
-        for i, d in reached.items():
-            row_pot[i] -= length - d
-        for j, d in done.items():
-            col_pot[j] += length - d
-        level -= length
-        j = end
+        row_pot[start] -= d
+        for k, dk in done.items():
+            col_pot[k] += d - dk
+            if k in row_of:
+                row_pot[row_of[k]] -= d - dk
         while j is not None:
             i = came[j]
             row_of[j] = i
             col_of[i], j = j, col_of.get(i)
-        free.discard(i)
-    return col_of
+    return {i: j for i, j in col_of.items() if j < private}
 
 
 def _components(shared: dict[int, dict[int, int]]) -> list[tuple[list[int], list[int]]]:

@@ -2,9 +2,9 @@
 
 These deliberately share no code with the package: different data layouts
 (plain lists of sets), float arithmetic, cluster-pair aggregation instead of
-per-mention loops, and a bitmask dynamic program instead of the Hungarian
-solver. They follow the published algorithms of the standard CoNLL-style
-scorer.
+per-mention loops, and a bitmask dynamic program instead of the package's
+shortest-augmenting-path assignment solver. They follow the published
+algorithms of the standard CoNLL-style scorer.
 
 If the environment variable CONLL_SCORER_PL points at the official Perl
 scorer, `scorer_pl_scores` additionally cross-checks against the real thing.

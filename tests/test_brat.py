@@ -315,6 +315,16 @@ def test_write_brat_dir_refuses_a_null_byte_before_writing(tmp_path, doc_id, dom
     assert not (tmp_path / "out").exists()  # not even Agr/a.txt
 
 
+@pytest.mark.parametrize("doc_id, domain", [("", "Agr"), (".", "Agr"), ("Agr", "Agr"),
+                                             ("x/..", "Agr"), ("../Bio/x", "Agr"), ("CS/x", "")])
+def test_write_brat_dir_refuses_a_target_read_back_in_another_domain_before_writing(
+        tmp_path, doc_id, domain):
+    corpus = _docs(("a", "Agr"), (doc_id, domain))
+    with pytest.raises(ValueError, match="reads back in another domain"):
+        write_brat_dir(corpus, tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # not even Agr/a.txt
+
+
 def test_write_brat_dir_writes_normalized_ids_under_their_domain(tmp_path):
     write_brat_dir(_docs(("CS/x/../d1", "CS"), ("v1.2", "Agr"), ("e", "")), tmp_path)
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.txt")) == [

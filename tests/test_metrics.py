@@ -200,6 +200,26 @@ def test_assignment_rejects_negative():
         optimal_assignment([{0: -1.0}])
 
 
+def test_assignment_columns_may_be_any_ints():
+    # negative columns, and columns at and far above the row count, where the
+    # solver's own columns for leaving a row unassigned must not land
+    assert optimal_assignment([{-5: 3, 10**6: 1}, {-5: 2, -1: 1}]) == {0: -5, 1: -1}
+    assert optimal_assignment([{2: 1, 3: 4}, {3: 5, 4: 3}, {2: 2}]) == {0: 3, 1: 4, 2: 2}
+    assert optimal_assignment([{3: 1}, {4: 2}, {5: 3}]) == {0: 3, 1: 4, 2: 5}
+
+
+def test_assignment_leaves_a_row_with_weight_unassigned():
+    # row 0 can take either column, but each is worth more to another row
+    assert optimal_assignment([{0: 1, 1: 1}, {0: 5}, {1: 5}]) == {1: 0, 2: 1}
+
+
+def test_assignment_leaves_its_argument_unchanged():
+    rows = [{0: 2, 1: 0, 5: Fraction(3, 2)}, {0: 3, 5: 1}, {}, {1: 0}]
+    copy = [dict(row) for row in rows]
+    optimal_assignment(rows)
+    assert rows == copy
+
+
 def brute_force_total(weights):
     n, m = len(weights), len(weights[0])
     best = 0
@@ -224,9 +244,10 @@ def test_assignment_matches_brute_force():
 
 
 @st.composite
-def sparse_int_matrices(draw):
-    """Up to 6 x 8 integer matrices, in both orientations, about half zeros."""
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+def sparse_int_matrices(draw, rows=(1, 6), cols=(1, 8)):
+    """Up to 6 x 8 integer matrices by default, in both orientations, about
+    half zeros."""
+    n, m = draw(st.integers(*rows)), draw(st.integers(*cols))
     if draw(st.booleans()):
         n, m = m, n
     cell = st.one_of(st.just(0), st.integers(1, 40))
@@ -242,6 +263,17 @@ def test_assignment_is_exactly_optimal(weights):
     assert len(set(assignment.values())) == len(assignment)
     assert all(j in rows[i] for i, j in assignment.items())
     # small integers sum exactly in the oracle's floats
+    assert sum(rows[i][j] for i, j in assignment.items()) == _reference.max_assignment_dp(weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_int_matrices(rows=(7, 10), cols=(7, 10)))
+def test_assignment_is_exactly_optimal_up_to_10x10(weights):
+    # columns from -4 up, so some are negative
+    rows = [{j - 4: w for j, w in enumerate(row) if w} for row in weights]
+    assignment = optimal_assignment(rows)
+    assert len(set(assignment.values())) == len(assignment)
+    assert all(j in rows[i] for i, j in assignment.items())
     assert sum(rows[i][j] for i, j in assignment.items()) == _reference.max_assignment_dp(weights)
 
 

@@ -284,7 +284,8 @@ def write_brat_dir(
 
     Every target is worked out before any file is written: ValueError if a
     document's path (``<domain>/<doc_id>``, normalized without touching the
-    file system, less the suffix of its last segment) holds a null byte,
+    file system; ``.txt`` and ``.ann`` are appended to it whole, so a dotted
+    last segment such as ``v1.2`` reads back unchanged) holds a null byte,
     leaves ``root``, would be read back in another domain than the
     document's (``read_brat_dir`` takes the first directory of the path, or
     ``''`` for a file directly under ``root``) or is shared with another
@@ -296,7 +297,7 @@ def write_brat_dir(
         rel = Path(doc.doc_id)
         if doc.domain and rel.parts[:1] != (doc.domain,):
             rel = Path(doc.domain) / rel
-        stem = os.path.splitext(os.path.normpath(rel))[0]
+        stem = os.path.normpath(rel)
         if "\0" in stem:
             raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} holds a null "
                              f"byte, which no file name can")

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from . import brat, conll, jsonl
+from . import brat, conll, jsonl, parallel
 from .baseline import _resolved
 from .errors import ParseError, ValidationError
 from .goldkg import (
@@ -213,7 +213,8 @@ def build_parser() -> _Parser:
     p.add_argument("--ceafe-drop-singletons", action="store_true",
                    help="diagnostic CEAFe variant that ignores singleton response parts")
 
-    p = sub.add_parser("baseline", help="run the string-match coreference baseline")
+    p = sub.add_parser("baseline", help="run the string-match coreference baseline (JSONL to "
+                       "JSONL: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
 
@@ -271,9 +272,22 @@ def _cmd_score(args, cfg) -> int:
     return 0
 
 
+def _baseline_lines(docs: Iterable[Document]) -> Iterable[str]:
+    return jsonl._document_lines(_resolved(docs))
+
+
 def _cmd_baseline(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
-    _write_corpus(_resolved(_documents(args.input, fmt)), args.output, fmt)
+    source = Path(args.input)
+    formats = (fmt or _detect_format(source), fmt or _detect_format(Path(args.output), True))
+    if formats != ("jsonl", "jsonl") or not source.is_file():
+        _write_corpus(_resolved(_documents(args.input, fmt)), args.output, fmt)
+        return 0
+    lines = parallel.lines(source, _baseline_lines)  # one process per CPU
+    try:
+        _emit(lines, args.output)
+    finally:
+        lines.close()  # kills the workers still running
     return 0
 
 

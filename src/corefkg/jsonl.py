@@ -367,14 +367,15 @@ def _document_from_dict(obj: dict, lineno: int) -> tuple[Document, bool]:
     ), sound
 
 
-def _documents(lines: Iterable[str]) -> Iterator[Document]:
+def _documents(lines: Iterable[str], seen: set[str] | None = None) -> Iterator[Document]:
     """The checked documents of a JSONL corpus's ``lines``, decoded one at a time.
 
     Schema violations, document invariant violations (see ``validate``) and
     repeated doc_ids raise ParseError carrying the document's line number,
-    when the decoding reaches that line.
+    when the decoding reaches that line. ``seen`` collects the doc_ids read;
+    one already in it is repeated.
     """
-    seen: set[str] = set()
+    seen = set() if seen is None else seen
     for lineno, obj in _json_objects(lines):
         yield _checked(*_document_from_dict(obj, lineno), lineno, seen)
 
@@ -395,32 +396,45 @@ def read_jsonl(text: str) -> Corpus:
 _BLOCK = 512
 
 
-def _read_documents(path) -> Iterator[Document]:
-    r"""The checked documents of the JSONL file at ``path``, read and decoded
-    one line at a time and handed on in blocks of ``_BLOCK``: the documents
-    of ``read_jsonl(_read_text(path))``, or its ParseError, raised once the
-    blocks before the faulty document's block are handed on.
+def _read_documents(path, start: int = 0, stop: int | None = None, *,
+                    seen: set[str] | None = None, read_on=None) -> Iterator[Document]:
+    r"""The checked documents of the JSONL file at ``path``, from byte offset
+    ``start`` to ``stop`` (line starts; None is the end of the file), read and
+    decoded one line at a time and handed on in blocks of ``_BLOCK``: for the
+    whole file, the documents of ``read_jsonl(_read_text(path))``, or its
+    ParseError, raised once the blocks before the faulty document's block are
+    handed on. Line numbers count from ``start``.
 
     The file is split at its ``\n`` bytes, which no other UTF-8 character
     holds, and each piece is decoded with its ``\n``, so a bad byte is worded
     as in the whole file; ``\r\n`` and a lone ``\r`` also end a line. Bytes
-    that are not UTF-8 anywhere in the file take precedence over a fault at an
-    earlier line, as when the whole file is decoded before it is parsed.
+    that are not UTF-8 anywhere after a faulty line, up to the end of the
+    file, take precedence over its fault, as when the whole file is decoded
+    before it is parsed.
+
+    ``seen`` collects the doc_ids read (see ``_documents``). When the reading
+    reaches ``stop``, after every document before it is checked, it goes on to
+    the end of the file if ``read_on()`` returns true.
     """
     with open(path, "rb") as f:
+        f.seek(start)
         pieces = enumerate(f, start=1)  # (one plus the \n bytes before, piece)
         n = 0
 
         def lines() -> Iterator[str]:
             nonlocal n
+            offset = start
             for n, piece in pieces:
                 line = piece.decode("utf-8")
                 if "\r" in line:
                     yield from _lines(line.replace("\r\n", "\n").replace("\r", "\n"))
                 else:
                     yield line[:-1] if line.endswith("\n") else line
+                offset += len(piece)
+                if offset == stop and not (read_on and read_on()):
+                    return
 
-        documents = _documents(lines())
+        documents = _documents(lines(), seen)
         try:
             while block := list(islice(documents, _BLOCK)):
                 yield from block

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
@@ -142,9 +141,8 @@ def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
     starting with '#' are comments.
     """
     if path is None:
-        text = resources.files("corefkg.data").joinpath("lemma_exceptions.tsv").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+        path = Path(__file__).parent / "data" / "lemma_exceptions.tsv"
+    text = Path(path).read_text("utf-8")
     table: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -298,11 +298,11 @@ def test_write_brat_dir_refuses_a_target_outside_its_root_before_writing(tmp_pat
 
 
 def test_write_brat_dir_refuses_two_documents_sharing_a_target_before_writing(tmp_path):
-    corpus = _docs(("first", "CS"), ("a.x", "CS"), ("a.y", "CS"))
+    corpus = _docs(("first", "CS"), ("a", "CS"), ("x/../a", "CS"))
     with pytest.raises(ValueError) as err:
         write_brat_dir(corpus, tmp_path / "out")
     assert str(err.value) == (
-        f"doc_ids 'a.x' and 'a.y' would both be written to {str(tmp_path / 'out' / 'CS' / 'a')!r}")
+        f"doc_ids 'a' and 'x/../a' would both be written to {str(tmp_path / 'out' / 'CS' / 'a')!r}")
     assert not (tmp_path / "out").exists()
 
 
@@ -328,7 +328,17 @@ def test_write_brat_dir_refuses_a_target_read_back_in_another_domain_before_writ
 def test_write_brat_dir_writes_normalized_ids_under_their_domain(tmp_path):
     write_brat_dir(_docs(("CS/x/../d1", "CS"), ("v1.2", "Agr"), ("e", "")), tmp_path)
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.txt")) == [
-        "Agr/v1.txt", "CS/d1.txt", "e.txt"]
+        "Agr/v1.2.txt", "CS/d1.txt", "e.txt"]
+
+
+def test_write_brat_dir_keeps_a_dotted_last_segment_whole(tmp_path):
+    ids = ["Agr/v1.2", "Agr/a.x", "Agr/a.y", "Agr/a", "Agr/b.txt", "Agr/c.ann", "Agr/d.", "Agr/.e"]
+    corpus = _docs(*((doc_id, "Agr") for doc_id in ids))
+    write_brat_dir(corpus, tmp_path)
+    assert sorted(p.name for p in (tmp_path / "Agr").glob("*.txt")) == sorted(
+        doc_id[4:] + ".txt" for doc_id in ids)
+    assert sorted(read_brat_dir(tmp_path), key=lambda d: d.doc_id) == sorted(
+        corpus, key=lambda d: d.doc_id)
 
 
 @pytest.mark.parametrize("kind", ["missing", "file"])

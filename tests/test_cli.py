@@ -119,7 +119,7 @@ def test_corpus_output_dash_refuses_brat_and_conll(tmp_path, monkeypatch, capsys
 
 
 def test_brat_output_that_would_lose_a_document_exits_2_before_writing(tmp_path, capsys):
-    docs = [Document(doc_id, "CS", "ab") for doc_id in ("a.x", "a.y")]
+    docs = [Document(doc_id, "CS", "ab") for doc_id in ("a", "x/../a")]
     src = tmp_path / "in.jsonl"
     src.write_text(write_jsonl(Corpus(tuple(docs))), "utf-8")
     assert main(["convert", "--in", str(src), "--out", str(tmp_path / "brat")]) == 2
@@ -566,6 +566,23 @@ def test_cli_imports_only_the_package_and_the_standard_library():
             "assert main(['--help']) == 0\n"
             "print(sorted(name for name in sys.modules if name != '__main__'\n"
             "             and name.partition('.')[0] not in (*sys.stdlib_module_names, 'corefkg')))\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_loads_no_module_of_the_worker_code_before_it_forks():
+    # baseline's workers import these when they are started; the other
+    # commands, and every call's set-up, pay for none of them
+    package_root = str(Path(corefkg.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            f"sys.path.insert(0, {package_root!r})\n"
+            "from corefkg.cli import main\n"
+            "assert main(['--help']) == 0\n"
+            "print(sorted(name for name in ('multiprocessing', 'pickle', 'random', 'signal',\n"
+            "                               'subprocess', 'tempfile', 'threading')\n"
+            "             if name in sys.modules))\n")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                           capture_output=True, text=True, encoding="utf-8", timeout=120)
     assert done.returncode == 0, done.stderr

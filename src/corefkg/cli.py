@@ -32,7 +32,7 @@ from .goldkg import (
     read_entity_links,
     read_gold_jsonl,
 )
-from .kgpop import CollapseStrategy, DomainScope, _kg_lines, _ntriple_lines, _Tally, populate
+from .kgpop import CollapseStrategy, DomainScope, _Population, _records
 from .metrics import score_corpora
 from .model import Corpus, Document, corpus_stats
 from .normalize import load_lemma_exceptions, set_default_lemma_exceptions
@@ -218,7 +218,8 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
 
-    p = sub.add_parser("populate", help="populate a knowledge graph from a corpus")
+    p = sub.add_parser("populate", help="populate a knowledge graph from a corpus (from a "
+                       "JSONL file: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--strategy", choices=["cross", "in"], required=True)
     p.add_argument("--no-coref", action="store_true",
@@ -254,8 +255,8 @@ def _cmd_convert(args, cfg) -> int:
 
 
 def _cmd_stats(args, cfg) -> int:
-    corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
-    sys.stdout.write(corpus_stats(corpus, args.group_by).to_tsv())
+    docs = _documents(args.input, _effective(args, cfg, "format"))
+    sys.stdout.write(corpus_stats(docs, args.group_by).to_tsv())
     return 0
 
 
@@ -283,7 +284,7 @@ def _cmd_baseline(args, cfg) -> int:
     if formats != ("jsonl", "jsonl") or not source.is_file():
         _write_corpus(_resolved(_documents(args.input, fmt)), args.output, fmt)
         return 0
-    lines = parallel.lines(source, _baseline_lines)  # one process per CPU
+    lines = parallel.records(source, _baseline_lines)  # one process per CPU
     try:
         _emit(lines, args.output)
     finally:
@@ -292,13 +293,24 @@ def _cmd_baseline(args, cfg) -> int:
 
 
 def _cmd_populate(args, cfg) -> int:
-    docs = _documents(args.input, _effective(args, cfg, "format"))
-    tally = _Tally()
-    kg = populate(map(tally.add, docs), _strategy(args), gold=args.gold)
-    lines = _ntriple_lines(kg) if args.kg_format == "ntriples" else _kg_lines(kg)
-    _emit(lines, args.output)
+    fmt = _effective(args, cfg, "format")
+    strategy, ntriples = _strategy(args), args.kg_format == "ntriples"
+
+    def chain(docs: Iterable[Document]):
+        return _records(docs, strategy, gold=args.gold, fragments=not ntriples)
+
+    source = Path(args.input)
+    if (fmt or _detect_format(source)) == "jsonl" and source.is_file():
+        records = parallel.records(source, chain)  # one process per CPU
+    else:
+        records = chain(_documents(args.input, fmt))
+    try:
+        kg = _Population(records)
+    finally:
+        records.close()  # kills the workers still running
+    _emit(kg.ntriple_lines() if ntriples else kg.kg_lines(), args.output)
     # with the export on stdout, the table goes to stderr to keep stdout parseable
-    (sys.stderr if args.output == "-" else sys.stdout).write(tally.stats(kg).to_tsv())
+    (sys.stderr if args.output == "-" else sys.stdout).write(kg.stats().to_tsv())
     return 0
 
 

@@ -267,8 +267,33 @@ def _key_group(keys: list[MentionKey], label: str, seen: set[MentionKey], lineno
     return group
 
 
+def _doc_id_fault(doc_id: str) -> str | None:
+    """Why ``doc_id`` breaks the doc_id rule, or None if it keeps it.
+
+    The rule admits only ids that every corpus writer can write and read
+    back: not empty, no whitespace, control character or backslash, no
+    ``.`` or ``..`` segment between slashes, and not absolute.
+    """
+    if not doc_id:
+        return "is empty"
+    # every whitespace and control character but the space is unprintable
+    if " " in doc_id or not doc_id.isprintable():
+        if any(ch.isspace() for ch in doc_id):
+            return "contains whitespace"
+        if any(ch <= "\x1f" or "\x7f" <= ch <= "\x9f" for ch in doc_id):
+            return "contains a control character"
+    if "\\" in doc_id:
+        return "contains a backslash"
+    if doc_id[0] == "/":
+        return "is absolute"
+    if "." in doc_id and not {".", ".."}.isdisjoint(doc_id.split("/")):
+        return "has a '.' or '..' segment"
+    return None
+
+
 def _checked(doc: Document, sound: bool, lineno: int, seen_ids: set[str]) -> Document:
-    """The readers' validation boundary: ``doc`` must be valid and its doc_id new.
+    """The readers' validation boundary: ``doc`` must be valid and its doc_id
+    new and within the doc_id rule (see ``_doc_id_fault``).
 
     A reader checks, while it builds ``doc``, the invariants it does not
     guarantee by construction, and passes the outcome as ``sound``.
@@ -284,6 +309,9 @@ def _checked(doc: Document, sound: bool, lineno: int, seen_ids: set[str]) -> Doc
             raise ParseError("; ".join(violations), lineno)
     if doc.domain in _RESERVED_DOMAINS:
         raise ParseError(f"domain name {doc.domain!r} is reserved", lineno)
+    fault = _doc_id_fault(doc.doc_id)
+    if fault:
+        raise ParseError(f"doc_id {doc.doc_id!r} {fault}", lineno)
     return doc
 
 

@@ -8,6 +8,15 @@ paper is linked to a concept by one ``mentions`` edge per mention.
 Everything here is deterministic: concept ids are content-derived hashes,
 and all outputs are sorted, so re-population of the same corpus produces
 byte-identical exports regardless of document order.
+
+``corefkg populate`` splits the work in two. The map, ``_records``, turns
+each document into one record of plain values (its counts, and each kept
+cluster's collapse key, span key, mention count, typed mentions' types and
+JSONL fragment), so that it can run in a worker process and cross back with
+``marshal`` (see ``corefkg.parallel``). The reduce, ``_Population``, groups
+the records into concepts and writes the exports and the statistics table
+without rebuilding a mention. The collapse key, majority type, concept id
+and cluster fragment are each computed by one function, which both paths call.
 """
 
 from __future__ import annotations
@@ -16,8 +25,10 @@ import enum
 import hashlib
 import json
 import urllib.parse
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError
@@ -32,6 +43,7 @@ from .model import (
     Mention,
     MentionKey,
     MentionSource,
+    _TYPE_BY_NAME,
     all_clusters,
 )
 from .normalize import EMPTY_ACRONYMS, AcronymMap, _Labeler, build_acronym_map
@@ -82,12 +94,16 @@ class CollapseStrategy:
 #: domain_scope value of concepts built under cross-domain collapsing.
 ALL_DOMAINS = "ALL"
 
+#: tie-break of ``_majority_type``: Process > Method > Material > Data
 _TYPE_PRIORITY = {
-    ConceptType.PROCESS: 0,
-    ConceptType.METHOD: 1,
-    ConceptType.MATERIAL: 2,
-    ConceptType.DATA: 3,
+    ConceptType.PROCESS.value: 0,
+    ConceptType.METHOD.value: 1,
+    ConceptType.MATERIAL.value: 2,
+    ConceptType.DATA.value: 3,
 }
+_NONE = ConceptType.NONE
+#: each type's name, looked up faster than ``ConceptType.value`` is read
+_NAMES = {t: t.value for t in ConceptType}
 
 
 @dataclass(frozen=True)
@@ -129,19 +145,25 @@ def _graph(papers: tuple[str, ...], concepts: Iterable[Concept]) -> KnowledgeGra
     return KnowledgeGraph(papers=papers, concepts=tuple(concepts), edges=tuple(edges))
 
 
-def _majority_type(mentions: Iterable[Mention]) -> ConceptType:
-    counts = Counter(
-        m.concept_type for m in mentions if m.concept_type is not ConceptType.NONE
-    )
+def _typed(cluster: CoreferenceCluster) -> tuple[str, ...]:
+    """The type names of the cluster's mentions that have a type (not None)."""
+    names = _NAMES
+    return tuple([names[m.concept_type] for m in cluster.mentions if m.concept_type is not _NONE])
+
+
+def _majority_type(types: Iterable[str]) -> ConceptType:
+    """The most frequent of a concept's mention ``types`` (see ``_typed``),
+    None if there is none; ties break by fixed priority Process > Method >
+    Material > Data."""
+    counts = Counter(types)
     if not counts:
-        return ConceptType.NONE
-    # majority wins; ties break by fixed priority Process > Method > Material > Data
-    return max(counts, key=lambda t: (counts[t], -_TYPE_PRIORITY[t]))
+        return _NONE
+    return _TYPE_BY_NAME[max(counts, key=lambda t: (counts[t], -_TYPE_PRIORITY[t]))]
 
 
 def assign_type(concept: Concept) -> ConceptType:
     """Most frequent concept type over the concept's mentions (None excluded)."""
-    return _majority_type(m for c in concept.clusters for m in c.mentions)
+    return _majority_type(chain.from_iterable(map(_typed, concept.clusters)))
 
 
 def filter_clusters(doc: Document) -> tuple[CoreferenceCluster, ...]:
@@ -160,6 +182,16 @@ def _all_coref_only(cluster: CoreferenceCluster) -> bool:
 def _concept_id(label: str, domain_scope: str, distinct: str = "") -> str:
     payload = "\x1f".join((domain_scope, label, distinct))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def _collapse_key(cluster: CoreferenceCluster, label: str, scope: str) -> tuple[str, str, str]:
+    """The key ``(scope, label, distinct)`` of the concept ``cluster`` joins.
+    ``distinct`` is empty unless the label is: such a cluster is keyed by its
+    first mention, so it never merges with anything."""
+    if label:
+        return (scope, label, "")
+    first = min((m.start, m.end, m.concept_type.value) for m in cluster.mentions)
+    return (scope, label, f"{cluster.doc_id}:{first[0]}-{first[1]}:{first[2]}")
 
 
 def collapse(
@@ -187,12 +219,7 @@ def collapse(
             if strategy.scope is DomainScope.CROSS_DOMAIN
             else domains[cluster.doc_id]
         )
-        if label:
-            key = (scope, label, "")
-        else:
-            first = min((m.start, m.end, m.concept_type.value) for m in cluster.mentions)
-            key = (scope, label, f"{cluster.doc_id}:{first[0]}-{first[1]}:{first[2]}")
-        groups.setdefault(key, []).append(cluster)
+        groups.setdefault(_collapse_key(cluster, label, scope), []).append(cluster)
 
     concepts = []
     for (scope, label, distinct), members in groups.items():
@@ -202,7 +229,7 @@ def collapse(
                 concept_id=_concept_id(label, scope, distinct),
                 label=label,
                 domain_scope=scope,
-                concept_type=_majority_type(m for c in members for m in c.mentions),
+                concept_type=_majority_type(chain.from_iterable(map(_typed, members))),
                 clusters=tuple(members),
             )
         )
@@ -294,6 +321,13 @@ class KgStats:
         return "\n".join(lines) + "\n"
 
 
+def _counts(doc: Document) -> tuple[int, int]:
+    """The document's concept mentions and coreferent mentions, as ``kg_stats`` counts them."""
+    mentions = sum(m.concept_type in CANONICAL_TYPES for m in doc.mentions)
+    coreferent = sum(c.size for c in doc.clusters if c.size >= 2)
+    return mentions, coreferent
+
+
 class _Tally:
     """The per-document counts of ``kg_stats``, taken one document at a time."""
 
@@ -302,47 +336,49 @@ class _Tally:
         # domain -> [abstracts, mentions, coreferent mentions]
         self.counts: dict[str, list[int]] = {}
 
-    def add(self, doc: Document) -> Document:
-        """Count ``doc`` and return it, so that ``map(tally.add, docs)``
-        counts documents as they stream past."""
-        self.domains[doc.doc_id] = doc.domain
-        row = self.counts.setdefault(doc.domain, [0, 0, 0])
+    def add(self, doc: Document) -> None:
+        self.count(doc.doc_id, doc.domain, *_counts(doc))
+
+    def count(self, doc_id: str, domain: str, mentions: int, coreferent: int) -> None:
+        """Count one document of ``domain`` with these counts (see ``_counts``)."""
+        self.domains[doc_id] = domain
+        row = self.counts.setdefault(domain, [0, 0, 0])
         row[0] += 1
-        for m in doc.mentions:
-            if m.concept_type in CANONICAL_TYPES:
-                row[1] += 1
-        for cluster in doc.clusters:
-            if cluster.size >= 2:
-                row[2] += cluster.size
-        return doc
+        row[1] += mentions
+        row[2] += coreferent
 
     def stats(self, kg: KnowledgeGraph) -> KgStats:
         """The table of ``kg``, populated from the counted documents."""
+        return self.table((concept.doc_ids(), concept.concept_type) for concept in kg.concepts)
+
+    def table(self, concepts: Iterable[tuple[Iterable[str], ConceptType]]) -> KgStats:
+        """The table of the counted documents and of ``concepts``, each given
+        as the doc_ids of its clusters and its type."""
         domains = self.domains
         domain_list = tuple(sorted(self.counts))
         cols = [*domain_list, "MIX"]
-        abstracts, mentions, coreferent, concepts = (dict.fromkeys(cols, 0) for _ in range(4))
+        abstracts, mentions, coreferent, counted = (dict.fromkeys(cols, 0) for _ in range(4))
         by_type = {t.value: dict.fromkeys(cols, 0) for t in CANONICAL_TYPES}
         for domain, (n_abstracts, n_mentions, n_coreferent) in self.counts.items():
             abstracts[domain] = n_abstracts
             mentions[domain] = n_mentions
             coreferent[domain] = n_coreferent
 
-        for concept in kg.concepts:
-            concept_domains = {domains[d] for d in concept.doc_ids()}
+        for doc_ids, concept_type in concepts:
+            concept_domains = {domains[d] for d in doc_ids}
             column = next(iter(concept_domains)) if len(concept_domains) == 1 else "MIX"
-            concepts[column] += 1
-            if concept.concept_type in CANONICAL_TYPES:
-                by_type[concept.concept_type.value][column] += 1
+            counted[column] += 1
+            if concept_type in CANONICAL_TYPES:
+                by_type[concept_type.value][column] += 1
 
-        for row in (abstracts, mentions, coreferent, concepts, *by_type.values()):
+        for row in (abstracts, mentions, coreferent, counted, *by_type.values()):
             row["Total"] = sum(row.values())
         return KgStats(
             domains=domain_list,
             abstracts=abstracts,
             mentions=mentions,
             coreferent_mentions=coreferent,
-            concepts=concepts,
+            concepts=counted,
             concepts_by_type=by_type,
         )
 
@@ -377,20 +413,27 @@ def _literal(value: str) -> str:
     return f'"{escaped}"'
 
 
-def _ntriple_lines(kg: KnowledgeGraph) -> Iterator[str]:
-    """The lines of ``export_ntriples``, sorted, each with its newline."""
-    papers, concepts = _Iris("paper"), _Iris("concept")
+def _triples(edges: Iterable[tuple[str, str]],
+             concepts: Iterable[tuple[str, str, ConceptType]]) -> Iterator[str]:
+    """The N-Triples lines of ``edges`` (doc_id, concept_id) and of ``concepts``
+    (concept_id, label, type), sorted, each with its newline."""
+    papers, iris = _Iris("paper"), _Iris("concept")
     lines: list[str] = []
-    for doc_id, concept_id in kg.edges:
-        lines.append(f"{papers[doc_id]} <rel:mentions> {concepts[concept_id]} .")
-    for concept in kg.concepts:
-        subject = concepts[concept.concept_id]
-        lines.append(f"{subject} <rel:label> {_literal(concept.label)} .")
-        lines.append(f"{subject} <rel:type> {_literal(concept.concept_type.value)} .")
-    del papers, concepts  # before the sort, where the export peaks in memory
+    for doc_id, concept_id in edges:
+        lines.append(f"{papers[doc_id]} <rel:mentions> {iris[concept_id]} .")
+    for concept_id, label, concept_type in concepts:
+        subject = iris[concept_id]
+        lines.append(f"{subject} <rel:label> {_literal(label)} .")
+        lines.append(f"{subject} <rel:type> {_literal(concept_type.value)} .")
+    del papers, iris  # before the sort, where the export peaks in memory
     lines.sort()
     for line in lines:
         yield line + "\n"
+
+
+def _ntriple_lines(kg: KnowledgeGraph) -> Iterator[str]:
+    """The lines of ``export_ntriples``, sorted, each with its newline."""
+    return _triples(kg.edges, ((c.concept_id, c.label, c.concept_type) for c in kg.concepts))
 
 
 def export_ntriples(kg: KnowledgeGraph) -> str:
@@ -402,27 +445,111 @@ def export_ntriples(kg: KnowledgeGraph) -> str:
     return "".join(_ntriple_lines(kg))
 
 
+def _cluster_fragment(cluster: CoreferenceCluster) -> str:
+    """The cluster's object in a concept line of the JSONL export."""
+    quote, quoted = _quote, _QUOTED
+    return f'{{"doc_id": {quote(cluster.doc_id)}, "mentions": [' + ", ".join([
+        f'{{"end": {m.end}, "source": {quoted[m.source]}, "start": {m.start}, '
+        f'"surface": {quote(m.surface)}, "type": {quoted[m.concept_type]}}}'
+        for m in cluster.sorted_mentions()
+    ]) + "]}"
+
+
+def _header_line(papers: Iterable[str]) -> str:
+    return json.dumps({"record": "kg", "papers": list(papers)}, sort_keys=True) + "\n"
+
+
+def _concept_line(concept_id: str, domain_scope: str, label: str, concept_type: ConceptType,
+                  fragments: Iterable[str]) -> str:
+    """A concept's line of the JSONL export, from its clusters' fragments."""
+    quote = _quote
+    return (f'{{"clusters": [{", ".join(fragments)}], "concept_id": {quote(concept_id)}, '
+            f'"domain_scope": {quote(domain_scope)}, "label": {quote(label)}, '
+            f'"record": "concept", "type": {_QUOTED[concept_type]}}}\n')
+
+
 def _kg_lines(kg: KnowledgeGraph) -> Iterator[str]:
     """The header line, then one line per concept, each with its newline."""
-    quote, quoted = _quote, _QUOTED
-    yield json.dumps({"record": "kg", "papers": list(kg.papers)}, sort_keys=True) + "\n"
-    for concept in kg.concepts:
-        clusters = ", ".join([
-            f'{{"doc_id": {quote(cluster.doc_id)}, "mentions": [' + ", ".join([
-                f'{{"end": {m.end}, "source": {quoted[m.source]}, "start": {m.start}, '
-                f'"surface": {quote(m.surface)}, "type": {quoted[m.concept_type]}}}'
-                for m in cluster.sorted_mentions()
-            ]) + "]}"
-            for cluster in concept.clusters
-        ])
-        yield (f'{{"clusters": [{clusters}], "concept_id": {quote(concept.concept_id)}, '
-               f'"domain_scope": {quote(concept.domain_scope)}, "label": {quote(concept.label)}, '
-               f'"record": "concept", "type": {quoted[concept.concept_type]}}}\n')
+    yield _header_line(kg.papers)
+    for c in kg.concepts:
+        yield _concept_line(c.concept_id, c.domain_scope, c.label, c.concept_type,
+                            map(_cluster_fragment, c.clusters))
 
 
 def export_kg_jsonl(kg: KnowledgeGraph) -> str:
     """JSONL export mirroring the data model; re-importable."""
     return "".join(_kg_lines(kg))
+
+
+def _records(docs: Iterable[Document], strategy: CollapseStrategy, *, gold: bool,
+             fragments: bool) -> Iterator[tuple]:
+    """The map of ``populate``: one record of plain values per document, as
+    ``marshal`` can carry it from a worker (see ``corefkg.parallel``).
+
+    A record is ``(doc_id, domain, mentions, coreferent, clusters)`` with the
+    counts of ``_counts`` and, for each cluster ``populate`` keeps, in the
+    order it keeps them, ``(key, doc_id, span_key, size, types, fragment)``:
+    its ``_collapse_key``, ``span_key()``, mention count, ``_typed`` types
+    and, with ``fragments``, its ``_cluster_fragment`` (else None). One
+    labeler serves every document, as one serves a ``collapse`` call.
+    """
+    labeler = _Labeler()
+    cross = strategy.scope is DomainScope.CROSS_DOMAIN
+    for doc in docs:
+        acronyms = build_acronym_map(doc.text)
+        scope = ALL_DOMAINS if cross else doc.domain
+        clusters = [
+            (_collapse_key(cluster, labeler.cluster(cluster, acronyms), scope), doc.doc_id,
+             cluster.span_key(), cluster.size, _typed(cluster),
+             _cluster_fragment(cluster) if fragments else None)
+            for cluster in strategy.clusters(doc) if _kept(cluster, gold)
+        ]
+        yield (doc.doc_id, doc.domain, *_counts(doc), clusters)
+
+
+class _Population:
+    """The reduce of ``populate`` over ``_records``: the concepts, in the
+    order of ``KnowledgeGraph.concepts``, as ``(domain_scope, label,
+    concept_id, concept_type, clusters)`` with each concept's cluster records
+    in the order of ``Concept.clusters``, and the documents' counts.
+
+    The records may come in any document order. Clusters of one document
+    keep their record order among equal span keys, as ``collapse`` keeps
+    them (its sort is stable).
+    """
+
+    def __init__(self, records: Iterable[tuple]):
+        self.tally = _Tally()
+        groups: defaultdict[tuple[str, str, str], list[tuple]] = defaultdict(list)
+        for doc_id, domain, mentions, coreferent, clusters in records:
+            self.tally.count(doc_id, domain, mentions, coreferent)
+            for cluster in clusters:
+                groups[cluster[0]].append(cluster)
+        self.concepts: list[tuple[str, str, str, ConceptType, list[tuple]]] = []
+        for (scope, label, distinct), members in groups.items():
+            members.sort(key=itemgetter(1, 2))  # doc_id, span_key
+            concept_type = _majority_type(chain.from_iterable(map(itemgetter(4), members)))
+            self.concepts.append(
+                (scope, label, _concept_id(label, scope, distinct), concept_type, members))
+        self.concepts.sort(key=itemgetter(0, 1, 2))
+
+    def ntriple_lines(self) -> Iterator[str]:
+        """The lines of ``export_ntriples(populate(...))``."""
+        edges = ((cluster[1], concept_id)
+                 for _, _, concept_id, _, clusters in self.concepts
+                 for cluster in clusters for _ in range(cluster[3]))
+        return _triples(edges, ((c[2], c[1], c[3]) for c in self.concepts))
+
+    def kg_lines(self) -> Iterator[str]:
+        """The lines of ``export_kg_jsonl(populate(...))``; the records carry fragments."""
+        yield _header_line(sorted(self.tally.domains))
+        for scope, label, concept_id, concept_type, clusters in self.concepts:
+            yield _concept_line(concept_id, scope, label, concept_type,
+                                [cluster[5] for cluster in clusters])
+
+    def stats(self) -> KgStats:
+        """``kg_stats(populate(...), corpus)``."""
+        return self.tally.table(([cluster[1] for cluster in c[4]], c[3]) for c in self.concepts)
 
 
 def _concept_from_dict(obj: dict, lineno: int, clustered: set[MentionKey]) -> Concept:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
+from typing import Iterable
 
 __all__ = [
     "ConceptType",
@@ -369,8 +370,10 @@ class StatsTable:
         return "\n".join(lines) + "\n"
 
 
-def corpus_stats(corpus: Corpus, group_by: str = "concept_type") -> StatsTable:
+def corpus_stats(corpus: Iterable[Document], group_by: str = "concept_type") -> StatsTable:
     """Mention/cluster counts per concept type or per domain, plus totals.
+
+    ``corpus`` may be any iterable of documents; it is iterated once.
 
     Grouping by concept type, a cluster with disagreeing member types counts
     under Mixed and a cluster of only coreference-found mentions under None.

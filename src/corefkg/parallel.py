@@ -1,17 +1,21 @@
-"""Run a per-document chain over a JSONL corpus on every CPU the process may use.
+"""Run a per-document map over a JSONL corpus on every CPU the process may use.
 
-``lines(path, chain)`` yields what ``chain(jsonl._read_documents(path))``
-yields, for a ``chain`` that maps each document to one line. The file is split
-at ``\\n`` bytes into one contiguous range per CPU. This process reads the
-first range, which holds at least the file's first ``jsonl._BLOCK`` lines;
-each other range goes to a forked worker, which writes its lines to an
-unnamed temporary file and sends back only the doc_ids it read. Once its own
-range is read, this process waits for the workers, and if every one of them
-succeeded and no doc_id was read twice, it copies their lines after its own,
-in file order. Otherwise it kills them and reads on to the end of the file
-itself, so that every fault is found, worded and placed as by one process
-reading the whole file. Documents and clusters never cross a process
-boundary: pickling a decoded corpus costs more than decoding it.
+``records(path, chain)`` yields what ``chain(jsonl._read_documents(path))``
+yields, for a ``chain`` that maps documents to records ``marshal`` can carry:
+``baseline``'s records are its output lines, ``populate``'s one tuple of
+plain values per document (``kgpop._records``). The file is split at ``\\n``
+bytes into one contiguous range per CPU. This process maps the first range,
+which holds at least the file's first ``jsonl._BLOCK`` lines; each other
+range goes to a forked worker. A worker writes its records to an unnamed
+temporary file in blocks of ``jsonl._BLOCK``, each one ``marshal.dumps``
+after its length, and then the doc_ids it read. Once its own range is read,
+this process waits for the workers, and if every one of them succeeded and no
+doc_id was read twice, it loads their blocks one whole block at a time, in
+file order, and yields their records after its own. Otherwise it kills them
+and reads on to the end of the file itself, so that every fault is found,
+worded and placed as by one process reading the whole file. Documents and
+clusters never cross a process boundary: pickling a decoded corpus costs more
+than decoding it.
 
 One process reads the whole file when only one CPU is available, when
 ``os.fork`` does not exist, when another thread runs (forking a threaded
@@ -24,16 +28,16 @@ from __future__ import annotations
 import _thread
 import marshal
 import os
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from . import jsonl
 from .model import Document
 
-__all__ = ["lines"]
+__all__ = ["records"]
 
-#: Characters of a worker's lines copied at a time: the main process holds
-#: about three copies of a chunk (read, decoded, encoded) while it copies one.
-_CHUNK = 1 << 16
+#: Bytes of the length written beside each block of a worker's file.
+_LENGTH = 8
 
 
 def _cpus() -> int:
@@ -67,16 +71,19 @@ def _starts(path, parts: int) -> list[int]:
 
 
 class _Worker:
-    """A forked process that writes ``chain``'s lines for the documents of the
-    byte range ``[start, stop)`` to an unnamed temporary file, and sends the
-    doc_ids it read through a pipe if it succeeds."""
+    """A forked process that writes ``chain``'s records for the documents of
+    the byte range ``[start, stop)`` to an unnamed temporary file, in blocks
+    of ``jsonl._BLOCK`` records, each one ``marshal.dumps`` preceded by its
+    length in ``_LENGTH`` bytes. Last come the doc_ids it read, one
+    ``marshal.dumps`` followed by its length, so that they are found from the
+    end of the file."""
 
     def __init__(self, path, start: int, stop: int | None,
-                 chain: Callable[[Iterable[Document]], Iterable[str]]):
+                 chain: Callable[[Iterable[Document]], Iterable]):
         import tempfile
 
-        self.text = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-        read, write = os.pipe()
+        self.file = tempfile.TemporaryFile()
+        self.end = 0  # where the record blocks end, once joined
         self.pid = os.fork()
         if self.pid == 0:
             status = 1
@@ -85,44 +92,57 @@ class _Worker:
                 os.dup2(null, 1)
                 os.dup2(null, 2)
                 seen: set[str] = set()
-                self.text.writelines(chain(jsonl._read_documents(path, start, stop, seen=seen)))
-                self.text.flush()
-                with open(write, "wb") as pipe:
-                    pipe.write(marshal.dumps(list(seen)))
+                records = iter(chain(jsonl._read_documents(path, start, stop, seen=seen)))
+                write = self.file.write
+                while block := list(islice(records, jsonl._BLOCK)):
+                    data = marshal.dumps(block)
+                    write(len(data).to_bytes(_LENGTH, "little"))
+                    write(data)
+                data = marshal.dumps(list(seen))
+                write(data)
+                write(len(data).to_bytes(_LENGTH, "little"))
+                self.file.flush()
                 status = 0
             finally:
                 os._exit(status)  # runs none of the caller's clean-up, whatever happened
-        os.close(write)
-        self.ids = open(read, "rb")
 
     def join(self) -> list[str] | None:
         """The doc_ids the worker read, once it has exited; None if it failed."""
-        ids = self.ids.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = 0
-        return marshal.loads(ids) if status == 0 else None
+        if status != 0:
+            return None
+        f = self.file
+        f.seek(-_LENGTH, os.SEEK_END)
+        length = int.from_bytes(f.read(_LENGTH), "little")
+        self.end = f.seek(-(_LENGTH + length), os.SEEK_END)
+        return marshal.loads(f.read(length))
 
-    def chunks(self) -> Iterator[str]:
-        """The lines the worker wrote, ``_CHUNK`` characters at a time."""
-        self.text.seek(0)
-        while chunk := self.text.read(_CHUNK):
-            yield chunk
+    def records(self) -> Iterator:
+        """The records the worker wrote, loaded one whole block at a time."""
+        f, position = self.file, 0
+        f.seek(0)
+        while position < self.end:
+            length = int.from_bytes(f.read(_LENGTH), "little")
+            block = marshal.loads(f.read(length))
+            position += _LENGTH + length
+            yield from block
+            del block  # before the next block is loaded
 
     def close(self) -> None:
-        """Kill the worker unless it has been joined, and free its files."""
+        """Kill the worker unless it has been joined, and free its file."""
         if self.pid:
             import signal
 
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = 0
-        self.ids.close()
-        self.text.close()
+        self.file.close()
 
 
-def lines(path, chain: Callable[[Iterable[Document]], Iterable[str]]) -> Iterator[str]:
+def records(path, chain: Callable[[Iterable[Document]], Iterable]) -> Iterator:
     """What ``chain(jsonl._read_documents(path))`` yields, the ranges after the
-    first computed by forked workers. Close the iterator if it is left before
+    first mapped by forked workers. Close the iterator if it is left before
     its end: that kills the workers still running."""
     parts = _cpus() if hasattr(os, "fork") and _thread._count() == 0 else 1
     starts = _starts(path, parts)
@@ -148,7 +168,7 @@ def lines(path, chain: Callable[[Iterable[Document]], Iterable[str]]) -> Iterato
         stop = starts[0] if starts else None
         yield from chain(jsonl._read_documents(path, 0, stop, seen=seen, read_on=read_on))
         for worker in workers:
-            yield from worker.chunks()
+            yield from worker.records()
     finally:
         for worker in workers:
             worker.close()

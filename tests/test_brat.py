@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from corefkg.brat import parse_brat, read_brat_dir, write_brat, write_brat_dir
 from corefkg.errors import ParseError
-from corefkg.model import ConceptType, Corpus, MentionSource, all_clusters
+from corefkg.model import ConceptType, Corpus, Document, Mention, MentionSource, all_clusters
 from corefkg.unionfind import UnionFind
 
 from corpusgen import random_corpus
@@ -283,7 +283,9 @@ def test_dir_roundtrip_keeps_line_breaks_inside_mentions(tmp_path):
 
 
 def _docs(*ids_and_domains):
-    return Corpus(tuple(parse_brat("hello", "T1\tData 0 5\thello\n", domain, doc_id=doc_id)
+    """Documents built without a reader, which would refuse some of these doc_ids."""
+    return Corpus(tuple(Document(doc_id, domain, "hello",
+                                 (Mention(doc_id, 0, 5, ConceptType.DATA, "hello"),))
                         for doc_id, domain in ids_and_domains))
 
 
@@ -329,6 +331,18 @@ def test_write_brat_dir_writes_normalized_ids_under_their_domain(tmp_path):
     write_brat_dir(_docs(("CS/x/../d1", "CS"), ("v1.2", "Agr"), ("e", "")), tmp_path)
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.txt")) == [
         "Agr/v1.2.txt", "CS/d1.txt", "e.txt"]
+
+
+@pytest.mark.parametrize("name", ["a b", "a\\b", "a\x01b"])
+def test_read_brat_dir_refuses_a_doc_id_no_writer_can_read_back(tmp_path, name):
+    (tmp_path / "CS").mkdir()
+    (tmp_path / "CS" / f"{name}.txt").write_text("hello", "utf-8")
+    (tmp_path / "CS" / f"{name}.ann").write_text("T1\tData 0 5\thello\n", "utf-8")
+    with pytest.raises(ParseError) as err:
+        read_brat_dir(tmp_path)
+    assert f"line 1: doc_id {'CS/' + name!r} contains " in str(err.value)
+    with pytest.raises(ParseError, match="doc_id '' is empty"):
+        parse_brat("hello", "T1\tData 0 5\thello\n", "CS", doc_id="")
 
 
 def test_write_brat_dir_keeps_a_dotted_last_segment_whole(tmp_path):

@@ -18,7 +18,7 @@ from corefkg.goldkg import compile_gold, write_gold_jsonl
 from corefkg.jsonl import read_jsonl, write_jsonl
 from corefkg.kgpop import (CollapseStrategy, DomainScope, export_kg_jsonl, export_ntriples,
                            kg_stats, populate)
-from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention
+from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention, corpus_stats
 
 from corpusgen import random_corpus
 
@@ -119,12 +119,21 @@ def test_corpus_output_dash_refuses_brat_and_conll(tmp_path, monkeypatch, capsys
 
 
 def test_brat_output_that_would_lose_a_document_exits_2_before_writing(tmp_path, capsys):
-    docs = [Document(doc_id, "CS", "ab") for doc_id in ("a", "x/../a")]
+    docs = [Document(doc_id, "CS", "ab") for doc_id in ("a", "CS/a")]
     src = tmp_path / "in.jsonl"
     src.write_text(write_jsonl(Corpus(tuple(docs))), "utf-8")
     assert main(["convert", "--in", str(src), "--out", str(tmp_path / "brat")]) == 2
     assert "would both be written to" in capsys.readouterr().err
     assert not (tmp_path / "brat").exists()
+
+
+def test_a_doc_id_the_column_writer_cannot_write_is_refused_at_its_input_line(tmp_path, capsys):
+    docs = [Document(doc_id, "CS", "ab") for doc_id in ("a", "a b")]
+    src = tmp_path / "in.jsonl"
+    src.write_text(write_jsonl(Corpus(tuple(docs))), "utf-8")
+    assert main(["convert", "--in", str(src), "--out", str(tmp_path / "out.conll")]) == 2
+    assert capsys.readouterr().err == "error: line 2: doc_id 'a b' contains whitespace\n"
+    assert sorted(tmp_path.iterdir()) == [src]
 
 
 def test_conll_output_of_a_hash_led_doc_id_exits_2_before_writing(tmp_path, capsys):
@@ -654,3 +663,21 @@ def test_a_file_that_is_not_utf8_is_named_with_its_line(corpus_path, tmp_path, c
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"error: {target}: line 2: not UTF-8: invalid start byte (byte 0xff)\n")
+
+
+def test_stats_streams_a_jsonl_input_into_the_table_of_the_whole_corpus(tmp_path, capsys,
+                                                                        monkeypatch):
+    src = tmp_path / "in.jsonl"
+    src.write_text(write_jsonl(random_corpus(random.Random(5), n_docs=12)), "utf-8")
+    given = []
+
+    def recorded(docs, group_by):
+        given.append(docs)
+        return corpus_stats(docs, group_by)
+
+    monkeypatch.setattr(cli, "corpus_stats", recorded)
+    for group_by in ("concept_type", "domain"):
+        assert main(["stats", "--in", str(src), "--group-by", group_by]) == 0
+        whole = corpus_stats(read_jsonl(src.read_text("utf-8")), group_by)
+        assert capsys.readouterr().out == whole.to_tsv()
+    assert not any(isinstance(docs, Corpus) for docs in given)  # read one block at a time

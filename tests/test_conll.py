@@ -479,3 +479,12 @@ def test_full_conll2012_style_line_is_accepted():
         assert [sorted(m.surface for m in c.mentions) for c in doc.clusters] == [
             ["Comparing", "It"], ["the two models"]]
         assert read_coref_columns(text, table).documents[0].text == "Comparing the two models  It"
+
+
+@pytest.mark.parametrize("doc_id, reason", [("a\\b", "contains a backslash"),
+                                            ("/a", "is absolute"), ("x/..", "has a '.' or '..' segment")])
+def test_a_doc_id_no_writer_can_read_back_is_a_parse_error(doc_id, reason):
+    with pytest.raises(ParseError, match=re.escape(f"doc_id {doc_id!r} {reason}")) as err:
+        read_coref_columns(f"#begin document d\nd\t0\tA\t-\n#end document\n"
+                           f"#begin document {doc_id}\n{doc_id}\t0\tA\t-\n#end document\n")
+    assert err.value.line is not None

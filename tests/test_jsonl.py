@@ -168,6 +168,47 @@ def test_duplicate_doc_id_reports_second_line():
     assert err.value.line == 3
 
 
+#: doc_ids the readers refuse, with the reason given after the id
+REFUSED_DOC_IDS = [
+    ("", "is empty"),
+    ("a b", "contains whitespace"),
+    ("a\tb", "contains whitespace"),
+    ("a\u2028b", "contains whitespace"),
+    ("a\x00b", "contains a control character"),
+    ("a\x9bb", "contains a control character"),
+    ("a\\b", "contains a backslash"),
+    ("/a", "is absolute"),
+    (".", "has a '.' or '..' segment"),
+    ("..", "has a '.' or '..' segment"),
+    ("a/./b", "has a '.' or '..' segment"),
+    ("x/..", "has a '.' or '..' segment"),
+    ("../Bio/x", "has a '.' or '..' segment"),
+]
+
+
+@pytest.mark.parametrize("doc_id, reason", REFUSED_DOC_IDS)
+def test_a_doc_id_no_writer_can_read_back_is_a_parse_error_at_its_line(tmp_path, doc_id, reason):
+    line = json.dumps({"doc_id": doc_id, "domain": "", "text": "ab", "mentions": [],
+                       "clusters": []})
+    text = _doc_line() + "\n" + line + "\n"
+    with pytest.raises(ParseError) as err:
+        read_jsonl(text)
+    assert str(err.value) == f"line 2: doc_id {doc_id!r} {reason}"
+    path = tmp_path / "in.jsonl"
+    path.write_text(text, "utf-8")
+    with pytest.raises(ParseError) as streamed:
+        list(jsonl._read_documents(path))
+    assert str(streamed.value) == str(err.value)
+
+
+@pytest.mark.parametrize("doc_id", ["d", "CS/x", "v1.2", ".e", "d.", "a..b", "...", "#g",
+                                    "x/y/z", "Mößbauer", "a-b_c~"])
+def test_the_doc_id_rule_admits_ids_every_writer_reads_back(doc_id):
+    line = json.dumps({"doc_id": doc_id, "domain": "", "text": "ab", "mentions": [],
+                       "clusters": []})
+    assert [doc.doc_id for doc in read_jsonl(line)] == [doc_id]
+
+
 class _Str(str):
     pass
 

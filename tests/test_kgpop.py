@@ -1,15 +1,20 @@
+import dataclasses
 import itertools
 import json
+import marshal
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corefkg.brat import read_brat_dir
 from corefkg.errors import ParseError
 from corefkg.kgpop import (
     ALL_DOMAINS,
     CollapseStrategy,
+    Concept,
     DomainScope,
     assign_type,
     collapse,
@@ -20,6 +25,7 @@ from corefkg.kgpop import (
     populate,
     read_kg_jsonl,
 )
+from corefkg.kgpop import _Population, _records
 from corefkg.model import (
     ConceptType,
     CoreferenceCluster,
@@ -27,10 +33,11 @@ from corefkg.model import (
     Document,
     Mention,
     MentionSource,
+    validate_corpus,
 )
 from corefkg.normalize import build_acronym_map, normalize_mention
 
-from corpusgen import random_corpus
+from corpusgen import TYPED, random_corpus
 
 CROSS = CollapseStrategy(DomainScope.CROSS_DOMAIN)
 IN = CollapseStrategy(DomainScope.IN_DOMAIN)
@@ -491,3 +498,86 @@ def test_read_kg_jsonl_missing_field_reports_line(line_index, path):
     with pytest.raises(ParseError, match=repr(path[-1])) as err:
         read_kg_jsonl("\n".join(lines))
     assert err.value.line == line_index + 1
+
+
+def _with_twin(doc: Document, index: int, twin_type: ConceptType) -> Document:
+    """``doc`` plus a mention on the span of its ``index``-th unclustered typed
+    mention, of ``twin_type``: two clusters of one document with one label and
+    one span key. ``doc`` itself when it has no such mention."""
+    clustered = {m for c in doc.clusters for m in c.mentions}
+    free = [m for m in doc.mentions if m not in clustered and m.concept_type in TYPED]
+    if not free:
+        return doc
+    m = free[index % len(free)]
+    taken = {n.concept_type for n in doc.mentions if n.span() == m.span()}
+    types = [t for t in TYPED if t not in taken]
+    if not types:
+        return doc
+    twin = Mention(doc.doc_id, m.start, m.end, types[index % len(types)], m.surface)
+    return dataclasses.replace(doc, mentions=(*doc.mentions, twin))
+
+
+def _record_path(corpus, strategy, gold, order=None):
+    """Export lines and table of the CLI's record path, the records carried by
+    ``marshal`` as from a worker, in ``order`` of the documents."""
+    ntriples = _Population(marshal.loads(marshal.dumps(
+        list(_records(corpus, strategy, gold=gold, fragments=False)))))
+    records = list(_records(corpus, strategy, gold=gold, fragments=True))
+    kg = _Population(marshal.loads(marshal.dumps([records[i] for i in order or range(len(records))])))
+    assert ntriples.stats() == kg.stats()
+    return "".join(ntriples.ntriple_lines()), "".join(kg.kg_lines()), kg.stats().to_tsv()
+
+
+def _library_path(corpus, strategy, gold):
+    kg = populate(corpus, strategy, gold=gold)
+    return export_ntriples(kg), export_kg_jsonl(kg), kg_stats(kg, corpus).to_tsv()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(0, 8), twins=st.integers(0, 3),
+       strategy=st.sampled_from([CROSS, IN, CROSS_NOCOREF, IN_NOCOREF]), gold=st.booleans(),
+       data=st.data())
+def test_the_record_path_gives_the_library_bytes(seed, n_docs, twins, strategy, gold, data):
+    rng = random.Random(seed)
+    docs = list(random_corpus(rng, n_docs=n_docs))
+    for _ in range(twins if docs else 0):
+        i = rng.randrange(len(docs))
+        docs[i] = _with_twin(docs[i], rng.randrange(12), TYPED[rng.randrange(4)])
+    corpus = Corpus(tuple(docs))
+    assert validate_corpus(corpus) == []
+    order = data.draw(st.permutations(range(len(docs))))
+    assert _record_path(corpus, strategy, gold, order) == _library_path(corpus, strategy, gold)
+
+
+def test_the_record_path_keeps_empty_labels_ties_and_equal_span_keys():
+    text = "the CNN here, these CNN there and the"
+    the, cnn, these, cnn2, the2 = (text.index("the"), 4, text.index("these"),
+                                   text.index("CNN t"), text.rindex("the"))
+    mentions = (
+        Mention("a", the, the + 3, ConceptType.DATA, "the"),          # empty label
+        Mention("a", cnn, cnn + 3, ConceptType.DATA, "CNN"),
+        Mention("a", cnn, cnn + 3, ConceptType.METHOD, "CNN"),        # same span: a twin
+        Mention("a", these, these + 5, ConceptType.METHOD, "these"),  # empty label
+        Mention("a", cnn2, cnn2 + 3, ConceptType.PROCESS, "CNN"),
+        Mention("a", the2, the2 + 3, ConceptType.NONE, "the", MentionSource.COREF_ONLY),
+    )
+    doc = Document("a", "CS", text, mentions)
+    other = Document("b", "Bio", "CNN", (Mention("b", 0, 3, ConceptType.PROCESS, "CNN"),))
+    corpus = Corpus((doc, other))
+    assert validate_corpus(corpus) == []
+    for strategy in (CROSS, IN, CROSS_NOCOREF, IN_NOCOREF):
+        for gold in (False, True):
+            assert _record_path(corpus, strategy, gold, [1, 0]) == _library_path(
+                corpus, strategy, gold)
+    kg = populate(corpus, CROSS)
+    cnn_concept, = (c for c in kg.concepts if c.label == "cnn")
+    # Data, Method and two Process votes: Process wins; among the equal span
+    # keys of "a", the Data cluster comes first, as the document lists it
+    assert cnn_concept.concept_type is ConceptType.PROCESS
+    assert [(c.doc_id, c.span_key(), assign_type(Concept("x", "", "", ConceptType.NONE, (c,))))
+            for c in cnn_concept.clusters] == [
+        ("a", (4, 7), ConceptType.DATA), ("a", (4, 7), ConceptType.METHOD),
+        ("a", (cnn2, cnn2 + 3), ConceptType.PROCESS), ("b", (0, 3), ConceptType.PROCESS)]
+    assert sum(c.label == "" for c in kg.concepts) == 2  # "the" and "these", never merged
+    ties = populate(Corpus((doc,)), CROSS)  # Data, Method and Process once each: Process
+    assert [c.concept_type for c in ties.concepts if c.label == "cnn"] == [ConceptType.PROCESS]

@@ -336,9 +336,6 @@ class _Tally:
         # domain -> [abstracts, mentions, coreferent mentions]
         self.counts: dict[str, list[int]] = {}
 
-    def add(self, doc: Document) -> None:
-        self.count(doc.doc_id, doc.domain, *_counts(doc))
-
     def count(self, doc_id: str, domain: str, mentions: int, coreferent: int) -> None:
         """Count one document of ``domain`` with these counts (see ``_counts``)."""
         self.domains[doc_id] = domain
@@ -346,10 +343,6 @@ class _Tally:
         row[0] += 1
         row[1] += mentions
         row[2] += coreferent
-
-    def stats(self, kg: KnowledgeGraph) -> KgStats:
-        """The table of ``kg``, populated from the counted documents."""
-        return self.table((concept.doc_ids(), concept.concept_type) for concept in kg.concepts)
 
     def table(self, concepts: Iterable[tuple[Iterable[str], ConceptType]]) -> KgStats:
         """The table of the counted documents and of ``concepts``, each given
@@ -390,8 +383,8 @@ def kg_stats(kg: KnowledgeGraph, corpus: Iterable[Document]) -> KgStats:
     """
     tally = _Tally()
     for doc in corpus:
-        tally.add(doc)
-    return tally.stats(kg)
+        tally.count(doc.doc_id, doc.domain, *_counts(doc))
+    return tally.table((concept.doc_ids(), concept.concept_type) for concept in kg.concepts)
 
 
 class _Iris(dict):

@@ -32,7 +32,7 @@ from .goldkg import (
     read_entity_links,
     read_gold_jsonl,
 )
-from .kgpop import CollapseStrategy, DomainScope, _Population, _records
+from .kgpop import CollapseStrategy, DomainScope, _cluster_fragment, _Population, _records
 from .metrics import score_corpora
 from .model import Corpus, Document, corpus_stats
 from .normalize import load_lemma_exceptions, set_default_lemma_exceptions
@@ -297,7 +297,8 @@ def _cmd_populate(args, cfg) -> int:
     strategy, ntriples = _strategy(args), args.kg_format == "ntriples"
 
     def chain(docs: Iterable[Document]):
-        return _records(docs, strategy, gold=args.gold, fragments=not ntriples)
+        return _records(docs, strategy, gold=args.gold,
+                        payload=None if ntriples else _cluster_fragment)
 
     source = Path(args.input)
     if (fmt or _detect_format(source)) == "jsonl" and source.is_file():

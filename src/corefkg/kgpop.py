@@ -9,14 +9,18 @@ Everything here is deterministic: concept ids are content-derived hashes,
 and all outputs are sorted, so re-population of the same corpus produces
 byte-identical exports regardless of document order.
 
-``corefkg populate`` splits the work in two. The map, ``_records``, turns
-each document into one record of plain values (its counts, and each kept
-cluster's collapse key, span key, mention count, typed mentions' types and
-JSONL fragment), so that it can run in a worker process and cross back with
-``marshal`` (see ``corefkg.parallel``). The reduce, ``_Population``, groups
-the records into concepts and writes the exports and the statistics table
-without rebuilding a mention. The collapse key, majority type, concept id
-and cluster fragment are each computed by one function, which both paths call.
+Every graph is built by one map and one reduce. The map, ``_records``, turns
+each document into one record of plain values: its counts for the statistics
+table and one record per kept cluster (``_cluster_record``: collapse key,
+span key, mention count, typed mentions' types and a payload). The reduce,
+``_concept_groups``, groups cluster records into concepts and takes each
+concept's id and majority type. ``populate`` and ``corefkg populate`` reach it
+through ``_Population``; ``collapse`` builds the cluster records of the
+clusters it is given. Only the payload differs: the cluster itself for the
+library, its JSONL fragment for ``corefkg populate --format jsonl`` and None
+for N-Triples, so that a worker can send its records back with ``marshal``
+(see ``corefkg.parallel``). One writer serves each export format:
+``_triples`` writes the N-Triples lines and ``_kg_lines`` the JSONL lines.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ParseError
 from .jsonl import (_QUOTED, _concept_type, _expect, _expect_entries, _expect_source,
@@ -179,19 +183,44 @@ def _all_coref_only(cluster: CoreferenceCluster) -> bool:
     return all(m.source is MentionSource.COREF_ONLY for m in cluster.mentions)
 
 
-def _concept_id(label: str, domain_scope: str, distinct: str = "") -> str:
-    payload = "\x1f".join((domain_scope, label, distinct))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+def _cluster_record(cluster: CoreferenceCluster, label: str, scope: str, payload) -> tuple:
+    """The record of ``cluster`` in the reduce: ``(key, doc_id, span_key,
+    size, types, payload)``, with its ``span_key()``, its mention count and
+    its ``_typed`` types. ``key`` is ``(scope, label, distinct)``, the key of
+    the concept it joins; ``distinct`` is empty unless the label is: such a
+    cluster is keyed by its first mention, so it never merges with anything."""
+    distinct = ""
+    if not label:
+        start, end, name = min((m.start, m.end, m.concept_type.value) for m in cluster.mentions)
+        distinct = f"{cluster.doc_id}:{start}-{end}:{name}"
+    return ((scope, label, distinct), cluster.doc_id, cluster.span_key(), cluster.size,
+            _typed(cluster), payload)
 
 
-def _collapse_key(cluster: CoreferenceCluster, label: str, scope: str) -> tuple[str, str, str]:
-    """The key ``(scope, label, distinct)`` of the concept ``cluster`` joins.
-    ``distinct`` is empty unless the label is: such a cluster is keyed by its
-    first mention, so it never merges with anything."""
-    if label:
-        return (scope, label, "")
-    first = min((m.start, m.end, m.concept_type.value) for m in cluster.mentions)
-    return (scope, label, f"{cluster.doc_id}:{first[0]}-{first[1]}:{first[2]}")
+def _concept_groups(records: Iterable[tuple]) -> list[tuple[str, str, str, ConceptType, list]]:
+    """The concepts of the cluster ``records`` (see ``_cluster_record``), in
+    the order of ``KnowledgeGraph.concepts``, as ``(domain_scope, label,
+    concept_id, concept_type, records)``. The concept id hashes the key. A
+    concept's records are in the order of ``Concept.clusters``: by doc_id and
+    span key, and records with equal ones keep the order they came in (the
+    sort is stable)."""
+    groups: defaultdict[tuple[str, str, str], list[tuple]] = defaultdict(list)
+    for record in records:
+        groups[record[0]].append(record)
+    concepts = []
+    for key, members in groups.items():
+        members.sort(key=itemgetter(1, 2))  # doc_id, span_key
+        concept_id = hashlib.sha256("\x1f".join(key).encode("utf-8")).hexdigest()[:16]
+        concept_type = _majority_type(chain.from_iterable(map(itemgetter(4), members)))
+        concepts.append((*key[:2], concept_id, concept_type, members))
+    concepts.sort(key=itemgetter(0, 1, 2))
+    return concepts
+
+
+def _concepts(groups: Iterable[tuple[str, str, str, ConceptType, list]]) -> list[Concept]:
+    """The ``Concept``s of ``_concept_groups`` whose records carry their cluster."""
+    return [Concept(concept_id, label, scope, concept_type, tuple([r[5] for r in records]))
+            for scope, label, concept_id, concept_type, records in groups]
 
 
 def collapse(
@@ -207,34 +236,17 @@ def collapse(
     normalizes to the empty string never merge with anything (each becomes
     its own concept) so a degenerate catch-all node cannot arise. Labels
     follow ``normalize.cluster_label``; one labeler serves the whole call,
-    so each distinct surface is expanded and normalized once.
+    so each distinct surface is expanded and normalized once. The concepts
+    come from ``_concept_groups``, as those of ``populate`` do.
     """
     acronyms = acronyms or {}
     labeler = _Labeler()
-    groups: dict[tuple[str, str, str], list[CoreferenceCluster]] = {}
-    for cluster in clusters:
-        label = labeler.cluster(cluster, acronyms.get(cluster.doc_id, EMPTY_ACRONYMS))
-        scope = (
-            ALL_DOMAINS
-            if strategy.scope is DomainScope.CROSS_DOMAIN
-            else domains[cluster.doc_id]
-        )
-        groups.setdefault(_collapse_key(cluster, label, scope), []).append(cluster)
-
-    concepts = []
-    for (scope, label, distinct), members in groups.items():
-        members = sorted(members, key=lambda c: (c.doc_id, c.span_key()))
-        concepts.append(
-            Concept(
-                concept_id=_concept_id(label, scope, distinct),
-                label=label,
-                domain_scope=scope,
-                concept_type=_majority_type(chain.from_iterable(map(_typed, members))),
-                clusters=tuple(members),
-            )
-        )
-    concepts.sort(key=lambda c: (c.domain_scope, c.label, c.concept_id))
-    return tuple(concepts)
+    cross = strategy.scope is DomainScope.CROSS_DOMAIN
+    return tuple(_concepts(_concept_groups(
+        _cluster_record(cluster,
+                        labeler.cluster(cluster, acronyms.get(cluster.doc_id, EMPTY_ACRONYMS)),
+                        ALL_DOMAINS if cross else domains[cluster.doc_id], cluster)
+        for cluster in clusters)))
 
 
 def _kept(cluster: CoreferenceCluster, gold: bool) -> bool:
@@ -259,20 +271,13 @@ def populate(
     its paper to the concept of its cluster.
 
     ``corpus`` may be any iterable of documents with distinct doc_ids. It is
-    iterated once, in any order, and of each document only its domain,
-    acronym map (if not empty) and kept clusters are kept, never its text.
+    iterated once, in any order, through the map and the reduce that
+    ``corefkg populate`` runs (``_records`` and ``_Population``); of each
+    document only its record, which holds its kept clusters, is kept, never
+    its text.
     """
-    domains: dict[str, str] = {}
-    acronyms: dict[str, AcronymMap] = {}
-    kept: list[CoreferenceCluster] = []
-    for doc in corpus:
-        domains[doc.doc_id] = doc.domain
-        acronym_map = build_acronym_map(doc.text)
-        if acronym_map.expansions:  # collapse reads a missing map as empty
-            acronyms[doc.doc_id] = acronym_map
-        kept += [c for c in strategy.clusters(doc) if _kept(c, gold)]
-    concepts = collapse(kept, domains, strategy, acronyms)
-    return _graph(tuple(sorted(domains)), concepts)
+    population = _Population(_records(corpus, strategy, gold=gold, payload=lambda cluster: cluster))
+    return _graph(tuple(sorted(population.tally.domains)), _concepts(population.concepts))
 
 
 @dataclass(frozen=True)
@@ -424,18 +429,14 @@ def _triples(edges: Iterable[tuple[str, str]],
         yield line + "\n"
 
 
-def _ntriple_lines(kg: KnowledgeGraph) -> Iterator[str]:
-    """The lines of ``export_ntriples``, sorted, each with its newline."""
-    return _triples(kg.edges, ((c.concept_id, c.label, c.concept_type) for c in kg.concepts))
-
-
 def export_ntriples(kg: KnowledgeGraph) -> str:
     """Deterministic N-Triples export, one line per triple, sorted.
 
     Each edge becomes a ``mentions`` triple (repeated edges stay repeated to
     preserve mention counts); each concept contributes label and type triples.
     """
-    return "".join(_ntriple_lines(kg))
+    return "".join(_triples(kg.edges,
+                            ((c.concept_id, c.label, c.concept_type) for c in kg.concepts)))
 
 
 def _cluster_fragment(cluster: CoreferenceCluster) -> str:
@@ -448,43 +449,34 @@ def _cluster_fragment(cluster: CoreferenceCluster) -> str:
     ]) + "]}"
 
 
-def _header_line(papers: Iterable[str]) -> str:
-    return json.dumps({"record": "kg", "papers": list(papers)}, sort_keys=True) + "\n"
-
-
-def _concept_line(concept_id: str, domain_scope: str, label: str, concept_type: ConceptType,
-                  fragments: Iterable[str]) -> str:
-    """A concept's line of the JSONL export, from its clusters' fragments."""
+def _kg_lines(papers: Iterable[str], concepts: Iterable[tuple]) -> Iterator[str]:
+    """The JSONL export's lines, each with its newline: the header of
+    ``papers``, then one line per concept of ``concepts`` (domain_scope,
+    label, concept_id, type, its clusters' ``_cluster_fragment``s)."""
+    yield json.dumps({"record": "kg", "papers": list(papers)}, sort_keys=True) + "\n"
     quote = _quote
-    return (f'{{"clusters": [{", ".join(fragments)}], "concept_id": {quote(concept_id)}, '
-            f'"domain_scope": {quote(domain_scope)}, "label": {quote(label)}, '
-            f'"record": "concept", "type": {_QUOTED[concept_type]}}}\n')
-
-
-def _kg_lines(kg: KnowledgeGraph) -> Iterator[str]:
-    """The header line, then one line per concept, each with its newline."""
-    yield _header_line(kg.papers)
-    for c in kg.concepts:
-        yield _concept_line(c.concept_id, c.domain_scope, c.label, c.concept_type,
-                            map(_cluster_fragment, c.clusters))
+    for scope, label, concept_id, concept_type, fragments in concepts:
+        yield (f'{{"clusters": [{", ".join(fragments)}], "concept_id": {quote(concept_id)}, '
+               f'"domain_scope": {quote(scope)}, "label": {quote(label)}, '
+               f'"record": "concept", "type": {_QUOTED[concept_type]}}}\n')
 
 
 def export_kg_jsonl(kg: KnowledgeGraph) -> str:
     """JSONL export mirroring the data model; re-importable."""
-    return "".join(_kg_lines(kg))
+    return "".join(_kg_lines(kg.papers, (
+        (c.domain_scope, c.label, c.concept_id, c.concept_type, map(_cluster_fragment, c.clusters))
+        for c in kg.concepts)))
 
 
 def _records(docs: Iterable[Document], strategy: CollapseStrategy, *, gold: bool,
-             fragments: bool) -> Iterator[tuple]:
-    """The map of ``populate``: one record of plain values per document, as
-    ``marshal`` can carry it from a worker (see ``corefkg.parallel``).
-
-    A record is ``(doc_id, domain, mentions, coreferent, clusters)`` with the
-    counts of ``_counts`` and, for each cluster ``populate`` keeps, in the
-    order it keeps them, ``(key, doc_id, span_key, size, types, fragment)``:
-    its ``_collapse_key``, ``span_key()``, mention count, ``_typed`` types
-    and, with ``fragments``, its ``_cluster_fragment`` (else None). One
-    labeler serves every document, as one serves a ``collapse`` call.
+             payload: Callable[[CoreferenceCluster], object] | None) -> Iterator[tuple]:
+    """The map of ``populate``: one record per document, ``(doc_id, domain,
+    mentions, coreferent, clusters)``, with the counts of ``_counts`` and the
+    ``_cluster_record`` of each cluster ``populate`` keeps, in the order it
+    keeps them, carrying ``payload(cluster)`` (None without ``payload``).
+    With plain payloads, ``marshal`` can carry the records from a worker (see
+    ``corefkg.parallel``). One labeler serves every document, as one serves a
+    ``collapse`` call.
     """
     labeler = _Labeler()
     cross = strategy.scope is DomainScope.CROSS_DOMAIN
@@ -492,39 +484,25 @@ def _records(docs: Iterable[Document], strategy: CollapseStrategy, *, gold: bool
         acronyms = build_acronym_map(doc.text)
         scope = ALL_DOMAINS if cross else doc.domain
         clusters = [
-            (_collapse_key(cluster, labeler.cluster(cluster, acronyms), scope), doc.doc_id,
-             cluster.span_key(), cluster.size, _typed(cluster),
-             _cluster_fragment(cluster) if fragments else None)
+            _cluster_record(cluster, labeler.cluster(cluster, acronyms), scope,
+                            payload(cluster) if payload else None)
             for cluster in strategy.clusters(doc) if _kept(cluster, gold)
         ]
         yield (doc.doc_id, doc.domain, *_counts(doc), clusters)
 
 
 class _Population:
-    """The reduce of ``populate`` over ``_records``: the concepts, in the
-    order of ``KnowledgeGraph.concepts``, as ``(domain_scope, label,
-    concept_id, concept_type, clusters)`` with each concept's cluster records
-    in the order of ``Concept.clusters``, and the documents' counts.
-
-    The records may come in any document order. Clusters of one document
-    keep their record order among equal span keys, as ``collapse`` keeps
-    them (its sort is stable).
-    """
+    """The reduce of ``populate`` over ``_records``: the documents' counts,
+    and the ``_concept_groups`` of their cluster records, which may come in
+    any document order."""
 
     def __init__(self, records: Iterable[tuple]):
-        self.tally = _Tally()
-        groups: defaultdict[tuple[str, str, str], list[tuple]] = defaultdict(list)
+        self.tally = tally = _Tally()
+        per_document = []
         for doc_id, domain, mentions, coreferent, clusters in records:
-            self.tally.count(doc_id, domain, mentions, coreferent)
-            for cluster in clusters:
-                groups[cluster[0]].append(cluster)
-        self.concepts: list[tuple[str, str, str, ConceptType, list[tuple]]] = []
-        for (scope, label, distinct), members in groups.items():
-            members.sort(key=itemgetter(1, 2))  # doc_id, span_key
-            concept_type = _majority_type(chain.from_iterable(map(itemgetter(4), members)))
-            self.concepts.append(
-                (scope, label, _concept_id(label, scope, distinct), concept_type, members))
-        self.concepts.sort(key=itemgetter(0, 1, 2))
+            tally.count(doc_id, domain, mentions, coreferent)
+            per_document.append(clusters)
+        self.concepts = _concept_groups(chain.from_iterable(per_document))
 
     def ntriple_lines(self) -> Iterator[str]:
         """The lines of ``export_ntriples(populate(...))``."""
@@ -534,11 +512,9 @@ class _Population:
         return _triples(edges, ((c[2], c[1], c[3]) for c in self.concepts))
 
     def kg_lines(self) -> Iterator[str]:
-        """The lines of ``export_kg_jsonl(populate(...))``; the records carry fragments."""
-        yield _header_line(sorted(self.tally.domains))
-        for scope, label, concept_id, concept_type, clusters in self.concepts:
-            yield _concept_line(concept_id, scope, label, concept_type,
-                                [cluster[5] for cluster in clusters])
+        """The lines of ``export_kg_jsonl(populate(...))``; the payloads are fragments."""
+        return _kg_lines(sorted(self.tally.domains),
+                         ((*c[:4], map(itemgetter(5), c[4])) for c in self.concepts))
 
     def stats(self) -> KgStats:
         """``kg_stats(populate(...), corpus)``."""

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import marshal
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from corefkg.kgpop import (
     CollapseStrategy,
     Concept,
     DomainScope,
+    acronym_maps,
     assign_type,
     collapse,
     export_kg_jsonl,
@@ -25,7 +28,7 @@ from corefkg.kgpop import (
     populate,
     read_kg_jsonl,
 )
-from corefkg.kgpop import _Population, _records
+from corefkg.kgpop import _cluster_fragment, _Population, _records
 from corefkg.model import (
     ConceptType,
     CoreferenceCluster,
@@ -35,7 +38,7 @@ from corefkg.model import (
     MentionSource,
     validate_corpus,
 )
-from corefkg.normalize import build_acronym_map, normalize_mention
+from corefkg.normalize import build_acronym_map, cluster_label, normalize_mention
 
 from corpusgen import TYPED, random_corpus
 
@@ -521,8 +524,8 @@ def _record_path(corpus, strategy, gold, order=None):
     """Export lines and table of the CLI's record path, the records carried by
     ``marshal`` as from a worker, in ``order`` of the documents."""
     ntriples = _Population(marshal.loads(marshal.dumps(
-        list(_records(corpus, strategy, gold=gold, fragments=False)))))
-    records = list(_records(corpus, strategy, gold=gold, fragments=True))
+        list(_records(corpus, strategy, gold=gold, payload=None)))))
+    records = list(_records(corpus, strategy, gold=gold, payload=_cluster_fragment))
     kg = _Population(marshal.loads(marshal.dumps([records[i] for i in order or range(len(records))])))
     assert ntriples.stats() == kg.stats()
     return "".join(ntriples.ntriple_lines()), "".join(kg.kg_lines()), kg.stats().to_tsv()
@@ -533,11 +536,8 @@ def _library_path(corpus, strategy, gold):
     return export_ntriples(kg), export_kg_jsonl(kg), kg_stats(kg, corpus).to_tsv()
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(0, 8), twins=st.integers(0, 3),
-       strategy=st.sampled_from([CROSS, IN, CROSS_NOCOREF, IN_NOCOREF]), gold=st.booleans(),
-       data=st.data())
-def test_the_record_path_gives_the_library_bytes(seed, n_docs, twins, strategy, gold, data):
+def _twinned_corpus(seed: int, n_docs: int, twins: int) -> Corpus:
+    """A ``random_corpus`` with up to ``twins`` twin mentions (see ``_with_twin``)."""
     rng = random.Random(seed)
     docs = list(random_corpus(rng, n_docs=n_docs))
     for _ in range(twins if docs else 0):
@@ -545,7 +545,16 @@ def test_the_record_path_gives_the_library_bytes(seed, n_docs, twins, strategy, 
         docs[i] = _with_twin(docs[i], rng.randrange(12), TYPED[rng.randrange(4)])
     corpus = Corpus(tuple(docs))
     assert validate_corpus(corpus) == []
-    order = data.draw(st.permutations(range(len(docs))))
+    return corpus
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(0, 8), twins=st.integers(0, 3),
+       strategy=st.sampled_from([CROSS, IN, CROSS_NOCOREF, IN_NOCOREF]), gold=st.booleans(),
+       data=st.data())
+def test_the_record_path_gives_the_library_bytes(seed, n_docs, twins, strategy, gold, data):
+    corpus = _twinned_corpus(seed, n_docs, twins)
+    order = data.draw(st.permutations(range(len(corpus))))
     assert _record_path(corpus, strategy, gold, order) == _library_path(corpus, strategy, gold)
 
 
@@ -581,3 +590,66 @@ def test_the_record_path_keeps_empty_labels_ties_and_equal_span_keys():
     assert sum(c.label == "" for c in kg.concepts) == 2  # "the" and "these", never merged
     ties = populate(Corpus((doc,)), CROSS)  # Data, Method and Process once each: Process
     assert [c.concept_type for c in ties.concepts if c.label == "cnn"] == [ConceptType.PROCESS]
+
+
+#: the majority type's tie-break, first the type that wins
+_TIE_BREAK = [ConceptType.PROCESS, ConceptType.METHOD, ConceptType.MATERIAL, ConceptType.DATA]
+
+
+def _oracle(corpus, strategy, gold):
+    """The kept clusters, in document order, and the concepts of
+    ``populate(corpus, strategy, gold=gold)``, worked out from the
+    definitions with ``cluster_label`` and ``build_acronym_map`` alone:
+    ``(domain_scope, label, concept_id, type, clusters)``, sorted."""
+    kept, groups = [], {}
+    for doc in corpus:
+        acronyms = build_acronym_map(doc.text)
+        if strategy.use_coreference:  # annotated clusters, then the other mentions alone
+            covered = {m for c in doc.clusters for m in c.mentions}
+            clusters = [*doc.clusters, *(CoreferenceCluster(doc.doc_id, frozenset([m]))
+                                         for m in doc.mentions if m not in covered)]
+        else:
+            clusters = [CoreferenceCluster(doc.doc_id, frozenset([m])) for m in doc.mentions]
+        scope = ALL_DOMAINS if strategy.scope is DomainScope.CROSS_DOMAIN else doc.domain
+        for position, cluster in enumerate(clusters):
+            if gold:
+                keep = any(m.concept_type is not ConceptType.NONE for m in cluster.mentions)
+            else:
+                keep = any(m.source is not MentionSource.COREF_ONLY for m in cluster.mentions)
+            if not keep:
+                continue
+            kept.append(cluster)
+            label = cluster_label(cluster, acronyms)
+            distinct = ""
+            if not label:  # a concept of its own, named by its first mention
+                start, end, name = min((m.start, m.end, m.concept_type.value)
+                                       for m in cluster.mentions)
+                distinct = f"{doc.doc_id}:{start}-{end}:{name}"
+            order = (doc.doc_id, min((m.start, m.end) for m in cluster.mentions), position)
+            groups.setdefault((scope, label, distinct), []).append((order, cluster))
+    concepts = []
+    for (scope, label, distinct), members in groups.items():
+        concept_id = hashlib.sha256(f"{scope}\x1f{label}\x1f{distinct}".encode()).hexdigest()[:16]
+        votes = Counter(m.concept_type for _, c in members for m in c.mentions
+                        if m.concept_type is not ConceptType.NONE)
+        most = max(votes.values(), default=None)
+        concept_type = next((t for t in _TIE_BREAK if votes[t] == most), ConceptType.NONE)
+        members.sort(key=lambda member: member[0])
+        concepts.append((scope, label, concept_id, concept_type, [c for _, c in members]))
+    return kept, sorted(concepts, key=lambda c: c[:3])
+
+
+def _concept_view(concepts):
+    return [(c.domain_scope, c.label, c.concept_id, c.concept_type, list(c.clusters))
+            for c in concepts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(0, 8), twins=st.integers(0, 3),
+       strategy=st.sampled_from([CROSS, IN, CROSS_NOCOREF, IN_NOCOREF]), gold=st.booleans())
+def test_populate_and_collapse_group_clusters_as_the_oracle(seed, n_docs, twins, strategy, gold):
+    corpus = _twinned_corpus(seed, n_docs, twins)
+    kept, concepts = _oracle(corpus, strategy, gold)
+    assert _concept_view(populate(corpus, strategy, gold=gold).concepts) == concepts
+    collapsed = collapse(kept, corpus.domains(), strategy, acronym_maps(corpus))
+    assert _concept_view(collapsed) == concepts

@@ -14,12 +14,14 @@ then config file (``key = value`` lines, ``--config``), then built-in default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import brat, conll, jsonl, parallel
 from .baseline import _resolved
@@ -32,7 +34,7 @@ from .goldkg import (
     read_entity_links,
     read_gold_jsonl,
 )
-from .kgpop import CollapseStrategy, DomainScope, _cluster_fragment, _Population, _records
+from .kgpop import CollapseStrategy, DomainScope, _cluster_fragment, _kept, _Population, _records
 from .metrics import score_corpora
 from .model import Corpus, Document, corpus_stats
 from .normalize import load_lemma_exceptions, set_default_lemma_exceptions
@@ -103,6 +105,15 @@ def _documents(path_s: str, fmt: str | None) -> Iterable[Document]:
         table = jsonl._read_text(tokens_path) if tokens_path.exists() else None
         return conll.read_coref_columns(jsonl._read_text(path), table)
     raise ValueError(f"unknown corpus format {fmt!r}")
+
+
+def _mapped(path_s: str, fmt: str | None, chain: Callable[..., Iterator]) -> Iterator:
+    """What ``chain`` yields for a corpus's documents, mapped on every CPU for a
+    JSONL file (``corefkg.parallel``). Close it: that kills the running workers."""
+    path = Path(path_s)
+    if (fmt or _detect_format(path)) == "jsonl" and path.is_file():
+        return parallel.records(path, chain)
+    return chain(_documents(path_s, fmt))
 
 
 def _read_corpus(path_s: str, fmt: str | None) -> Corpus:
@@ -279,36 +290,21 @@ def _baseline_lines(docs: Iterable[Document]) -> Iterable[str]:
 
 def _cmd_baseline(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
-    source = Path(args.input)
-    formats = (fmt or _detect_format(source), fmt or _detect_format(Path(args.output), True))
-    if formats != ("jsonl", "jsonl") or not source.is_file():
+    if (fmt or _detect_format(Path(args.output), True)) != "jsonl":
         _write_corpus(_resolved(_documents(args.input, fmt)), args.output, fmt)
         return 0
-    lines = parallel.records(source, _baseline_lines)  # one process per CPU
-    try:
+    with contextlib.closing(_mapped(args.input, fmt, _baseline_lines)) as lines:
         _emit(lines, args.output)
-    finally:
-        lines.close()  # kills the workers still running
     return 0
 
 
 def _cmd_populate(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
-    strategy, ntriples = _strategy(args), args.kg_format == "ntriples"
-
-    def chain(docs: Iterable[Document]):
-        return _records(docs, strategy, gold=args.gold,
-                        payload=None if ntriples else _cluster_fragment)
-
-    source = Path(args.input)
-    if (fmt or _detect_format(source)) == "jsonl" and source.is_file():
-        records = parallel.records(source, chain)  # one process per CPU
-    else:
-        records = chain(_documents(args.input, fmt))
-    try:
+    ntriples = args.kg_format == "ntriples"
+    chain = partial(_records, strategy=_strategy(args), keep=_kept(args.gold),
+                    payload=None if ntriples else _cluster_fragment)
+    with contextlib.closing(_mapped(args.input, fmt, chain)) as records:
         kg = _Population(records)
-    finally:
-        records.close()  # kills the workers still running
     _emit(kg.ntriple_lines() if ntriples else kg.kg_lines(), args.output)
     # with the export on stdout, the table goes to stderr to keep stdout parseable
     (sys.stderr if args.output == "-" else sys.stdout).write(kg.stats().to_tsv())

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, ValidationError
 from .jsonl import (_concept_type, _digits, _expect, _expect_entries, _json_objects, _key_group,
                     _lines, _mention_entry, _mention_key, _quote)
-from .kgpop import CollapseStrategy, acronym_maps, collapse
+from .kgpop import CollapseStrategy, _concept_groups, _records
 from .metrics import Partition, ScoreReport, score
 from .model import (
     CoreferenceCluster,
@@ -226,7 +227,7 @@ class EvalResult:
 
 def evaluate_population(
     gold: GoldKg,
-    corpus: Corpus,
+    corpus: Iterable[Document],
     strategy: CollapseStrategy,
     *,
     ceafe_drop_singleton_response_parts: bool = False,
@@ -236,19 +237,22 @@ def evaluate_population(
 
     With ``use_coreference=False`` every gold-universe mention becomes a
     singleton cluster first. Raises ValidationError if the corpus does not
-    cover the gold mention universe.
+    cover the gold mention universe. ``corpus`` is iterated once, through the
+    map and reduce of ``populate`` (``kgpop._records``, ``_concept_groups``);
+    each restricted cluster's record carries its mention keys.
     """
     key = gold.partition()
     universe = key.universe()
-    key_of: dict[Mention, MentionKey] = {}  # each kept mention's key, computed once
-    response_clusters: list[CoreferenceCluster] = []
-    for doc in corpus:
-        for cluster in strategy.clusters(doc):
-            members = {m: k for m in cluster.mentions if (k := m.key) in universe}
-            if members:
-                response_clusters.append(CoreferenceCluster(doc.doc_id, frozenset(members)))
-                key_of.update(members)
-    missing = universe.difference(key_of.values())
+
+    def restricted(cluster: CoreferenceCluster) -> CoreferenceCluster | None:
+        members = [m for m in cluster.mentions if m.key in universe]
+        return CoreferenceCluster(cluster.doc_id, members) if members else None
+
+    records = _records(corpus, strategy, keep=restricted,
+                       payload=lambda cluster: [m.key for m in cluster.mentions])
+    concepts = _concept_groups(chain.from_iterable(r[4] for r in records))
+    response = Partition(chain.from_iterable(r[5] for r in c[4]) for c in concepts)
+    missing = universe.difference(*response)
     if missing:
         sample = ", ".join(map(str, sorted(missing)[:3]))
         raise ValidationError(
@@ -256,10 +260,6 @@ def evaluate_population(
              f"({len(missing)} total)"]
         )
 
-    concepts = collapse(response_clusters, corpus.domains(), strategy, acronym_maps(corpus))
-    response = Partition(
-        frozenset(key_of[m] for c in concept.clusters for m in c.mentions) for concept in concepts
-    )
     report = score(
         key,
         response,

@@ -15,11 +15,11 @@ table and one record per kept cluster (``_cluster_record``: collapse key,
 span key, mention count, typed mentions' types and a payload). The reduce,
 ``_concept_groups``, groups cluster records into concepts and takes each
 concept's id and majority type. ``populate`` and ``corefkg populate`` reach it
-through ``_Population``; ``collapse`` builds the cluster records of the
-clusters it is given. Only the payload differs: the cluster itself for the
-library, its JSONL fragment for ``corefkg populate --format jsonl`` and None
-for N-Triples, so that a worker can send its records back with ``marshal``
-(see ``corefkg.parallel``). One writer serves each export format:
+through ``_Population``, ``goldkg.evaluate_population`` directly; ``collapse``
+builds the cluster records of the clusters it is given. Only the clusters kept
+and the payload differ (see ``_records``). Payloads other than the library's
+clusters are plain values, so that a worker can send its records back with
+``marshal`` (see ``corefkg.parallel``). One writer serves each export format:
 ``_triples`` writes the N-Triples lines and ``_kg_lines`` the JSONL lines.
 """
 
@@ -42,7 +42,6 @@ from .model import (
     CANONICAL_TYPES,
     ConceptType,
     CoreferenceCluster,
-    Corpus,
     Document,
     Mention,
     MentionKey,
@@ -61,7 +60,6 @@ __all__ = [
     "filter_clusters",
     "collapse",
     "assign_type",
-    "acronym_maps",
     "populate",
     "kg_stats",
     "KgStats",
@@ -249,15 +247,11 @@ def collapse(
         for cluster in clusters)))
 
 
-def _kept(cluster: CoreferenceCluster, gold: bool) -> bool:
+def _kept(gold: bool) -> Callable[[CoreferenceCluster], CoreferenceCluster | None]:
+    """The ``keep`` of ``_records`` for ``populate(..., gold=gold)``."""
     if gold:
-        return cluster.concept_type() is not ConceptType.NONE
-    return not _all_coref_only(cluster)
-
-
-def acronym_maps(corpus: Corpus) -> dict[str, AcronymMap]:
-    """Each document's acronym expansions, keyed by doc_id (see ``collapse``)."""
-    return {doc.doc_id: build_acronym_map(doc.text) for doc in corpus}
+        return lambda cluster: None if cluster.concept_type() is _NONE else cluster
+    return lambda cluster: None if _all_coref_only(cluster) else cluster
 
 
 def populate(
@@ -276,7 +270,7 @@ def populate(
     document only its record, which holds its kept clusters, is kept, never
     its text.
     """
-    population = _Population(_records(corpus, strategy, gold=gold, payload=lambda cluster: cluster))
+    population = _Population(_records(corpus, strategy, keep=_kept(gold), payload=lambda c: c))
     return _graph(tuple(sorted(population.tally.domains)), _concepts(population.concepts))
 
 
@@ -468,15 +462,16 @@ def export_kg_jsonl(kg: KnowledgeGraph) -> str:
         for c in kg.concepts)))
 
 
-def _records(docs: Iterable[Document], strategy: CollapseStrategy, *, gold: bool,
+def _records(docs: Iterable[Document], strategy: CollapseStrategy, *,
+             keep: Callable[[CoreferenceCluster], CoreferenceCluster | None],
              payload: Callable[[CoreferenceCluster], object] | None) -> Iterator[tuple]:
-    """The map of ``populate``: one record per document, ``(doc_id, domain,
-    mentions, coreferent, clusters)``, with the counts of ``_counts`` and the
-    ``_cluster_record`` of each cluster ``populate`` keeps, in the order it
-    keeps them, carrying ``payload(cluster)`` (None without ``payload``).
-    With plain payloads, ``marshal`` can carry the records from a worker (see
-    ``corefkg.parallel``). One labeler serves every document, as one serves a
-    ``collapse`` call.
+    """The map: one record per document, ``(doc_id, domain, mentions,
+    coreferent, clusters)``, with the counts of ``_counts`` and, in
+    ``strategy.clusters`` order, the ``_cluster_record`` of each ``keep(cluster)``
+    that is not None, carrying its ``payload`` (None without one): ``_kept``
+    and the cluster, fragment or None for ``populate``, the gold-universe
+    restriction and mention keys for ``evaluate_population``. One labeler
+    serves every document, as one serves a ``collapse`` call.
     """
     labeler = _Labeler()
     cross = strategy.scope is DomainScope.CROSS_DOMAIN
@@ -486,7 +481,7 @@ def _records(docs: Iterable[Document], strategy: CollapseStrategy, *, gold: bool
         clusters = [
             _cluster_record(cluster, labeler.cluster(cluster, acronyms), scope,
                             payload(cluster) if payload else None)
-            for cluster in strategy.clusters(doc) if _kept(cluster, gold)
+            for cluster in map(keep, strategy.clusters(doc)) if cluster is not None
         ]
         yield (doc.doc_id, doc.domain, *_counts(doc), clusters)
 

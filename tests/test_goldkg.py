@@ -1,7 +1,13 @@
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corefkg.errors import ParseError, ValidationError
 from corefkg.goldkg import (
+    EvalResult,
     attach_entity_links,
     compile_gold,
     evaluate_population,
@@ -9,7 +15,8 @@ from corefkg.goldkg import (
     read_gold_jsonl,
     write_gold_jsonl,
 )
-from corefkg.kgpop import CollapseStrategy, DomainScope
+from corefkg.kgpop import CollapseStrategy, DomainScope, collapse
+from corefkg.metrics import Partition, score
 from corefkg.model import (
     ConceptType,
     CoreferenceCluster,
@@ -17,9 +24,12 @@ from corefkg.model import (
     Document,
     Mention,
 )
+from corefkg.normalize import build_acronym_map
+from corpusgen import random_corpus
 
 CROSS = CollapseStrategy(DomainScope.CROSS_DOMAIN)
 IN = CollapseStrategy(DomainScope.IN_DOMAIN)
+CROSS_NOCOREF = CollapseStrategy(DomainScope.CROSS_DOMAIN, use_coreference=False)
 IN_NOCOREF = CollapseStrategy(DomainScope.IN_DOMAIN, use_coreference=False)
 
 
@@ -296,6 +306,19 @@ def test_evaluate_detects_universe_mismatch():
         evaluate_population(gold, Corpus((corpus.documents[0],)), IN)
 
 
+def test_evaluate_names_the_first_three_missing_keys_and_their_total():
+    d = doc_with_links("d", "CS", ["a1", "b2", "c3", "d4", "e5"], {i: f"Q{i}" for i in range(5)})
+    other = doc_with_links("e", "Med", ["z9"], {0: "Q9"})
+    gold = compile_gold(Corpus((d, other)))
+    # the response lists only b2 of d: a1, c3, d4 and e5 are missing
+    partial = Document("d", "CS", d.text, d.mentions[1:2])
+    with pytest.raises(ValidationError) as err:
+        evaluate_population(gold, Corpus((other, partial)), CROSS)
+    assert err.value.violations == [
+        "corpus does not cover the gold mention universe: missing ('d', 0, 2, 'Material'), "
+        "('d', 6, 8, 'Material'), ('d', 9, 11, 'Material') (4 total)"]
+
+
 def test_evaluate_identical_partition_perfect():
     # response reproduces the gold partition exactly (labels are unique and
     # the coref cluster matches the entity grouping), so every score is 1;
@@ -308,3 +331,58 @@ def test_evaluate_identical_partition_perfect():
     for _, prf in result.report.rows():
         assert (prf.precision, prf.recall, prf.f1) == (1, 1, 1)
     assert result.n_concepts == 2
+
+
+def _linked(seed: int) -> tuple[Corpus, Corpus]:
+    """A ``random_corpus`` whose mentions are linked, some of them, to an entity
+    named by their surface, and the same documents with their mentions grouped
+    at random in some: their clusters then lie partly outside the gold
+    mention universe, which ``compile_gold`` takes from the first."""
+    rng = random.Random(seed)
+    linked, regrouped = [], []
+    for doc in random_corpus(rng, n_docs=rng.randint(1, 8)):
+        links = {m: m.surface for m in doc.mentions if rng.random() < 0.6}
+        doc = dataclasses.replace(doc, entity_links=links or None)
+        linked.append(doc)
+        pool = list(doc.mentions)
+        rng.shuffle(pool)
+        clusters = []
+        while len(pool) >= 2 and rng.random() < 0.7:
+            size = rng.randint(2, min(4, len(pool)))
+            clusters.append(CoreferenceCluster(doc.doc_id, frozenset(pool[:size])))
+            pool = pool[size:]
+        regrouped.append(dataclasses.replace(doc, clusters=tuple(clusters))
+                         if rng.random() < 0.5 else doc)
+    return Corpus(tuple(linked)), Corpus(tuple(regrouped))
+
+
+def _collapsed_and_scored(gold, corpus, strategy, drop):
+    """``evaluate_population`` from public names: each cluster restricted to
+    the gold universe, ``collapse``d, its concepts' mention keys scored."""
+    universe = gold.partition().universe()
+    restricted = []
+    for doc in corpus:
+        for cluster in strategy.clusters(doc):
+            members = frozenset(m for m in cluster.mentions if m.key in universe)
+            if members:
+                restricted.append(CoreferenceCluster(doc.doc_id, members))
+    acronyms = {doc.doc_id: build_acronym_map(doc.text) for doc in corpus}
+    concepts = collapse(restricted, corpus.domains(), strategy, acronyms)
+    response = Partition(frozenset(m.key for c in concept.clusters for m in c.mentions)
+                         for concept in concepts)
+    report = score(gold.partition(), response, ceafe_drop_singleton_response_parts=drop)
+    return EvalResult(report=report, n_concepts=len(concepts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       strategy=st.sampled_from([CROSS, IN, CROSS_NOCOREF, IN_NOCOREF]), drop=st.booleans())
+def test_evaluate_population_equals_collapse_then_score(seed, strategy, drop):
+    linked, corpus = _linked(seed)
+    gold = compile_gold(linked)
+    expected = _collapsed_and_scored(gold, corpus, strategy, drop)
+    assert evaluate_population(
+        gold, corpus, strategy, ceafe_drop_singleton_response_parts=drop) == expected
+    assert evaluate_population(
+        gold, iter(corpus.documents), strategy, ceafe_drop_singleton_response_parts=drop
+    ) == expected

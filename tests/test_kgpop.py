@@ -18,7 +18,6 @@ from corefkg.kgpop import (
     CollapseStrategy,
     Concept,
     DomainScope,
-    acronym_maps,
     assign_type,
     collapse,
     export_kg_jsonl,
@@ -28,7 +27,7 @@ from corefkg.kgpop import (
     populate,
     read_kg_jsonl,
 )
-from corefkg.kgpop import _cluster_fragment, _Population, _records
+from corefkg.kgpop import _cluster_fragment, _kept, _Population, _records
 from corefkg.model import (
     ConceptType,
     CoreferenceCluster,
@@ -524,8 +523,8 @@ def _record_path(corpus, strategy, gold, order=None):
     """Export lines and table of the CLI's record path, the records carried by
     ``marshal`` as from a worker, in ``order`` of the documents."""
     ntriples = _Population(marshal.loads(marshal.dumps(
-        list(_records(corpus, strategy, gold=gold, payload=None)))))
-    records = list(_records(corpus, strategy, gold=gold, payload=_cluster_fragment))
+        list(_records(corpus, strategy, keep=_kept(gold), payload=None)))))
+    records = list(_records(corpus, strategy, keep=_kept(gold), payload=_cluster_fragment))
     kg = _Population(marshal.loads(marshal.dumps([records[i] for i in order or range(len(records))])))
     assert ntriples.stats() == kg.stats()
     return "".join(ntriples.ntriple_lines()), "".join(kg.kg_lines()), kg.stats().to_tsv()
@@ -651,5 +650,6 @@ def test_populate_and_collapse_group_clusters_as_the_oracle(seed, n_docs, twins,
     corpus = _twinned_corpus(seed, n_docs, twins)
     kept, concepts = _oracle(corpus, strategy, gold)
     assert _concept_view(populate(corpus, strategy, gold=gold).concepts) == concepts
-    collapsed = collapse(kept, corpus.domains(), strategy, acronym_maps(corpus))
+    acronyms = {doc.doc_id: build_acronym_map(doc.text) for doc in corpus}
+    collapsed = collapse(kept, corpus.domains(), strategy, acronyms)
     assert _concept_view(collapsed) == concepts

@@ -21,14 +21,14 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import brat, conll, jsonl, parallel
 from .baseline import _resolved
 from .errors import ParseError, ValidationError
 from .goldkg import (
     _gold_lines,
-    attach_entity_links,
+    _linked,
     compile_gold,
     evaluate_population,
     read_entity_links,
@@ -41,6 +41,7 @@ from .normalize import load_lemma_exceptions, set_default_lemma_exceptions
 
 __all__ = ["main"]
 
+T = TypeVar("T")
 _STRATEGY = {"cross": DomainScope.CROSS_DOMAIN, "in": DomainScope.IN_DOMAIN}
 
 
@@ -55,7 +56,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     cfg: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(jsonl._lines(jsonl._read_text(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -86,25 +87,26 @@ def _detect_format(path: Path, for_output: bool = False) -> str:
     return "conll"
 
 
-def _documents(path_s: str, fmt: str | None) -> Iterable[Document]:
+def _documents(path_s: str, fmt: str | None) -> Iterator[Document]:
     """The documents of a corpus; the readers validate them and raise ParseError.
 
-    A JSONL file is read line by line and decoded in blocks of documents as
-    the result is iterated, so a fault is raised when its block is reached.
+    Nothing is read until the result is iterated; a JSONL file is then decoded
+    in blocks of documents, so a fault is raised when its block is reached.
     """
     path = Path(path_s)
     if not path.exists():
         raise ParseError(f"no such file or directory: {path}")
     fmt = fmt or _detect_format(path)
     if fmt == "brat":
-        return brat.read_brat_dir(path)
-    if fmt == "jsonl":
-        return jsonl._read_documents(path)
-    if fmt == "conll":
+        yield from brat.read_brat_dir(path)
+    elif fmt == "jsonl":
+        yield from jsonl._read_documents(path)
+    elif fmt == "conll":
         tokens_path = Path(str(path) + ".tokens")
         table = jsonl._read_text(tokens_path) if tokens_path.exists() else None
-        return conll.read_coref_columns(jsonl._read_text(path), table)
-    raise ValueError(f"unknown corpus format {fmt!r}")
+        yield from conll.read_coref_columns(jsonl._read_text(path), table)
+    else:
+        raise ValueError(f"unknown corpus format {fmt!r}")
 
 
 def _mapped(path_s: str, fmt: str | None, chain: Callable[..., Iterator]) -> Iterator:
@@ -116,9 +118,15 @@ def _mapped(path_s: str, fmt: str | None, chain: Callable[..., Iterator]) -> Ite
     return chain(_documents(path_s, fmt))
 
 
-def _read_corpus(path_s: str, fmt: str | None) -> Corpus:
-    """Read a whole corpus; the readers validate it and raise ParseError."""
-    return Corpus(tuple(_documents(path_s, fmt)))
+def _read_first(docs: Iterator[Document], parse: Callable[[str], T], path: str) -> T:
+    """``parse`` of the file at ``path``, needed before the corpus ``docs``. If it
+    raises, ``docs`` is read to the end first, so that a corpus fault is raised."""
+    try:
+        return parse(jsonl._read_text(path))
+    except (OSError, ValueError):
+        for _ in docs:
+            pass
+        raise
 
 
 def _write_corpus(docs: Iterable[Document], path_s: str, fmt: str | None) -> None:
@@ -274,7 +282,7 @@ def _cmd_stats(args, cfg) -> int:
 def _cmd_score(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
     report = score_corpora(
-        _read_corpus(args.key, fmt), _read_corpus(args.response, fmt),
+        _documents(args.key, fmt), _documents(args.response, fmt),
         ceafe_drop_singleton_response_parts=args.ceafe_drop_singletons,
     )
     payload = report.to_dict()
@@ -312,19 +320,19 @@ def _cmd_populate(args, cfg) -> int:
 
 
 def _cmd_compile_gold(args, cfg) -> int:
-    corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
+    docs = _documents(args.input, _effective(args, cfg, "format"))
     if args.links:
-        links = read_entity_links(jsonl._read_text(args.links))
-        corpus = attach_entity_links(corpus, links, skip_unmatched=args.skip_unmatched_links)
-    _emit(_gold_lines(compile_gold(corpus)), args.output)
+        links = _read_first(docs, read_entity_links, args.links)
+        docs = _linked(docs, links, args.skip_unmatched_links)
+    _emit(_gold_lines(compile_gold(docs)), args.output)
     return 0
 
 
 def _cmd_eval_kg(args, cfg) -> int:
-    corpus = _read_corpus(args.input, _effective(args, cfg, "format"))
-    gold = read_gold_jsonl(jsonl._read_text(args.gold))
+    docs = _documents(args.input, _effective(args, cfg, "format"))
+    gold = _read_first(docs, read_gold_jsonl, args.gold)
     result = evaluate_population(
-        gold, corpus, _strategy(args),
+        gold, docs, _strategy(args),
         ceafe_drop_singleton_response_parts=args.ceafe_drop_singletons,
     )
     table = result.report.to_table() + f"concepts\t{result.n_concepts}\n"

@@ -11,7 +11,7 @@ which serves as the *key* when scoring a population strategy's concepts
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
@@ -71,8 +71,9 @@ class GoldKg:
         return count
 
 
-def compile_gold(corpus: Corpus) -> GoldKg:
-    """Compile the gold KG from a corpus carrying entity links.
+def compile_gold(corpus: Iterable[Document]) -> GoldKg:
+    """Compile the gold KG from the documents of a corpus carrying entity
+    links, iterated once.
 
     Considers every cluster (annotated plus implicit singletons); keeps a
     cluster iff each member is linked and all links agree, then merges kept
@@ -178,16 +179,12 @@ def read_entity_links(text: str) -> dict[MentionKey, str]:
     return links
 
 
-def attach_entity_links(
-    corpus: Corpus, links: Mapping[MentionKey, str], *, skip_unmatched: bool = False
-) -> Corpus:
-    """Return a corpus whose documents carry the given entity links.
-
-    Link rows that match no mention raise ValidationError unless
-    ``skip_unmatched`` is set.
-    """
+def _linked(corpus: Iterable[Document], links: Mapping[MentionKey, str],
+            skip_unmatched: bool) -> Iterator[Document]:
+    """The documents of ``corpus``, one at a time as they are read, carrying
+    the given entity links. Once the last one is read, link rows that matched
+    no mention raise ValidationError unless ``skip_unmatched`` is set."""
     matched: set[MentionKey] = set()
-    documents = []
     for doc in corpus:
         doc_links: dict[Mention, str] = dict(doc.entity_links or {})
         for m in doc.mentions:
@@ -195,23 +192,24 @@ def attach_entity_links(
             if entity is not None:
                 doc_links[m] = entity
                 matched.add(m.key)
-        documents.append(
-            Document(
-                doc_id=doc.doc_id,
-                domain=doc.domain,
-                text=doc.text,
-                mentions=doc.mentions,
-                clusters=doc.clusters,
-                entity_links=doc_links or None,
-            )
-        )
+        yield replace(doc, entity_links=doc_links or None)
     unmatched = set(links) - matched
     if unmatched and not skip_unmatched:
         sample = ", ".join(map(str, sorted(unmatched)[:3]))
         raise ValidationError(
             [f"entity link matches no mention: {sample} ({len(unmatched)} total)"]
         )
-    return Corpus(tuple(documents))
+
+
+def attach_entity_links(
+    corpus: Corpus, links: Mapping[MentionKey, str], *, skip_unmatched: bool = False
+) -> Corpus:
+    """Return a corpus whose documents carry the given entity links.
+
+    Link rows that match no mention raise ValidationError, once every
+    document is linked, unless ``skip_unmatched`` is set.
+    """
+    return Corpus(tuple(_linked(corpus, links, skip_unmatched)))
 
 
 @dataclass(frozen=True)

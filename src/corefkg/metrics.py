@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import iadd
-from typing import Hashable, Iterable, NamedTuple
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 
 __all__ = [
@@ -513,10 +513,7 @@ def score(
 
 
 def _document_parts(doc) -> list[list[tuple]]:
-    """The parts of ``all_clusters(doc)``, as lists of (start, end, type) ids;
-    none for no document."""
-    if doc is None:
-        return []
+    """The parts of ``all_clusters(doc)``, as lists of (start, end, type) ids."""
     parts = [[(m.start, m.end, m.concept_type) for m in cluster.mentions]
              for cluster in doc.clusters]
     covered = {i for part in parts for i in part}
@@ -524,9 +521,19 @@ def _document_parts(doc) -> list[list[tuple]]:
     return parts
 
 
+def _unique(docs: Iterable) -> Iterator:
+    """The documents of ``docs``; ValueError at the first repeated doc_id."""
+    seen: set[str] = set()
+    for doc in docs:
+        if doc.doc_id in seen:
+            raise ValueError("a corpus repeats a doc_id")
+        seen.add(doc.doc_id)
+        yield doc
+
+
 def score_corpora(
-    key,
-    response,
+    key: Iterable,
+    response: Iterable,
     *,
     ceafe_drop_singleton_response_parts: bool = False,
 ) -> ScoreReport:
@@ -534,20 +541,22 @@ def score_corpora(
 
     Equal to ``score(corpus_partition(key), corpus_partition(response))``:
     pooled mention ids carry their document, so every metric's raw counts
-    are sums of per-document counts. Documents are paired by doc_id; each
-    pair gets one overlap table over (start, end, type) ids, and a document
-    on one side only contributes twinless mentions. ValueError if either
-    corpus repeats a doc_id (the readers refuse that).
+    are exact sums of per-document counts. Each corpus is iterated once, the
+    key first, keeping only its documents' parts. Each response document is
+    scored as it is read, against the key document of its doc_id, in one
+    overlap table over (start, end, type) ids; the key documents left over are
+    scored last, as twinless. ValueError if either corpus repeats a doc_id.
     """
-    responses = {doc.doc_id: doc for doc in response}
-    if len(responses) != len(response) or len({doc.doc_id for doc in key}) != len(key):
-        raise ValueError("a corpus repeats a doc_id")
-    pairs = [(doc, responses.pop(doc.doc_id, None)) for doc in key]
-    pairs += [(None, doc) for doc in responses.values()]
+    key_parts = {doc.doc_id: _document_parts(doc) for doc in _unique(key)}
+    def pairs() -> Iterator[tuple[list, list]]:
+        for doc in _unique(response):
+            yield key_parts.pop(doc.doc_id, []), _document_parts(doc)
+        for parts in key_parts.values():
+            yield parts, []
     drop = ceafe_drop_singleton_response_parts
     totals = _counts(_overlap((), ()), drop)  # every count zero
-    for key_doc, response_doc in pairs:
-        table = _overlap(_document_parts(key_doc), _document_parts(response_doc), align=True)
+    for key_doc, response_doc in pairs():
+        table = _overlap(key_doc, response_doc, align=True)
         totals = [tuple(map(iadd, total, counts))
                   for total, counts in zip(totals, _counts(table, drop))]
     return _report(*totals)

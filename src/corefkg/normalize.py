@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .jsonl import _lines, _read_text
 from .model import CoreferenceCluster
 
 __all__ = [
@@ -142,9 +143,8 @@ def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
     """
     if path is None:
         path = Path(__file__).parent / "data" / "lemma_exceptions.tsv"
-    text = Path(path).read_text("utf-8")
     table: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(_read_text(path)), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -482,6 +482,104 @@ def test_a_fault_in_the_last_document_leaves_the_output_as_it_was(tmp_path, caps
     assert sorted(tmp_path.iterdir()) == [src, out_dir]
 
 
+def _first_link_row(corpus: Corpus) -> str:
+    """An entity-links TSV row for the corpus's first mention."""
+    m = next(m for doc in corpus for m in doc.mentions)
+    return f"{m.doc_id}\t{m.start}\t{m.end}\t{m.concept_type.value}\tQ1\n"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("fault", LAST_LINE_FAULTS)
+@pytest.mark.parametrize("command", ["compile-gold", "compile-gold-links", "eval-kg", "score"])
+def test_a_fault_in_the_last_document_leaves_the_gold_kg_or_report_as_it_was(
+        tmp_path, capsys, command, fault, existing):
+    inputs, out_dir = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out_dir.mkdir()
+    src, good = inputs / "in.jsonl", inputs / "good.jsonl"
+    corpus = _corpus_with_a_bad_last_line(src, fault)
+    good.write_text(write_jsonl(corpus), "utf-8")
+    gold, links = inputs / "gold.jsonl", inputs / "links.tsv"
+    gold.write_text(write_gold_jsonl(compile_gold(corpus)), "utf-8")
+    links.write_text(_first_link_row(corpus), "utf-8")
+    target = out_dir / ("report.json" if command in ("eval-kg", "score") else "gold.jsonl")
+    argv = {
+        "compile-gold": ["compile-gold", "--in", src, "--out", target],
+        "compile-gold-links": ["compile-gold", "--in", src, "--links", links, "--out", target],
+        "eval-kg": ["eval-kg", "--in", src, "--gold", gold, "--strategy", "cross",
+                    "--json-out", target],
+        "score": ["score", "--key", good, "--response", src, "--json-out", target],
+    }[command]
+    if existing:
+        target.write_text("an earlier output\n", "utf-8")
+    before = sorted(out_dir.iterdir())
+    assert main(list(map(str, argv))) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert LAST_LINE_FAULTS[fault][1] in err
+    assert sorted(out_dir.iterdir()) == before  # no output and no temporary file
+    if existing:
+        assert target.read_text("utf-8") == "an earlier output\n"
+    assert sorted(tmp_path.iterdir()) == [inputs, out_dir]
+
+
+def _corpus_of_format(corpus: Corpus, fmt: str, path: Path, faulty: bool) -> Path:
+    """``corpus`` written at ``path`` as JSONL or as a BRAT tree; if ``faulty``,
+    with a bad last line in the JSONL file or a bad line in one ``.ann`` file."""
+    jsonl_path = path.with_suffix(".jsonl")
+    last = '{"doc_id": \n' if faulty and fmt == "jsonl" else ""
+    jsonl_path.write_text(write_jsonl(corpus) + last, "utf-8")
+    if fmt == "jsonl":
+        return jsonl_path
+    assert main(["convert", "--in", str(jsonl_path), "--out", str(path)]) == 0
+    if faulty:
+        with open(sorted(path.rglob("*.ann"))[-1], "a", encoding="utf-8") as ann:
+            ann.write("garbage line\n")
+    return path
+
+
+@pytest.mark.parametrize("second", ["faulty", "missing"])
+@pytest.mark.parametrize("fmt", ["jsonl", "brat"])
+@pytest.mark.parametrize("command", ["eval-kg", "compile-gold", "score"])
+def test_a_fault_of_the_corpus_is_reported_before_one_of_the_input_read_with_it(
+        tmp_path, capsys, command, fmt, second):
+    """``eval-kg`` reads its gold KG and ``compile-gold`` its links before the
+    corpus, and ``score`` reads its key before the response; a fault of the
+    corpus (of the key) is still the one reported, as when it was read first."""
+    corpus = random_corpus(random.Random(5), n_docs=4)
+    good_corpus = _corpus_of_format(corpus, fmt, tmp_path / "good", faulty=False)
+    faulty_corpus = _corpus_of_format(corpus, fmt, tmp_path / "faulty", faulty=True)
+    gold, links = tmp_path / "gold.jsonl", tmp_path / "links.tsv"
+    gold.write_text(write_gold_jsonl(compile_gold(corpus)), "utf-8")
+    links.write_text(_first_link_row(corpus), "utf-8")
+    bad = tmp_path / "second.txt"
+    if second == "faulty":
+        bad.write_text("{not a line any reader takes\n", "utf-8")
+
+    def argv(src, other):
+        return list(map(str, {
+            "eval-kg": ["eval-kg", "--in", src, "--gold", other, "--strategy", "cross"],
+            "compile-gold": ["compile-gold", "--in", src, "--links", other, "--out", "-"],
+            "score": ["score", "--key", src, "--response", other],
+        }[command]))
+
+    good_other = {"eval-kg": gold, "compile-gold": links, "score": good_corpus}[command]
+    capsys.readouterr()
+    assert main(argv(faulty_corpus, good_other)) == 2
+    out, corpus_fault = capsys.readouterr()
+    assert out == ""
+    assert ("line 5: invalid JSON" if fmt == "jsonl" else "garbage line") in corpus_fault
+    assert main(argv(faulty_corpus, bad)) == 2
+    assert capsys.readouterr() == ("", corpus_fault)
+    missing = tmp_path / "nowhere.jsonl"
+    assert main(argv(missing, bad)) == 2
+    assert capsys.readouterr() == ("", f"error: no such file or directory: {missing}\n")
+    # with a sound corpus, the other input's fault is the one reported
+    assert main(argv(good_corpus, bad)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err not in ("", corpus_fault)
+
+
 def test_baseline_to_stdout_holds_the_blocks_before_a_fault(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(jsonl, "_BLOCK", 3)  # documents 1-3, then 4 and the fault
     src = tmp_path / "in.jsonl"
@@ -628,7 +726,8 @@ def test_score_without_json_out_prints_the_table_then_the_json(corpus_path, tmp_
     assert capsys.readouterr().out == table + (tmp_path / "report.json").read_text("utf-8")
 
 
-@pytest.mark.parametrize("bad", ["ann", "txt", "jsonl", "columns", "tokens", "gold", "links"])
+@pytest.mark.parametrize("bad", ["ann", "txt", "jsonl", "columns", "tokens", "gold", "links",
+                                 "config", "lemma-exceptions"])
 def test_a_file_that_is_not_utf8_is_named_with_its_line(corpus_path, tmp_path, capsys, bad):
     corpus = read_jsonl(corpus_path.read_text("utf-8"))
     brat_dir, conll_path = tmp_path / "brat", tmp_path / "c.conll"
@@ -637,6 +736,9 @@ def test_a_file_that_is_not_utf8_is_named_with_its_line(corpus_path, tmp_path, c
     gold_path, links_path = tmp_path / "gold.jsonl", tmp_path / "links.tsv"
     gold_path.write_text(write_gold_jsonl(compile_gold(corpus)), "utf-8")
     links_path.write_text("d1\t0\t5\tData\tQ1\n", "utf-8")
+    config_path, exceptions_path = tmp_path / "corefkg.cfg", tmp_path / "exceptions.tsv"
+    config_path.write_text("# defaults\nformat = jsonl\n", "utf-8")
+    exceptions_path.write_text("mice\tmouse\ngeese\tgoose\n", "utf-8")
     argv = {
         "ann": ["stats", "--in", str(brat_dir)],
         "txt": ["stats", "--in", str(brat_dir)],
@@ -646,6 +748,9 @@ def test_a_file_that_is_not_utf8_is_named_with_its_line(corpus_path, tmp_path, c
         "gold": ["eval-kg", "--in", str(corpus_path), "--gold", str(gold_path),
                  "--strategy", "in"],
         "links": ["compile-gold", "--in", str(corpus_path), "--links", str(links_path)],
+        "config": ["--config", str(config_path), "stats", "--in", str(corpus_path)],
+        "lemma-exceptions": ["--lemma-exceptions", str(exceptions_path),
+                             "stats", "--in", str(corpus_path)],
     }[bad]
     target = {
         "ann": brat_dir / "CS" / "d1.ann",
@@ -655,6 +760,8 @@ def test_a_file_that_is_not_utf8_is_named_with_its_line(corpus_path, tmp_path, c
         "tokens": Path(str(conll_path) + ".tokens"),
         "gold": gold_path,
         "links": links_path,
+        "config": config_path,
+        "lemma-exceptions": exceptions_path,
     }[bad]
     # the bad byte starts line 2, after a line that ends in "\r\n"
     first, _, rest = target.read_bytes().partition(b"\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corefkg import goldkg
 from corefkg.errors import ParseError, ValidationError
 from corefkg.goldkg import (
     EvalResult,
@@ -232,6 +233,30 @@ def test_attach_entity_links():
         attach_entity_links(Corpus((doc,)), {("d", 0, 5, "Data"): "Q7"})
     # tolerated when explicitly requested
     attach_entity_links(Corpus((doc,)), {("d", 0, 5, "Data"): "Q7"}, skip_unmatched=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), skip=st.booleans())
+def test_compile_gold_of_a_one_shot_linked_stream_equals_that_of_attach_entity_links(seed, skip):
+    """``corefkg compile-gold --links`` feeds ``_linked`` straight into
+    ``compile_gold``: the same gold KG, or the same unmatched-links error once
+    the last document is read, as the whole linked corpus gives."""
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, n_docs=rng.randint(0, 6))
+    links = {m.key: rng.choice(["Q1", "Q2", m.surface])
+             for doc in corpus for m in doc.mentions if rng.random() < 0.7}
+    links.update({(f"nowhere{i}", 0, 5, "Data"): "Q9" for i in range(rng.choice([0, 0, 1, 4]))})
+    streamed = goldkg._linked(iter(corpus.documents), links, skip)
+    try:
+        expected = compile_gold(attach_entity_links(corpus, links, skip_unmatched=skip))
+    except ValidationError as exc:
+        assert not skip
+        with pytest.raises(ValidationError) as err:
+            compile_gold(streamed)
+        assert err.value.violations == exc.violations
+        assert err.value.violations[0].startswith("entity link matches no mention: ('nowhere")
+    else:
+        assert compile_gold(streamed) == expected
 
 
 # --- evaluation -----------------------------------------------------------------

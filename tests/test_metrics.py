@@ -594,14 +594,22 @@ def test_score_corpora_equals_score_of_the_pooled_partitions(seed, drop):
     rng = random.Random(seed)
     key = random_corpus(rng, rng.randint(0, 8))
     response = _response_of(rng, key)
-    for k, r in ((key, response), (response, key)):
+    reordered = list(response)
+    rng.shuffle(reordered)  # other pairings: the sums are exact in any order
+    for k, r in ((key, response), (response, key), (key, reordered)):
         expected = score(corpus_partition(k), corpus_partition(r),
                          ceafe_drop_singleton_response_parts=drop)
         assert score_corpora(k, r, ceafe_drop_singleton_response_parts=drop) == expected
+        # one-shot inputs, as the CLI streams them: each is iterated once
+        assert score_corpora(iter(k), iter(r),
+                             ceafe_drop_singleton_response_parts=drop) == expected
 
 
 def test_score_corpora_refuses_a_repeated_doc_id():
-    doc = Document("d", "CS", "alpha")
-    for key, response in ((Corpus((doc, doc)), Corpus()), (Corpus(), Corpus((doc, doc)))):
+    doc, other = Document("d", "CS", "alpha"), Document("e", "CS", "beta")
+    for key, response in ((Corpus((doc, doc)), Corpus()), (Corpus(), Corpus((doc, doc))),
+                          # one-shot inputs, which have no len()
+                          (iter([doc, other, doc]), iter([])),
+                          (iter([doc, other]), iter([other, doc, other]))):
         with pytest.raises(ValueError, match="repeats a doc_id"):
             score_corpora(key, response)

@@ -17,9 +17,10 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ParseError
-from .jsonl import _checked, _lines, _long_numeral, _read_text
+from .jsonl import _checked, _in_blocks, _lines, _long_numeral, _read_text
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -80,6 +81,13 @@ def parse_brat(
     words it, at the last .ann line; the other invariants hold by
     construction.
     """
+    return _parse_brat(text, ann, domain, doc_id, relation_label, entity_types, set())
+
+
+def _parse_brat(text: str, ann: str, domain: str, doc_id: str, relation_label: str,
+                entity_types: dict[str, ConceptType] | None, seen: set[str]) -> Document:
+    """``parse_brat``; ``seen`` holds the doc_ids read before, and a repeated
+    one raises ParseError at the last .ann line, as ``jsonl._checked`` words it."""
     types = entity_types if entity_types is not None else _ENTITY_TYPES
     mentions_by_tid: dict[str, Mention] = {}
     order: list[str] = []
@@ -173,7 +181,7 @@ def parse_brat(
     ))
     mentions = tuple(mentions_by_tid[t] for t in order)
     doc = Document(doc_id=doc_id, domain=domain, text=text, mentions=mentions, clusters=clusters)
-    return _checked(doc, sound, len(lines), set())
+    return _checked(doc, sound, len(lines), seen)
 
 
 def write_brat(doc: Document, *, relation_label: str = DEFAULT_RELATION_LABEL) -> tuple[str, str]:
@@ -228,6 +236,15 @@ def _txt_files(root: str) -> list[tuple[tuple[str, ...], str]]:
     return found
 
 
+#: Documents ``_read_documents`` reads before it hands any of them on. Reading
+#: each document between the work on the others cost 10-15% more time in
+#: ``compile-gold`` and ``eval-kg`` (700 generated documents, one process).
+#: Blocks of 512 cost no more, but the main process of ``corefkg.parallel``
+#: maps its range's last block only after it has waited for the workers:
+#: on 2 CPUs, blocks of 128 took 22% off both commands, blocks of 512 9-15%.
+_BLOCK = 128
+
+
 def read_brat_dir(
     root: str | Path,
     *,
@@ -243,38 +260,58 @@ def read_brat_dir(
     count its characters as stored, while the .ann has ``\r\n`` and a lone
     ``\r`` read as ``\n``, as text mode reads them.
 
-    The doc_id is the path relative to ``root`` without extension, so it is
-    unique by construction; the domain is the first directory component
-    (empty for flat layouts). Errors name the .ann path and line, and a file
-    that is not UTF-8 its own path and line; a ``root`` that is missing or not
-    a directory raises ParseError too.
+    The doc_id is the path relative to ``root`` without extension; the domain
+    is the first directory component (empty for flat layouts). Errors name the
+    .ann path and line, and a file that is not UTF-8 its own path and line; a
+    ``root`` that is missing or not a directory raises ParseError too, and so
+    do two files that map to one doc_id (``.txt`` and ``.txt.txt``).
     """
     if not os.path.isdir(root):
         raise ParseError(f"BRAT root is not a directory: {root}")
-    documents = []
-    for parts, directory in _txt_files(os.fspath(root)):
-        name = parts[-1]
-        # As Path.with_suffix: a bare ".txt" has no suffix, so it keeps its name.
-        stem = name[:-4] or name
-        try:
-            ann = _read_text(os.path.join(directory, stem + ".ann"))
-        except FileNotFoundError:
-            raise ParseError(f"missing annotation file for {Path(root, *parts)}") from None
-        text = _read_text(os.path.join(directory, name), newlines=False)
-        try:
-            documents.append(
-                parse_brat(
-                    text,
-                    ann,
-                    parts[0] if len(parts) > 1 else "",
-                    doc_id="/".join((*parts[:-1], stem)),
-                    relation_label=relation_label,
-                    entity_types=entity_types,
-                )
-            )
-        except ParseError as exc:
-            raise ParseError(f"{Path(root, *parts[:-1], stem + '.ann')}: {exc}") from exc
-    return Corpus(tuple(documents))
+    return Corpus(tuple(_read_documents(root, _txt_files(os.fspath(root)),
+                                        relation_label=relation_label,
+                                        entity_types=entity_types)))
+
+
+def _read_documents(root, files: list[tuple[tuple[str, ...], str]], start: int = 0,
+                    stop: int | None = None, *, seen: set[str] | None = None, read_on=None,
+                    relation_label: str = DEFAULT_RELATION_LABEL,
+                    entity_types: dict[str, ConceptType] | None = None) -> Iterator[Document]:
+    """The checked documents of ``files[start:stop]``, the ``_txt_files`` of the
+    tree at ``root``, read one file at a time and handed on in blocks of
+    ``_BLOCK``: for all of them, the documents of ``read_brat_dir(root)``, or
+    its fault, raised once the blocks before the faulty document's block are
+    handed on.
+
+    ``seen`` collects the doc_ids read; one already in it is repeated. When
+    the reading reaches ``stop``, after every document before it is checked,
+    it goes on to the last file if ``read_on()`` returns true.
+    """
+    seen = set() if seen is None else seen
+
+    def documents() -> Iterator[Document]:
+        for index in range(start, len(files)):
+            if index == stop and not (read_on and read_on()):
+                return
+            parts, directory = files[index]
+            name = parts[-1]
+            # As Path.with_suffix: a bare ".txt" has no suffix, so it keeps its name.
+            stem = name[:-4] or name
+            try:
+                ann = _read_text(os.path.join(directory, stem + ".ann"))
+            except FileNotFoundError:
+                raise ParseError(f"missing annotation file for {Path(root, *parts)}") from None
+            text = _read_text(os.path.join(directory, name), newlines=False)
+            try:
+                doc = _parse_brat(text, ann, parts[0] if len(parts) > 1 else "",
+                                  "/".join((*parts[:-1], stem)), relation_label, entity_types,
+                                  seen)
+            except ParseError as exc:
+                raise ParseError(exc.reason, exc.line,
+                                 path=str(Path(root, *parts[:-1], stem + ".ann"))) from exc
+            yield doc
+
+    return _in_blocks(documents(), _BLOCK)
 
 
 def write_brat_dir(

@@ -27,10 +27,11 @@ from . import brat, conll, jsonl, parallel
 from .baseline import _resolved
 from .errors import ParseError, ValidationError
 from .goldkg import (
+    _evaluated,
+    _gold,
     _gold_lines,
-    _linked,
-    compile_gold,
-    evaluate_population,
+    _gold_records,
+    _restriction,
     read_entity_links,
     read_gold_jsonl,
 )
@@ -88,7 +89,8 @@ def _detect_format(path: Path, for_output: bool = False) -> str:
 
 
 def _documents(path_s: str, fmt: str | None) -> Iterator[Document]:
-    """The documents of a corpus; the readers validate them and raise ParseError.
+    """The documents of a corpus; the readers validate them and raise ParseError,
+    which names the file at fault.
 
     Nothing is read until the result is iterated; a JSONL file is then decoded
     in blocks of documents, so a fault is raised when its block is reached.
@@ -100,31 +102,56 @@ def _documents(path_s: str, fmt: str | None) -> Iterator[Document]:
     if fmt == "brat":
         yield from brat.read_brat_dir(path)
     elif fmt == "jsonl":
-        yield from jsonl._read_documents(path)
+        yield from _named(path, jsonl._read_documents(path))
     elif fmt == "conll":
         tokens_path = Path(str(path) + ".tokens")
         table = jsonl._read_text(tokens_path) if tokens_path.exists() else None
-        yield from conll.read_coref_columns(jsonl._read_text(path), table)
+        try:
+            corpus = conll.read_coref_columns(jsonl._read_text(path), table)
+        except ParseError as exc:
+            at = path
+            if table is not None:
+                try:
+                    conll._table_lines(table)
+                except ParseError:  # the fault is the table's own (it comes first)
+                    at = tokens_path
+            raise ParseError(exc.reason, exc.line, path=str(at)) from None
+        yield from corpus
     else:
         raise ValueError(f"unknown corpus format {fmt!r}")
 
 
+def _named(path: Path, items: Iterable[T]) -> Iterator[T]:
+    """``items``; a ParseError among them that names no file names ``path``."""
+    try:
+        yield from items
+    except ParseError as exc:
+        if exc.path is not None:
+            raise
+        raise ParseError(exc.reason, exc.line, path=str(path)) from None
+
+
 def _mapped(path_s: str, fmt: str | None, chain: Callable[..., Iterator]) -> Iterator:
     """What ``chain`` yields for a corpus's documents, mapped on every CPU for a
-    JSONL file (``corefkg.parallel``). Close it: that kills the running workers."""
+    BRAT tree or a JSONL file (``corefkg.parallel``). Close it: that kills the
+    running workers."""
     path = Path(path_s)
-    if (fmt or _detect_format(path)) == "jsonl" and path.is_file():
+    fmt = fmt or _detect_format(path)
+    if fmt == "brat" and path.is_dir():
         return parallel.records(path, chain)
+    if fmt == "jsonl" and path.is_file():
+        return _named(path, parallel.records(path, chain))
     return chain(_documents(path_s, fmt))
 
 
-def _read_first(docs: Iterator[Document], parse: Callable[[str], T], path: str) -> T:
-    """``parse`` of the file at ``path``, needed before the corpus ``docs``. If it
-    raises, ``docs`` is read to the end first, so that a corpus fault is raised."""
+def _read_first(corpus: str, fmt: str | None, parse: Callable[[str], T], path: str) -> T:
+    """``parse`` of the file at ``path``, needed before the corpus at ``corpus``.
+    If it raises, the corpus is read to the end first, so that a corpus fault
+    is raised."""
     try:
         return parse(jsonl._read_text(path))
     except (OSError, ValueError):
-        for _ in docs:
+        for _ in _documents(corpus, fmt):
             pass
         raise
 
@@ -232,13 +259,13 @@ def build_parser() -> _Parser:
     p.add_argument("--ceafe-drop-singletons", action="store_true",
                    help="diagnostic CEAFe variant that ignores singleton response parts")
 
-    p = sub.add_parser("baseline", help="run the string-match coreference baseline (JSONL to "
-                       "JSONL: one process per CPU it may use)")
+    p = sub.add_parser("baseline", help="run the string-match coreference baseline (from a "
+                       "JSONL file or BRAT tree to JSONL: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
 
     p = sub.add_parser("populate", help="populate a knowledge graph from a corpus (from a "
-                       "JSONL file: one process per CPU it may use)")
+                       "JSONL file or BRAT tree: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--strategy", choices=["cross", "in"], required=True)
     p.add_argument("--no-coref", action="store_true",
@@ -249,13 +276,15 @@ def build_parser() -> _Parser:
     p.add_argument("--format", dest="kg_format", choices=["jsonl", "ntriples"],
                    default="jsonl", help="export format of the populated graph")
 
-    p = sub.add_parser("compile-gold", help="compile the gold KG from entity links")
+    p = sub.add_parser("compile-gold", help="compile the gold KG from entity links (from a "
+                       "JSONL file or BRAT tree: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--links", help="entity links TSV (doc_id, start, end, type, entity)")
     p.add_argument("--skip-unmatched-links", action="store_true")
     p.add_argument("--out", dest="output", default="-")
 
-    p = sub.add_parser("eval-kg", help="evaluate a population strategy against a gold KG")
+    p = sub.add_parser("eval-kg", help="evaluate a population strategy against a gold KG "
+                       "(from a JSONL file or BRAT tree: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--strategy", choices=["cross", "in"], required=True)
@@ -309,8 +338,8 @@ def _cmd_baseline(args, cfg) -> int:
 def _cmd_populate(args, cfg) -> int:
     fmt = _effective(args, cfg, "format")
     ntriples = args.kg_format == "ntriples"
-    chain = partial(_records, strategy=_strategy(args), keep=_kept(args.gold),
-                    payload=None if ntriples else _cluster_fragment)
+    chain = partial(_records, strategy=_strategy(args),
+                    keep=_kept(args.gold, None if ntriples else _cluster_fragment))
     with contextlib.closing(_mapped(args.input, fmt, chain)) as records:
         kg = _Population(records)
     _emit(kg.ntriple_lines() if ntriples else kg.kg_lines(), args.output)
@@ -320,21 +349,22 @@ def _cmd_populate(args, cfg) -> int:
 
 
 def _cmd_compile_gold(args, cfg) -> int:
-    docs = _documents(args.input, _effective(args, cfg, "format"))
-    if args.links:
-        links = _read_first(docs, read_entity_links, args.links)
-        docs = _linked(docs, links, args.skip_unmatched_links)
-    _emit(_gold_lines(compile_gold(docs)), args.output)
+    fmt = _effective(args, cfg, "format")
+    links = _read_first(args.input, fmt, read_entity_links, args.links) if args.links else {}
+    chain = partial(_gold_records, links=links)
+    with contextlib.closing(_mapped(args.input, fmt, chain)) as records:
+        gold = _gold(records, links, skip_unmatched=args.skip_unmatched_links)
+    _emit(_gold_lines(gold), args.output)
     return 0
 
 
 def _cmd_eval_kg(args, cfg) -> int:
-    docs = _documents(args.input, _effective(args, cfg, "format"))
-    gold = _read_first(docs, read_gold_jsonl, args.gold)
-    result = evaluate_population(
-        gold, docs, _strategy(args),
-        ceafe_drop_singleton_response_parts=args.ceafe_drop_singletons,
-    )
+    fmt = _effective(args, cfg, "format")
+    key = _read_first(args.input, fmt, read_gold_jsonl, args.gold).partition()
+    universe = key.universe()
+    chain = partial(_records, strategy=_strategy(args), keep=_restriction(universe))
+    with contextlib.closing(_mapped(args.input, fmt, chain)) as records:
+        result = _evaluated(key, universe, records, args.ceafe_drop_singletons)
     table = result.report.to_table() + f"concepts\t{result.n_concepts}\n"
     _write_report(table, result.to_dict(), args.json_out)
     return 0

@@ -6,11 +6,12 @@ from __future__ import annotations
 class ParseError(ValueError):
     """A file could not be parsed; carries the 1-based line number when known.
 
-    The message reads ``[<path>: ][line <n>: ]<message>``.
+    The message reads ``[<path>: ][line <n>: ]<message>``; ``reason`` holds
+    ``<message>`` alone, and ``path`` the path, or None if none is named.
     """
 
     def __init__(self, message: str, line: int | None = None, *, path: str | None = None):
-        self.line = line
+        self.line, self.path, self.reason = line, path, message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(f"{path}: {message}" if path is not None else message)

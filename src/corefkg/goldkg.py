@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ParseError, ValidationError
 from .jsonl import (_concept_type, _digits, _expect, _expect_entries, _json_objects, _key_group,
@@ -77,27 +77,78 @@ def compile_gold(corpus: Iterable[Document]) -> GoldKg:
 
     Considers every cluster (annotated plus implicit singletons); keeps a
     cluster iff each member is linked and all links agree, then merges kept
-    clusters per entity. Mentions without links are silently excluded.
+    clusters per entity. Mentions without links are silently excluded. The
+    map and reduce of ``corefkg compile-gold`` (``_gold_records``, ``_gold``)
+    run in this process.
     """
+    return _gold(_gold_records(corpus, {}), {}, skip_unmatched=False)
+
+
+def _doc_links(doc: Document, links: Mapping[MentionKey, str]
+               ) -> tuple[dict[Mention, str], list[MentionKey]]:
+    """The entity links of ``doc``, its own overridden by those of ``links``,
+    and the keys of ``links`` that name a mention of it."""
+    doc_links: dict[Mention, str] = dict(doc.entity_links or {})
+    matched = []
+    if links:
+        for m in doc.mentions:
+            key = m.key
+            entity = links.get(key)
+            if entity is not None:
+                doc_links[m] = entity
+                matched.append(key)
+    return doc_links, matched
+
+
+def _gold_records(docs: Iterable[Document], links: Mapping[MentionKey, str]) -> Iterator[tuple]:
+    """The map of ``compile_gold``: per document linked as ``_doc_links`` links
+    it, ``(clusters, matched)``, the ``(entity, mention keys, is_singleton)``
+    of each kept cluster and the keys of ``links`` it matched, all plain
+    values that ``marshal`` carries (see ``corefkg.parallel``)."""
+    for doc in docs:
+        doc_links, matched = _doc_links(doc, links)
+        clusters = []
+        if doc_links:
+            for cluster in all_clusters(doc):
+                entities = {doc_links.get(m) for m in cluster.mentions}
+                if len(entities) != 1 or None in entities:
+                    continue
+                clusters.append((next(iter(entities)), [m.key for m in cluster.mentions],
+                                 cluster.is_singleton))
+        yield clusters, matched
+
+
+def _gold(records: Iterable[tuple], links: Mapping[MentionKey, str], *,
+          skip_unmatched: bool) -> GoldKg:
+    """The reduce of ``compile_gold`` over ``_gold_records``: kept clusters
+    merged per entity. Once the last record is read, keys of ``links`` that
+    matched no mention raise ValidationError unless ``skip_unmatched`` is set."""
     by_entity: dict[str, set[MentionKey]] = {}
+    matched: set[MentionKey] = set()
     kept = singleton = 0
-    for doc in corpus:
-        links = doc.entity_links or {}
-        if not links:
-            continue
-        for cluster in all_clusters(doc):
-            entities = {links.get(m) for m in cluster.mentions}
-            if len(entities) != 1 or None in entities:
-                continue
-            entity = next(iter(entities))
+    for clusters, keys in records:
+        matched.update(keys)
+        for entity, mentions, is_singleton in clusters:
             kept += 1
-            singleton += 1 if cluster.is_singleton else 0
-            by_entity.setdefault(entity, set()).update(m.key for m in cluster.mentions)
+            singleton += is_singleton
+            by_entity.setdefault(entity, set()).update(mentions)
+    if not skip_unmatched:
+        _check_matched(links, matched)
     concepts = tuple(
         GoldConcept(entity=e, mentions=frozenset(ms))
         for e, ms in sorted(by_entity.items())
     )
     return GoldKg(concepts=concepts, n_clusters_kept=kept, n_singleton_clusters=singleton)
+
+
+def _check_matched(links: Mapping[MentionKey, str], matched: set[MentionKey]) -> None:
+    """ValidationError if a key of ``links`` is not among the ``matched``."""
+    if len(matched) < len(links):
+        unmatched = set(links) - matched
+        sample = ", ".join(map(str, sorted(unmatched)[:3]))
+        raise ValidationError(
+            [f"entity link matches no mention: {sample} ({len(unmatched)} total)"]
+        )
 
 
 def _gold_lines(gold: GoldKg) -> Iterator[str]:
@@ -179,28 +230,6 @@ def read_entity_links(text: str) -> dict[MentionKey, str]:
     return links
 
 
-def _linked(corpus: Iterable[Document], links: Mapping[MentionKey, str],
-            skip_unmatched: bool) -> Iterator[Document]:
-    """The documents of ``corpus``, one at a time as they are read, carrying
-    the given entity links. Once the last one is read, link rows that matched
-    no mention raise ValidationError unless ``skip_unmatched`` is set."""
-    matched: set[MentionKey] = set()
-    for doc in corpus:
-        doc_links: dict[Mention, str] = dict(doc.entity_links or {})
-        for m in doc.mentions:
-            entity = links.get(m.key)
-            if entity is not None:
-                doc_links[m] = entity
-                matched.add(m.key)
-        yield replace(doc, entity_links=doc_links or None)
-    unmatched = set(links) - matched
-    if unmatched and not skip_unmatched:
-        sample = ", ".join(map(str, sorted(unmatched)[:3]))
-        raise ValidationError(
-            [f"entity link matches no mention: {sample} ({len(unmatched)} total)"]
-        )
-
-
 def attach_entity_links(
     corpus: Corpus, links: Mapping[MentionKey, str], *, skip_unmatched: bool = False
 ) -> Corpus:
@@ -209,7 +238,14 @@ def attach_entity_links(
     Link rows that match no mention raise ValidationError, once every
     document is linked, unless ``skip_unmatched`` is set.
     """
-    return Corpus(tuple(_linked(corpus, links, skip_unmatched)))
+    documents, matched = [], set()
+    for doc in corpus:
+        doc_links, keys = _doc_links(doc, links)
+        documents.append(replace(doc, entity_links=doc_links or None))
+        matched.update(keys)
+    if not skip_unmatched:
+        _check_matched(links, matched)
+    return Corpus(tuple(documents))
 
 
 @dataclass(frozen=True)
@@ -236,18 +272,38 @@ def evaluate_population(
     With ``use_coreference=False`` every gold-universe mention becomes a
     singleton cluster first. Raises ValidationError if the corpus does not
     cover the gold mention universe. ``corpus`` is iterated once, through the
-    map and reduce of ``populate`` (``kgpop._records``, ``_concept_groups``);
-    each restricted cluster's record carries its mention keys.
+    map and reduce that ``corefkg eval-kg`` runs: ``kgpop._records`` with the
+    ``_restriction`` to the universe, then ``_evaluated``.
     """
     key = gold.partition()
     universe = key.universe()
+    records = _records(corpus, strategy, keep=_restriction(universe))
+    return _evaluated(key, universe, records, ceafe_drop_singleton_response_parts)
 
-    def restricted(cluster: CoreferenceCluster) -> CoreferenceCluster | None:
-        members = [m for m in cluster.mentions if m.key in universe]
-        return CoreferenceCluster(cluster.doc_id, members) if members else None
 
-    records = _records(corpus, strategy, keep=restricted,
-                       payload=lambda cluster: [m.key for m in cluster.mentions])
+def _restriction(universe: frozenset[MentionKey]
+                 ) -> Callable[[CoreferenceCluster], tuple[CoreferenceCluster, list] | None]:
+    """The ``keep`` of ``kgpop._records`` for ``evaluate_population``: each
+    cluster restricted to its mentions in ``universe``, with their keys as
+    payload, or None if none is in it. Each key is computed once."""
+    def restricted(cluster: CoreferenceCluster) -> tuple[CoreferenceCluster, list] | None:
+        members, keys = [], []
+        for m in cluster.mentions:
+            key = m.key
+            if key in universe:
+                members.append(m)
+                keys.append(key)
+        return (CoreferenceCluster(cluster.doc_id, members), keys) if keys else None
+
+    return restricted
+
+
+def _evaluated(key: Partition, universe: frozenset[MentionKey], records: Iterable[tuple],
+               ceafe_drop_singleton_response_parts: bool) -> EvalResult:
+    """The reduce of ``evaluate_population`` over the ``kgpop._records`` of
+    ``_restriction(universe)``, ``universe`` being that of ``key``: the
+    records' concepts (``kgpop._concept_groups``), each the keys of its
+    records, scored as the response against ``key``."""
     concepts = _concept_groups(chain.from_iterable(r[4] for r in records))
     response = Partition(chain.from_iterable(r[5] for r in c[4]) for c in concepts)
     missing = universe.difference(*response)

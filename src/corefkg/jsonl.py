@@ -424,6 +424,14 @@ def read_jsonl(text: str) -> Corpus:
 _BLOCK = 512
 
 
+def _in_blocks(documents: Iterator[Document], size: int) -> Iterator[Document]:
+    """``documents``, each handed on once the ``size`` documents of its block
+    are read, so that a fault is raised before any document of its block."""
+    while block := list(islice(documents, size)):
+        yield from block
+        del block  # before the next block is read
+
+
 def _read_documents(path, start: int = 0, stop: int | None = None, *,
                     seen: set[str] | None = None, read_on=None) -> Iterator[Document]:
     r"""The checked documents of the JSONL file at ``path``, from byte offset
@@ -462,11 +470,8 @@ def _read_documents(path, start: int = 0, stop: int | None = None, *,
                 if offset == stop and not (read_on and read_on()):
                     return
 
-        documents = _documents(lines(), seen)
         try:
-            while block := list(islice(documents, _BLOCK)):
-                yield from block
-                del block  # before the next block is decoded
+            yield from _in_blocks(_documents(lines(), seen), _BLOCK)
         except UnicodeDecodeError as exc:
             raise _not_utf8(exc, n, path) from None
         except ParseError:

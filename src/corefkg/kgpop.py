@@ -247,11 +247,16 @@ def collapse(
         for cluster in clusters)))
 
 
-def _kept(gold: bool) -> Callable[[CoreferenceCluster], CoreferenceCluster | None]:
-    """The ``keep`` of ``_records`` for ``populate(..., gold=gold)``."""
-    if gold:
-        return lambda cluster: None if cluster.concept_type() is _NONE else cluster
-    return lambda cluster: None if _all_coref_only(cluster) else cluster
+def _kept(gold: bool, payload: Callable[[CoreferenceCluster], object] | None
+          ) -> Callable[[CoreferenceCluster], tuple[CoreferenceCluster, object] | None]:
+    """The ``keep`` of ``_records`` for ``populate(..., gold=gold)``, each kept
+    cluster with its ``payload`` (None without one)."""
+    def keep(cluster: CoreferenceCluster) -> tuple[CoreferenceCluster, object] | None:
+        if (cluster.concept_type() is _NONE) if gold else _all_coref_only(cluster):
+            return None
+        return cluster, payload(cluster) if payload else None
+
+    return keep
 
 
 def populate(
@@ -270,7 +275,7 @@ def populate(
     document only its record, which holds its kept clusters, is kept, never
     its text.
     """
-    population = _Population(_records(corpus, strategy, keep=_kept(gold), payload=lambda c: c))
+    population = _Population(_records(corpus, strategy, keep=_kept(gold, lambda c: c)))
     return _graph(tuple(sorted(population.tally.domains)), _concepts(population.concepts))
 
 
@@ -463,14 +468,14 @@ def export_kg_jsonl(kg: KnowledgeGraph) -> str:
 
 
 def _records(docs: Iterable[Document], strategy: CollapseStrategy, *,
-             keep: Callable[[CoreferenceCluster], CoreferenceCluster | None],
-             payload: Callable[[CoreferenceCluster], object] | None) -> Iterator[tuple]:
+             keep: Callable[[CoreferenceCluster], tuple[CoreferenceCluster, object] | None]
+             ) -> Iterator[tuple]:
     """The map: one record per document, ``(doc_id, domain, mentions,
     coreferent, clusters)``, with the counts of ``_counts`` and, in
-    ``strategy.clusters`` order, the ``_cluster_record`` of each ``keep(cluster)``
-    that is not None, carrying its ``payload`` (None without one): ``_kept``
+    ``strategy.clusters`` order, the ``_cluster_record`` of each cluster and
+    payload that ``keep(cluster)`` returns, unless it returns None: ``_kept``
     and the cluster, fragment or None for ``populate``, the gold-universe
-    restriction and mention keys for ``evaluate_population``. One labeler
+    restriction and its mention keys for ``evaluate_population``. One labeler
     serves every document, as one serves a ``collapse`` call.
     """
     labeler = _Labeler()
@@ -479,9 +484,8 @@ def _records(docs: Iterable[Document], strategy: CollapseStrategy, *,
         acronyms = build_acronym_map(doc.text)
         scope = ALL_DOMAINS if cross else doc.domain
         clusters = [
-            _cluster_record(cluster, labeler.cluster(cluster, acronyms), scope,
-                            payload(cluster) if payload else None)
-            for cluster in map(keep, strategy.clusters(doc)) if cluster is not None
+            _cluster_record(cluster, labeler.cluster(cluster, acronyms), scope, payload)
+            for cluster, payload in filter(None, map(keep, strategy.clusters(doc)))
         ]
         yield (doc.doc_id, doc.domain, *_counts(doc), clusters)
 

@@ -1,26 +1,32 @@
-"""Run a per-document map over a JSONL corpus on every CPU the process may use.
+"""Run a per-document map over a corpus on every CPU the process may use.
 
-``records(path, chain)`` yields what ``chain(jsonl._read_documents(path))``
-yields, for a ``chain`` that maps documents to records ``marshal`` can carry:
-``baseline``'s records are its output lines, ``populate``'s one tuple of
-plain values per document (``kgpop._records``). The file is split at ``\\n``
-bytes into one contiguous range per CPU. This process maps the first range,
-which holds at least the file's first ``jsonl._BLOCK`` lines; each other
-range goes to a forked worker. A worker writes its records to an unnamed
-temporary file in blocks of ``jsonl._BLOCK``, each one ``marshal.dumps``
-after its length, and then the doc_ids it read. Once its own range is read,
-this process waits for the workers, and if every one of them succeeded and no
-doc_id was read twice, it loads their blocks one whole block at a time, in
-file order, and yields their records after its own. Otherwise it kills them
-and reads on to the end of the file itself, so that every fault is found,
-worded and placed as by one process reading the whole file. Documents and
-clusters never cross a process boundary: pickling a decoded corpus costs more
-than decoding it.
+``records(path, chain)`` yields what ``chain`` yields for the documents of a
+BRAT tree (a directory) or of a JSONL file, for a ``chain`` that maps
+documents to records ``marshal`` can carry: ``baseline``'s records are its
+output lines, ``populate``'s and ``eval-kg``'s one tuple of plain values per
+document (``kgpop._records``), ``compile-gold``'s the kept clusters and
+matched link keys of a document (``goldkg._gold_records``). The corpus is
+split into one contiguous range per CPU: a JSONL file at ``\\n`` bytes, into
+ranges of about equal size past its first ``jsonl._BLOCK`` lines, and a BRAT
+tree's sorted file list (``brat._txt_files``) into slices of equal length,
+each of at least ``_FILES`` files. Each range is read by the one reader of its
+format (``jsonl._read_documents``, ``brat._read_documents``). This process
+maps the first range; each other range goes to a forked worker. A worker
+writes its records to an unnamed temporary file in blocks of
+``jsonl._BLOCK``, each one ``marshal.dumps`` after its length, and then the
+doc_ids it read. Once its own range is read, this process waits for the
+workers, and if every one of them succeeded and no doc_id was read twice, it
+loads their blocks one whole block at a time, in corpus order, and yields
+their records after its own. Otherwise it kills them and reads on to the end
+of the corpus itself, so that every fault is found, worded and placed as by
+one process reading the whole corpus. Documents and clusters never cross a
+process boundary: pickling a decoded corpus costs more than decoding it.
 
-One process reads the whole file when only one CPU is available, when
+One process reads the whole corpus when only one CPU is available, when
 ``os.fork`` does not exist, when another thread runs (forking a threaded
-process is unsafe), or when the file is not a regular file or ends within
-its first ``jsonl._BLOCK`` lines. One range runs the same code, with no worker.
+process is unsafe), when a JSONL input is not a regular file or ends within
+its first ``jsonl._BLOCK`` lines, or when a BRAT tree holds fewer than
+``2 * _FILES`` files. One range runs the same code, with no worker.
 """
 
 from __future__ import annotations
@@ -28,16 +34,22 @@ from __future__ import annotations
 import _thread
 import marshal
 import os
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from . import jsonl
+from . import brat, jsonl
 from .model import Document
 
 __all__ = ["records"]
 
 #: Bytes of the length written beside each block of a worker's file.
 _LENGTH = 8
+#: The fewest files of a BRAT tree that a range holds. A worker costs a few
+#: milliseconds to start and to hand its records back: on 2 CPUs,
+#: ``compile-gold`` and ``eval-kg`` broke even at about 200 documents from
+#: ``perfbench/gen.py``, took 0-10% less time at 300 and 22% less at 700.
+_FILES = 150
 
 
 def _cpus() -> int:
@@ -70,15 +82,33 @@ def _starts(path, parts: int) -> list[int]:
     return starts
 
 
+def _slices(files: int, parts: int) -> list[int]:
+    """The indices at which the ranges after the first begin: a file list of
+    length ``files`` split into at most ``parts`` slices of equal length (give
+    or take one), none of them shorter than ``_FILES``."""
+    parts = min(parts, files // _FILES)
+    return [files * i // parts for i in range(1, parts)]
+
+
+def _ranges(path, parts: int) -> tuple[Callable[..., Iterator[Document]], list[int]]:
+    """The reader of the corpus at ``path``, called as ``read(start, stop, *,
+    seen, read_on)``, and the starts of its ranges after the first: byte
+    offsets of a JSONL file, indices into a BRAT tree's file list."""
+    if os.path.isdir(path):
+        files = brat._txt_files(os.fspath(path))
+        return partial(brat._read_documents, path, files), _slices(len(files), parts)
+    return partial(jsonl._read_documents, path), _starts(path, parts)
+
+
 class _Worker:
-    """A forked process that writes ``chain``'s records for the documents of
-    the byte range ``[start, stop)`` to an unnamed temporary file, in blocks
-    of ``jsonl._BLOCK`` records, each one ``marshal.dumps`` preceded by its
-    length in ``_LENGTH`` bytes. Last come the doc_ids it read, one
+    """A forked process that writes ``chain``'s records for the documents that
+    ``read`` reads of the range ``[start, stop)`` to an unnamed temporary file,
+    in blocks of ``jsonl._BLOCK`` records, each one ``marshal.dumps`` preceded
+    by its length in ``_LENGTH`` bytes. Last come the doc_ids it read, one
     ``marshal.dumps`` followed by its length, so that they are found from the
     end of the file."""
 
-    def __init__(self, path, start: int, stop: int | None,
+    def __init__(self, read: Callable[..., Iterator[Document]], start: int, stop: int | None,
                  chain: Callable[[Iterable[Document]], Iterable]):
         import tempfile
 
@@ -92,7 +122,7 @@ class _Worker:
                 os.dup2(null, 1)
                 os.dup2(null, 2)
                 seen: set[str] = set()
-                records = iter(chain(jsonl._read_documents(path, start, stop, seen=seen)))
+                records = iter(chain(read(start, stop, seen=seen)))
                 write = self.file.write
                 while block := list(islice(records, jsonl._BLOCK)):
                     data = marshal.dumps(block)
@@ -141,15 +171,15 @@ class _Worker:
 
 
 def records(path, chain: Callable[[Iterable[Document]], Iterable]) -> Iterator:
-    """What ``chain(jsonl._read_documents(path))`` yields, the ranges after the
-    first mapped by forked workers. Close the iterator if it is left before
-    its end: that kills the workers still running."""
+    """What ``chain`` yields for the documents of the BRAT tree or JSONL file at
+    ``path``, the ranges after the first mapped by forked workers. Close the
+    iterator if it is left before its end: that kills the workers still running."""
     parts = _cpus() if hasattr(os, "fork") and _thread._count() == 0 else 1
-    starts = _starts(path, parts)
+    read, starts = _ranges(path, parts)
     workers: list[_Worker] = []
     try:
         for start, stop in zip(starts, [*starts[1:], None]):
-            workers.append(_Worker(path, start, stop, chain))
+            workers.append(_Worker(read, start, stop, chain))
         seen: set[str] = set()
 
         def read_on() -> bool:
@@ -166,7 +196,7 @@ def records(path, chain: Callable[[Iterable[Document]], Iterable]) -> Iterator:
             return True
 
         stop = starts[0] if starts else None
-        yield from chain(jsonl._read_documents(path, 0, stop, seen=seen, read_on=read_on))
+        yield from chain(read(0, stop, seen=seen, read_on=read_on))
         for worker in workers:
             yield from worker.records()
     finally:

@@ -132,7 +132,7 @@ def test_a_doc_id_the_column_writer_cannot_write_is_refused_at_its_input_line(tm
     src = tmp_path / "in.jsonl"
     src.write_text(write_jsonl(Corpus(tuple(docs))), "utf-8")
     assert main(["convert", "--in", str(src), "--out", str(tmp_path / "out.conll")]) == 2
-    assert capsys.readouterr().err == "error: line 2: doc_id 'a b' contains whitespace\n"
+    assert capsys.readouterr().err == f"error: {src}: line 2: doc_id 'a b' contains whitespace\n"
     assert sorted(tmp_path.iterdir()) == [src]
 
 
@@ -587,10 +587,10 @@ def test_baseline_to_stdout_holds_the_blocks_before_a_fault(tmp_path, capsys, mo
     assert main(["baseline", "--in", str(src), "--out", "-"]) == 2
     out, err = capsys.readouterr()
     assert out == write_jsonl(resolve_corpus(Corpus(corpus.documents[:3])))  # complete lines
-    assert err == "error: line 5: invalid JSON: Expecting value\n"
+    assert err == f"error: {src}: line 5: invalid JSON: Expecting value\n"
     # populate writes nothing before it has read every document
     assert main(["populate", "--in", str(src), "--strategy", "cross", "--out", "-"]) == 2
-    assert capsys.readouterr() == ("", "error: line 5: invalid JSON: Expecting value\n")
+    assert capsys.readouterr() == ("", err)
 
 
 def test_an_output_that_is_not_a_regular_file_is_written_in_place(corpus_path, monkeypatch):

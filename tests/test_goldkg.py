@@ -1,4 +1,5 @@
 import dataclasses
+import marshal
 import random
 
 import pytest
@@ -238,25 +239,28 @@ def test_attach_entity_links():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), skip=st.booleans())
 def test_compile_gold_of_a_one_shot_linked_stream_equals_that_of_attach_entity_links(seed, skip):
-    """``corefkg compile-gold --links`` feeds ``_linked`` straight into
-    ``compile_gold``: the same gold KG, or the same unmatched-links error once
-    the last document is read, as the whole linked corpus gives."""
+    """``corefkg compile-gold --links`` maps the documents as they are read
+    (``_gold_records``) and reduces their records (``_gold``), the records
+    carried by ``marshal`` as from a worker: the same gold KG, or the same
+    unmatched-links error once the last record is read, as the whole linked
+    corpus gives."""
     rng = random.Random(seed)
     corpus = random_corpus(rng, n_docs=rng.randint(0, 6))
     links = {m.key: rng.choice(["Q1", "Q2", m.surface])
              for doc in corpus for m in doc.mentions if rng.random() < 0.7}
     links.update({(f"nowhere{i}", 0, 5, "Data"): "Q9" for i in range(rng.choice([0, 0, 1, 4]))})
-    streamed = goldkg._linked(iter(corpus.documents), links, skip)
+    records = marshal.loads(marshal.dumps(list(goldkg._gold_records(iter(corpus.documents),
+                                                                    links))))
     try:
         expected = compile_gold(attach_entity_links(corpus, links, skip_unmatched=skip))
     except ValidationError as exc:
         assert not skip
         with pytest.raises(ValidationError) as err:
-            compile_gold(streamed)
+            goldkg._gold(iter(records), links, skip_unmatched=skip)
         assert err.value.violations == exc.violations
         assert err.value.violations[0].startswith("entity link matches no mention: ('nowhere")
     else:
-        assert compile_gold(streamed) == expected
+        assert goldkg._gold(iter(records), links, skip_unmatched=skip) == expected
 
 
 # --- evaluation -----------------------------------------------------------------

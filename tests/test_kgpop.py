@@ -523,8 +523,8 @@ def _record_path(corpus, strategy, gold, order=None):
     """Export lines and table of the CLI's record path, the records carried by
     ``marshal`` as from a worker, in ``order`` of the documents."""
     ntriples = _Population(marshal.loads(marshal.dumps(
-        list(_records(corpus, strategy, keep=_kept(gold), payload=None)))))
-    records = list(_records(corpus, strategy, keep=_kept(gold), payload=_cluster_fragment))
+        list(_records(corpus, strategy, keep=_kept(gold, None))))))
+    records = list(_records(corpus, strategy, keep=_kept(gold, _cluster_fragment)))
     kg = _Population(marshal.loads(marshal.dumps([records[i] for i in order or range(len(records))])))
     assert ntriples.stats() == kg.stats()
     return "".join(ntriples.ntriple_lines()), "".join(kg.kg_lines()), kg.stats().to_tsv()

@@ -297,8 +297,19 @@ def test_no_worker_outlives_an_interrupted_populate(tmp_path, monkeypatch, excep
     _interrupt_while_waiting(tmp_path, monkeypatch, exception, ["populate", "--strategy", "cross"])
 
 
-def _interrupt_while_waiting(tmp_path, monkeypatch, exception, command):
-    src = _faultless_corpus(tmp_path, monkeypatch)
+@pytest.mark.parametrize("exception", [KeyboardInterrupt, RuntimeError])
+def test_no_worker_outlives_an_interrupted_compile_gold_of_a_brat_tree(tmp_path, monkeypatch,
+                                                                       exception):
+    monkeypatch.setattr(parallel, "_FILES", 2)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 3)
+    src = tmp_path / "brat"
+    write_brat_dir(random_corpus(random.Random(3), n_docs=12), src)
+    assert len(parallel._ranges(src, 3)[1]) == 2
+    _interrupt_while_waiting(tmp_path, monkeypatch, exception, ["compile-gold"], src)
+
+
+def _interrupt_while_waiting(tmp_path, monkeypatch, exception, command, src=None):
+    src = src or _faultless_corpus(tmp_path, monkeypatch)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
 

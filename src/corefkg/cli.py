@@ -62,11 +62,12 @@ def _load_config(path: str | None) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(f"config line is not 'key = value': {raw!r}", lineno)
+            raise ParseError(f"config line is not 'key = value': {raw!r}", lineno, path=path)
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in ("format", "lemma_exceptions"):
-            raise ParseError(f"unknown config key {key!r}; known: format, lemma_exceptions", lineno)
+            raise ParseError(f"unknown config key {key!r}; known: format, lemma_exceptions", lineno,
+                             path=path)
         cfg[key] = value.strip()
     return cfg
 
@@ -112,13 +113,18 @@ def _documents(path_s: str, fmt: str | None) -> Iterator[Document]:
             at = path
             if table is not None:
                 try:
-                    conll._table_lines(table)
+                    conll.parse_token_table(table)
                 except ParseError:  # the fault is the table's own (it comes first)
                     at = tokens_path
-            raise ParseError(exc.reason, exc.line, path=str(at)) from None
+            raise _naming(exc, at) from None
         yield from corpus
     else:
         raise ValueError(f"unknown corpus format {fmt!r}")
+
+
+def _naming(exc: ParseError, path) -> ParseError:
+    """``exc``, or if it names no file, the same fault naming ``path``."""
+    return exc if exc.path is not None else ParseError(exc.reason, exc.line, path=str(path))
 
 
 def _named(path: Path, items: Iterable[T]) -> Iterator[T]:
@@ -126,9 +132,7 @@ def _named(path: Path, items: Iterable[T]) -> Iterator[T]:
     try:
         yield from items
     except ParseError as exc:
-        if exc.path is not None:
-            raise
-        raise ParseError(exc.reason, exc.line, path=str(path)) from None
+        raise _naming(exc, path) from None
 
 
 def _mapped(path_s: str, fmt: str | None, chain: Callable[..., Iterator]) -> Iterator:
@@ -147,12 +151,14 @@ def _mapped(path_s: str, fmt: str | None, chain: Callable[..., Iterator]) -> Ite
 def _read_first(corpus: str, fmt: str | None, parse: Callable[[str], T], path: str) -> T:
     """``parse`` of the file at ``path``, needed before the corpus at ``corpus``.
     If it raises, the corpus is read to the end first, so that a corpus fault
-    is raised."""
+    is raised; a ParseError that names no file then names ``path``."""
     try:
         return parse(jsonl._read_text(path))
-    except (OSError, ValueError):
+    except (OSError, ValueError) as exc:
         for _ in _documents(corpus, fmt):
             pass
+        if isinstance(exc, ParseError):
+            raise _naming(exc, path) from None
         raise
 
 

@@ -19,18 +19,16 @@ first) is rebuilt as spaces, and whitespace after the last token is dropped,
 so ``'A deep\\nnet\\tworks. '`` reads back as ``'A deep net works.'``.
 Reading without it synthesizes text by joining tokens with single spaces.
 
-The reader takes a document block in the writer's shape (every token line
-four tab-separated fields) with one split, and the document's rows of a
-table in the writer's order as one slice of the table, split once. Any
-other block or table goes through a line loop that checks each line, and
-words every fault.
+The reader checks each line of a column file and words every fault. It
+takes a document's rows of a table in the writer's order as one slice of
+the table, split once; any other table goes through a line loop that checks
+each row.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress, repeat
-from typing import Iterable, Iterator
+from itertools import repeat
 
 from .errors import ParseError
 from .jsonl import _checked, _digits, _lines, _long_numeral
@@ -54,20 +52,13 @@ _END = "#end document"
 # digits such as ٣, which int() takes.
 _ENTRY = re.compile(r"^(\(?)([0-9]+)(\)?)$")
 
-# A document block in the writer's shape, from the start of its begin line:
-# the begin line with an id that holds no whitespace, token lines of four
-# tab-separated fields that hold no whitespace, the first not led by "#", and
-# the end line. Split on whitespace, such a token line gives 4 fields: the
-# line loop reads it as the same token and coreference cell.
-_BLOCK = (r"#begin document (\S+)\n((?:[^\s#]\S*\t\S+\t\S+\t\S+\n)*)"
-          r"#end document(?:\n|\Z)")
-# A token table row in the writer's shape: a doc_id as in a token line and
-# three ASCII digit runs. [0-9], not \d: \d also matches non-ASCII digits such
-# as ٣, which int() takes. A table has the writer's shape when removing every
-# row leaves nothing. One match of the rows repeated would keep state for each
-# row until it ends, megabytes for a large table. Both patterns are compiled
-# at first use, through re's cache, so that commands that read no column file
-# do not pay for compiling them at start-up.
+# A token table row in the writer's shape: a doc_id that holds no whitespace
+# and is not led by "#", and three ASCII digit runs. [0-9], not \d: \d also
+# matches non-ASCII digits such as ٣, which int() takes. A table has the
+# writer's shape when removing every row leaves nothing. One match of the rows
+# repeated would keep state for each row until it ends, megabytes for a large
+# table. The pattern is compiled at first use, through re's cache, so that
+# commands that read no column file do not pay for compiling it at start-up.
 _TABLE_ROW = r"(?m)^[^\s#]\S*\t[0-9]+\t[0-9]+\t[0-9]+\n"
 
 
@@ -156,27 +147,12 @@ def write_coref_columns(corpus: Corpus) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(table) + ("\n" if table else "")
 
 
-def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
-    """Parse a sidecar token table into {(doc_id, token index): (start, end)};
-    a second row for one token raises ParseError."""
-    fields = _table_fields(table)
-    if fields is not None:
-        docs, index, spans = fields
-        try:
-            rows = dict(zip(zip(docs, map(int, index)), spans))
-        except ValueError:  # an index past the interpreter's digit limit
-            return _table_lines(table)
-        if len(rows) == len(spans):  # no token listed twice
-            return rows
-    return _table_lines(table)
-
-
 def _table_fields(table: str) -> tuple[list[str], list[str], list[tuple[int, int]]] | None:
     """The doc fields, index fields and spans of a table in the writer's
     shape: a row of four tab-separated fields on each line, the first not
     empty, holding no whitespace and not led by ``#``, the others ASCII
     digits, and a ``\\n`` after each row. None for any other table, and for
-    one with an offset that ``int()`` refuses; ``_table_lines`` reads those.
+    one with an offset that ``int()`` refuses; ``parse_token_table`` reads those.
     A token listed twice, and an index that ``int()`` refuses, are left to
     the caller."""
     if re.sub(_TABLE_ROW, "", table):
@@ -189,9 +165,10 @@ def _table_fields(table: str) -> tuple[list[str], list[str], list[tuple[int, int
     return fields[0::4], fields[1::4], spans
 
 
-def _table_lines(table: str) -> dict[tuple[str, int], tuple[int, int]]:
-    """``parse_token_table`` line by line, with a check per field: it raises
-    ParseError at the first faulty line."""
+def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
+    """Parse a sidecar token table into {(doc_id, token index): (start, end)},
+    line by line with a check per field: ParseError at the first faulty line,
+    such as a second row for one token."""
     out: dict[tuple[str, int], tuple[int, int]] = {}
     for lineno, line in enumerate(_lines(table), start=1):
         if not line.strip() or line.startswith("#"):
@@ -207,13 +184,17 @@ def _table_lines(table: str) -> dict[tuple[str, int], tuple[int, int]]:
     return out
 
 
+# the table's line loop, which the slices of ``_table_fields`` must agree with
+_table_lines = parse_token_table
+
+
 class _TokenTable:
     """A token table as the column reader uses it.
 
     While the rows follow the writer's order, each document takes the next
     slice of them. When the table is not in the writer's shape, or once a
     document's slice does not hold its rows, the rows are looked up by
-    (doc_id, index) in the dict of ``_table_lines``.
+    (doc_id, index) in the dict of ``parse_token_table``.
     """
 
     def __init__(self, text: str):
@@ -221,13 +202,13 @@ class _TokenTable:
         self.fields = _table_fields(text)
         self.used = 0  # rows that documents took as slices
         self.numerals: list[str] = []  # "0", "1", ...: the index fields of a document
-        self.rows = _table_lines(text) if self.fields is None else None
+        self.rows = parse_token_table(text) if self.fields is None else None
 
     def offsets(self) -> dict[tuple[str, int], tuple[int, int]]:
         """The rows by (doc_id, index); reading them raises ParseError at the
         table's first faulty line."""
         if self.rows is None:
-            self.rows = _table_lines(self.text)
+            self.rows = parse_token_table(self.text)
         return self.rows
 
     def spans(self, doc_id: str, n: int) -> list[tuple[int, int]]:
@@ -329,109 +310,31 @@ def _table_text(doc_id: str, tokens: list[str], spans: list[tuple[int, int]], li
     return "".join(pieces)
 
 
-def _read_cells(cells: Iterable[tuple[int, str]], first_line: int,
-                stacks: dict[int, list[int]], chains: dict[int, list[tuple[int, int]]]) -> None:
-    """Apply the chain entries of each (token index, coreference cell) pair;
-    the cell of token ``idx`` is on line ``first_line + idx``, and a cell
-    ``_`` (or ``-``) has none. ``stacks`` maps each chain to the tokens of its
-    open brackets, ``chains`` each chain, in the order first seen, to the
+def _read_cell(idx: int, coref: str, lineno: int, stacks: dict[int, list[int]],
+               chains: dict[int, list[tuple[int, int]]]) -> None:
+    """Apply the chain entries of ``coref``, the coreference cell of token
+    ``idx`` on line ``lineno``. ``stacks`` maps each chain to the tokens of
+    its open brackets, ``chains`` each chain, in the order first seen, to the
     (first, last) token of each of its mentions."""
-    for idx, coref in cells:
-        if coref == "_" or coref == "-":
-            continue
-        for entry in coref.split("|"):
-            m = _ENTRY.match(entry)
-            if m is None or not (m[1] or m[3]):
-                raise ParseError(f"malformed coreference entry {entry!r}", first_line + idx)
-            opened, number, closed = m.groups()
-            try:
-                chain = int(number)
-            except ValueError:  # past the interpreter's digit limit
-                raise _long_numeral("chain number", first_line + idx) from None
-            if not opened:
-                stack = stacks.get(chain)
-                if not stack:
-                    raise ParseError(f"chain {chain} closed before opened", first_line + idx)
-                chains[chain].append((stack.pop(), idx))
-            elif closed:
-                chains.setdefault(chain, []).append((idx, idx))
-            else:
-                chains.setdefault(chain, [])
-                stacks.setdefault(chain, []).append(idx)
-
-
-class _ColumnReader:
-    """The documents of one column file, as its blocks end."""
-
-    def __init__(self, table: _TokenTable | None):
-        self.table = table
-        self.documents: list[Document] = []
-        self.seen_ids: set[str] = set()
-        self.n_tokens: dict[str, int] = {}  # doc_id -> its token count, for the unused-row check
-
-    def end_document(self, doc_id: str, tokens: list[str], stacks: dict[int, list[int]],
-                     chains: dict[int, list[tuple[int, int]]], lineno: int) -> None:
-        """Add the document whose ``#end document`` line is line ``lineno``."""
-        open_chains = sorted(k for k, v in stacks.items() if v)
-        if open_chains:
-            raise ParseError(f"unbalanced brackets: chains {open_chains} still open", lineno)
-        self.documents.append(_checked(
-            _column_document(doc_id, tokens, chains, self.table, lineno), True, lineno,
-            self.seen_ids,
-        ))
-        self.n_tokens[doc_id] = len(tokens)
-
-    def read_lines(self, text: str, first_line: int, last: bool) -> int:
-        """Read ``text`` line by line, outside a document at its start; its
-        first line is line ``first_line`` of the file. Unless it is the
-        ``last`` text of the file, a document's begin line follows it.
-        Returns the number of the line after it."""
-        lines = _lines(text)
-        doc_id: str | None = None
-        begin_line = 0
-        for lineno, line in enumerate(lines, start=first_line):
-            cols = line.split()
-            # Most lines are 4-column token lines, so they are tested for
-            # first; a "#"-led line (such as "#begin document a b") is not one.
-            if len(cols) == 4 and doc_id is not None and line[0] != "#":
-                token, coref = cols[2], cols[3]
-            elif line.startswith(_BEGIN):
-                if doc_id is not None:
-                    raise ParseError("nested document begin", lineno)
-                doc_id = line[len(_BEGIN):].strip()
-                if not doc_id:
-                    raise ParseError("document sentinel without an id", lineno)
-                tokens: list[str] = []
-                stacks: dict[int, list[int]] = {}
-                chains: dict[int, list[tuple[int, int]]] = {}
-                begin_line = lineno
-                continue
-            elif line.strip() == _END:
-                if doc_id is None:
-                    raise ParseError("end sentinel outside a document", lineno)
-                self.end_document(doc_id, tokens, stacks, chains, lineno)
-                doc_id = None
-                continue
-            elif not cols or line[0] == "#":
-                continue  # sentence break or comment
-            elif doc_id is None:
-                raise ParseError(f"token line outside a document: {line!r}", lineno)
-            elif len(cols) < 2:
-                raise ParseError(f"expected token and coreference columns, got {line!r}", lineno)
-            else:
-                token, coref = cols[_token_column(cols)], cols[-1]
-            if coref != "-" and coref != "_":
-                _read_cells(((len(tokens), coref),), lineno - len(tokens), stacks, chains)
-            tokens.append(token)
-        after = first_line + len(lines)
-        if doc_id is not None:
-            if last:
-                raise ParseError(
-                    f"missing end-of-document sentinel for document begun at line {begin_line}",
-                    after - 1,
-                )
-            raise ParseError("nested document begin", after)
-        return after
+    for entry in coref.split("|"):
+        m = _ENTRY.match(entry)
+        if m is None or not (m[1] or m[3]):
+            raise ParseError(f"malformed coreference entry {entry!r}", lineno)
+        opened, number, closed = m.groups()
+        try:
+            chain = int(number)
+        except ValueError:  # past the interpreter's digit limit
+            raise _long_numeral("chain number", lineno) from None
+        if not opened:
+            stack = stacks.get(chain)
+            if not stack:
+                raise ParseError(f"chain {chain} closed before opened", lineno)
+            chains[chain].append((stack.pop(), idx))
+        elif closed:
+            chains.setdefault(chain, []).append((idx, idx))
+        else:
+            chains.setdefault(chain, [])
+            stacks.setdefault(chain, []).append(idx)
 
 
 def read_coref_columns(columns: str, token_table: str | None = None) -> Corpus:
@@ -461,41 +364,56 @@ def read_coref_columns(columns: str, token_table: str | None = None) -> Corpus:
     raise fault
 
 
-def _writer_blocks(columns: str) -> Iterator[re.Match[str]]:
-    """The blocks of a column file that have the writer's shape, in order,
-    each from a line start. Searching for the begin line's text first skips
-    the lines between blocks at the speed of ``str.find``."""
-    block_at = re.compile(_BLOCK).match
-    begin = columns.find(_BEGIN)
-    while begin >= 0:
-        block = block_at(columns, begin) if begin == 0 or columns[begin - 1] == "\n" else None
-        if block is None:
-            begin = columns.find(_BEGIN, begin + 1)
-        else:
-            yield block
-            begin = columns.find(_BEGIN, block.end())
-
-
 def _read_columns(columns: str, table: _TokenTable | None) -> Corpus:
-    """``read_coref_columns`` block by block: one split for a block in the
-    writer's shape, the line loop for any other text."""
-    reader = _ColumnReader(table)
-    pos, lineno = 0, 1  # the next character to read, and its line
-    for block in _writer_blocks(columns):
-        if block.start() > pos:
-            lineno = reader.read_lines(columns[pos:block.start()], lineno, last=False)
-        doc_id, body = block.groups()
-        fields = body.split()
-        tokens, cells = fields[2::4], fields[3::4]
-        stacks: dict[int, list[int]] = {}
-        chains: dict[int, list[tuple[int, int]]] = {}
-        _read_cells(compress(enumerate(cells), map("-".__ne__, cells)), lineno + 1, stacks, chains)
-        lineno += len(tokens) + 1
-        reader.end_document(doc_id, tokens, stacks, chains, lineno)
-        lineno += 1
-        pos = block.end()
-    if pos < len(columns):
-        lineno = reader.read_lines(columns[pos:], lineno, last=True)
+    """``read_coref_columns`` line by line."""
+    documents: list[Document] = []
+    seen_ids: set[str] = set()
+    n_tokens: dict[str, int] = {}  # doc_id -> its token count, for the unused-row check
+    lines = _lines(columns)
+    doc_id: str | None = None
+    begin_line = 0
+    for lineno, line in enumerate(lines, start=1):
+        cols = line.split()
+        # Most lines are 4-column token lines, so they are tested for
+        # first; a "#"-led line (such as "#begin document a b") is not one.
+        if len(cols) == 4 and doc_id is not None and line[0] != "#":
+            token, coref = cols[2], cols[3]
+        elif line.startswith(_BEGIN):
+            if doc_id is not None:
+                raise ParseError("nested document begin", lineno)
+            doc_id = line[len(_BEGIN):].strip()
+            if not doc_id:
+                raise ParseError("document sentinel without an id", lineno)
+            tokens: list[str] = []
+            stacks: dict[int, list[int]] = {}
+            chains: dict[int, list[tuple[int, int]]] = {}
+            begin_line = lineno
+            continue
+        elif line.strip() == _END:
+            if doc_id is None:
+                raise ParseError("end sentinel outside a document", lineno)
+            open_chains = sorted(k for k, v in stacks.items() if v)
+            if open_chains:
+                raise ParseError(f"unbalanced brackets: chains {open_chains} still open", lineno)
+            documents.append(_checked(_column_document(doc_id, tokens, chains, table, lineno),
+                                      True, lineno, seen_ids))
+            n_tokens[doc_id] = len(tokens)
+            doc_id = None
+            continue
+        elif not cols or line[0] == "#":
+            continue  # sentence break or comment
+        elif doc_id is None:
+            raise ParseError(f"token line outside a document: {line!r}", lineno)
+        elif len(cols) < 2:
+            raise ParseError(f"expected token and coreference columns, got {line!r}", lineno)
+        else:
+            token, coref = cols[_token_column(cols)], cols[-1]
+        if coref != "-" and coref != "_":
+            _read_cell(len(tokens), coref, lineno, stacks, chains)
+        tokens.append(token)
+    if doc_id is not None:
+        raise ParseError(
+            f"missing end-of-document sentinel for document begun at line {begin_line}", len(lines))
     if table is not None:
-        table.check_used(reader.n_tokens, max(lineno - 1, 1))
-    return Corpus(tuple(reader.documents))
+        table.check_used(n_tokens, max(len(lines), 1))
+    return Corpus(tuple(documents))

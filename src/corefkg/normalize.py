@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .errors import ParseError
 from .jsonl import _lines, _read_text
 from .model import CoreferenceCluster
 
@@ -139,7 +140,8 @@ def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
     """Load a plural -> singular exception table (two-column TSV).
 
     Without a path, the table shipped with the package is used. Lines
-    starting with '#' are comments.
+    starting with '#' are comments; any other line that is not two
+    tab-separated columns raises ParseError, naming the path and the line.
     """
     if path is None:
         path = Path(__file__).parent / "data" / "lemma_exceptions.tsv"
@@ -150,7 +152,7 @@ def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"lemma exceptions line {lineno}: expected two columns, got {line!r}")
+            raise ParseError(f"expected two columns, got {line!r}", lineno, path=str(path))
         table[parts[0].strip().lower()] = parts[1].strip().lower()
     return table
 

@@ -726,9 +726,25 @@ def test_score_without_json_out_prints_the_table_then_the_json(corpus_path, tmp_
     assert capsys.readouterr().out == table + (tmp_path / "report.json").read_text("utf-8")
 
 
-@pytest.mark.parametrize("bad", ["ann", "txt", "jsonl", "columns", "tokens", "gold", "links",
-                                 "config", "lemma-exceptions"])
-def test_a_file_that_is_not_utf8_is_named_with_its_line(corpus_path, tmp_path, capsys, bad):
+# the reason each file kind gives for a line 2 that reads "nonsense"; a .txt
+# file has no malformed line, since any text reads
+NONSENSE = {
+    "ann": "unsupported record type 'n': 'nonsense'",
+    "jsonl": "invalid JSON: Expecting value",
+    "columns": "expected token and coreference columns, got 'nonsense'",
+    "tokens": "token table expects 4 columns, got 'nonsense'",
+    "gold": "invalid JSON: Expecting value",
+    "links": "expected 5 tab-separated columns, got 'nonsense'",
+    "config": "config line is not 'key = value': 'nonsense'",
+    "lemma-exceptions": "expected two columns, got 'nonsense'",
+}
+
+
+@pytest.mark.parametrize("bad, fault", [
+    *((bad, "byte") for bad in ["txt", *NONSENSE]),
+    *((bad, "line") for bad in NONSENSE),
+])
+def test_a_faulty_file_is_named_with_its_line(corpus_path, tmp_path, capsys, bad, fault):
     corpus = read_jsonl(corpus_path.read_text("utf-8"))
     brat_dir, conll_path = tmp_path / "brat", tmp_path / "c.conll"
     assert main(["convert", "--in", str(corpus_path), "--out", str(brat_dir)]) == 0
@@ -763,13 +779,18 @@ def test_a_file_that_is_not_utf8_is_named_with_its_line(corpus_path, tmp_path, c
         "config": config_path,
         "lemma-exceptions": exceptions_path,
     }[bad]
-    # the bad byte starts line 2, after a line that ends in "\r\n"
+    # line 2, after a line that ends in "\r\n", starts with a bad byte or is "nonsense"
     first, _, rest = target.read_bytes().partition(b"\n")
-    target.write_bytes(first.rstrip(b"\r") + b"\r\n\xff" + rest)
+    line_2 = b"\xff" if fault == "byte" else b"nonsense\n"
+    target.write_bytes(first.rstrip(b"\r") + b"\r\n" + line_2 + rest)
     capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        f"error: {target}: line 2: not UTF-8: invalid start byte (byte 0xff)\n")
+    err = capsys.readouterr().err
+    if fault == "byte":
+        assert err == f"error: {target}: line 2: not UTF-8: invalid start byte (byte 0xff)\n"
+    else:
+        assert err.startswith(f"error: {target}: line 2: {NONSENSE[bad]}"), err
+        assert err.count("\n") == 1, err
 
 
 def test_stats_streams_a_jsonl_input_into_the_table_of_the_whole_corpus(tmp_path, capsys,

@@ -251,18 +251,17 @@ def read_outcome(columns: str, table: str | None):
         return str(exc), exc.line
 
 
-def line_loop_outcome(columns: str, table: str | None):
-    """``read_outcome`` with every block read by the line loop and the table
-    by ``_table_lines``: no block and no table has the writer's shape."""
-    with mock.patch.object(conll, "_writer_blocks", lambda columns: iter(())), \
-            mock.patch.object(conll, "_table_fields", lambda table: None):
+def table_loop_outcome(columns: str, table: str | None):
+    """``read_outcome`` with the table read by its line loop alone, as the dict
+    of ``parse_token_table``: no table has the writer's shape."""
+    with mock.patch.object(conll, "_table_fields", lambda table: None):
         return read_outcome(columns, table)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rng=st.randoms(use_true_random=False), edit=st.sampled_from((None, *EDITS)),
        with_table=st.booleans())
-def test_conll_blocks_read_as_the_line_loop_reads_them(rng, edit, with_table):
+def test_conll_table_slices_read_as_the_table_loop_reads_them(rng, edit, with_table):
     # a written corpus, or one with an edited column file or token table: the
     # same Corpus, or the same ParseError text and line, by either path
     corpus = random_corpus(rng, n_docs=rng.randint(1, 3))
@@ -271,7 +270,7 @@ def test_conll_blocks_read_as_the_line_loop_reads_them(rng, edit, with_table):
     else:
         columns, table = edit_columns(rng, corpus, edit)
     table = table if with_table else None
-    expected = line_loop_outcome(columns, table)
+    expected = table_loop_outcome(columns, table)
     assert read_outcome(columns, table) == expected
     if edit is None:  # the generator's texts are single-spaced, so either read restores them
         assert [(d.doc_id, d.text) for d in expected] == [(d.doc_id, d.text) for d in corpus]

@@ -236,15 +236,6 @@ def _txt_files(root: str) -> list[tuple[tuple[str, ...], str]]:
     return found
 
 
-#: Documents ``_read_documents`` reads before it hands any of them on. Reading
-#: each document between the work on the others cost 10-15% more time in
-#: ``compile-gold`` and ``eval-kg`` (700 generated documents, one process).
-#: Blocks of 512 cost no more, but the main process of ``corefkg.parallel``
-#: maps its range's last block only after it has waited for the workers:
-#: on 2 CPUs, blocks of 128 took 22% off both commands, blocks of 512 9-15%.
-_BLOCK = 128
-
-
 def read_brat_dir(
     root: str | Path,
     *,
@@ -279,7 +270,7 @@ def _read_documents(root, files: list[tuple[tuple[str, ...], str]], start: int =
                     entity_types: dict[str, ConceptType] | None = None) -> Iterator[Document]:
     """The checked documents of ``files[start:stop]``, the ``_txt_files`` of the
     tree at ``root``, read one file at a time and handed on in blocks of
-    ``_BLOCK``: for all of them, the documents of ``read_brat_dir(root)``, or
+    ``jsonl._BLOCK``: for all of them, the documents of ``read_brat_dir(root)``, or
     its fault, raised once the blocks before the faulty document's block are
     handed on.
 
@@ -311,7 +302,7 @@ def _read_documents(root, files: list[tuple[tuple[str, ...], str]], start: int =
                                  path=str(Path(root, *parts[:-1], stem + ".ann"))) from exc
             yield doc
 
-    return _in_blocks(documents(), _BLOCK)
+    return _in_blocks(documents())
 
 
 def write_brat_dir(

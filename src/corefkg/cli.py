@@ -72,13 +72,6 @@ def _load_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def _effective(args, cfg: dict[str, str], name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return cfg.get(name, default)
-
-
 def _detect_format(path: Path, for_output: bool = False) -> str:
     if for_output and str(path) == "-":  # stdout
         return "jsonl"
@@ -162,27 +155,33 @@ def _read_first(corpus: str, fmt: str | None, parse: Callable[[str], T], path: s
         raise
 
 
-def _write_corpus(docs: Iterable[Document], path_s: str, fmt: str | None) -> None:
-    """Write a corpus to ``path_s``; ``-`` is stdout, for JSONL only.
+def _write_corpus(src: str, fmt_in: str | None, out: str, fmt_out: str | None, *,
+                  resolve: bool = False) -> None:
+    """Write the documents of the corpus at ``src``, resolved by the baseline
+    if ``resolve``, to ``out``; ``-`` is stdout, for JSONL only.
 
-    JSONL is written one document at a time, as ``docs`` yields them; the
-    other formats are written once every document is at hand.
+    JSONL is mapped on every CPU (``_mapped``) and written line by line, as
+    the lines come; the other formats are written once every document is at
+    hand.
     """
-    path = Path(path_s)
-    fmt = fmt or _detect_format(path, for_output=True)
+    fmt = fmt_out or _detect_format(Path(out), for_output=True)
     if fmt == "jsonl":
-        _emit(jsonl._document_lines(docs), path_s)
+        def chain(docs: Iterable[Document]) -> Iterator[str]:
+            return jsonl._document_lines(_resolved(docs) if resolve else docs)
+
+        with contextlib.closing(_mapped(src, fmt_in, chain)) as lines:
+            _emit(lines, out)
         return
-    corpus = Corpus(tuple(docs))
-    if path_s == "-":
+    docs = _documents(src, fmt_in)
+    corpus = Corpus(tuple(_resolved(docs) if resolve else docs))
+    if out == "-":
         raise ValueError(f"a {fmt} corpus cannot be written to stdout; give --out a path")
     if fmt == "brat":
-        brat.write_brat_dir(corpus, path)
+        brat.write_brat_dir(corpus, out)
         return
     if fmt == "conll":
         columns, table = conll.write_coref_columns(corpus)
-        _write_file(path, (columns,))
-        _write_file(str(path) + ".tokens", (table,))
+        _write_files((out, (columns,)), (out + ".tokens", (table,)))
         return
     raise ValueError(f"unknown corpus format {fmt!r}")
 
@@ -191,35 +190,42 @@ def _strategy(args) -> CollapseStrategy:
     return CollapseStrategy(scope=_STRATEGY[args.strategy], use_coreference=not args.no_coref)
 
 
-def _write_file(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` one at a time, encoded and with newlines translated
-    as ``Path.write_text(..., "utf-8")`` would: no copy of the whole output.
+def _write_files(*outputs: tuple[str | Path, Iterable[str]]) -> None:
+    """Write each ``(path, chunks)`` of ``outputs``, the chunks one at a time,
+    encoded and with newlines translated as ``Path.write_text(..., "utf-8")``
+    would: no copy of the whole output.
 
-    A regular file is written all or nothing. The chunks go to a temporary
-    file beside it, which replaces it once the last chunk is written and is
-    removed if producing or writing a chunk fails. A symbolic link's target
-    is the file replaced. Anything else that exists at ``path``, such as
-    ``/dev/null``, is written in place.
+    Regular files are written all or nothing. Each one's chunks go to a
+    temporary file beside it; the temporaries replace their files only once
+    the last chunk of every output is written, and they are removed if
+    producing or writing a chunk fails. A symbolic link's target is the file
+    replaced. Anything else that exists at a path, such as ``/dev/null``, is
+    written in place.
     """
-    path = Path(os.path.realpath(path))
-    if path.exists() and not path.is_file():
-        with open(path, "w", encoding="utf-8") as f:
-            f.writelines(chunks)
-        return
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    replacements: list[tuple[Path, Path]] = []  # (temporary, path)
     try:
-        with open(temporary, "w", encoding="utf-8") as f:
-            f.writelines(chunks)
-        os.replace(temporary, path)
+        for path, chunks in outputs:
+            path = Path(os.path.realpath(path))
+            if path.exists() and not path.is_file():
+                with open(path, "w", encoding="utf-8") as f:
+                    f.writelines(chunks)
+                continue
+            temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            replacements.append((temporary, path))
+            with open(temporary, "w", encoding="utf-8") as f:
+                f.writelines(chunks)
+        for temporary, path in replacements:
+            os.replace(temporary, path)
     except BaseException:
-        temporary.unlink(missing_ok=True)
+        for temporary, _ in replacements:
+            temporary.unlink(missing_ok=True)
         raise
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write ``chunks`` to the file ``out``, or to stdout for ``-`` or no file."""
     if out and out != "-":
-        _write_file(out, chunks)
+        _write_files((out, chunks))
     else:
         sys.stdout.writelines(chunks)
 
@@ -246,7 +252,8 @@ def build_parser() -> _Parser:
                         help="two-column TSV overriding the plural/singular table")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("convert", help="convert a corpus between formats")
+    p = sub.add_parser("convert", help="convert a corpus between formats (from a JSONL file "
+                       "or BRAT tree to JSONL: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--from", dest="from_format", choices=["brat", "conll", "jsonl"])
@@ -301,23 +308,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_convert(args, cfg) -> int:
-    fmt = _effective(args, cfg, "format")
-    _write_corpus(_documents(args.input, args.from_format or fmt), args.output,
-                  args.to_format or fmt)
+def _cmd_convert(args) -> int:
+    _write_corpus(args.input, args.from_format or args.format, args.output,
+                  args.to_format or args.format)
     return 0
 
 
-def _cmd_stats(args, cfg) -> int:
-    docs = _documents(args.input, _effective(args, cfg, "format"))
+def _cmd_stats(args) -> int:
+    docs = _documents(args.input, args.format)
     sys.stdout.write(corpus_stats(docs, args.group_by).to_tsv())
     return 0
 
 
-def _cmd_score(args, cfg) -> int:
-    fmt = _effective(args, cfg, "format")
+def _cmd_score(args) -> int:
     report = score_corpora(
-        _documents(args.key, fmt), _documents(args.response, fmt),
+        _documents(args.key, args.format), _documents(args.response, args.format),
         ceafe_drop_singleton_response_parts=args.ceafe_drop_singletons,
     )
     payload = report.to_dict()
@@ -327,26 +332,16 @@ def _cmd_score(args, cfg) -> int:
     return 0
 
 
-def _baseline_lines(docs: Iterable[Document]) -> Iterable[str]:
-    return jsonl._document_lines(_resolved(docs))
-
-
-def _cmd_baseline(args, cfg) -> int:
-    fmt = _effective(args, cfg, "format")
-    if (fmt or _detect_format(Path(args.output), True)) != "jsonl":
-        _write_corpus(_resolved(_documents(args.input, fmt)), args.output, fmt)
-        return 0
-    with contextlib.closing(_mapped(args.input, fmt, _baseline_lines)) as lines:
-        _emit(lines, args.output)
+def _cmd_baseline(args) -> int:
+    _write_corpus(args.input, args.format, args.output, args.format, resolve=True)
     return 0
 
 
-def _cmd_populate(args, cfg) -> int:
-    fmt = _effective(args, cfg, "format")
+def _cmd_populate(args) -> int:
     ntriples = args.kg_format == "ntriples"
     chain = partial(_records, strategy=_strategy(args),
                     keep=_kept(args.gold, None if ntriples else _cluster_fragment))
-    with contextlib.closing(_mapped(args.input, fmt, chain)) as records:
+    with contextlib.closing(_mapped(args.input, args.format, chain)) as records:
         kg = _Population(records)
     _emit(kg.ntriple_lines() if ntriples else kg.kg_lines(), args.output)
     # with the export on stdout, the table goes to stderr to keep stdout parseable
@@ -354,22 +349,21 @@ def _cmd_populate(args, cfg) -> int:
     return 0
 
 
-def _cmd_compile_gold(args, cfg) -> int:
-    fmt = _effective(args, cfg, "format")
-    links = _read_first(args.input, fmt, read_entity_links, args.links) if args.links else {}
+def _cmd_compile_gold(args) -> int:
+    links = (_read_first(args.input, args.format, read_entity_links, args.links)
+             if args.links else {})
     chain = partial(_gold_records, links=links)
-    with contextlib.closing(_mapped(args.input, fmt, chain)) as records:
+    with contextlib.closing(_mapped(args.input, args.format, chain)) as records:
         gold = _gold(records, links, skip_unmatched=args.skip_unmatched_links)
     _emit(_gold_lines(gold), args.output)
     return 0
 
 
-def _cmd_eval_kg(args, cfg) -> int:
-    fmt = _effective(args, cfg, "format")
-    key = _read_first(args.input, fmt, read_gold_jsonl, args.gold).partition()
+def _cmd_eval_kg(args) -> int:
+    key = _read_first(args.input, args.format, read_gold_jsonl, args.gold).partition()
     universe = key.universe()
     chain = partial(_records, strategy=_strategy(args), keep=_restriction(universe))
-    with contextlib.closing(_mapped(args.input, fmt, chain)) as records:
+    with contextlib.closing(_mapped(args.input, args.format, chain)) as records:
         result = _evaluated(key, universe, records, args.ceafe_drop_singletons)
     table = result.report.to_table() + f"concepts\t{result.n_concepts}\n"
     _write_report(table, result.to_dict(), args.json_out)
@@ -405,12 +399,14 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     exceptions_set = False
     try:
-        cfg = _load_config(args.config)
-        exceptions_path = _effective(args, cfg, "lemma_exceptions")
-        if exceptions_path:
-            set_default_lemma_exceptions(load_lemma_exceptions(exceptions_path))
+        # a flag wins over the config file, which wins over the built-in default
+        for name, value in _load_config(args.config).items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
+        if args.lemma_exceptions:
+            set_default_lemma_exceptions(load_lemma_exceptions(args.lemma_exceptions))
             exceptions_set = True
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except ValidationError as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)

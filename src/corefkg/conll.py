@@ -184,10 +184,6 @@ def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
     return out
 
 
-# the table's line loop, which the slices of ``_table_fields`` must agree with
-_table_lines = parse_token_table
-
-
 class _TokenTable:
     """A token table as the column reader uses it.
 

@@ -417,17 +417,20 @@ def read_jsonl(text: str) -> Corpus:
     return Corpus(tuple(_documents(_lines(text))))
 
 
-#: Documents ``_read_documents`` decodes before it hands any of them on.
-#: Decoding each document between the caller's work on the others cost about
-#: 10% more CPU time in ``baseline`` and 5% in ``populate`` (10k generated
-#: documents); in blocks this size they run as fast as from a whole corpus.
-_BLOCK = 512
+#: Documents the corpus readers (this module's and ``brat``'s ``_read_documents``)
+#: read before they hand any of them on, records a worker of ``corefkg.parallel``
+#: writes at once, and the unit at which it cuts a corpus into ranges. Reading
+#: each document between the caller's work on the others cost about 10% more
+#: CPU time in ``baseline``, 5% in ``populate`` (10k generated documents) and
+#: 10-15% in ``compile-gold`` and ``eval-kg`` (700); in blocks this size they
+#: run as fast as from a whole corpus.
+_BLOCK = 128
 
 
-def _in_blocks(documents: Iterator[Document], size: int) -> Iterator[Document]:
-    """``documents``, each handed on once the ``size`` documents of its block
+def _in_blocks(documents: Iterator[Document]) -> Iterator[Document]:
+    """``documents``, each handed on once the ``_BLOCK`` documents of its block
     are read, so that a fault is raised before any document of its block."""
-    while block := list(islice(documents, size)):
+    while block := list(islice(documents, _BLOCK)):
         yield from block
         del block  # before the next block is read
 
@@ -471,7 +474,7 @@ def _read_documents(path, start: int = 0, stop: int | None = None, *,
                     return
 
         try:
-            yield from _in_blocks(_documents(lines(), seen), _BLOCK)
+            yield from _in_blocks(_documents(lines(), seen))
         except UnicodeDecodeError as exc:
             raise _not_utf8(exc, n, path) from None
         except ParseError:

@@ -2,31 +2,35 @@
 
 ``records(path, chain)`` yields what ``chain`` yields for the documents of a
 BRAT tree (a directory) or of a JSONL file, for a ``chain`` that maps
-documents to records ``marshal`` can carry: ``baseline``'s records are its
-output lines, ``populate``'s and ``eval-kg``'s one tuple of plain values per
-document (``kgpop._records``), ``compile-gold``'s the kept clusters and
-matched link keys of a document (``goldkg._gold_records``). The corpus is
-split into one contiguous range per CPU: a JSONL file at ``\\n`` bytes, into
-ranges of about equal size past its first ``jsonl._BLOCK`` lines, and a BRAT
-tree's sorted file list (``brat._txt_files``) into slices of equal length,
-each of at least ``_FILES`` files. Each range is read by the one reader of its
+documents to records ``marshal`` can carry: ``baseline``'s and ``convert``'s
+records are their output lines, ``populate``'s and ``eval-kg``'s one tuple of
+plain values per document (``kgpop._records``), ``compile-gold``'s the kept
+clusters and matched link keys of a document (``goldkg._gold_records``).
+
+One constant, ``jsonl._BLOCK``, sizes everything here. The readers hand on
+documents in blocks of it, a worker writes its records in blocks of it, and
+the corpus is cut into one contiguous range per CPU at the whole blocks
+nearest to equal shares (``_cuts``): a BRAT tree's sorted ``.txt`` files
+(``brat._txt_files``), or a JSONL file's lines, whose count and block starts
+one pass over the file finds. Each range is read by the one reader of its
 format (``jsonl._read_documents``, ``brat._read_documents``). This process
-maps the first range; each other range goes to a forked worker. A worker
-writes its records to an unnamed temporary file in blocks of
-``jsonl._BLOCK``, each one ``marshal.dumps`` after its length, and then the
-doc_ids it read. Once its own range is read, this process waits for the
-workers, and if every one of them succeeded and no doc_id was read twice, it
-loads their blocks one whole block at a time, in corpus order, and yields
-their records after its own. Otherwise it kills them and reads on to the end
-of the corpus itself, so that every fault is found, worded and placed as by
-one process reading the whole corpus. Documents and clusters never cross a
-process boundary: pickling a decoded corpus costs more than decoding it.
+maps the first range, which ends on a block boundary, so it maps every
+document of its range before it waits; each other range goes to a forked
+worker. A worker writes its records to an unnamed temporary file, each block
+one ``marshal.dumps`` after its length, and then the doc_ids it read. Once
+its own range is read, this process waits for the workers, and if every one
+of them succeeded and no doc_id was read twice, it loads their blocks one
+whole block at a time, in corpus order, and yields their records after its
+own. Otherwise it kills them and reads on to the end of the corpus itself,
+so that every fault is found, worded and placed as by one process reading
+the whole corpus. Documents and clusters never cross a process boundary:
+pickling a decoded corpus costs more than decoding it.
 
 One process reads the whole corpus when only one CPU is available, when
 ``os.fork`` does not exist, when another thread runs (forking a threaded
-process is unsafe), when a JSONL input is not a regular file or ends within
-its first ``jsonl._BLOCK`` lines, or when a BRAT tree holds fewer than
-``2 * _FILES`` files. One range runs the same code, with no worker.
+process is unsafe), when a JSONL input is not a regular file, or when the
+corpus holds fewer than two blocks of files or lines. One range runs the
+same code, with no worker.
 """
 
 from __future__ import annotations
@@ -45,11 +49,6 @@ __all__ = ["records"]
 
 #: Bytes of the length written beside each block of a worker's file.
 _LENGTH = 8
-#: The fewest files of a BRAT tree that a range holds. A worker costs a few
-#: milliseconds to start and to hand its records back: on 2 CPUs,
-#: ``compile-gold`` and ``eval-kg`` broke even at about 200 documents from
-#: ``perfbench/gen.py``, took 0-10% less time at 300 and 22% less at 700.
-_FILES = 150
 
 
 def _cpus() -> int:
@@ -59,45 +58,48 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _starts(path, parts: int) -> list[int]:
-    """The byte offsets at which the ranges after the first begin: line starts
-    that split the file at ``path`` into at most ``parts`` ranges of about
-    equal size, past its first ``jsonl._BLOCK`` lines."""
-    if parts < 2 or not os.path.isfile(path):
+def _cuts(items: int, parts: int) -> list[int]:
+    """The indices at which the ranges after the first begin: a corpus of
+    ``items`` (files or lines) cut into at most ``parts`` ranges, at the whole
+    blocks of ``jsonl._BLOCK`` nearest to equal shares. A corpus of fewer than
+    two blocks is not cut: a worker costs a few milliseconds to start and to
+    hand its records back."""
+    block = jsonl._BLOCK
+    if items < 2 * block:
         return []
+    cuts = {(2 * items * i + parts * block) // (2 * parts * block) * block
+            for i in range(1, parts)}
+    return sorted(cut for cut in cuts if 0 < cut < items)
+
+
+def _line_blocks(path) -> tuple[list[int], int]:
+    """The byte offsets at which the blocks of ``jsonl._BLOCK`` lines of the
+    file at ``path`` begin, and its number of lines (``\\n``-ended pieces, as
+    ``jsonl._read_documents`` splits it)."""
+    starts: list[int] = []
+    lines = 0
     with open(path, "rb") as f:
-        for _ in range(jsonl._BLOCK):
-            if not f.readline():
-                return []
-        head, size = f.tell(), os.fstat(f.fileno()).st_size
-        starts: list[int] = []
-        for i in range(1, parts):
-            f.seek(max(head, size * i // parts) - 1)
-            f.readline()  # to the start of the next line
+        while True:
             start = f.tell()
-            if start >= size:
-                break
-            if not starts or start > starts[-1]:
-                starts.append(start)
-    return starts
-
-
-def _slices(files: int, parts: int) -> list[int]:
-    """The indices at which the ranges after the first begin: a file list of
-    length ``files`` split into at most ``parts`` slices of equal length (give
-    or take one), none of them shorter than ``_FILES``."""
-    parts = min(parts, files // _FILES)
-    return [files * i // parts for i in range(1, parts)]
+            count = len(list(islice(f, jsonl._BLOCK)))
+            if not count:
+                return starts, lines
+            starts.append(start)
+            lines += count
 
 
 def _ranges(path, parts: int) -> tuple[Callable[..., Iterator[Document]], list[int]]:
     """The reader of the corpus at ``path``, called as ``read(start, stop, *,
-    seen, read_on)``, and the starts of its ranges after the first: byte
-    offsets of a JSONL file, indices into a BRAT tree's file list."""
+    seen, read_on)``, and the starts of its ranges after the first: indices
+    into a BRAT tree's file list, byte offsets of a JSONL file."""
     if os.path.isdir(path):
         files = brat._txt_files(os.fspath(path))
-        return partial(brat._read_documents, path, files), _slices(len(files), parts)
-    return partial(jsonl._read_documents, path), _starts(path, parts)
+        return partial(brat._read_documents, path, files), _cuts(len(files), parts)
+    read = partial(jsonl._read_documents, path)
+    if parts < 2 or not os.path.isfile(path):
+        return read, []
+    starts, lines = _line_blocks(path)
+    return read, [starts[cut // jsonl._BLOCK] for cut in _cuts(lines, parts)]
 
 
 class _Worker:

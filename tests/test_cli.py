@@ -12,6 +12,7 @@ import pytest
 import corefkg
 from corefkg import cli, jsonl
 from corefkg.baseline import resolve_corpus
+from corefkg.brat import read_brat_dir, write_brat_dir
 from corefkg.cli import main
 from corefkg.conll import write_coref_columns
 from corefkg.goldkg import compile_gold, write_gold_jsonl
@@ -358,7 +359,7 @@ def test_main_pauses_gc_and_restores_the_callers_state(enabled, corpus_path, tmp
     during = []
     stats = cli._COMMANDS["stats"]
     monkeypatch.setitem(cli._COMMANDS, "stats",
-                        lambda args, cfg: during.append(gc.isenabled()) or stats(args, cfg))
+                        lambda args: during.append(gc.isenabled()) or stats(args))
     runs = [(["stats", "--in", str(corpus_path)], 0),
             (["stats", "--bogus"], 1),
             (["stats", "--in", str(bad)], 2)]
@@ -591,6 +592,38 @@ def test_baseline_to_stdout_holds_the_blocks_before_a_fault(tmp_path, capsys, mo
     # populate writes nothing before it has read every document
     assert main(["populate", "--in", str(src), "--strategy", "cross", "--out", "-"]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("command", ["baseline", "convert"])
+def test_a_brat_tree_to_stdout_holds_the_blocks_before_a_fault(tmp_path, capsys, monkeypatch,
+                                                               command):
+    monkeypatch.setattr(jsonl, "_BLOCK", 3)  # documents 1-3, then 4 and 5, which is faulty
+    root = tmp_path / "brat"
+    write_brat_dir(random_corpus(random.Random(5), n_docs=5), root)
+    corpus = read_brat_dir(root)
+    last_ann = sorted(root.rglob("*.ann"))[-1]
+    with open(last_ann, "a", encoding="utf-8") as f:
+        f.write("garbage line\n")
+    assert main([command, "--in", str(root), "--out", "-"]) == 2
+    out, err = capsys.readouterr()
+    head = Corpus(corpus.documents[:3])
+    assert out == write_jsonl(resolve_corpus(head) if command == "baseline" else head)
+    assert err.startswith(f"error: {last_ann}: line ")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_column_output_whose_table_cannot_be_written_leaves_the_output_as_it_was(
+        tmp_path, capsys, existing):
+    out = tmp_path / "out.conll"
+    if existing:
+        out.write_text("old\n", "utf-8")
+    (tmp_path / "out.conll.tokens").mkdir()
+    toy_brat = Path(__file__).resolve().parents[1] / "demos" / "data" / "toy_brat"
+    assert main(["convert", "--in", str(toy_brat), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["out.conll", "out.conll.tokens"] if existing else ["out.conll.tokens"])
+    assert not existing or out.read_text("utf-8") == "old\n"
 
 
 def test_an_output_that_is_not_a_regular_file_is_written_in_place(corpus_path, monkeypatch):

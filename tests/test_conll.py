@@ -249,7 +249,7 @@ def test_token_table_fast_path_agrees_with_its_line_loop(rng, edits):
     if rng.random() < 0.5:
         table = table.replace("\n", "\r\n")
     table = edit_table(rng, table, edits)
-    expected = table_outcome(conll._table_lines, table)
+    expected = table_outcome(parse_token_table, table)
     fields = conll._table_fields(table)
     if fields is not None:  # the bulk split took every line as a row
         docs, index, spans = fields
@@ -257,7 +257,6 @@ def test_token_table_fast_path_agrees_with_its_line_loop(rng, edits):
             assert expected[0].endswith(" twice") or " digits" in expected[0], expected
         else:
             assert list(zip(zip(docs, map(int, index)), spans)) == expected
-    assert table_outcome(parse_token_table, table) == expected
 
 
 @pytest.mark.parametrize("table", [

@@ -1,5 +1,5 @@
-"""``baseline``, ``populate``, ``compile-gold`` and ``eval-kg`` on one process per CPU
-give what one process gives, from a JSONL file and from a BRAT tree."""
+"""``baseline``, ``convert``, ``populate``, ``compile-gold`` and ``eval-kg`` on one
+process per CPU give what one process gives, from a JSONL file and from a BRAT tree."""
 
 import contextlib
 import io
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkg import brat, jsonl, parallel
+from corefkg import jsonl, parallel
 from corefkg.baseline import resolve_corpus
 from corefkg.brat import read_brat_dir, write_brat_dir
 from corefkg.cli import main
@@ -88,12 +88,10 @@ def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str],
 def _outcome(root, src, argv: list[str], name: str, block: int,
              out_flag: str = "--out") -> dict[bool, tuple]:
     """The outcome of ``argv`` with ``out_flag`` a file and with stdout (the
-    keys), which must be the same with ``_cpus`` patched to 1, 2 and 3. A
-    BRAT tree is split into ranges of one file and more, and either input is
-    read in blocks of ``block`` documents."""
+    keys), which must be the same with ``_cpus`` patched to 1, 2 and 3. Either
+    input is read, cut and handed back in blocks of ``block`` documents."""
     outcomes: dict[bool, list] = {}
-    with mock.patch.object(jsonl, "_BLOCK", block), mock.patch.object(brat, "_BLOCK", block), \
-            mock.patch.object(parallel, "_FILES", 1):
+    with mock.patch.object(jsonl, "_BLOCK", block):
         for to_stdout in (False, True):
             for cpus in (1, 2, 3):
                 forks: list[int] = []
@@ -112,17 +110,20 @@ CORPORA = dict(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(6, 14),
                position=st.integers(0, 13), crlf=st.booleans(), blank=st.integers(0, 14))
 
 
+@pytest.mark.parametrize("command", ["baseline", "convert"])
 @settings(max_examples=25, deadline=None)
 @given(**CORPORA)
-def test_every_process_count_gives_the_outcome_of_one(tmp_path_factory, seed, n_docs, block,
-                                                      fault, position, crlf, blank):
+def test_every_process_count_gives_the_outcome_of_one(tmp_path_factory, command, seed, n_docs,
+                                                      block, fault, position, crlf, blank):
     root = tmp_path_factory.mktemp("split")
     src = root / "in.jsonl"
     corpus = _corpus_file(src, seed, n_docs, fault, position % n_docs, crlf, blank % n_docs)
-    outcome = _outcome(root, src, ["baseline"], "pred.jsonl", block)
+    outcome = _outcome(root, src, [command], "pred.jsonl", block)
+    if command == "baseline":
+        corpus = resolve_corpus(corpus)
     for to_stdout, (status, out, err, files) in outcome.items():
         assert status == (0 if fault is None else 2)
-        expected = write_jsonl(resolve_corpus(corpus)) if fault is None else None
+        expected = write_jsonl(corpus) if fault is None else None
         if to_stdout:
             assert files == {} and (fault is not None or out == expected)
         else:
@@ -213,6 +214,7 @@ def _links_file(path, links: dict) -> None:
 #: the name of its output file; its output flag
 BRAT_COMMANDS = {
     "baseline": (lambda gold, links: ["baseline"], "pred.jsonl", "--out"),
+    "convert": (lambda gold, links: ["convert"], "corpus.jsonl", "--out"),
     "populate": (lambda gold, links: ["populate", "--strategy", "in"], "kg.jsonl", "--out"),
     "compile-gold": (lambda gold, links: ["compile-gold", "--links", str(links)], "gold.jsonl",
                      "--out"),
@@ -228,6 +230,8 @@ def _brat_expected(command: str, corpus, links: dict, gold) -> tuple[str, str]:
     """The output and the table of ``command`` on a faultless tree, from the library."""
     if command == "baseline":
         return write_jsonl(resolve_corpus(corpus)), ""
+    if command == "convert":
+        return write_jsonl(corpus), ""
     if command == "populate":
         kg = populate(corpus, CollapseStrategy(DomainScope.IN_DOMAIN))
         return export_kg_jsonl(kg), kg_stats(kg, corpus).to_tsv()
@@ -266,7 +270,7 @@ def test_every_process_count_reads_a_brat_tree_as_one(tmp_path_factory, command,
         assert ("not UTF-8" in err) is (fault == "txt-not-utf8")
         if fault is None:
             assert err.startswith("entity link matches no mention: ('nowhere'")
-        if command != "baseline":  # nothing is written before every document is read
+        if command not in ("baseline", "convert"):  # these write nothing before the end
             assert out == ""
 
 
@@ -275,7 +279,7 @@ def _faultless_corpus(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "_cpus", lambda: 3)
     src = tmp_path / "in.jsonl"
     src.write_text(write_jsonl(random_corpus(random.Random(3), n_docs=12)), "utf-8")
-    assert len(parallel._starts(src, 3)) == 2
+    assert len(parallel._ranges(src, 3)[1]) == 2
     return src
 
 
@@ -300,7 +304,7 @@ def test_no_worker_outlives_an_interrupted_populate(tmp_path, monkeypatch, excep
 @pytest.mark.parametrize("exception", [KeyboardInterrupt, RuntimeError])
 def test_no_worker_outlives_an_interrupted_compile_gold_of_a_brat_tree(tmp_path, monkeypatch,
                                                                        exception):
-    monkeypatch.setattr(parallel, "_FILES", 2)
+    monkeypatch.setattr(jsonl, "_BLOCK", 2)
     monkeypatch.setattr(parallel, "_cpus", lambda: 3)
     src = tmp_path / "brat"
     write_brat_dir(random_corpus(random.Random(3), n_docs=12), src)
@@ -335,38 +339,51 @@ def test_no_worker_outlives_a_stdout_that_fails(tmp_path, monkeypatch):
     del raised
 
 
-def test_a_file_that_ends_within_the_first_block_is_read_by_one_process(tmp_path, monkeypatch):
-    monkeypatch.setattr(parallel, "_cpus", lambda: 4)
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_cuts_are_whole_blocks_that_cover_the_items_once_in_order(monkeypatch, block):
+    monkeypatch.setattr(jsonl, "_BLOCK", block)
+    for items in range(1, 14):
+        for parts in range(1, 6):
+            cuts = parallel._cuts(items, parts)
+            bounds = [0, *cuts, items]
+            assert len(bounds) - 1 <= parts
+            assert all(a < b for a, b in zip(bounds, bounds[1:]))  # each item once, in order
+            assert all(cut % block == 0 for cut in cuts)
+            # each cut is the whole block nearest to an equal share: i * items / parts
+            assert all(min(abs(2 * parts * cut - 2 * items * i) for i in range(1, parts))
+                       <= parts * block for cut in cuts)
+            assert (cuts == []) is (items < 2 * block or parts == 1)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_the_ranges_of_a_corpus_read_as_the_whole_corpus(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(jsonl, "_BLOCK", block)
+    corpus = random_corpus(random.Random(4), n_docs=11)
+    write_brat_dir(corpus, tmp_path / "brat")
+    whole = {"brat": [doc.doc_id for doc in read_brat_dir(tmp_path / "brat")],
+             "in.jsonl": [doc.doc_id for doc in corpus]}
+    (tmp_path / "in.jsonl").write_text(write_jsonl(corpus).replace("\n", "\r\n", 3), "utf-8")
+    for name, doc_ids in whole.items():
+        for parts in range(1, 5):
+            read, starts = parallel._ranges(tmp_path / name, parts)
+            ranges = list(zip([0, *starts], [*starts, None]))
+            assert len(ranges) == 1 + len(parallel._cuts(11, parts)) >= min(parts, 2)
+            assert [doc.doc_id for start, stop in ranges for doc in read(start, stop)] == doc_ids
+
+
+def test_a_jsonl_file_of_fewer_than_two_blocks_is_read_by_one_process(tmp_path):
     src = tmp_path / "in.jsonl"
-    src.write_text(write_jsonl(random_corpus(random.Random(3), n_docs=jsonl._BLOCK)), "utf-8")
-    assert parallel._starts(src, 4) == []
+    src.write_text(write_jsonl(random_corpus(random.Random(3), n_docs=2 * jsonl._BLOCK - 1)),
+                   "utf-8")
+    assert parallel._ranges(src, 4)[1] == []
     with open(src, "ab") as f:
         f.write(b"\n")
-    assert len(parallel._starts(src, 4)) == 1  # the blank line is the only range after it
-    assert parallel._starts(os.devnull, 4) == []  # not a regular file
-
-
-@pytest.mark.parametrize("floor", [1, 2, 3])
-def test_brat_ranges_cover_the_file_list_once_in_order(tmp_path, monkeypatch, floor):
-    monkeypatch.setattr(parallel, "_FILES", floor)
-    for files in range(12):
-        for parts in range(1, 5):
-            bounds = [0, *parallel._slices(files, parts), files]
-            lengths = [b - a for a, b in zip(bounds, bounds[1:])]
-            assert 1 <= len(lengths) <= parts
-            if len(lengths) > 1:  # even, and none shorter than the floor
-                assert min(lengths) >= floor and max(lengths) - min(lengths) <= 1
-    write_brat_dir(random_corpus(random.Random(4), n_docs=11), tmp_path)
-    whole = [doc.doc_id for doc in read_brat_dir(tmp_path)]
-    for parts in range(1, 5):
-        read, starts = parallel._ranges(tmp_path, parts)
-        ranges = list(zip([0, *starts], [*starts, None]))
-        assert len(ranges) == min(parts, 11 // floor)
-        assert [doc.doc_id for start, stop in ranges for doc in read(start, stop)] == whole
+    assert len(parallel._ranges(src, 4)[1]) == 1  # the blank line makes two blocks
+    assert parallel._ranges(os.devnull, 4)[1] == []  # not a regular file
 
 
 def test_no_worker_starts_below_the_size_floor(tmp_path, monkeypatch):
-    monkeypatch.setattr(parallel, "_FILES", 3)
+    monkeypatch.setattr(jsonl, "_BLOCK", 3)
     monkeypatch.setattr(parallel, "_cpus", lambda: 4)
     fork, forks = os.fork, []
 

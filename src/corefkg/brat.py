@@ -14,13 +14,14 @@ two characters. Discontinuous spans (offsets containing ';') are rejected.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ParseError
-from .jsonl import _checked, _in_blocks, _lines, _long_numeral, _read_text
+from .jsonl import _checked, _in_blocks, _lines, _long_numeral, _read_text, _unrefused
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -257,11 +258,16 @@ def read_brat_dir(
     ``root`` that is missing or not a directory raises ParseError too, and so
     do two files that map to one doc_id (``.txt`` and ``.txt.txt``).
     """
+    return Corpus(tuple(_tree(root, relation_label=relation_label, entity_types=entity_types)))
+
+
+def _tree(root, **options) -> Iterator[Document]:
+    """The documents of ``read_brat_dir(root, **options)``, read one pair at a
+    time (see ``_read_documents``); ParseError at once if ``root`` is missing or
+    not a directory."""
     if not os.path.isdir(root):
         raise ParseError(f"BRAT root is not a directory: {root}")
-    return Corpus(tuple(_read_documents(root, _txt_files(os.fspath(root)),
-                                        relation_label=relation_label,
-                                        entity_types=entity_types)))
+    return _read_documents(root, _txt_files(os.fspath(root)), **options)
 
 
 def _read_documents(root, files: list[tuple[tuple[str, ...], str]], start: int = 0,
@@ -310,39 +316,124 @@ def write_brat_dir(
 ) -> None:
     """Write a corpus as .txt/.ann pairs under ``root``, one subdir per domain.
 
-    Every target is worked out before any file is written: ValueError if a
-    document's path (``<domain>/<doc_id>``, normalized without touching the
-    file system; ``.txt`` and ``.ann`` are appended to it whole, so a dotted
-    last segment such as ``v1.2`` reads back unchanged) holds a null byte,
-    leaves ``root``, would be read back in another domain than the
-    document's (``read_brat_dir`` takes the first directory of the path, or
-    ``''`` for a file directly under ``root``) or is shared with another
-    document.
+    The pairs are written into a staging directory beside ``root`` and move
+    into it only once every document is written (``_staged``): ValueError,
+    with ``root`` as it was, if a document's path (``<domain>/<doc_id>``,
+    normalized without touching the file system; ``.txt`` and ``.ann`` are
+    appended to it whole, so a dotted last segment such as ``v1.2`` reads
+    back unchanged) holds a null byte, leaves ``root``, would be read back in
+    another domain than the document's (``read_brat_dir`` takes the first
+    directory of the path, or ``''`` for a file directly under ``root``) or
+    is shared with another document; the first such document in corpus
+    order is the one reported.
     """
-    root = Path(root)
-    targets: dict[str, Document] = {}  # path less ".txt"/".ann" -> its document
-    for doc in corpus:
-        rel = Path(doc.doc_id)
-        if doc.domain and rel.parts[:1] != (doc.domain,):
-            rel = Path(doc.domain) / rel
-        stem = os.path.normpath(rel)
-        if "\0" in stem:
-            raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} holds a null "
-                             f"byte, which no file name can")
-        parts = Path(stem).parts
-        if os.path.isabs(stem) or parts[:1] in ((), ("..",)):
-            raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} "
-                             f"would be written outside {str(root)!r}")
-        if (parts[0] if len(parts) > 1 else "") != doc.domain:
-            raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} would be written "
-                             f"to {os.path.join(root, stem)!r}, which reads back in another domain")
-        if stem in targets:
-            raise ValueError(f"doc_ids {targets[stem].doc_id!r} and {doc.doc_id!r} would both "
-                             f"be written to {os.path.join(root, stem)!r}")
-        targets[stem] = doc
-    for stem, doc in targets.items():
-        text, ann = write_brat(doc, relation_label=relation_label)
-        target = os.path.join(root, stem)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        Path(target + ".txt").write_text(text, "utf-8", newline="")
-        Path(target + ".ann").write_text(ann, "utf-8")
+    with _staged(root) as staging:
+        _written(_pairs(corpus, root, staging, relation_label), root)
+
+
+def _target(doc: Document, root) -> str:
+    """The path of the pair of ``doc`` under ``root``, less ``.txt``/``.ann``;
+    ValueError if ``write_brat_dir`` refuses it on its own, whatever the other
+    documents' paths are."""
+    rel = Path(doc.doc_id)
+    if doc.domain and rel.parts[:1] != (doc.domain,):
+        rel = Path(doc.domain) / rel
+    stem = os.path.normpath(rel)
+    if "\0" in stem:
+        raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} holds a null "
+                         f"byte, which no file name can")
+    parts = Path(stem).parts
+    if os.path.isabs(stem) or parts[:1] in ((), ("..",)):
+        raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} "
+                         f"would be written outside {str(root)!r}")
+    if (parts[0] if len(parts) > 1 else "") != doc.domain:
+        raise ValueError(f"doc_id {doc.doc_id!r} of domain {doc.domain!r} would be written "
+                         f"to {os.path.join(root, stem)!r}, which reads back in another domain")
+    return stem
+
+
+def _pairs(docs: Iterable[Document], root, staging: str,
+           relation_label: str = DEFAULT_RELATION_LABEL) -> Iterator[tuple[str | None, str]]:
+    """The map of a BRAT output to ``root``: each document's pair written at
+    its ``_target`` under ``staging``, and ``(doc_id, target)`` yielded, or
+    ``(None, why)`` for a document refused on its own, with nothing written
+    (see ``jsonl._unrefused``). Two documents of one target are left to
+    ``_written``."""
+    made: set[str] = set()  # the directories known to exist
+    for doc in docs:
+        try:
+            stem = _target(doc, root)
+            text, ann = write_brat(doc, relation_label=relation_label)
+        except ValueError as exc:
+            yield None, str(exc)
+            continue
+        target = os.path.join(staging, stem)
+        directory = os.path.dirname(target)
+        if directory not in made:
+            os.makedirs(directory, exist_ok=True)
+            made.add(directory)
+        with open(target + ".txt", "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        with open(target + ".ann", "w", encoding="utf-8") as f:
+            f.write(ann)
+        yield doc.doc_id, stem
+
+
+def _written(records: Iterable[tuple[str | None, str]], root) -> None:
+    """Read the records of ``_pairs`` in corpus order: ValueError, raised once
+    the last is read, for the first refusal among them, a target that two
+    documents share included."""
+    targets: dict[str, str] = {}  # target -> the doc_id written there
+
+    def shared() -> Iterator[tuple[str | None, str]]:
+        for doc_id, stem in records:
+            if doc_id is not None:
+                if stem in targets:
+                    doc_id, stem = None, (f"doc_ids {targets[stem]!r} and {doc_id!r} would both "
+                                          f"be written to {os.path.join(root, stem)!r}")
+                else:
+                    targets[stem] = doc_id
+            yield doc_id, stem
+
+    for _ in _unrefused(shared()):
+        pass
+
+
+@contextlib.contextmanager
+def _staged(root) -> Iterator[str]:
+    """A new directory beside ``root`` (beside a symbolic link's target) to
+    write a tree into. Once the body returns, the files in it move into
+    ``root``, which is made if it does not exist; files of ``root`` that none
+    of them replaces are kept. If the body raises, the directory is removed,
+    and so are the directories above ``root`` made for it: ``root`` is then as
+    it was. So it is if the body writes no file."""
+    import shutil
+
+    target = os.path.realpath(root)
+    parent, name = os.path.split(target)
+    staging = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
+    made = []  # the directories above the target that do not exist, the innermost first
+    while not os.path.isdir(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    moved = False
+    try:
+        os.makedirs(staging)
+        yield staging
+        if os.listdir(staging):
+            if not os.path.lexists(target):
+                os.rename(staging, target)
+            else:
+                for directory, _, files in os.walk(staging):
+                    into = os.path.join(target, os.path.relpath(directory, staging))
+                    os.makedirs(os.path.normpath(into), exist_ok=True)
+                    for file in files:
+                        os.replace(os.path.join(directory, file), os.path.join(into, file))
+            moved = True
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+        for directory in made if not moved else ():
+            try:
+                os.rmdir(directory)
+            except OSError:
+                break

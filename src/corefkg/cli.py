@@ -21,7 +21,7 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from . import brat, conll, jsonl, parallel
 from .baseline import _resolved
@@ -37,7 +37,7 @@ from .goldkg import (
 )
 from .kgpop import CollapseStrategy, DomainScope, _cluster_fragment, _kept, _Population, _records
 from .metrics import score_corpora
-from .model import Corpus, Document, corpus_stats
+from .model import Document, corpus_stats
 from .normalize import load_lemma_exceptions, set_default_lemma_exceptions
 
 __all__ = ["main"]
@@ -94,7 +94,7 @@ def _documents(path_s: str, fmt: str | None) -> Iterator[Document]:
         raise ParseError(f"no such file or directory: {path}")
     fmt = fmt or _detect_format(path)
     if fmt == "brat":
-        yield from brat.read_brat_dir(path)
+        yield from brat._tree(path)
     elif fmt == "jsonl":
         yield from _named(path, jsonl._read_documents(path))
     elif fmt == "conll":
@@ -158,62 +158,60 @@ def _read_first(corpus: str, fmt: str | None, parse: Callable[[str], T], path: s
 def _write_corpus(src: str, fmt_in: str | None, out: str, fmt_out: str | None, *,
                   resolve: bool = False) -> None:
     """Write the documents of the corpus at ``src``, resolved by the baseline
-    if ``resolve``, to ``out``; ``-`` is stdout, for JSONL only.
-
-    JSONL is mapped on every CPU (``_mapped``) and written line by line, as
-    the lines come; the other formats are written once every document is at
-    hand.
-    """
+    if ``resolve``, to ``out``; ``-`` is stdout, for JSONL only. Each format's
+    writer is a per-document map on every CPU (``_mapped``); a document it
+    refuses is a record, raised once the last is read (``jsonl._unrefused``),
+    so that a read fault anywhere is the one reported."""
     fmt = fmt_out or _detect_format(Path(out), for_output=True)
-    if fmt == "jsonl":
-        def chain(docs: Iterable[Document]) -> Iterator[str]:
-            return jsonl._document_lines(_resolved(docs) if resolve else docs)
-
-        with contextlib.closing(_mapped(src, fmt_in, chain)) as lines:
-            _emit(lines, out)
-        return
-    docs = _documents(src, fmt_in)
-    corpus = Corpus(tuple(_resolved(docs) if resolve else docs))
-    if out == "-":
+    if fmt != "jsonl" and out == "-":
         raise ValueError(f"a {fmt} corpus cannot be written to stdout; give --out a path")
-    if fmt == "brat":
-        brat.write_brat_dir(corpus, out)
-        return
-    if fmt == "conll":
-        columns, table = conll.write_coref_columns(corpus)
-        _write_files((out, (columns,)), (out + ".tokens", (table,)))
-        return
-    raise ValueError(f"unknown corpus format {fmt!r}")
+
+    def mapped(write: Callable[[Iterable[Document]], Iterator]) -> contextlib.closing:
+        # resolved a block at a time: one at a time, between the writer's
+        # work on each, cost about 5% more time in one process
+        return contextlib.closing(_mapped(src, fmt_in, lambda docs: write(
+            jsonl._in_blocks(_resolved(docs)) if resolve else docs)))
+
+    if fmt == "jsonl":
+        with mapped(jsonl._document_lines) as lines:
+            _emit(lines, out)
+    elif fmt == "conll":
+        with _replacing(out, out + ".tokens") as (columns, table), \
+                mapped(conll._columns) as records:
+            conll._write_columns(jsonl._unrefused(records), columns, table)
+    else:
+        with brat._staged(out) as staging, \
+                mapped(partial(brat._pairs, root=out, staging=staging)) as records:
+            brat._written(records, out)
 
 
 def _strategy(args) -> CollapseStrategy:
     return CollapseStrategy(scope=_STRATEGY[args.strategy], use_coreference=not args.no_coref)
 
 
-def _write_files(*outputs: tuple[str | Path, Iterable[str]]) -> None:
-    """Write each ``(path, chunks)`` of ``outputs``, the chunks one at a time,
-    encoded and with newlines translated as ``Path.write_text(..., "utf-8")``
-    would: no copy of the whole output.
+@contextlib.contextmanager
+def _replacing(*paths: str | Path) -> Iterator[list[TextIO]]:
+    """A file open for writing at each of ``paths``, encoding and translating
+    newlines as ``Path.write_text(..., "utf-8")`` would.
 
-    Regular files are written all or nothing. Each one's chunks go to a
+    Regular files are written all or nothing. Each one is written to a
     temporary file beside it; the temporaries replace their files only once
-    the last chunk of every output is written, and they are removed if
-    producing or writing a chunk fails. A symbolic link's target is the file
-    replaced. Anything else that exists at a path, such as ``/dev/null``, is
-    written in place.
+    the body has returned and every one is closed, and they are removed if
+    the body or a write fails. A symbolic link's target is the file replaced.
+    Anything else that exists at a path, such as ``/dev/null``, is written in
+    place.
     """
     replacements: list[tuple[Path, Path]] = []  # (temporary, path)
     try:
-        for path, chunks in outputs:
-            path = Path(os.path.realpath(path))
-            if path.exists() and not path.is_file():
-                with open(path, "w", encoding="utf-8") as f:
-                    f.writelines(chunks)
-                continue
-            temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            replacements.append((temporary, path))
-            with open(temporary, "w", encoding="utf-8") as f:
-                f.writelines(chunks)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                path = Path(os.path.realpath(path))
+                if not path.exists() or path.is_file():
+                    replacements.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path))
+                    path = replacements[-1][0]
+                files.append(stack.enter_context(open(path, "w", encoding="utf-8")))
+            yield files
         for temporary, path in replacements:
             os.replace(temporary, path)
     except BaseException:
@@ -225,7 +223,8 @@ def _write_files(*outputs: tuple[str | Path, Iterable[str]]) -> None:
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write ``chunks`` to the file ``out``, or to stdout for ``-`` or no file."""
     if out and out != "-":
-        _write_files((out, chunks))
+        with _replacing(out) as (f,):
+            f.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
 
@@ -253,7 +252,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("convert", help="convert a corpus between formats (from a JSONL file "
-                       "or BRAT tree to JSONL: one process per CPU it may use)")
+                       "or BRAT tree: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--from", dest="from_format", choices=["brat", "conll", "jsonl"])
@@ -273,7 +272,7 @@ def build_parser() -> _Parser:
                    help="diagnostic CEAFe variant that ignores singleton response parts")
 
     p = sub.add_parser("baseline", help="run the string-match coreference baseline (from a "
-                       "JSONL file or BRAT tree to JSONL: one process per CPU it may use)")
+                       "JSONL file or BRAT tree: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
 

@@ -27,8 +27,10 @@ each row.
 
 from __future__ import annotations
 
+import io
 import re
 from itertools import repeat
+from typing import Iterable, Iterator, TextIO
 
 from .errors import ParseError
 from .jsonl import _checked, _digits, _lines, _long_numeral
@@ -91,60 +93,88 @@ def write_coref_columns(corpus: Corpus) -> tuple[str, str]:
     doc_id must not be empty, hold whitespace or start with ``#`` (the
     column format cannot represent any of these).
     """
-    lines: list[str] = []
-    table: list[str] = []
-    for doc in corpus:
-        doc_id, text = doc.doc_id, doc.text
-        if not doc_id:
-            raise ValueError("doc_id '' is empty, which the column format cannot write")
-        if any(ch.isspace() for ch in doc_id):
-            raise ValueError(f"doc_id {doc_id!r} contains whitespace")
-        if doc_id.startswith("#"):
-            raise ValueError(f"doc_id {doc_id!r} starts with '#', which the column format "
-                             f"reads as a comment")
-        boundaries: set[int] = set()
-        for m in doc.mentions:
-            boundaries.update((m.start, m.end))
-        tokens = _tokenize(text, boundaries)
-        tok_at_start = {s: i for i, (s, _) in enumerate(tokens)}
-        tok_at_end = {e: i for i, (_, e) in enumerate(tokens)}
+    columns, table = io.StringIO(), io.StringIO()
+    _write_columns(map(_document_columns, corpus), columns, table)
+    return columns.getvalue(), table.getvalue()
 
-        # canonical chain numbering: by earliest member span (the reader
-        # restores the same order, making write-read-write stable)
-        chains = sorted(all_clusters(doc), key=CoreferenceCluster.span_key)
-        spans_seen: set[tuple[int, int]] = set()
-        # the entries of each token, keyed so that sorting puts opens first (the
-        # outermost first), then one-token mentions, then closes (the innermost first)
-        cells: dict[int, list[tuple[int, int, int, str]]] = {}
-        for chain_id, cluster in enumerate(chains):
-            for m in cluster.mentions:
-                if (m.start, m.end) in spans_seen:
-                    raise ValueError(
-                        f"column format cannot represent two mentions sharing span {m.span()}"
-                    )
-                spans_seen.add((m.start, m.end))
-                try:
-                    ti, tj = tok_at_start[m.start], tok_at_end[m.end]
-                except KeyError:
-                    raise ValueError(
-                        f"mention boundary inside whitespace @ {m.span()}"
-                    ) from None
-                if ti == tj:
-                    cells.setdefault(ti, []).append((1, 0, chain_id, f"({chain_id})"))
-                else:
-                    cells.setdefault(ti, []).append((0, -tj, chain_id, f"({chain_id}"))
-                    cells.setdefault(tj, []).append((2, -ti, chain_id, f"{chain_id})"))
-        coref = ["-"] * len(tokens)
-        for idx, entries in cells.items():
-            entries.sort()
-            coref[idx] = "|".join([entry[3] for entry in entries])
 
-        lines.append(f"{_BEGIN}{doc_id}")
-        for idx, (s, e) in enumerate(tokens):
-            lines.append(f"{doc_id}\t{idx}\t{text[s:e]}\t{coref[idx]}")
-            table.append(f"{doc_id}\t{idx}\t{s}\t{e}")
-        lines.append(_END)
-    return "\n".join(lines) + "\n", "\n".join(table) + ("\n" if table else "")
+def _write_columns(records: Iterable[tuple[str, str]], columns: TextIO, table: TextIO) -> None:
+    """Write the column lines and table rows of each document's record, in
+    step; a corpus of no document is a column file of one empty line."""
+    empty = True
+    for lines, rows in records:
+        columns.write(lines)
+        table.write(rows)
+        empty = False
+    if empty:
+        columns.write("\n")
+
+
+def _columns(docs: Iterable[Document]) -> Iterator[tuple[str | None, str]]:
+    """The map of a column output: each document's ``_document_columns``, or
+    ``(None, why)`` for one the writer refuses (see ``jsonl._unrefused``)."""
+    for doc in docs:
+        try:
+            yield _document_columns(doc)
+        except ValueError as exc:
+            yield None, str(exc)
+
+
+def _document_columns(doc: Document) -> tuple[str, str]:
+    """The column lines and the token table rows of one document, each line
+    with its newline; ValueError for a document ``write_coref_columns`` refuses."""
+    doc_id, text = doc.doc_id, doc.text
+    if not doc_id:
+        raise ValueError("doc_id '' is empty, which the column format cannot write")
+    if any(ch.isspace() for ch in doc_id):
+        raise ValueError(f"doc_id {doc_id!r} contains whitespace")
+    if doc_id.startswith("#"):
+        raise ValueError(f"doc_id {doc_id!r} starts with '#', which the column format "
+                         f"reads as a comment")
+    boundaries: set[int] = set()
+    for m in doc.mentions:
+        boundaries.update((m.start, m.end))
+    tokens = _tokenize(text, boundaries)
+    tok_at_start = {s: i for i, (s, _) in enumerate(tokens)}
+    tok_at_end = {e: i for i, (_, e) in enumerate(tokens)}
+
+    # canonical chain numbering: by earliest member span (the reader
+    # restores the same order, making write-read-write stable)
+    chains = sorted(all_clusters(doc), key=CoreferenceCluster.span_key)
+    spans_seen: set[tuple[int, int]] = set()
+    # the entries of each token, keyed so that sorting puts opens first (the
+    # outermost first), then one-token mentions, then closes (the innermost first)
+    cells: dict[int, list[tuple[int, int, int, str]]] = {}
+    for chain_id, cluster in enumerate(chains):
+        for m in cluster.mentions:
+            if (m.start, m.end) in spans_seen:
+                raise ValueError(
+                    f"column format cannot represent two mentions sharing span {m.span()}"
+                )
+            spans_seen.add((m.start, m.end))
+            try:
+                ti, tj = tok_at_start[m.start], tok_at_end[m.end]
+            except KeyError:
+                raise ValueError(
+                    f"mention boundary inside whitespace @ {m.span()}"
+                ) from None
+            if ti == tj:
+                cells.setdefault(ti, []).append((1, 0, chain_id, f"({chain_id})"))
+            else:
+                cells.setdefault(ti, []).append((0, -tj, chain_id, f"({chain_id}"))
+                cells.setdefault(tj, []).append((2, -ti, chain_id, f"{chain_id})"))
+    coref = ["-"] * len(tokens)
+    for idx, entries in cells.items():
+        entries.sort()
+        coref[idx] = "|".join([entry[3] for entry in entries])
+
+    lines = [f"{_BEGIN}{doc_id}\n"]
+    rows = []
+    for idx, (s, e) in enumerate(tokens):
+        lines.append(f"{doc_id}\t{idx}\t{text[s:e]}\t{coref[idx]}\n")
+        rows.append(f"{doc_id}\t{idx}\t{s}\t{e}\n")
+    lines.append(f"{_END}\n")
+    return "".join(lines), "".join(rows)
 
 
 def _table_fields(table: str) -> tuple[list[str], list[str], list[tuple[int, int]]] | None:

@@ -13,7 +13,8 @@ to ``coref_only`` for type ``None`` and ``concept_extractor`` otherwise.
 
 This module also holds the line handling and field checks, mention entries,
 keys and key groups among them, that the package's line-oriented readers
-share, and the JSON fragments that the corpus, KG and gold-KG writers share,
+share, the JSON fragments that the corpus, KG and gold-KG writers share, and
+the block and refusal rules of the per-document corpus readers and writers,
 so each of those facts is decided in one place.
 """
 
@@ -433,6 +434,20 @@ def _in_blocks(documents: Iterator[Document]) -> Iterator[Document]:
     while block := list(islice(documents, _BLOCK)):
         yield from block
         del block  # before the next block is read
+
+
+def _unrefused(records: Iterable[tuple]) -> Iterator[tuple]:
+    """The records of a corpus writer's map (``conll._columns``, ``brat._pairs``)
+    up to the first refusal, a ``(None, why)`` record; the rest are then read,
+    so that a read fault anywhere in the corpus wins, and ValueError(why) is
+    raised after the last."""
+    records = iter(records)
+    for record in records:
+        if record[0] is None:
+            for _ in records:
+                pass
+            raise ValueError(record[1])
+        yield record
 
 
 def _read_documents(path, start: int = 0, stop: int | None = None, *,

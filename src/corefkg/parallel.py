@@ -3,9 +3,13 @@
 ``records(path, chain)`` yields what ``chain`` yields for the documents of a
 BRAT tree (a directory) or of a JSONL file, for a ``chain`` that maps
 documents to records ``marshal`` can carry: ``baseline``'s and ``convert``'s
-records are their output lines, ``populate``'s and ``eval-kg``'s one tuple of
-plain values per document (``kgpop._records``), ``compile-gold``'s the kept
-clusters and matched link keys of a document (``goldkg._gold_records``).
+records are their JSONL output lines, each document's column lines and table
+rows (``conll._columns``), or the doc_id and target of each document whose
+BRAT pair the map has written (``brat._pairs``), a refused document being a
+``(None, why)`` record in either of the last two; ``populate``'s and
+``eval-kg``'s one tuple of plain values per document (``kgpop._records``),
+``compile-gold``'s the kept clusters and matched link keys of a document
+(``goldkg._gold_records``).
 
 One constant, ``jsonl._BLOCK``, sizes everything here. The readers hand on
 documents in blocks of it, a worker writes its records in blocks of it, and

@@ -842,3 +842,43 @@ def test_stats_streams_a_jsonl_input_into_the_table_of_the_whole_corpus(tmp_path
         whole = corpus_stats(read_jsonl(src.read_text("utf-8")), group_by)
         assert capsys.readouterr().out == whole.to_tsv()
     assert not any(isinstance(docs, Corpus) for docs in given)  # read one block at a time
+
+
+def test_stats_and_score_read_a_brat_tree_one_pair_at_a_time(tmp_path, capsys, monkeypatch):
+    corpus = random_corpus(random.Random(6), n_docs=12)
+    root, src = tmp_path / "brat", tmp_path / "in.jsonl"
+    write_brat_dir(corpus, root)
+    src.write_text(write_jsonl(read_brat_dir(root)), "utf-8")
+    argv = {"stats": ["stats", "--in", "{}", "--group-by", "domain"],
+            "score": ["score", "--key", "{}", "--response", str(src)]}
+    from_jsonl = {}
+    for command, args in argv.items():
+        assert main([arg.format(src) for arg in args]) == 0
+        from_jsonl[command] = capsys.readouterr()
+
+    def built(self):
+        raise AssertionError("a whole corpus was built")
+
+    monkeypatch.setattr(Corpus, "__post_init__", built)
+    for command, args in argv.items():
+        assert main([arg.format(root) for arg in args]) == 0
+        assert capsys.readouterr() == from_jsonl[command]
+
+
+def test_a_brat_output_into_an_existing_tree_keeps_the_files_no_document_writes(tmp_path):
+    corpus = random_corpus(random.Random(12), n_docs=3)
+    src, tree, fresh = tmp_path / "in.jsonl", tmp_path / "tree", tmp_path / "fresh"
+    src.write_text(write_jsonl(corpus), "utf-8")
+    write_brat_dir(random_corpus(random.Random(16), n_docs=4), tree)  # CS/d1 differs
+    (tree / "notes.md").write_text("kept\n", "utf-8")
+    write_brat_dir(corpus, fresh)
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    before = files(tree)
+    assert main(["convert", "--in", str(src), "--out", str(tree)]) == 0
+    after = files(tree)
+    assert after == {**before, **files(fresh)}
+    assert after[Path("CS/d1.txt")] != before[Path("CS/d1.txt")]
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "in.jsonl", "tree"]  # no staging directory

@@ -1,5 +1,6 @@
 """``baseline``, ``convert``, ``populate``, ``compile-gold`` and ``eval-kg`` on one
-process per CPU give what one process gives, from a JSONL file and from a BRAT tree."""
+process per CPU give what one process gives, from a JSONL file and from a BRAT tree,
+and so do ``baseline`` and ``convert`` to every output format."""
 
 import contextlib
 import io
@@ -16,12 +17,13 @@ from corefkg import jsonl, parallel
 from corefkg.baseline import resolve_corpus
 from corefkg.brat import read_brat_dir, write_brat_dir
 from corefkg.cli import main
+from corefkg.conll import write_coref_columns
 from corefkg.goldkg import (attach_entity_links, compile_gold, evaluate_population,
                             write_gold_jsonl)
 from corefkg.jsonl import write_jsonl
 from corefkg.kgpop import (CollapseStrategy, DomainScope, export_kg_jsonl, export_ntriples,
                            kg_stats, populate)
-from corefkg.model import Corpus
+from corefkg.model import Corpus, Document
 
 from corpusgen import random_corpus
 
@@ -31,6 +33,19 @@ BAD_DOCUMENT = (b'{"clusters": [], "doc_id": "bad", "domain": "CS", '
                 b'"mentions": [{"end": 9, "start": 0, "type": "Data"}], "text": "ab"}')
 #: the faults a corpus may carry, at most one each
 FAULTS = [None, "bad-json", "bad-document", "repeated-id", "byte-after-json"]
+#: a document that the readers take and that the column and BRAT writers refuse: two
+#: mentions on one span, and a path that would read back in domain "CS"
+REFUSED = (b'{"clusters": [], "doc_id": "CS/refused", "domain": "", "mentions": ['
+           b'{"end": 2, "start": 0, "type": "Data"}, {"end": 2, "start": 0, "type": "Method"}], '
+           b'"text": "ab"}')
+#: what the writer of each output says of it
+REFUSALS = {
+    "conll": "error: column format cannot represent two mentions sharing span CS/refused[0,2)\n",
+    "brat": "error: doc_id 'CS/refused' of domain '' would be written to {out!r}, which reads "
+            "back in another domain\n",
+}
+#: the column and BRAT outputs: the name of each one's output
+OUTPUTS = {"conll": "pred.conll", "brat": "tree"}
 _SCOPES = {"cross": DomainScope.CROSS_DOMAIN, "in": DomainScope.IN_DOMAIN}
 
 
@@ -46,6 +61,11 @@ def _corpus_file(path, seed: int, n_docs: int, fault, position: int, crlf: bool,
     elif fault == "byte-after-json":  # bad JSON in the first range, a bad byte in the last
         lines[0] = BAD_JSON
         lines.append(b'{"doc_id": "\xff"}')
+    elif fault == "refused":
+        lines[position] = REFUSED
+    elif fault == "refused-then-bad-json":  # a refusal in the first range, bad JSON in the last
+        lines[0] = REFUSED
+        lines.append(BAD_JSON)
     lines.insert(blank, b" ")
     path.write_bytes(b"".join(line + (b"\r\n" if crlf else b"\n") for line in lines))
     return corpus
@@ -63,7 +83,9 @@ POPULATE = [
 def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str], name: str,
          out_flag: str = "--out"):
     """Exit status, stdout, stderr and the output directory's files of one call
-    of ``argv`` with ``--in src`` and ``out_flag`` the file ``name`` or stdout."""
+    of ``argv`` with ``--in src`` and ``out_flag`` the file ``name`` or stdout.
+    The call runs in the output directory, so that ``name`` names the output
+    alike in every call's messages."""
     out_dir.mkdir()
     out, err = io.StringIO(), io.StringIO()
     fork = os.fork
@@ -74,25 +96,35 @@ def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str],
             forks.append(pid)
         return pid
 
-    target = "-" if to_stdout else str(out_dir / name)
-    with mock.patch.object(parallel, "_cpus", lambda: cpus), \
-            mock.patch.object(os, "fork", counted_fork), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main([*argv, "--in", str(src), out_flag, target])
+    cwd = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        with mock.patch.object(parallel, "_cpus", lambda: cpus), \
+                mock.patch.object(os, "fork", counted_fork), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([*argv, "--in", str(src), out_flag, "-" if to_stdout else name])
+    finally:
+        os.chdir(cwd)
     with pytest.raises(ChildProcessError):  # every worker has been waited for
         os.waitpid(-1, os.WNOHANG)
-    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-    return status, out.getvalue(), err.getvalue(), files
+    return status, out.getvalue(), err.getvalue(), _files(out_dir)
 
 
-def _outcome(root, src, argv: list[str], name: str, block: int,
-             out_flag: str = "--out") -> dict[bool, tuple]:
-    """The outcome of ``argv`` with ``out_flag`` a file and with stdout (the
-    keys), which must be the same with ``_cpus`` patched to 1, 2 and 3. Either
-    input is read, cut and handed back in blocks of ``block`` documents."""
+def _files(directory) -> dict:
+    """The bytes of each file under ``directory``, and None for each directory
+    under it, by relative path."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(directory.rglob("*"))}
+
+
+def _outcome(root, src, argv: list[str], name: str, block: int, out_flag: str = "--out",
+             stdout: bool = True) -> dict[bool, tuple]:
+    """The outcome of ``argv`` with ``out_flag`` a file and, if ``stdout``, with
+    stdout (the keys), which must be the same with ``_cpus`` patched to 1, 2 and
+    3. Either input is read, cut and handed back in blocks of ``block`` documents."""
     outcomes: dict[bool, list] = {}
     with mock.patch.object(jsonl, "_BLOCK", block):
-        for to_stdout in (False, True):
+        for to_stdout in (False, True)[:1 + stdout]:
             for cpus in (1, 2, 3):
                 forks: list[int] = []
                 outcome = _run(src, root / f"out-{to_stdout}-{cpus}", cpus, to_stdout, forks,
@@ -131,6 +163,51 @@ def test_every_process_count_gives_the_outcome_of_one(tmp_path_factory, command,
             assert files == ({} if fault else {"pred.jsonl": expected.encode("utf-8")})
         if fault == "byte-after-json":
             assert "not UTF-8" in err
+
+
+def _library_files(corpus, output: str, directory) -> dict:
+    """``_files`` of ``directory`` once the library has written ``corpus`` in it
+    as ``output``, under the name ``OUTPUTS[output]``."""
+    directory.mkdir()
+    target = directory / OUTPUTS[output]
+    if output == "brat":
+        write_brat_dir(corpus, target)
+    else:
+        columns, table = write_coref_columns(corpus)
+        target.write_text(columns, "utf-8")
+        (directory / f"{target.name}.tokens").write_text(table, "utf-8")
+    return _files(directory)
+
+
+def _check_written(root, outcome: dict, command: str, output: str, corpus, fault, not_utf8: str):
+    """The one outcome of ``command`` to ``output``: the library's files for a
+    faultless corpus; otherwise exit 2 with nothing written, no staging
+    directory or temporary file included."""
+    (status, out, err, files), = outcome.values()
+    if fault is None:
+        expected = resolve_corpus(corpus) if command == "baseline" else corpus
+        assert (status, out, err, files) == (0, "", "", _library_files(expected, output,
+                                                                       root / "library"))
+        return
+    assert (status, out, files) == (2, "", {}) and err
+    assert ("not UTF-8" in err) is (fault == not_utf8)
+    if fault == "refused":
+        assert err == REFUSALS[output].format(out="tree/CS/refused")
+    if fault == "refused-then-bad-json":  # the read fault wins, as when all was read first
+        assert "line " in err and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+@pytest.mark.parametrize("command", ["baseline", "convert"])
+@settings(max_examples=8, deadline=None)
+@given(**{**CORPORA, "fault": st.sampled_from([*FAULTS, "refused", "refused-then-bad-json"])})
+def test_every_process_count_writes_a_column_file_or_brat_tree_as_one(
+        tmp_path_factory, command, output, seed, n_docs, block, fault, position, crlf, blank):
+    root = tmp_path_factory.mktemp("outputs")
+    src = root / "in.jsonl"
+    corpus = _corpus_file(src, seed, n_docs, fault, position % n_docs, crlf, blank % n_docs)
+    outcome = _outcome(root, src, [command], OUTPUTS[output], block, stdout=False)
+    _check_written(root, outcome, command, output, corpus, fault, "byte-after-json")
 
 
 @pytest.mark.parametrize("argv, library", POPULATE, ids=[" ".join(a) for a, _ in POPULATE])
@@ -274,6 +351,74 @@ def test_every_process_count_reads_a_brat_tree_as_one(tmp_path_factory, command,
             assert out == ""
 
 
+@pytest.mark.parametrize("output", OUTPUTS)
+@pytest.mark.parametrize("command", ["baseline", "convert"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(6, 12),
+       block=st.sampled_from([1, 2, 3]), fault=st.sampled_from(BRAT_FAULTS),
+       position=st.integers(0, 11))
+def test_every_process_count_writes_a_brat_tree_to_a_column_file_or_brat_tree_as_one(
+        tmp_path_factory, command, output, seed, n_docs, block, fault, position):
+    root = tmp_path_factory.mktemp("brat-outputs")
+    corpus = _brat_tree(root / "in", seed, n_docs, fault, position)
+    outcome = _outcome(root, root / "in", [command], OUTPUTS[output], block, stdout=False)
+    _check_written(root, outcome, command, output, corpus, fault, "txt-not-utf8")
+
+
+def _split_corpus(tmp_path, monkeypatch, cpus: int, first: bytes | None = None,
+                  last: bytes | None = None):
+    """The path of a JSONL file of 12 documents, ``first`` before them and
+    ``last`` after them, read in blocks of 2 and cut into ``cpus`` ranges."""
+    monkeypatch.setattr(jsonl, "_BLOCK", 2)
+    monkeypatch.setattr(parallel, "_cpus", lambda: cpus)
+    corpus = write_jsonl(random_corpus(random.Random(8), n_docs=12)).encode("utf-8")
+    lines = [first, *corpus.splitlines(), last]
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(b"".join(line + b"\n" for line in lines if line is not None))
+    assert len(parallel._ranges(src, cpus)[1]) == cpus - 1
+    return src
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_a_read_fault_in_the_last_document_leaves_an_existing_output_as_it_was(
+        tmp_path, monkeypatch, capsys, output, cpus):
+    src = _split_corpus(tmp_path, monkeypatch, cpus, last=BAD_JSON)
+    out_dir = tmp_path / "out"
+    before = _library_files(random_corpus(random.Random(9), n_docs=5), output, out_dir)
+    assert main(["convert", "--in", str(src), "--out", str(out_dir / OUTPUTS[output])]) == 2
+    assert capsys.readouterr().err == f"error: {src}: line 13: invalid JSON: Expecting value\n"
+    assert _files(out_dir) == before  # byte for byte, with no staging directory or temporary
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_a_read_fault_in_the_last_range_wins_over_a_refusal_in_the_first(
+        tmp_path, monkeypatch, capsys, output, cpus):
+    out = tmp_path / "out" / OUTPUTS[output]
+    out.parent.mkdir()
+    for last, err in ((BAD_JSON, "error: {src}: line 14: invalid JSON: Expecting value\n"),
+                      (None, REFUSALS[output].format(out=str(out / "CS" / "refused")))):
+        src = _split_corpus(tmp_path, monkeypatch, cpus, first=REFUSED, last=last)
+        assert main(["baseline", "--in", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err.format(src=src)
+        assert _files(out.parent) == {}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_two_doc_ids_of_one_brat_target_in_different_ranges_are_refused(tmp_path, monkeypatch,
+                                                                        capsys, cpus):
+    src = _split_corpus(tmp_path, monkeypatch, cpus,
+                           first=write_jsonl(Corpus((Document("a", "CS", "ab"),))).encode(),
+                           last=write_jsonl(Corpus((Document("CS/a", "CS", "ab"),))).encode())
+    out = tmp_path / "out" / "tree"
+    out.parent.mkdir()
+    assert main(["convert", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: doc_ids 'a' and 'CS/a' would both be written to {str(out / 'CS' / 'a')!r}\n")
+    assert _files(out.parent) == {}
+
+
 def _faultless_corpus(tmp_path, monkeypatch):
     monkeypatch.setattr(jsonl, "_BLOCK", 2)
     monkeypatch.setattr(parallel, "_cpus", lambda: 3)
@@ -296,6 +441,14 @@ def test_no_worker_outlives_an_interrupted_main_process(tmp_path, monkeypatch, e
     _interrupt_while_waiting(tmp_path, monkeypatch, exception, ["baseline"])
 
 
+@pytest.mark.parametrize("output", OUTPUTS)
+@pytest.mark.parametrize("exception", [KeyboardInterrupt, RuntimeError])
+def test_no_worker_outlives_an_interrupted_column_or_brat_output(tmp_path, monkeypatch, exception,
+                                                                  output):
+    _interrupt_while_waiting(tmp_path, monkeypatch, exception, ["baseline"],
+                             name=OUTPUTS[output])
+
+
 @pytest.mark.parametrize("exception", [KeyboardInterrupt, RuntimeError])
 def test_no_worker_outlives_an_interrupted_populate(tmp_path, monkeypatch, exception):
     _interrupt_while_waiting(tmp_path, monkeypatch, exception, ["populate", "--strategy", "cross"])
@@ -312,7 +465,8 @@ def test_no_worker_outlives_an_interrupted_compile_gold_of_a_brat_tree(tmp_path,
     _interrupt_while_waiting(tmp_path, monkeypatch, exception, ["compile-gold"], src)
 
 
-def _interrupt_while_waiting(tmp_path, monkeypatch, exception, command, src=None):
+def _interrupt_while_waiting(tmp_path, monkeypatch, exception, command, src=None,
+                             name="out.jsonl"):
     src = src or _faultless_corpus(tmp_path, monkeypatch)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -322,7 +476,7 @@ def _interrupt_while_waiting(tmp_path, monkeypatch, exception, command, src=None
 
     monkeypatch.setattr(parallel._Worker, "join", interrupted)  # while it waits for a worker
     with pytest.raises(exception) as raised:
-        main([*command, "--in", str(src), "--out", str(out_dir / "out.jsonl")])
+        main([*command, "--in", str(src), "--out", str(out_dir / name)])
     with pytest.raises(ChildProcessError):  # while the traceback holds the command's frames
         os.waitpid(-1, os.WNOHANG)
     del raised

@@ -3,13 +3,10 @@ import json
 import os
 import random
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import corefkg
 from corefkg import cli, jsonl
 from corefkg.baseline import resolve_corpus
 from corefkg.brat import read_brat_dir, write_brat_dir
@@ -21,6 +18,7 @@ from corefkg.kgpop import (CollapseStrategy, DomainScope, export_kg_jsonl, expor
                            kg_stats, populate)
 from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention, corpus_stats
 
+from clirun import PACKAGE_ROOT, run_cli, run_python
 from corpusgen import random_corpus
 
 
@@ -178,20 +176,6 @@ def test_usage_error_exits_1(capsys):
 
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["stats", "--in", str(tmp_path / "nope.jsonl")]) == 2
-
-
-def test_convert_jsonl_brat_roundtrip(tmp_path, capsys):
-    rng = random.Random(12)
-    corpus = random_corpus(rng, n_docs=3)
-    src = tmp_path / "in.jsonl"
-    src.write_text(write_jsonl(corpus), "utf-8")
-    brat_dir = tmp_path / "brat"
-    assert main(["convert", "--in", str(src), "--out", str(brat_dir)]) == 0
-    back = tmp_path / "back.jsonl"
-    assert main(["convert", "--in", str(brat_dir), "--out", str(back)]) == 0
-    restored = read_jsonl(back.read_text("utf-8"))
-    # directory reads are path-sorted, so compare documents by id
-    assert {d.doc_id: d for d in restored} == {d.doc_id: d for d in corpus}
 
 
 def test_convert_to_conll_and_score(tmp_path, capsys):
@@ -649,12 +633,7 @@ def test_an_output_through_a_symbolic_link_replaces_the_link_target(corpus_path,
 
 
 def test_gold_kg_on_stdout_is_byte_equal_to_the_library_string(linked_corpus_path):
-    package_root = str(Path(corefkg.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
-           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "corefkg.cli", "compile-gold",
-                           "--in", str(linked_corpus_path), "--out", "-"],
-                          env=env, capture_output=True, timeout=120)
+    done = run_cli("compile-gold", "--in", linked_corpus_path, "--out", "-")
     assert done.returncode == 0, done.stderr.decode()
     corpus = read_jsonl(linked_corpus_path.read_text("utf-8"))
     assert done.stdout == write_gold_jsonl(compile_gold(corpus)).encode("utf-8")
@@ -662,22 +641,16 @@ def test_gold_kg_on_stdout_is_byte_equal_to_the_library_string(linked_corpus_pat
 
 def _cli_outputs(src: Path, workdir: Path, hash_seed: str) -> dict[str, bytes]:
     """Run baseline, then populate in both formats, in fresh interpreters."""
-    package_root = str(Path(corefkg.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     workdir.mkdir()
     pred = workdir / "pred.jsonl"
-    runs = [
-        ["baseline", "--in", str(src), "--out", str(pred)],
-        ["populate", "--in", str(pred), "--strategy", "cross", "--format", "ntriples",
-         "--out", str(workdir / "kg.nt")],
-        ["populate", "--in", str(pred), "--strategy", "in", "--format", "jsonl",
-         "--out", str(workdir / "kg.jsonl")],
-    ]
+    runs = [["baseline", "--in", src, "--out", pred],
+            ["populate", "--in", pred, "--strategy", "cross", "--format", "ntriples",
+             "--out", workdir / "kg.nt"],
+            ["populate", "--in", pred, "--strategy", "in", "--format", "jsonl",
+             "--out", workdir / "kg.jsonl"]]
     outputs = {}
     for i, argv in enumerate(runs):
-        done = subprocess.run([sys.executable, "-m", "corefkg.cli", *argv], env=env,
-                              capture_output=True, timeout=120)
+        done = run_cli(*argv, hash_seed=hash_seed)
         assert done.returncode == 0, done.stderr.decode()
         outputs[f"stdout{i}"] = done.stdout
     for path in sorted(workdir.iterdir()):
@@ -696,37 +669,31 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert seed0 == seed1
 
 
+def _listed_after_help(names: str) -> str:
+    """What an isolated interpreter prints of the expression ``names`` once the
+    command line has printed its help. -I -S keep out the environment, the user
+    site and site-packages .pth hooks, which could load modules first."""
+    done = run_python("-I", "-S", "-c", "import sys\n"
+                      f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
+                      "from corefkg.cli import main\n"
+                      "assert main(['--help']) == 0\n"
+                      f"print({names})\n")
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode().splitlines()[-1]
+
+
 def test_cli_imports_only_the_package_and_the_standard_library():
-    # -I -S: no environment, user site or site-packages .pth hooks, which
-    # would load third-party modules before the package is imported.
-    package_root = str(Path(corefkg.__file__).resolve().parent.parent)
-    code = ("import sys\n"
-            f"sys.path.insert(0, {package_root!r})\n"
-            "from corefkg.cli import main\n"
-            "assert main(['--help']) == 0\n"
-            "print(sorted(name for name in sys.modules if name != '__main__'\n"
-            "             and name.partition('.')[0] not in (*sys.stdlib_module_names, 'corefkg')))\n")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                          capture_output=True, text=True, encoding="utf-8", timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert _listed_after_help("sorted(name for name in sys.modules if name != '__main__' and "
+                              "name.partition('.')[0] not in "
+                              "(*sys.stdlib_module_names, 'corefkg'))") == "[]"
 
 
 def test_cli_loads_no_module_of_the_worker_code_before_it_forks():
     # baseline's workers import these when they are started; the other
     # commands, and every call's set-up, pay for none of them
-    package_root = str(Path(corefkg.__file__).resolve().parent.parent)
-    code = ("import sys\n"
-            f"sys.path.insert(0, {package_root!r})\n"
-            "from corefkg.cli import main\n"
-            "assert main(['--help']) == 0\n"
-            "print(sorted(name for name in ('multiprocessing', 'pickle', 'random', 'signal',\n"
-            "                               'subprocess', 'tempfile', 'threading')\n"
-            "             if name in sys.modules))\n")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                          capture_output=True, text=True, encoding="utf-8", timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert _listed_after_help("sorted(name for name in ('multiprocessing', 'pickle', 'random', "
+                              "'signal', 'subprocess', 'tempfile', 'threading') "
+                              "if name in sys.modules)") == "[]"
 
 
 @pytest.mark.parametrize("command", ["score", "eval-kg"])

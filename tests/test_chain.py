@@ -2,8 +2,8 @@
 compile-gold → eval-kg``, in fresh interpreters in development mode, where an
 unclosed file is an error, on inputs that fork real workers: 2,000 documents
 as JSONL, their first 300 as JSONL and as a BRAT tree. Each call gives what the
-library gives on every CPU and, if it forks, on one CPU, to which its affinity
-holds it. ``test_parallel.py`` covers the same commands in this process."""
+library gives on every CPU and on one CPU, to which its affinity holds
+it. ``test_parallel.py`` covers the same commands in this process."""
 
 import json
 import os
@@ -86,11 +86,6 @@ LEGS = {
 }
 
 
-def _forks(command: str) -> bool:
-    """Whether a call maps its input on every CPU, as all do but score and those on columns."""
-    return not command.startswith("score") and not command.split()[2].endswith(".conll")
-
-
 @pytest.fixture(scope="session")
 def chain(tmp_path_factory):
     """The directory of the chain's inputs, and what the library gives for each call."""
@@ -130,7 +125,7 @@ def chain(tmp_path_factory):
     pytest.param(command, one_cpu, id=f"{command}, {'one CPU' if one_cpu else 'every CPU'}",
                  marks=pytest.mark.skipif(one_cpu and _NO_ONE_CPU is not None,
                                           reason=_NO_ONE_CPU or ""))
-    for command in LEGS for one_cpu in (False, True)[:1 + _forks(command)]])
+    for command in LEGS for one_cpu in (False, True)])
 def test_a_call_gives_what_the_library_gives(chain, tmp_path, command, one_cpu):
     root, expected = chain
     *argv, output = command.split()

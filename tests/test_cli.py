@@ -178,6 +178,20 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["stats", "--in", str(tmp_path / "nope.jsonl")]) == 2
 
 
+def test_convert_jsonl_brat_roundtrip(tmp_path, capsys):
+    rng = random.Random(12)
+    corpus = random_corpus(rng, n_docs=3)
+    src = tmp_path / "in.jsonl"
+    src.write_text(write_jsonl(corpus), "utf-8")
+    brat_dir = tmp_path / "brat"
+    assert main(["convert", "--in", str(src), "--out", str(brat_dir)]) == 0
+    back = tmp_path / "back.jsonl"
+    assert main(["convert", "--in", str(brat_dir), "--out", str(back)]) == 0
+    restored = read_jsonl(back.read_text("utf-8"))
+    # directory reads are path-sorted, so compare documents by id
+    assert {d.doc_id: d for d in restored} == {d.doc_id: d for d in corpus}
+
+
 def test_convert_to_conll_and_score(tmp_path, capsys):
     rng = random.Random(13)
     corpus = random_corpus(rng, n_docs=2)

@@ -323,9 +323,11 @@ def write_brat_dir(
     appended to it whole, so a dotted last segment such as ``v1.2`` reads
     back unchanged) holds a null byte, leaves ``root``, would be read back in
     another domain than the document's (``read_brat_dir`` takes the first
-    directory of the path, or ``''`` for a file directly under ``root``) or
-    is shared with another document; the first such document in corpus
-    order is the one reported.
+    directory of the path, or ``''`` for a file directly under ``root``), is
+    shared with another document, or makes a file where another document's
+    path needs a directory (``CS/x`` writes ``CS/x.txt``, which ``CS/x.txt/y``
+    needs as a directory), or the other way round; the first such document
+    in corpus order is the one reported.
     """
     with _staged(root) as staging:
         _written(_pairs(corpus, root, staging, relation_label), root)
@@ -357,8 +359,12 @@ def _pairs(docs: Iterable[Document], root, staging: str,
     """The map of a BRAT output to ``root``: each document's pair written at
     its ``_target`` under ``staging``, and ``(doc_id, target)`` yielded, or
     ``(None, why)`` for a document refused on its own, with nothing written
-    (see ``jsonl._unrefused``). Two documents of one target are left to
-    ``_written``."""
+    (see ``jsonl._unrefused``). Two documents whose targets collide are left
+    to ``_written``, which refuses them in corpus order, whichever process
+    wrote first: one target, or one path that is a file of one target and a
+    directory above the other. The write that the second of them meets fails
+    with one of the errors that only such a path raises in the new staging
+    directory, and the document's record is yielded all the same."""
     made: set[str] = set()  # the directories known to exist
     for doc in docs:
         try:
@@ -369,30 +375,53 @@ def _pairs(docs: Iterable[Document], root, staging: str,
             continue
         target = os.path.join(staging, stem)
         directory = os.path.dirname(target)
-        if directory not in made:
-            os.makedirs(directory, exist_ok=True)
-            made.add(directory)
-        with open(target + ".txt", "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-        with open(target + ".ann", "w", encoding="utf-8") as f:
-            f.write(ann)
+        try:
+            if directory not in made:
+                os.makedirs(directory, exist_ok=True)
+                made.add(directory)
+            with open(target + ".txt", "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            with open(target + ".ann", "w", encoding="utf-8") as f:
+                f.write(ann)
+        except (FileExistsError, IsADirectoryError, NotADirectoryError):
+            pass  # a collision, which _written refuses
         yield doc.doc_id, stem
 
 
 def _written(records: Iterable[tuple[str | None, str]], root) -> None:
     """Read the records of ``_pairs`` in corpus order: ValueError, raised once
-    the last is read, for the first refusal among them, a target that two
-    documents share included."""
+    the last is read, for the first refusal among them, two documents whose
+    targets collide included: one target, or a path that would be a file
+    (``.txt`` or ``.ann``) of one target and a directory above the other."""
     targets: dict[str, str] = {}  # target -> the doc_id written there
+    paths: dict[str, tuple[bool, str]] = {}  # path -> (a file?, the first target to make it)
+
+    def collision(doc_id: str, stem: str) -> str | None:
+        if stem in targets:
+            return (f"doc_ids {targets[stem]!r} and {doc_id!r} would both be written to "
+                    f"{os.path.join(root, stem)!r}")
+        made = [(True, stem + ".txt"), (True, stem + ".ann")]
+        directory = os.path.dirname(stem)
+        while directory:
+            made.append((False, directory))
+            directory = os.path.dirname(directory)
+        for is_file, path in made:
+            other = paths.setdefault(path, (is_file, stem))
+            if other[0] != is_file:
+                first = other[1]
+                return (f"doc_ids {targets[first]!r} and {doc_id!r} would be written to "
+                        f"{os.path.join(root, first)!r} and {os.path.join(root, stem)!r}, "
+                        f"which need {os.path.join(root, path)!r} to be both a file and a "
+                        f"directory")
+        targets[stem] = doc_id
+        return None
 
     def shared() -> Iterator[tuple[str | None, str]]:
         for doc_id, stem in records:
             if doc_id is not None:
-                if stem in targets:
-                    doc_id, stem = None, (f"doc_ids {targets[stem]!r} and {doc_id!r} would both "
-                                          f"be written to {os.path.join(root, stem)!r}")
-                else:
-                    targets[stem] = doc_id
+                why = collision(doc_id, stem)
+                if why is not None:
+                    doc_id, stem = None, why
             yield doc_id, stem
 
     for _ in _unrefused(shared()):

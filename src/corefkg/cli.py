@@ -9,6 +9,10 @@ anything else = conll columns) and can be forced with --format; a corpus
 output of ``-`` is JSONL on stdout. A column file's sidecar token table is
 looked up at ``<path>.tokens``. Option values resolve as: command-line flag,
 then config file (``key = value`` lines, ``--config``), then built-in default.
+
+Commands that read a JSONL file or a BRAT tree map it on every CPU they may
+use (``corefkg.parallel``); ``score`` reads its key and its response at once,
+on two processes when two CPUs may be used.
 """
 
 from __future__ import annotations
@@ -23,27 +27,19 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
-from . import brat, conll, jsonl, parallel
+from . import brat, jsonl, parallel
 from .baseline import _resolved
 from .errors import ParseError, ValidationError
-from .goldkg import (
-    _evaluated,
-    _gold,
-    _gold_lines,
-    _gold_records,
-    _restriction,
-    read_entity_links,
-    read_gold_jsonl,
-)
-from .kgpop import CollapseStrategy, DomainScope, _cluster_fragment, _kept, _Population, _records
-from .metrics import score_corpora
+from .metrics import _parts, _scored
 from .model import Document, corpus_stats
 from .normalize import load_lemma_exceptions, set_default_lemma_exceptions
+
+# The KG, gold-KG and column modules are imported by the functions that use
+# them, so that a command that needs none of them does not load them.
 
 __all__ = ["main"]
 
 T = TypeVar("T")
-_STRATEGY = {"cross": DomainScope.CROSS_DOMAIN, "in": DomainScope.IN_DOMAIN}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +94,8 @@ def _documents(path_s: str, fmt: str | None) -> Iterator[Document]:
     elif fmt == "jsonl":
         yield from _named(path, jsonl._read_documents(path))
     elif fmt == "conll":
+        from . import conll
+
         tokens_path = Path(str(path) + ".tokens")
         table = jsonl._read_text(tokens_path) if tokens_path.exists() else None
         try:
@@ -176,6 +174,8 @@ def _write_corpus(src: str, fmt_in: str | None, out: str, fmt_out: str | None, *
         with mapped(jsonl._document_lines) as lines:
             _emit(lines, out)
     elif fmt == "conll":
+        from . import conll
+
         with _replacing(out, out + ".tokens") as (columns, table), \
                 mapped(conll._columns) as records:
             conll._write_columns(jsonl._unrefused(records), columns, table)
@@ -185,8 +185,12 @@ def _write_corpus(src: str, fmt_in: str | None, out: str, fmt_out: str | None, *
             brat._written(records, out)
 
 
-def _strategy(args) -> CollapseStrategy:
-    return CollapseStrategy(scope=_STRATEGY[args.strategy], use_coreference=not args.no_coref)
+def _strategy(args):
+    """The ``kgpop.CollapseStrategy`` of ``--strategy`` and ``--no-coref``."""
+    from .kgpop import CollapseStrategy, DomainScope
+
+    scope = DomainScope.CROSS_DOMAIN if args.strategy == "cross" else DomainScope.IN_DOMAIN
+    return CollapseStrategy(scope=scope, use_coreference=not args.no_coref)
 
 
 @contextlib.contextmanager
@@ -262,7 +266,9 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--group-by", choices=["concept_type", "domain"], default="concept_type")
 
-    p = sub.add_parser("score", help="score a response corpus against a key corpus")
+    p = sub.add_parser("score", help="score a response corpus against a key corpus (the key "
+                       "and the response are read at once: on two processes when two CPUs "
+                       "may be used)")
     p.add_argument("--key", required=True)
     p.add_argument("--response", required=True)
     p.add_argument("--json-out", help="write the JSON report to this file (default: stdout, "
@@ -320,10 +326,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    report = score_corpora(
-        _documents(args.key, args.format), _documents(args.response, args.format),
-        ceafe_drop_singleton_response_parts=args.ceafe_drop_singletons,
-    )
+    # the response is read by a worker while this process reads the key
+    response = partial(_documents, args.response, args.format)
+    with parallel.aside(args.response, response, _parts) as response_records:
+        report = _scored(_parts(_documents(args.key, args.format)), response_records,
+                         args.ceafe_drop_singletons)
     payload = report.to_dict()
     _write_report(report.to_table(), payload, args.json_out)
     if not args.json_out:  # no file named: the JSON follows the table on stdout
@@ -337,6 +344,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_populate(args) -> int:
+    from .kgpop import _cluster_fragment, _kept, _Population, _records
+
     ntriples = args.kg_format == "ntriples"
     chain = partial(_records, strategy=_strategy(args),
                     keep=_kept(args.gold, None if ntriples else _cluster_fragment))
@@ -349,6 +358,8 @@ def _cmd_populate(args) -> int:
 
 
 def _cmd_compile_gold(args) -> int:
+    from .goldkg import _gold, _gold_lines, _gold_records, read_entity_links
+
     links = (_read_first(args.input, args.format, read_entity_links, args.links)
              if args.links else {})
     chain = partial(_gold_records, links=links)
@@ -359,6 +370,9 @@ def _cmd_compile_gold(args) -> int:
 
 
 def _cmd_eval_kg(args) -> int:
+    from .goldkg import _evaluated, _restriction, read_gold_jsonl
+    from .kgpop import _records
+
     key = _read_first(args.input, args.format, read_gold_jsonl, args.gold).partition()
     universe = key.universe()
     chain = partial(_records, strategy=_strategy(args), keep=_restriction(universe))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ParseError", "ValidationError"]
+
 
 class ParseError(ValueError):
     """A file could not be parsed; carries the 1-based line number when known.

@@ -29,9 +29,11 @@ arithmetic, so the alignment is exactly optimal.
 
 Mention ids that carry their document, as ``corpus_partition`` builds them,
 never connect two documents, so every raw count of a pooled corpus is a sum
-of per-document counts. ``score_corpora`` scores two corpora that way: it
-pairs documents by doc_id, builds one small table per pair over
-(start, end, type) ids, sums the counts and turns the sums into scores once.
+of per-document counts. ``score_corpora`` scores two corpora that way: a
+map turns each document into its parts over (start, end, type value) ids,
+plain values that a worker process can hand back (``_parts``), and a sum
+pairs documents by doc_id, builds one small table per pair, sums the counts
+and turns the sums into scores once (``_scored``).
 
 Degenerate 0/0 components are defined as 0, matching the behaviour of the
 standard CoNLL scorer on partitions without links.
@@ -513,22 +515,56 @@ def score(
 
 
 def _document_parts(doc) -> list[list[tuple]]:
-    """The parts of ``all_clusters(doc)``, as lists of (start, end, type) ids."""
-    parts = [[(m.start, m.end, m.concept_type) for m in cluster.mentions]
+    """The parts of ``all_clusters(doc)``, as lists of (start, end, type value)
+    ids: plain values, which ``marshal`` carries."""
+    # _value_, the member's own attribute, is read about ten times faster than .value
+    parts = [[(m.start, m.end, m.concept_type._value_) for m in cluster.mentions]
              for cluster in doc.clusters]
     covered = {i for part in parts for i in part}
-    parts += [[i] for m in doc.mentions if (i := (m.start, m.end, m.concept_type)) not in covered]
+    parts += [[i] for m in doc.mentions
+              if (i := (m.start, m.end, m.concept_type._value_)) not in covered]
     return parts
 
 
-def _unique(docs: Iterable) -> Iterator:
-    """The documents of ``docs``; ValueError at the first repeated doc_id."""
-    seen: set[str] = set()
+def _parts(docs: Iterable) -> Iterator[tuple[str, list[list[tuple]]]]:
+    """The map of scoring: the doc_id and ``_document_parts`` of each document."""
     for doc in docs:
-        if doc.doc_id in seen:
+        yield doc.doc_id, _document_parts(doc)
+
+
+def _unique(records: Iterable[tuple]) -> Iterator[tuple]:
+    """The ``_parts`` records of a corpus; ValueError at the first repeated doc_id."""
+    seen: set[str] = set()
+    for record in records:
+        if record[0] in seen:
             raise ValueError("a corpus repeats a doc_id")
-        seen.add(doc.doc_id)
-        yield doc
+        seen.add(record[0])
+        yield record
+
+
+def _scored(key: Iterable[tuple], response: Iterable[tuple],
+            ceafe_drop_singleton_response_parts: bool) -> ScoreReport:
+    """The sum of scoring: the report of the ``_parts`` records of a key corpus
+    and of a response corpus. The key records are read to their end before the
+    first response record is, so that a fault of the key is raised first. Each
+    response document is scored as it is read, against the key document of its
+    doc_id, in one overlap table over (start, end, type value) ids; the key
+    documents left over are scored last, as twinless. ValueError if either
+    corpus repeats a doc_id."""
+    key_parts = dict(_unique(key))
+
+    def pairs() -> Iterator[tuple[list, list]]:
+        for doc_id, parts in _unique(response):
+            yield key_parts.pop(doc_id, []), parts
+        yield from ((parts, []) for parts in key_parts.values())
+
+    drop = ceafe_drop_singleton_response_parts
+    totals = _counts(_overlap((), ()), drop)  # every count zero
+    for key_doc, response_doc in pairs():
+        table = _overlap(key_doc, response_doc, align=True)
+        totals = [tuple(map(iadd, total, counts))
+                  for total, counts in zip(totals, _counts(table, drop))]
+    return _report(*totals)
 
 
 def score_corpora(
@@ -542,21 +578,8 @@ def score_corpora(
     Equal to ``score(corpus_partition(key), corpus_partition(response))``:
     pooled mention ids carry their document, so every metric's raw counts
     are exact sums of per-document counts. Each corpus is iterated once, the
-    key first, keeping only its documents' parts. Each response document is
-    scored as it is read, against the key document of its doc_id, in one
-    overlap table over (start, end, type) ids; the key documents left over are
-    scored last, as twinless. ValueError if either corpus repeats a doc_id.
+    key first, keeping only its documents' parts (the map ``_parts``), and
+    the per-document counts are summed (``_scored``). ValueError if either
+    corpus repeats a doc_id.
     """
-    key_parts = {doc.doc_id: _document_parts(doc) for doc in _unique(key)}
-    def pairs() -> Iterator[tuple[list, list]]:
-        for doc in _unique(response):
-            yield key_parts.pop(doc.doc_id, []), _document_parts(doc)
-        for parts in key_parts.values():
-            yield parts, []
-    drop = ceafe_drop_singleton_response_parts
-    totals = _counts(_overlap((), ()), drop)  # every count zero
-    for key_doc, response_doc in pairs():
-        table = _overlap(key_doc, response_doc, align=True)
-        totals = [tuple(map(iadd, total, counts))
-                  for total, counts in zip(totals, _counts(table, drop))]
-    return _report(*totals)
+    return _scored(_parts(key), _parts(response), ceafe_drop_singleton_response_parts)

@@ -1,4 +1,5 @@
-"""Run a per-document map over a corpus on every CPU the process may use.
+"""Run a per-document map over a corpus on every CPU the process may use, or
+over a whole input beside this process's own work.
 
 ``records(path, chain)`` yields what ``chain`` yields for the documents of a
 BRAT tree (a directory) or of a JSONL file, for a ``chain`` that maps
@@ -10,6 +11,14 @@ BRAT pair the map has written (``brat._pairs``), a refused document being a
 ``eval-kg``'s one tuple of plain values per document (``kgpop._records``),
 ``compile-gold``'s the kept clusters and matched link keys of a document
 (``goldkg._gold_records``).
+
+``aside(path, read, chain)`` maps a whole input of any format in one forked
+worker, through the same ``_Worker``, from the moment it is called; ``score``
+maps its response that way to the doc_id and parts of each document
+(``metrics._parts``) while this process reads the key. Its records are loaded
+once the caller iterates them; if the worker failed, this process maps the
+input itself. It forks under the same rule as ``records`` (below), and only
+for a regular file or a directory, which can be read a second time.
 
 One constant, ``jsonl._BLOCK``, sizes everything here. The readers hand on
 documents in blocks of it, a worker writes its records in blocks of it, and
@@ -40,6 +49,7 @@ same code, with no worker.
 from __future__ import annotations
 
 import _thread
+import contextlib
 import marshal
 import os
 from functools import partial
@@ -49,7 +59,7 @@ from typing import Callable, Iterable, Iterator
 from . import brat, jsonl
 from .model import Document
 
-__all__ = ["records"]
+__all__ = ["aside", "records"]
 
 #: Bytes of the length written beside each block of a worker's file.
 _LENGTH = 8
@@ -60,6 +70,13 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _processes() -> int:
+    """The number of processes a map may run in: the CPUs this process may run
+    on, or 1 without ``os.fork`` or while another thread runs (forking a
+    threaded process is unsafe)."""
+    return _cpus() if hasattr(os, "fork") and _thread._count() == 0 else 1
 
 
 def _cuts(items: int, parts: int) -> list[int]:
@@ -108,13 +125,13 @@ def _ranges(path, parts: int) -> tuple[Callable[..., Iterator[Document]], list[i
 
 class _Worker:
     """A forked process that writes ``chain``'s records for the documents that
-    ``read`` reads of the range ``[start, stop)`` to an unnamed temporary file,
+    ``read(seen=...)`` reads, collecting their doc_ids, to an unnamed temporary file,
     in blocks of ``jsonl._BLOCK`` records, each one ``marshal.dumps`` preceded
     by its length in ``_LENGTH`` bytes. Last come the doc_ids it read, one
     ``marshal.dumps`` followed by its length, so that they are found from the
     end of the file."""
 
-    def __init__(self, read: Callable[..., Iterator[Document]], start: int, stop: int | None,
+    def __init__(self, read: Callable[..., Iterable[Document]],
                  chain: Callable[[Iterable[Document]], Iterable]):
         import tempfile
 
@@ -128,7 +145,7 @@ class _Worker:
                 os.dup2(null, 1)
                 os.dup2(null, 2)
                 seen: set[str] = set()
-                records = iter(chain(read(start, stop, seen=seen)))
+                records = iter(chain(read(seen=seen)))
                 write = self.file.write
                 while block := list(islice(records, jsonl._BLOCK)):
                     data = marshal.dumps(block)
@@ -180,12 +197,11 @@ def records(path, chain: Callable[[Iterable[Document]], Iterable]) -> Iterator:
     """What ``chain`` yields for the documents of the BRAT tree or JSONL file at
     ``path``, the ranges after the first mapped by forked workers. Close the
     iterator if it is left before its end: that kills the workers still running."""
-    parts = _cpus() if hasattr(os, "fork") and _thread._count() == 0 else 1
-    read, starts = _ranges(path, parts)
+    read, starts = _ranges(path, _processes())
     workers: list[_Worker] = []
     try:
         for start, stop in zip(starts, [*starts[1:], None]):
-            workers.append(_Worker(read, start, stop, chain))
+            workers.append(_Worker(partial(read, start, stop), chain))
         seen: set[str] = set()
 
         def read_on() -> bool:
@@ -207,4 +223,31 @@ def records(path, chain: Callable[[Iterable[Document]], Iterable]) -> Iterator:
             yield from worker.records()
     finally:
         for worker in workers:
+            worker.close()
+
+
+@contextlib.contextmanager
+def aside(path, read: Callable[[], Iterable[Document]],
+          chain: Callable[[Iterable[Document]], Iterable]) -> Iterator[Iterator]:
+    """What ``chain`` yields for the documents that ``read()`` reads of the input
+    at ``path``. When two processes may run and the input is a regular file or
+    a directory, one forked worker maps the whole input from the start, while
+    the body does other work. Iterating the result waits for the worker; if it
+    failed, this process maps the input itself, so that its fault is found,
+    worded and placed as by one process. Leaving the body kills the worker if
+    it still runs."""
+    worker = None
+    if _processes() > 1 and (os.path.isfile(path) or os.path.isdir(path)):
+        worker = _Worker(lambda seen: read(), chain)
+
+    def joined() -> Iterator:
+        if worker is not None and worker.join() is not None:
+            yield from worker.records()
+        else:
+            yield from chain(read())
+
+    try:
+        yield joined()
+    finally:
+        if worker is not None:
             worker.close()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import corefkg
 from corefkg import cli, jsonl
 from corefkg.baseline import resolve_corpus
 from corefkg.brat import read_brat_dir, write_brat_dir
@@ -708,6 +709,29 @@ def test_cli_loads_no_module_of_the_worker_code_before_it_forks():
     assert _listed_after_help("sorted(name for name in ('multiprocessing', 'pickle', 'random', "
                               "'signal', 'subprocess', 'tempfile', 'threading') "
                               "if name in sys.modules)") == "[]"
+
+
+def test_cli_starts_without_the_kg_gold_kg_and_column_modules():
+    # populate, compile-gold, eval-kg and the column format import them when they run
+    assert _listed_after_help("sorted(name for name in ('corefkg.conll', 'corefkg.goldkg', "
+                              "'corefkg.kgpop', 'hashlib') if name in sys.modules)") == "[]"
+
+
+def test_every_public_name_of_the_package_is_its_module_object_from_a_fresh_interpreter():
+    done = run_python("-I", "-S", "-c", "import importlib, pkgutil, sys\n"
+                      f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
+                      "star = {}\n"
+                      "exec('from corefkg import *', star)\n"
+                      "import corefkg\n"
+                      "modules = [importlib.import_module(f'corefkg.{m.name}')\n"
+                      "           for m in pkgutil.iter_modules(corefkg.__path__)]\n"
+                      "for name in corefkg.__all__:\n"
+                      "    owner, = [m for m in modules if name in getattr(m, '__all__', ())]\n"
+                      "    assert star[name] is getattr(corefkg, name) is getattr(owner, name)\n"
+                      "assert set(corefkg.__all__) <= set(dir(corefkg))\n"
+                      "print(len(corefkg.__all__))\n")
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode() == f"{len(corefkg.__all__)}\n"
 
 
 @pytest.mark.parametrize("command", ["score", "eval-kg"])

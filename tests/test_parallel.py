@@ -1,12 +1,14 @@
 """``baseline``, ``convert``, ``populate``, ``compile-gold`` and ``eval-kg`` on one
 process per CPU give what one process gives, from a JSONL file and from a BRAT tree,
-and so do ``baseline`` and ``convert`` to every output format."""
+and so do ``baseline`` and ``convert`` to every output format, and ``score``, whose
+response a worker reads, from every input format."""
 
 import contextlib
 import io
 import json
 import os
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,6 +25,7 @@ from corefkg.goldkg import (attach_entity_links, compile_gold, evaluate_populati
 from corefkg.jsonl import write_jsonl
 from corefkg.kgpop import (CollapseStrategy, DomainScope, export_kg_jsonl, export_ntriples,
                            kg_stats, populate)
+from corefkg.metrics import score_corpora
 from corefkg.model import Corpus, Document
 
 from corpusgen import random_corpus
@@ -53,6 +56,13 @@ def _corpus_file(path, seed: int, n_docs: int, fault, position: int, crlf: bool,
     """A corpus of ``n_docs`` documents with a blank line and ``fault`` injected;
     returns the corpus written."""
     corpus = random_corpus(random.Random(seed), n_docs=n_docs)
+    _faulty_file(path, corpus, fault, position, crlf, blank)
+    return corpus
+
+
+def _faulty_file(path, corpus, fault, position: int, crlf: bool = False, blank: int = 0):
+    """Write ``corpus`` to the JSONL file at ``path``, with a blank line and ``fault``
+    injected."""
     lines = write_jsonl(corpus).encode("utf-8").splitlines()
     if fault in ("bad-json", "bad-document"):
         lines[position] = BAD_JSON if fault == "bad-json" else BAD_DOCUMENT
@@ -68,7 +78,6 @@ def _corpus_file(path, seed: int, n_docs: int, fault, position: int, crlf: bool,
         lines.append(BAD_JSON)
     lines.insert(blank, b" ")
     path.write_bytes(b"".join(line + (b"\r\n" if crlf else b"\n") for line in lines))
-    return corpus
 
 
 #: populate in each of its variants: the argv after its input, and the library call it matches
@@ -81,9 +90,9 @@ POPULATE = [
 
 
 def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str], name: str,
-         out_flag: str = "--out"):
+         out_flag: str = "--out", in_flag: str = "--in"):
     """Exit status, stdout, stderr and the output directory's files of one call
-    of ``argv`` with ``--in src`` and ``out_flag`` the file ``name`` or stdout.
+    of ``argv`` with ``in_flag src`` and ``out_flag`` the file ``name`` or stdout.
     The call runs in the output directory, so that ``name`` names the output
     alike in every call's messages."""
     out_dir.mkdir()
@@ -102,7 +111,7 @@ def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str],
         with mock.patch.object(parallel, "_cpus", lambda: cpus), \
                 mock.patch.object(os, "fork", counted_fork), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = main([*argv, "--in", str(src), out_flag, "-" if to_stdout else name])
+            status = main([*argv, in_flag, str(src), out_flag, "-" if to_stdout else name])
     finally:
         os.chdir(cwd)
     with pytest.raises(ChildProcessError):  # every worker has been waited for
@@ -118,18 +127,23 @@ def _files(directory) -> dict:
 
 
 def _outcome(root, src, argv: list[str], name: str, block: int, out_flag: str = "--out",
-             stdout: bool = True) -> dict[bool, tuple]:
-    """The outcome of ``argv`` with ``out_flag`` a file and, if ``stdout``, with
-    stdout (the keys), which must be the same with ``_cpus`` patched to 1, 2 and
-    3. Either input is read, cut and handed back in blocks of ``block`` documents."""
+             stdout: bool = True, in_flag: str = "--in", workers=None) -> dict[bool, tuple]:
+    """The outcome of ``argv`` with ``in_flag src``, and ``out_flag`` a file and,
+    if ``stdout``, stdout (the keys), which must be the same with ``_cpus``
+    patched to 1, 2 and 3. Either input is read, cut and handed back in blocks
+    of ``block`` documents. ``workers(cpus)`` is the number of workers each call
+    starts; by default one per range after the first, at least one on 2 CPUs."""
     outcomes: dict[bool, list] = {}
     with mock.patch.object(jsonl, "_BLOCK", block):
         for to_stdout in (False, True)[:1 + stdout]:
             for cpus in (1, 2, 3):
                 forks: list[int] = []
                 outcome = _run(src, root / f"out-{to_stdout}-{cpus}", cpus, to_stdout, forks,
-                               argv, name, out_flag)
-                assert len(forks) == len(parallel._ranges(src, cpus)[1]) >= min(cpus - 1, 1)
+                               argv, name, out_flag, in_flag)
+                if workers is None:
+                    assert len(forks) == len(parallel._ranges(src, cpus)[1]) >= min(cpus - 1, 1)
+                else:
+                    assert len(forks) == workers(cpus)
                 outcomes.setdefault(to_stdout, []).append(outcome)
     for one, *more in outcomes.values():
         assert all(outcome == one for outcome in more)
@@ -245,7 +259,13 @@ def _brat_tree(root, seed: int, n_docs: int, fault, position: int):
     """A BRAT tree of ``n_docs`` documents with ``fault`` injected at the file
     ``position`` (see ``BRAT_FAULTS``); returns the corpus it read back as
     before the fault."""
-    write_brat_dir(random_corpus(random.Random(seed), n_docs=n_docs), root)
+    return _faulty_tree(root, random_corpus(random.Random(seed), n_docs=n_docs), fault, position)
+
+
+def _faulty_tree(root, corpus, fault, position: int):
+    """``corpus`` written as a BRAT tree at ``root`` with ``fault`` injected at the
+    file ``position``; returns the corpus it read back as before the fault."""
+    write_brat_dir(corpus, root)
     corpus = read_brat_dir(root)
     files = sorted(root.rglob("*.txt"))
     txt = files[position % len(files)]
@@ -351,6 +371,80 @@ def test_every_process_count_reads_a_brat_tree_as_one(tmp_path_factory, command,
             assert out == ""
 
 
+#: the faults a column file may carry, at most one each: a chain cell that does not parse,
+#: a row of its token table that does not, and a byte that is not UTF-8 at its end
+COLUMN_FAULTS = [None, "bad-cell", "bad-row", "not-utf8"]
+
+
+def _column_file(path, corpus, fault, position: int) -> None:
+    """``corpus`` written as the column file at ``path`` and its token table, with
+    ``fault`` injected at the token or row ``position`` (see ``COLUMN_FAULTS``)."""
+    columns, table = write_coref_columns(corpus)
+    lines, rows = columns.splitlines(), table.splitlines()
+    if fault == "bad-cell":
+        tokens = [i for i, line in enumerate(lines) if not line.startswith("#")]
+        i = tokens[position % len(tokens)]
+        lines[i] = lines[i].rsplit("\t", 1)[0] + "\t(x"
+    elif fault == "bad-row":
+        rows[position % len(rows)] = "garbage row"
+    tail = b"\xff\n" if fault == "not-utf8" else b""
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8") + tail)
+    Path(f"{path}.tokens").write_text("".join(row + "\n" for row in rows), "utf-8")
+
+
+#: each input format of score: the faults an input may carry, and its path's name
+SCORE_INPUTS = {"jsonl": (FAULTS, "{}.jsonl"), "brat": (BRAT_FAULTS, "{}"),
+                "conll": (COLUMN_FAULTS, "{}.conll")}
+
+
+def _score_input(root, fmt: str, side: str, corpus, fault, position: int):
+    """The path of ``corpus`` written under ``root`` as the ``side`` input in ``fmt``,
+    with ``fault`` injected; for the fault "missing", nothing is written there."""
+    path = root / SCORE_INPUTS[fmt][1].format(side)
+    if fault == "missing":
+        return path
+    if fmt == "jsonl":
+        _faulty_file(path, corpus, fault, position % len(corpus))
+    elif fmt == "brat":
+        _faulty_tree(path, corpus, fault, position)
+    else:
+        _column_file(path, corpus, fault, position)
+    return path
+
+
+@pytest.mark.parametrize("fmt", SCORE_INPUTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n_docs=st.integers(6, 12),
+       block=st.sampled_from([1, 2, 3]), position=st.integers(0, 40))
+def test_every_process_count_scores_as_one(tmp_path_factory, fmt, data, seed, n_docs, block,
+                                           position):
+    # a faultless input half the time, so that both inputs are at times faultless
+    faults = st.none() | st.sampled_from([*SCORE_INPUTS[fmt][0][1:], "missing"])
+    key_fault, response_fault = data.draw(faults, "key fault"), data.draw(faults, "response fault")
+    root = tmp_path_factory.mktemp("score")
+    corpus = random_corpus(random.Random(seed), n_docs=n_docs)
+    response_corpus = resolve_corpus(Corpus(corpus.documents[1:]))  # one key document twinless
+    key = _score_input(root, fmt, "key", corpus, key_fault, position)
+    response = _score_input(root, fmt, "response", response_corpus, response_fault, position)
+    # one worker reads the response while the key is read, whatever is at fault
+    outcome = _outcome(root, response, ["score", "--key", str(key)], "report.json", block,
+                       "--json-out", in_flag="--response",
+                       workers=lambda cpus: int(cpus > 1 and response_fault != "missing"))
+    if key_fault is None and response_fault is None:
+        report = score_corpora(corpus, response_corpus)
+        table, payload = report.to_table(), json.dumps(report.to_dict(), indent=2,
+                                                       sort_keys=True) + "\n"
+        assert outcome == {False: (0, table, "", {"report.json": payload.encode("utf-8")}),
+                           True: (0, payload, table, {})}
+        return
+    for status, out, err, files in outcome.values():
+        assert (status, out, files) == (2, "", {}) and err.startswith("error: ")
+        if key_fault is not None:  # a key fault wins over any fault of the response
+            assert str(key) in err and str(response) not in err
+        else:
+            assert str(response) in err
+
+
 @pytest.mark.parametrize("output", OUTPUTS)
 @pytest.mark.parametrize("command", ["baseline", "convert"])
 @settings(max_examples=8, deadline=None)
@@ -405,17 +499,31 @@ def test_a_read_fault_in_the_last_range_wins_over_a_refusal_in_the_first(
         assert _files(out.parent) == {}
 
 
+#: two doc_ids of domain CS whose BRAT targets collide, and how the writer words it, given
+#: the output tree: one target, or a file of one target that the other needs as a directory
+COLLIDING = [
+    ("a", "CS/a", lambda out: f"doc_ids 'a' and 'CS/a' would both be written to "
+                              f"{str(out / 'CS' / 'a')!r}"),
+    *((first, last, lambda out, first=first, last=last: (
+        f"doc_ids {first!r} and {last!r} would be written to {str(out / first)!r} and "
+        f"{str(out / last)!r}, which need {str(out / 'CS' / 'x.txt')!r} to be both a file and "
+        f"a directory"))
+      for first, last in (("CS/x.txt/y", "CS/x"), ("CS/x", "CS/x.txt/y"))),
+]
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("first, last, why", COLLIDING, ids=[f"{a} {b}" for a, b, _ in COLLIDING])
 def test_two_doc_ids_of_one_brat_target_in_different_ranges_are_refused(tmp_path, monkeypatch,
-                                                                        capsys, cpus):
+                                                                        capsys, cpus, first, last,
+                                                                        why):
     src = _split_corpus(tmp_path, monkeypatch, cpus,
-                           first=write_jsonl(Corpus((Document("a", "CS", "ab"),))).encode(),
-                           last=write_jsonl(Corpus((Document("CS/a", "CS", "ab"),))).encode())
+                           first=write_jsonl(Corpus((Document(first, "CS", "ab"),))).encode(),
+                           last=write_jsonl(Corpus((Document(last, "CS", "ab"),))).encode())
     out = tmp_path / "out" / "tree"
     out.parent.mkdir()
     assert main(["convert", "--in", str(src), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: doc_ids 'a' and 'CS/a' would both be written to {str(out / 'CS' / 'a')!r}\n")
+    assert capsys.readouterr().err == f"error: {why(out)}\n"
     assert _files(out.parent) == {}
 
 
@@ -465,8 +573,15 @@ def test_no_worker_outlives_an_interrupted_compile_gold_of_a_brat_tree(tmp_path,
     _interrupt_while_waiting(tmp_path, monkeypatch, exception, ["compile-gold"], src)
 
 
+@pytest.mark.parametrize("exception", [KeyboardInterrupt, RuntimeError])
+def test_no_worker_outlives_an_interrupted_score(tmp_path, monkeypatch, exception):
+    src = _faultless_corpus(tmp_path, monkeypatch)
+    _interrupt_while_waiting(tmp_path, monkeypatch, exception, ["score", "--key", str(src)], src,
+                             "report.json", in_flag="--response", out_flag="--json-out")
+
+
 def _interrupt_while_waiting(tmp_path, monkeypatch, exception, command, src=None,
-                             name="out.jsonl"):
+                             name="out.jsonl", in_flag="--in", out_flag="--out"):
     src = src or _faultless_corpus(tmp_path, monkeypatch)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -476,7 +591,7 @@ def _interrupt_while_waiting(tmp_path, monkeypatch, exception, command, src=None
 
     monkeypatch.setattr(parallel._Worker, "join", interrupted)  # while it waits for a worker
     with pytest.raises(exception) as raised:
-        main([*command, "--in", str(src), "--out", str(out_dir / name)])
+        main([*command, in_flag, str(src), out_flag, str(out_dir / name)])
     with pytest.raises(ChildProcessError):  # while the traceback holds the command's frames
         os.waitpid(-1, os.WNOHANG)
     del raised

@@ -210,17 +210,19 @@ def write_brat(doc: Document, *, relation_label: str = DEFAULT_RELATION_LABEL) -
     return doc.text, ann
 
 
-def _txt_files(root: str) -> list[tuple[tuple[str, ...], str]]:
+def _txt_files(root) -> list[tuple[tuple[str, ...], str]]:
     """(components relative to ``root``, parent directory) of every ``*.txt``
-    entry, sorted.
+    entry, sorted; ParseError if ``root`` is missing or not a directory.
 
     The files and order of ``sorted(Path(root).rglob("*.txt"))``: any entry
     whose name ends in ``.txt`` counts, symlinked and unreadable directories
     are not entered, and POSIX ``Path`` order is the order of the component
     tuples (``a/x`` sorts before ``a-b/x``, unlike the joined strings).
     """
+    if not os.path.isdir(root):
+        raise ParseError(f"BRAT root is not a directory: {root}")
     found = []
-    pending: list[tuple[str, tuple[str, ...]]] = [(root, ())]
+    pending: list[tuple[str, tuple[str, ...]]] = [(os.fspath(root), ())]
     while pending:
         directory, dirs = pending.pop()
         try:
@@ -258,16 +260,8 @@ def read_brat_dir(
     ``root`` that is missing or not a directory raises ParseError too, and so
     do two files that map to one doc_id (``.txt`` and ``.txt.txt``).
     """
-    return Corpus(tuple(_tree(root, relation_label=relation_label, entity_types=entity_types)))
-
-
-def _tree(root, **options) -> Iterator[Document]:
-    """The documents of ``read_brat_dir(root, **options)``, read one pair at a
-    time (see ``_read_documents``); ParseError at once if ``root`` is missing or
-    not a directory."""
-    if not os.path.isdir(root):
-        raise ParseError(f"BRAT root is not a directory: {root}")
-    return _read_documents(root, _txt_files(os.fspath(root)), **options)
+    return Corpus(tuple(_read_documents(root, _txt_files(root), relation_label=relation_label,
+                                        entity_types=entity_types)))
 
 
 def _read_documents(root, files: list[tuple[tuple[str, ...], str]], start: int = 0,

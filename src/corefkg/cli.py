@@ -10,9 +10,10 @@ output of ``-`` is JSONL on stdout. A column file's sidecar token table is
 looked up at ``<path>.tokens``. Option values resolve as: command-line flag,
 then config file (``key = value`` lines, ``--config``), then built-in default.
 
-Commands that read a JSONL file or a BRAT tree map it on every CPU they may
-use (``corefkg.parallel``); ``score`` reads its key and its response at once,
-on two processes when two CPUs may be used.
+Every corpus is read by the reader that ``corefkg.parallel`` picks for its
+format, which names the file of a fault. Commands that read a JSONL file or a
+BRAT tree map it on every CPU they may use; ``score`` reads its key and its
+response at once, on two processes when two CPUs may be used.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ __all__ = ["main"]
 
 T = TypeVar("T")
 
+_FORMATS = ("brat", "conll", "jsonl")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
@@ -64,79 +67,24 @@ def _load_config(path: str | None) -> dict[str, str]:
         if key not in ("format", "lemma_exceptions"):
             raise ParseError(f"unknown config key {key!r}; known: format, lemma_exceptions", lineno,
                              path=path)
-        cfg[key] = value.strip()
+        value = value.strip()
+        if key == "format" and value not in _FORMATS:
+            raise ParseError(f"unknown config format {value!r}; known: {', '.join(_FORMATS)}",
+                             lineno, path=path)
+        cfg[key] = value
     return cfg
 
 
-def _detect_format(path: Path, for_output: bool = False) -> str:
+def _corpus(path_s: str, fmt: str | None, for_output: bool = False) -> tuple[Path, str]:
+    """The path of a corpus and its format: ``fmt``, or the one its path shows."""
+    path = Path(path_s)
+    if fmt:
+        return path, fmt
     if for_output and str(path) == "-":  # stdout
-        return "jsonl"
+        return path, "jsonl"
     if path.is_dir() or (for_output and not path.suffix):
-        return "brat"
-    if path.suffix == ".jsonl":
-        return "jsonl"
-    return "conll"
-
-
-def _documents(path_s: str, fmt: str | None) -> Iterator[Document]:
-    """The documents of a corpus; the readers validate them and raise ParseError,
-    which names the file at fault.
-
-    Nothing is read until the result is iterated; a JSONL file is then decoded
-    in blocks of documents, so a fault is raised when its block is reached.
-    """
-    path = Path(path_s)
-    if not path.exists():
-        raise ParseError(f"no such file or directory: {path}")
-    fmt = fmt or _detect_format(path)
-    if fmt == "brat":
-        yield from brat._tree(path)
-    elif fmt == "jsonl":
-        yield from _named(path, jsonl._read_documents(path))
-    elif fmt == "conll":
-        from . import conll
-
-        tokens_path = Path(str(path) + ".tokens")
-        table = jsonl._read_text(tokens_path) if tokens_path.exists() else None
-        try:
-            corpus = conll.read_coref_columns(jsonl._read_text(path), table)
-        except ParseError as exc:
-            at = path
-            if table is not None:
-                try:
-                    conll.parse_token_table(table)
-                except ParseError:  # the fault is the table's own (it comes first)
-                    at = tokens_path
-            raise _naming(exc, at) from None
-        yield from corpus
-    else:
-        raise ValueError(f"unknown corpus format {fmt!r}")
-
-
-def _naming(exc: ParseError, path) -> ParseError:
-    """``exc``, or if it names no file, the same fault naming ``path``."""
-    return exc if exc.path is not None else ParseError(exc.reason, exc.line, path=str(path))
-
-
-def _named(path: Path, items: Iterable[T]) -> Iterator[T]:
-    """``items``; a ParseError among them that names no file names ``path``."""
-    try:
-        yield from items
-    except ParseError as exc:
-        raise _naming(exc, path) from None
-
-
-def _mapped(path_s: str, fmt: str | None, chain: Callable[..., Iterator]) -> Iterator:
-    """What ``chain`` yields for a corpus's documents, mapped on every CPU for a
-    BRAT tree or a JSONL file (``corefkg.parallel``). Close it: that kills the
-    running workers."""
-    path = Path(path_s)
-    fmt = fmt or _detect_format(path)
-    if fmt == "brat" and path.is_dir():
-        return parallel.records(path, chain)
-    if fmt == "jsonl" and path.is_file():
-        return _named(path, parallel.records(path, chain))
-    return chain(_documents(path_s, fmt))
+        return path, "brat"
+    return path, "jsonl" if path.suffix == ".jsonl" else "conll"
 
 
 def _read_first(corpus: str, fmt: str | None, parse: Callable[[str], T], path: str) -> T:
@@ -146,10 +94,10 @@ def _read_first(corpus: str, fmt: str | None, parse: Callable[[str], T], path: s
     try:
         return parse(jsonl._read_text(path))
     except (OSError, ValueError) as exc:
-        for _ in _documents(corpus, fmt):
+        for _ in parallel.documents(*_corpus(corpus, fmt)):
             pass
         if isinstance(exc, ParseError):
-            raise _naming(exc, path) from None
+            raise jsonl._naming(exc, path) from None
         raise
 
 
@@ -157,17 +105,17 @@ def _write_corpus(src: str, fmt_in: str | None, out: str, fmt_out: str | None, *
                   resolve: bool = False) -> None:
     """Write the documents of the corpus at ``src``, resolved by the baseline
     if ``resolve``, to ``out``; ``-`` is stdout, for JSONL only. Each format's
-    writer is a per-document map on every CPU (``_mapped``); a document it
-    refuses is a record, raised once the last is read (``jsonl._unrefused``),
-    so that a read fault anywhere is the one reported."""
-    fmt = fmt_out or _detect_format(Path(out), for_output=True)
+    writer is a per-document map on every CPU (``parallel.records``); a
+    document it refuses is a record, raised once the last is read
+    (``jsonl._unrefused``), so that a read fault anywhere is the one reported."""
+    _, fmt = _corpus(out, fmt_out, for_output=True)
     if fmt != "jsonl" and out == "-":
         raise ValueError(f"a {fmt} corpus cannot be written to stdout; give --out a path")
 
     def mapped(write: Callable[[Iterable[Document]], Iterator]) -> contextlib.closing:
         # resolved a block at a time: one at a time, between the writer's
         # work on each, cost about 5% more time in one process
-        return contextlib.closing(_mapped(src, fmt_in, lambda docs: write(
+        return contextlib.closing(parallel.records(*_corpus(src, fmt_in), lambda docs: write(
             jsonl._in_blocks(_resolved(docs)) if resolve else docs)))
 
     if fmt == "jsonl":
@@ -179,10 +127,12 @@ def _write_corpus(src: str, fmt_in: str | None, out: str, fmt_out: str | None, *
         with _replacing(out, out + ".tokens") as (columns, table), \
                 mapped(conll._columns) as records:
             conll._write_columns(jsonl._unrefused(records), columns, table)
-    else:
+    elif fmt == "brat":
         with brat._staged(out) as staging, \
                 mapped(partial(brat._pairs, root=out, staging=staging)) as records:
             brat._written(records, out)
+    else:
+        raise ValueError(f"unknown corpus format {fmt!r}")
 
 
 def _strategy(args):
@@ -249,7 +199,7 @@ def _write_report(table: str, payload: dict, json_out: str | None) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="corefkg", description=__doc__)
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--format", choices=["brat", "conll", "jsonl"],
+    parser.add_argument("--format", choices=_FORMATS,
                         help="corpus format (default: detect from path)")
     parser.add_argument("--lemma-exceptions", dest="lemma_exceptions",
                         help="two-column TSV overriding the plural/singular table")
@@ -259,8 +209,8 @@ def build_parser() -> _Parser:
                        "or BRAT tree: one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--from", dest="from_format", choices=["brat", "conll", "jsonl"])
-    p.add_argument("--to", dest="to_format", choices=["brat", "conll", "jsonl"])
+    p.add_argument("--from", dest="from_format", choices=_FORMATS)
+    p.add_argument("--to", dest="to_format", choices=_FORMATS)
 
     p = sub.add_parser("stats", help="corpus statistics per concept type or domain")
     p.add_argument("--in", dest="input", required=True)
@@ -320,17 +270,16 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    docs = _documents(args.input, args.format)
+    docs = parallel.documents(*_corpus(args.input, args.format))
     sys.stdout.write(corpus_stats(docs, args.group_by).to_tsv())
     return 0
 
 
 def _cmd_score(args) -> int:
     # the response is read by a worker while this process reads the key
-    response = partial(_documents, args.response, args.format)
-    with parallel.aside(args.response, response, _parts) as response_records:
-        report = _scored(_parts(_documents(args.key, args.format)), response_records,
-                         args.ceafe_drop_singletons)
+    with parallel.aside(*_corpus(args.response, args.format), _parts) as response_records:
+        report = _scored(_parts(parallel.documents(*_corpus(args.key, args.format))),
+                         response_records, args.ceafe_drop_singletons)
     payload = report.to_dict()
     _write_report(report.to_table(), payload, args.json_out)
     if not args.json_out:  # no file named: the JSON follows the table on stdout
@@ -349,7 +298,7 @@ def _cmd_populate(args) -> int:
     ntriples = args.kg_format == "ntriples"
     chain = partial(_records, strategy=_strategy(args),
                     keep=_kept(args.gold, None if ntriples else _cluster_fragment))
-    with contextlib.closing(_mapped(args.input, args.format, chain)) as records:
+    with contextlib.closing(parallel.records(*_corpus(args.input, args.format), chain)) as records:
         kg = _Population(records)
     _emit(kg.ntriple_lines() if ntriples else kg.kg_lines(), args.output)
     # with the export on stdout, the table goes to stderr to keep stdout parseable
@@ -363,7 +312,7 @@ def _cmd_compile_gold(args) -> int:
     links = (_read_first(args.input, args.format, read_entity_links, args.links)
              if args.links else {})
     chain = partial(_gold_records, links=links)
-    with contextlib.closing(_mapped(args.input, args.format, chain)) as records:
+    with contextlib.closing(parallel.records(*_corpus(args.input, args.format), chain)) as records:
         gold = _gold(records, links, skip_unmatched=args.skip_unmatched_links)
     _emit(_gold_lines(gold), args.output)
     return 0
@@ -376,7 +325,7 @@ def _cmd_eval_kg(args) -> int:
     key = _read_first(args.input, args.format, read_gold_jsonl, args.gold).partition()
     universe = key.universe()
     chain = partial(_records, strategy=_strategy(args), keep=_restriction(universe))
-    with contextlib.closing(_mapped(args.input, args.format, chain)) as records:
+    with contextlib.closing(parallel.records(*_corpus(args.input, args.format), chain)) as records:
         result = _evaluated(key, universe, records, args.ceafe_drop_singletons)
     table = result.report.to_table() + f"concepts\t{result.n_concepts}\n"
     _write_report(table, result.to_dict(), args.json_out)

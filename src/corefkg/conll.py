@@ -33,7 +33,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, TextIO
 
 from .errors import ParseError
-from .jsonl import _checked, _digits, _lines, _long_numeral
+from .jsonl import _checked, _digits, _lines, _long_numeral, _naming, _read_text
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -220,21 +220,27 @@ class _TokenTable:
     While the rows follow the writer's order, each document takes the next
     slice of them. When the table is not in the writer's shape, or once a
     document's slice does not hold its rows, the rows are looked up by
-    (doc_id, index) in the dict of ``parse_token_table``.
+    (doc_id, index) in the dict of ``parse_token_table``. A fault of the table
+    itself names its ``path``, if it has one.
     """
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, path: str | None = None):
+        self.text, self.path = text, path
         self.fields = _table_fields(text)
         self.used = 0  # rows that documents took as slices
         self.numerals: list[str] = []  # "0", "1", ...: the index fields of a document
-        self.rows = parse_token_table(text) if self.fields is None else None
+        self.rows = None
+        if self.fields is None:
+            self.offsets()
 
     def offsets(self) -> dict[tuple[str, int], tuple[int, int]]:
         """The rows by (doc_id, index); reading them raises ParseError at the
         table's first faulty line."""
         if self.rows is None:
-            self.rows = parse_token_table(self.text)
+            try:
+                self.rows = parse_token_table(self.text)
+            except ParseError as exc:
+                raise _naming(exc, self.path) from None
         return self.rows
 
     def spans(self, doc_id: str, n: int) -> list[tuple[int, int]]:
@@ -380,20 +386,41 @@ def read_coref_columns(columns: str, token_table: str | None = None) -> Corpus:
     that no token uses raises ParseError at the last line (line 1 of an
     empty file).
     """
-    table = None if token_table is None else _TokenTable(token_table)
+    return _corpus(columns, token_table)
+
+
+def _read_documents(path, start: int = 0, stop: int | None = None, *,
+                    seen: set[str] | None = None, read_on=None) -> Iterator[Document]:
+    """The documents of ``read_coref_columns`` of the column file at ``path``
+    and its token table ``<path>.tokens``, if there is one (see ``_corpus``).
+    A column file is one range, read whole: ``start`` and ``stop`` are 0 and
+    None, and ``read_on`` is never called."""
     try:
-        return _read_columns(columns, table)
+        table = _read_text(f"{path}.tokens")
+    except FileNotFoundError:
+        table = None
+    yield from _corpus(_read_text(path), table, seen, path)
+
+
+def _corpus(columns: str, token_table: str | None, seen: set[str] | None = None,
+            path=None) -> Corpus:
+    """``read_coref_columns(columns, token_table)``, or its fault: one of the
+    table itself comes first, as if the table were read up front, and names
+    ``<path>.tokens``; any other names ``path``. ``seen`` collects the doc_ids
+    read; one already in it is repeated."""
+    table = None if token_table is None else _TokenTable(token_table, path and f"{path}.tokens")
+    try:
+        return _read_columns(columns, table, set() if seen is None else seen)
     except ParseError as exc:
         fault = exc
     if table is not None:
-        table.offsets()  # a fault of the table itself comes first, as if it were read up front
-    raise fault
+        table.offsets()
+    raise _naming(fault, path)
 
 
-def _read_columns(columns: str, table: _TokenTable | None) -> Corpus:
-    """``read_coref_columns`` line by line."""
+def _read_columns(columns: str, table: _TokenTable | None, seen_ids: set[str]) -> Corpus:
+    """``read_coref_columns`` line by line, collecting the doc_ids in ``seen_ids``."""
     documents: list[Document] = []
-    seen_ids: set[str] = set()
     n_tokens: dict[str, int] = {}  # doc_id -> its token count, for the unused-row check
     lines = _lines(columns)
     doc_id: str | None = None

@@ -120,6 +120,14 @@ def _not_utf8(exc: UnicodeDecodeError, line: int, path) -> ParseError:
                       path=str(path))
 
 
+def _naming(exc: ParseError, path) -> ParseError:
+    """``exc``, or if it names no file and ``path`` is not None, the same fault
+    naming ``path``."""
+    if exc.path is not None or path is None:
+        return exc
+    return ParseError(exc.reason, exc.line, path=str(path))
+
+
 def _read_text(path, *, newlines: bool = True) -> str:
     r"""The UTF-8 text of the file at ``path``, read with one unbuffered read.
 
@@ -457,7 +465,7 @@ def _read_documents(path, start: int = 0, stop: int | None = None, *,
     decoded one line at a time and handed on in blocks of ``_BLOCK``: for the
     whole file, the documents of ``read_jsonl(_read_text(path))``, or its
     ParseError, raised once the blocks before the faulty document's block are
-    handed on. Line numbers count from ``start``.
+    handed on. Line numbers count from ``start``, and every fault names ``path``.
 
     The file is split at its ``\n`` bytes, which no other UTF-8 character
     holds, and each piece is decoded with its ``\n``, so a bad byte is worded
@@ -492,10 +500,10 @@ def _read_documents(path, start: int = 0, stop: int | None = None, *,
             yield from _in_blocks(_documents(lines(), seen))
         except UnicodeDecodeError as exc:
             raise _not_utf8(exc, n, path) from None
-        except ParseError:
+        except ParseError as fault:
             for n, piece in pieces:  # the rest of the file
                 try:
                     piece.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise _not_utf8(exc, n, path) from None
-            raise
+            raise _naming(fault, path) from None

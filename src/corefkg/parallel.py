@@ -1,18 +1,19 @@
 """Run a per-document map over a corpus on every CPU the process may use, or
 over a whole input beside this process's own work.
 
-``records(path, chain)`` yields what ``chain`` yields for the documents of a
-BRAT tree (a directory) or of a JSONL file, for a ``chain`` that maps
-documents to records ``marshal`` can carry: ``baseline``'s and ``convert``'s
-records are their JSONL output lines, each document's column lines and table
-rows (``conll._columns``), or the doc_id and target of each document whose
-BRAT pair the map has written (``brat._pairs``), a refused document being a
-``(None, why)`` record in either of the last two; ``populate``'s and
-``eval-kg``'s one tuple of plain values per document (``kgpop._records``),
-``compile-gold``'s the kept clusters and matched link keys of a document
-(``goldkg._gold_records``).
+``records(path, fmt, chain)`` yields what ``chain`` yields for the documents
+of the corpus at ``path`` in format ``fmt`` (``"brat"``, ``"conll"`` or
+``"jsonl"``), for a ``chain`` that maps documents to records ``marshal`` can
+carry: ``baseline``'s and ``convert``'s records are their JSONL output lines,
+each document's column lines and table rows (``conll._columns``), or the
+doc_id and target of each document whose BRAT pair the map has written
+(``brat._pairs``), a refused document being a ``(None, why)`` record in
+either of the last two; ``populate``'s and ``eval-kg``'s one tuple of plain
+values per document (``kgpop._records``), ``compile-gold``'s the kept
+clusters and matched link keys of a document (``goldkg._gold_records``).
 
-``aside(path, read, chain)`` maps a whole input of any format in one forked
+``documents(path, fmt)`` reads a corpus in this process alone, and
+``aside(path, fmt, chain)`` maps a whole input of any format in one forked
 worker, through the same ``_Worker``, from the moment it is called; ``score``
 maps its response that way to the doc_id and parts of each document
 (``metrics._parts``) while this process reads the key. Its records are loaded
@@ -25,25 +26,26 @@ documents in blocks of it, a worker writes its records in blocks of it, and
 the corpus is cut into one contiguous range per CPU at the whole blocks
 nearest to equal shares (``_cuts``): a BRAT tree's sorted ``.txt`` files
 (``brat._txt_files``), or a JSONL file's lines, whose count and block starts
-one pass over the file finds. Each range is read by the one reader of its
-format (``jsonl._read_documents``, ``brat._read_documents``). This process
-maps the first range, which ends on a block boundary, so it maps every
-document of its range before it waits; each other range goes to a forked
-worker. A worker writes its records to an unnamed temporary file, each block
-one ``marshal.dumps`` after its length, and then the doc_ids it read. Once
-its own range is read, this process waits for the workers, and if every one
-of them succeeded and no doc_id was read twice, it loads their blocks one
-whole block at a time, in corpus order, and yields their records after its
-own. Otherwise it kills them and reads on to the end of the corpus itself,
-so that every fault is found, worded and placed as by one process reading
-the whole corpus. Documents and clusters never cross a process boundary:
-pickling a decoded corpus costs more than decoding it.
+one pass over the file finds; a column file is one range. ``_ranges`` is the
+one place that picks the reader of a format (``jsonl._read_documents``,
+``brat._read_documents``, ``conll._read_documents``), and each reader names
+the file of its fault. This process maps the first range, which ends on a
+block boundary, so it maps every document of its range before it waits; each
+other range goes to a forked worker. A worker writes its records to an unnamed
+temporary file, each block one ``marshal.dumps`` after its length, and then
+the doc_ids it read. Once its own range is read, this process waits for the
+workers, and if every one of them succeeded and no doc_id was read twice, it
+loads their blocks one whole block at a time, in corpus order, and yields
+their records after its own. Otherwise it kills them and reads on to the end
+of the corpus itself, so that every fault is found, worded and placed as by
+one process reading the whole corpus. Documents and clusters never cross a
+process boundary: pickling a decoded corpus costs more than decoding it.
 
 One process reads the whole corpus when only one CPU is available, when
 ``os.fork`` does not exist, when another thread runs (forking a threaded
-process is unsafe), when a JSONL input is not a regular file, or when the
-corpus holds fewer than two blocks of files or lines. One range runs the
-same code, with no worker.
+process is unsafe), when the input is a column file or a JSONL input that is
+not a regular file, or when the corpus holds fewer than two blocks of files
+or lines. One range runs the same code, with no worker.
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ import marshal
 import os
 from functools import partial
 from itertools import islice
+from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from . import brat, jsonl
+from .errors import ParseError
 from .model import Document
 
-__all__ = ["aside", "records"]
+__all__ = ["aside", "documents", "records"]
 
 #: Bytes of the length written beside each block of a worker's file.
 _LENGTH = 8
@@ -109,13 +113,23 @@ def _line_blocks(path) -> tuple[list[int], int]:
             lines += count
 
 
-def _ranges(path, parts: int) -> tuple[Callable[..., Iterator[Document]], list[int]]:
-    """The reader of the corpus at ``path``, called as ``read(start, stop, *,
-    seen, read_on)``, and the starts of its ranges after the first: indices
-    into a BRAT tree's file list, byte offsets of a JSONL file."""
-    if os.path.isdir(path):
-        files = brat._txt_files(os.fspath(path))
+def _ranges(path, fmt: str, parts: int) -> tuple[Callable[..., Iterator[Document]], list[int]]:
+    """The reader of the corpus at ``path`` in format ``fmt``, called as
+    ``read(start, stop, *, seen, read_on)``, and the starts of its ranges after
+    the first, fewer than ``parts``: indices into a BRAT tree's file list, byte
+    offsets of a JSONL file; a column file is one range. ParseError if ``path``
+    is missing."""
+    if not Path(path).exists():
+        raise ParseError(f"no such file or directory: {path}")
+    if fmt == "brat":
+        files = brat._txt_files(path)
         return partial(brat._read_documents, path, files), _cuts(len(files), parts)
+    if fmt == "conll":
+        from . import conll  # here, so that a command that reads no column file does not load it
+
+        return partial(conll._read_documents, path), []
+    if fmt != "jsonl":
+        raise ValueError(f"unknown corpus format {fmt!r}")
     read = partial(jsonl._read_documents, path)
     if parts < 2 or not os.path.isfile(path):
         return read, []
@@ -193,11 +207,18 @@ class _Worker:
         self.file.close()
 
 
-def records(path, chain: Callable[[Iterable[Document]], Iterable]) -> Iterator:
-    """What ``chain`` yields for the documents of the BRAT tree or JSONL file at
-    ``path``, the ranges after the first mapped by forked workers. Close the
-    iterator if it is left before its end: that kills the workers still running."""
-    read, starts = _ranges(path, _processes())
+def documents(path, fmt: str) -> Iterator[Document]:
+    """The documents of the corpus at ``path`` in format ``fmt``, read by this
+    process once the result is iterated, and not before."""
+    read, _ = _ranges(path, fmt, 1)
+    yield from read(0, None)
+
+
+def records(path, fmt: str, chain: Callable[[Iterable[Document]], Iterable]) -> Iterator:
+    """What ``chain`` yields for the documents of the corpus at ``path`` in
+    format ``fmt``, the ranges after the first mapped by forked workers. Close
+    the iterator if it is left before its end: that kills running workers."""
+    read, starts = _ranges(path, fmt, _processes())
     workers: list[_Worker] = []
     try:
         for start, stop in zip(starts, [*starts[1:], None]):
@@ -227,24 +248,23 @@ def records(path, chain: Callable[[Iterable[Document]], Iterable]) -> Iterator:
 
 
 @contextlib.contextmanager
-def aside(path, read: Callable[[], Iterable[Document]],
-          chain: Callable[[Iterable[Document]], Iterable]) -> Iterator[Iterator]:
-    """What ``chain`` yields for the documents that ``read()`` reads of the input
-    at ``path``. When two processes may run and the input is a regular file or
-    a directory, one forked worker maps the whole input from the start, while
+def aside(path, fmt: str, chain: Callable[[Iterable[Document]], Iterable]) -> Iterator[Iterator]:
+    """What ``chain`` yields for the ``documents`` of the corpus at ``path`` in
+    format ``fmt``. When two processes may run and the input is a regular file
+    or a directory, one forked worker maps the whole input from the start, while
     the body does other work. Iterating the result waits for the worker; if it
     failed, this process maps the input itself, so that its fault is found,
     worded and placed as by one process. Leaving the body kills the worker if
     it still runs."""
     worker = None
     if _processes() > 1 and (os.path.isfile(path) or os.path.isdir(path)):
-        worker = _Worker(lambda seen: read(), chain)
+        worker = _Worker(lambda seen: documents(path, fmt), chain)
 
     def joined() -> Iterator:
         if worker is not None and worker.join() is not None:
             yield from worker.records()
         else:
-            yield from chain(read())
+            yield from chain(documents(path, fmt))
 
     try:
         yield joined()

@@ -340,6 +340,18 @@ def test_config_file_rejects_unknown_keys(corpus_path, tmp_path, capsys, key):
     assert f"line 3: unknown config key {key!r}" in err
 
 
+@pytest.mark.parametrize("value", ["xml", "JSONL", ""])
+def test_config_file_rejects_an_unknown_format(corpus_path, tmp_path, capsys, value):
+    cfg = tmp_path / "corefkg.conf"
+    cfg.write_text(f"# defaults\nformat = {value}\n", "utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["--config", str(cfg), "convert", "--from", "jsonl", "--in", str(corpus_path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}: line 2: unknown config format {value!r}; "
+                                       f"known: brat, conll, jsonl\n")
+    assert not out.exists()
+
+
 def test_brat_root_must_be_a_directory(corpus_path, capsys):
     assert main(["--format", "brat", "stats", "--in", str(corpus_path)]) == 2
     assert "BRAT root is not a directory" in capsys.readouterr().err

@@ -198,7 +198,7 @@ def test_a_doc_id_no_writer_can_read_back_is_a_parse_error_at_its_line(tmp_path,
     path.write_text(text, "utf-8")
     with pytest.raises(ParseError) as streamed:
         list(jsonl._read_documents(path))
-    assert str(streamed.value) == str(err.value)
+    assert str(streamed.value) == f"{path}: {err.value}"
 
 
 @pytest.mark.parametrize("doc_id", ["d", "CS/x", "v1.2", ".e", "d.", "a..b", "...", "#g",
@@ -317,7 +317,12 @@ def _file_outcome(read, path):
 
 
 def _whole_file(path):
-    return read_jsonl(jsonl._read_text(path))
+    """``read_jsonl`` of the file at ``path``; a fault names the file, as the
+    streamed reader names it."""
+    try:
+        return read_jsonl(jsonl._read_text(path))
+    except ParseError as exc:
+        raise jsonl._naming(exc, path) from None
 
 
 def _streamed(path):

@@ -20,6 +20,7 @@ from corefkg.baseline import resolve_corpus
 from corefkg.brat import read_brat_dir, write_brat_dir
 from corefkg.cli import main
 from corefkg.conll import write_coref_columns
+from corefkg.errors import ParseError
 from corefkg.goldkg import (attach_entity_links, compile_gold, evaluate_population,
                             write_gold_jsonl)
 from corefkg.jsonl import write_jsonl
@@ -119,6 +120,11 @@ def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str],
     return status, out.getvalue(), err.getvalue(), _files(out_dir)
 
 
+def _format(src) -> str:
+    """The format of a test input: a BRAT tree or a JSONL file."""
+    return "brat" if os.path.isdir(src) else "jsonl"
+
+
 def _files(directory) -> dict:
     """The bytes of each file under ``directory``, and None for each directory
     under it, by relative path."""
@@ -141,7 +147,8 @@ def _outcome(root, src, argv: list[str], name: str, block: int, out_flag: str = 
                 outcome = _run(src, root / f"out-{to_stdout}-{cpus}", cpus, to_stdout, forks,
                                argv, name, out_flag, in_flag)
                 if workers is None:
-                    assert len(forks) == len(parallel._ranges(src, cpus)[1]) >= min(cpus - 1, 1)
+                    ranges = len(parallel._ranges(src, _format(src), cpus)[1])
+                    assert len(forks) == ranges >= min(cpus - 1, 1)
                 else:
                     assert len(forks) == workers(cpus)
                 outcomes.setdefault(to_stdout, []).append(outcome)
@@ -378,15 +385,19 @@ COLUMN_FAULTS = [None, "bad-cell", "bad-row", "not-utf8"]
 
 def _column_file(path, corpus, fault, position: int) -> None:
     """``corpus`` written as the column file at ``path`` and its token table, with
-    ``fault`` injected at the token or row ``position`` (see ``COLUMN_FAULTS``)."""
+    ``fault`` injected at the token or row ``position`` (see ``COLUMN_FAULTS``;
+    "bad-cell-and-row" injects both, and "wide-span" makes a row one wider)."""
     columns, table = write_coref_columns(corpus)
     lines, rows = columns.splitlines(), table.splitlines()
-    if fault == "bad-cell":
+    if fault in ("bad-cell", "bad-cell-and-row"):
         tokens = [i for i, line in enumerate(lines) if not line.startswith("#")]
         i = tokens[position % len(tokens)]
         lines[i] = lines[i].rsplit("\t", 1)[0] + "\t(x"
-    elif fault == "bad-row":
+    if fault in ("bad-row", "bad-cell-and-row"):
         rows[position % len(rows)] = "garbage row"
+    elif fault == "wide-span":
+        doc_id, index, start, end = rows[position % len(rows)].split("\t")
+        rows[position % len(rows)] = f"{doc_id}\t{index}\t{start}\t{int(end) + 1}"
     tail = b"\xff\n" if fault == "not-utf8" else b""
     path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8") + tail)
     Path(f"{path}.tokens").write_text("".join(row + "\n" for row in rows), "utf-8")
@@ -469,7 +480,7 @@ def _split_corpus(tmp_path, monkeypatch, cpus: int, first: bytes | None = None,
     lines = [first, *corpus.splitlines(), last]
     src = tmp_path / "in.jsonl"
     src.write_bytes(b"".join(line + b"\n" for line in lines if line is not None))
-    assert len(parallel._ranges(src, cpus)[1]) == cpus - 1
+    assert len(parallel._ranges(src, "jsonl", cpus)[1]) == cpus - 1
     return src
 
 
@@ -532,7 +543,7 @@ def _faultless_corpus(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "_cpus", lambda: 3)
     src = tmp_path / "in.jsonl"
     src.write_text(write_jsonl(random_corpus(random.Random(3), n_docs=12)), "utf-8")
-    assert len(parallel._ranges(src, 3)[1]) == 2
+    assert len(parallel._ranges(src, "jsonl", 3)[1]) == 2
     return src
 
 
@@ -569,7 +580,7 @@ def test_no_worker_outlives_an_interrupted_compile_gold_of_a_brat_tree(tmp_path,
     monkeypatch.setattr(parallel, "_cpus", lambda: 3)
     src = tmp_path / "brat"
     write_brat_dir(random_corpus(random.Random(3), n_docs=12), src)
-    assert len(parallel._ranges(src, 3)[1]) == 2
+    assert len(parallel._ranges(src, "brat", 3)[1]) == 2
     _interrupt_while_waiting(tmp_path, monkeypatch, exception, ["compile-gold"], src)
 
 
@@ -634,21 +645,74 @@ def test_the_ranges_of_a_corpus_read_as_the_whole_corpus(tmp_path, monkeypatch, 
     (tmp_path / "in.jsonl").write_text(write_jsonl(corpus).replace("\n", "\r\n", 3), "utf-8")
     for name, doc_ids in whole.items():
         for parts in range(1, 5):
-            read, starts = parallel._ranges(tmp_path / name, parts)
+            read, starts = parallel._ranges(tmp_path / name, _format(tmp_path / name), parts)
             ranges = list(zip([0, *starts], [*starts, None]))
             assert len(ranges) == 1 + len(parallel._cuts(11, parts)) >= min(parts, 2)
             assert [doc.doc_id for start, stop in ranges for doc in read(start, stop)] == doc_ids
+    columns, table = write_coref_columns(corpus)
+    (tmp_path / "in.conll").write_text(columns, "utf-8")
+    (tmp_path / "in.conll.tokens").write_text(table, "utf-8")
+    for parts in range(1, 5):  # a column file is one range
+        read, starts = parallel._ranges(tmp_path / "in.conll", "conll", parts)
+        assert starts == []
+        assert [doc.doc_id for doc in read(0, None)] == whole["in.jsonl"]
+
+
+def _bad_jsonl_line(tmp_path, corpus):
+    path = tmp_path / "in.jsonl"
+    lines = write_jsonl(corpus).splitlines()
+    lines[1] = "nonsense"
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    return path, "jsonl", path, 2
+
+
+def _bad_column_line(tmp_path, corpus):
+    path = tmp_path / "in.conll"
+    _column_file(path, corpus, "bad-cell", 0)  # the first token, on line 2
+    return path, "conll", path, 2
+
+
+def _bad_table_row_and_column_line(tmp_path, corpus):
+    path = tmp_path / "in.conll"
+    _column_file(path, corpus, "bad-cell-and-row", 2)  # the table's fault, on its line 3, wins
+    return path, "conll", Path(f"{path}.tokens"), 3
+
+
+def _span_that_does_not_fit(tmp_path, corpus):
+    path = tmp_path / "in.conll"
+    _column_file(path, corpus, "wide-span", 0)  # of the first document's first token
+    end_line = path.read_text("utf-8").splitlines().index("#end document") + 1
+    return path, "conll", path, end_line
+
+
+def _bad_ann_line(tmp_path, corpus):
+    root = tmp_path / "tree"
+    write_brat_dir(corpus, root)
+    ann = sorted(root.rglob("*.ann"))[1]
+    ann.write_text("nonsense\n" + ann.read_text("utf-8"), "utf-8")
+    return root, "brat", ann, 1
+
+
+@pytest.mark.parametrize("faulty", [_bad_jsonl_line, _bad_column_line,
+                                    _bad_table_row_and_column_line, _span_that_does_not_fit,
+                                    _bad_ann_line])
+def test_the_reader_of_each_format_names_the_file_and_line_of_its_fault(tmp_path, faulty):
+    path, fmt, at, line = faulty(tmp_path, random_corpus(random.Random(6), n_docs=3))
+    read, starts = parallel._ranges(path, fmt, 1)
+    with pytest.raises(ParseError) as err:
+        list(read(0, None))
+    assert (err.value.path, err.value.line) == (str(at), line)
 
 
 def test_a_jsonl_file_of_fewer_than_two_blocks_is_read_by_one_process(tmp_path):
     src = tmp_path / "in.jsonl"
     src.write_text(write_jsonl(random_corpus(random.Random(3), n_docs=2 * jsonl._BLOCK - 1)),
                    "utf-8")
-    assert parallel._ranges(src, 4)[1] == []
+    assert parallel._ranges(src, "jsonl", 4)[1] == []
     with open(src, "ab") as f:
         f.write(b"\n")
-    assert len(parallel._ranges(src, 4)[1]) == 1  # the blank line makes two blocks
-    assert parallel._ranges(os.devnull, 4)[1] == []  # not a regular file
+    assert len(parallel._ranges(src, "jsonl", 4)[1]) == 1  # the blank line makes two blocks
+    assert parallel._ranges(os.devnull, "jsonl", 4)[1] == []  # not a regular file
 
 
 def test_no_worker_starts_below_the_size_floor(tmp_path, monkeypatch):

@@ -290,16 +290,20 @@ def _read_documents(root, files: list[tuple[tuple[str, ...], str]], start: int =
             stem = name[:-4] or name
             try:
                 ann = _read_text(os.path.join(directory, stem + ".ann"))
-            except FileNotFoundError:
-                raise ParseError(f"missing annotation file for {Path(root, *parts)}") from None
-            text = _read_text(os.path.join(directory, name), newlines=False)
-            try:
+                text = _read_text(os.path.join(directory, name), newlines=False)
                 doc = _parse_brat(text, ann, parts[0] if len(parts) > 1 else "",
                                   "/".join((*parts[:-1], stem)), relation_label, entity_types,
                                   seen)
+            except FileNotFoundError as exc:
+                if not exc.filename.endswith(".ann"):
+                    raise
+                raise ParseError(f"missing annotation file for {Path(root, *parts)}") from None
             except ParseError as exc:
+                # named under root as the missing-file fault is: the bad bytes
+                # of the .ann or the .txt, which _read_text names, or an .ann line
+                file = os.path.basename(exc.path) if exc.path else stem + ".ann"
                 raise ParseError(exc.reason, exc.line,
-                                 path=str(Path(root, *parts[:-1], stem + ".ann"))) from exc
+                                 path=str(Path(root, *parts[:-1], file))) from exc
             yield doc
 
     return _in_blocks(documents())
@@ -312,7 +316,8 @@ def write_brat_dir(
 
     The pairs are written into a staging directory beside ``root`` and move
     into it only once every document is written (``_staged``): ValueError,
-    with ``root`` as it was, if a document's path (``<domain>/<doc_id>``,
+    with ``root`` as it was, if ``root`` exists and is not a directory, or
+    if a document's path (``<domain>/<doc_id>``,
     normalized without touching the file system; ``.txt`` and ``.ann`` are
     appended to it whole, so a dotted last segment such as ``v1.2`` reads
     back unchanged) holds a null byte, leaves ``root``, would be read back in
@@ -429,10 +434,13 @@ def _staged(root) -> Iterator[str]:
     ``root``, which is made if it does not exist; files of ``root`` that none
     of them replaces are kept. If the body raises, the directory is removed,
     and so are the directories above ``root`` made for it: ``root`` is then as
-    it was. So it is if the body writes no file."""
+    it was. So it is if the body writes no file. ValueError, before anything
+    is made, if ``root`` exists and is not a directory."""
     import shutil
 
     target = os.path.realpath(root)
+    if os.path.exists(target) and not os.path.isdir(target):
+        raise ValueError(f"BRAT output {str(root)!r} exists and is not a directory")
     parent, name = os.path.split(target)
     staging = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
     made = []  # the directories above the target that do not exist, the innermost first

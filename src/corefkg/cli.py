@@ -373,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
         return 2
-    except (ParseError, ValueError, OSError, KeyError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

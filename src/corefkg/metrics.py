@@ -433,9 +433,11 @@ def _ceaf_e_counts(table: _Overlap, drop_singleton_response_parts: bool
             # similarities scaled by L, the lcm of the component's denominators
             scale = math.lcm(*{key_sizes[i] + response_sizes[j] for j in cols for i in shared[j]})
             by_key: dict[int, dict[int, int]] = {}
-            # rows in the order of the table, whatever order the parts merged in
+            # rows in table order, whatever order the parts merged in or their
+            # mentions hash in; the twinless key singletons of a part, which
+            # _overlap numbers in hash order, have equal rows
             for j in sorted(cols):
-                for i, n_kr in shared[j].items():
+                for i, n_kr in sorted(shared[j].items()):
                     den = key_sizes[i] + response_sizes[j]
                     by_key.setdefault(i, {})[j] = 2 * n_kr * (scale // den)
             weights = list(by_key.values())

@@ -327,6 +327,16 @@ def test_write_brat_dir_refuses_a_target_read_back_in_another_domain_before_writ
     assert not (tmp_path / "out").exists()  # not even Agr/a.txt
 
 
+def test_write_brat_dir_refuses_a_root_that_is_not_a_directory_before_writing(tmp_path):
+    root = tmp_path / "out"
+    root.write_text("kept\n", "utf-8")
+    with pytest.raises(ValueError) as err:
+        write_brat_dir(_docs(("a", "CS")), root)
+    assert str(err.value) == f"BRAT output {str(root)!r} exists and is not a directory"
+    assert root.read_text("utf-8") == "kept\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
 def test_write_brat_dir_writes_normalized_ids_under_their_domain(tmp_path):
     write_brat_dir(_docs(("CS/x/../d1", "CS"), ("v1.2", "Agr"), ("e", "")), tmp_path)
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.txt")) == [
@@ -438,6 +448,30 @@ def test_read_brat_dir_reads_as_text_mode_and_newline_free_opens(files):
                 text = f.read()
             expected.append(parse_brat(text, ann, "CS", doc_id=f"CS/d{i}"))
         assert read_brat_dir(root) == Corpus(tuple(expected))
+
+
+def test_read_brat_dir_names_the_file_of_every_fault_alike_under_an_unnormalized_root(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u" / "CS").mkdir(parents=True)
+    txt, ann = tmp_path / "u" / "CS" / "x.txt", tmp_path / "u" / "CS" / "x.ann"
+    faults = []
+    for txt_bytes, ann_bytes in [
+        (b"hello\nw\xe9rld", b"T1\tData 0 5\thello\n"),  # a byte of the .txt
+        (b"hello\nworld", b"T1\tData 0 5\thello\n\xe9"),  # a byte of the .ann
+        (b"hello\nworld", b"T1\tData 0 5\thello\nT2\tData 0 5\tworld\n"),  # an .ann line
+        (b"hello\nworld", None),  # no .ann
+    ]:
+        txt.write_bytes(txt_bytes)
+        ann.unlink(missing_ok=True)
+        if ann_bytes is not None:
+            ann.write_bytes(ann_bytes)
+        with pytest.raises(ParseError) as err:
+            read_brat_dir("./u//")
+        faults.append(str(err.value))
+    assert [fault[:len("u/CS/x.txt: line 2: ")] for fault in faults[:3]] == [
+        "u/CS/x.txt: line 2: ", "u/CS/x.ann: line 2: ", "u/CS/x.ann: line 2: "]
+    assert faults[3] == "missing annotation file for u/CS/x.txt"
 
 
 @pytest.mark.parametrize("name, line, reason, byte", [

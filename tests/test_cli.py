@@ -127,6 +127,25 @@ def test_brat_output_that_would_lose_a_document_exits_2_before_writing(tmp_path,
     assert not (tmp_path / "brat").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "link", "/dev/null"])
+def test_a_brat_output_that_exists_and_is_not_a_directory_is_refused_before_reading(
+        tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    Path("in.jsonl").write_text("not json\n", "utf-8")  # a read would fault
+    Path("file").write_text("kept\n", "utf-8")
+    if out == "link":
+        os.symlink("file", "link")
+    elif not os.path.exists(out):
+        pytest.skip(f"no {out} on this platform")
+    assert main(["convert", "--in", "in.jsonl", "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: BRAT output {out!r} exists and is not a "
+                                       f"directory\n")
+    assert Path("file").read_text("utf-8") == "kept\n"
+    assert not os.path.lexists("{}/.{}.{}.tmp".format(*os.path.split(os.path.realpath(out)),
+                                                      os.getpid()))  # no staging directory
+    assert sorted(os.listdir()) == sorted({"in.jsonl", "file", out} - {"/dev/null"})
+
+
 def test_a_doc_id_the_column_writer_cannot_write_is_refused_at_its_input_line(tmp_path, capsys):
     docs = [Document(doc_id, "CS", "ab") for doc_id in ("a", "a b")]
     src = tmp_path / "in.jsonl"
@@ -729,6 +748,23 @@ def test_cli_starts_without_the_kg_gold_kg_and_column_modules():
                               "'corefkg.kgpop', 'hashlib') if name in sys.modules)") == "[]"
 
 
+def test_import_corefkg_loads_no_module_and_each_module_resolves_on_first_use(tmp_path):
+    (tmp_path / "broken.py").write_text("import corefkg_no_such_module\n", "utf-8")
+    done = run_python("-I", "-S", "-c", "import sys\n"
+                      f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
+                      "import corefkg\n"
+                      "print(sorted(name for name in sys.modules if name.startswith('corefkg')))\n"
+                      "print(corefkg.jsonl is sys.modules['corefkg.jsonl'])\n"
+                      "print(hasattr(corefkg, 'no_such_name'))\n"
+                      f"corefkg.__path__.append({str(tmp_path)!r})\n"
+                      "try:\n"
+                      "    corefkg.broken\n"
+                      "except ModuleNotFoundError as exc:\n"
+                      "    print(exc.name)\n")
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode() == "['corefkg']\nTrue\nFalse\ncorefkg_no_such_module\n"
+
+
 def test_every_public_name_of_the_package_is_its_module_object_from_a_fresh_interpreter():
     done = run_python("-I", "-S", "-c", "import importlib, pkgutil, sys\n"
                       f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
@@ -859,6 +895,17 @@ def test_stats_streams_a_jsonl_input_into_the_table_of_the_whole_corpus(tmp_path
         whole = corpus_stats(read_jsonl(src.read_text("utf-8")), group_by)
         assert capsys.readouterr().out == whole.to_tsv()
     assert not any(isinstance(docs, Corpus) for docs in given)  # read one block at a time
+
+
+def test_a_key_error_is_a_bug_not_a_data_error(corpus_path, monkeypatch, capsys):
+    # no package code raises KeyError on purpose, so main lets it propagate
+    def buggy(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "_scored", buggy)
+    with pytest.raises(KeyError, match="bug"):
+        main(["score", "--key", str(corpus_path), "--response", str(corpus_path)])
+    assert capsys.readouterr().err == ""
 
 
 def test_stats_and_score_read_a_brat_tree_one_pair_at_a_time(tmp_path, capsys, monkeypatch):

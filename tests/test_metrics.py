@@ -23,6 +23,7 @@ from corefkg.metrics import (
 from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document
 
 import _reference
+from clirun import run_python
 from corpusgen import TYPED, random_corpus, random_document, random_partition_pair
 
 
@@ -520,6 +521,23 @@ def test_ceaf_e_solves_only_non_star_components(monkeypatch, key, resp, shapes):
     monkeypatch.setattr(metrics, "optimal_assignment", recording)
     ceaf_e(key, resp)
     assert seen == shapes
+
+
+def test_ceaf_e_gives_the_solver_its_rows_in_one_order_under_every_hash_seed():
+    # the second pair's response part {a, c, t, u} holds two twinless mentions
+    script = ("from corefkg import metrics\n"
+              "from corefkg.metrics import Partition, score\n"
+              "solve = metrics.optimal_assignment\n"
+              "metrics.optimal_assignment = lambda rows: print(rows) or solve(rows)\n"
+              "score(Partition([['a', 'b', 'x'], ['c', 'd']]),"
+              " Partition([['a', 'c'], ['b', 'd', 'x']]))\n"
+              "score(Partition([['a', 'b'], ['c', 'd']]),"
+              " Partition([['a', 'c', 't', 'u'], ['b', 'd']]))\n")
+    for seed in ("1", "2"):
+        done = run_python("-c", script, hash_seed=seed)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode() == ("[{0: 24, 1: 40}, {0: 30, 1: 24}]\n"
+                                        "[{0: 20, 1: 30}, {0: 20, 1: 30}, {0: 24}, {0: 24}]\n")
 
 
 def test_ceafe_singleton_drop_variant():

@@ -161,10 +161,15 @@ def _replacing(*paths: str | Path) -> Iterator[list[TextIO]]:
             files = []
             for path in paths:
                 path = Path(os.path.realpath(path))
-                if not path.exists() or path.is_file():
-                    replacements.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path))
-                    path = replacements[-1][0]
-                files.append(stack.enter_context(open(path, "w", encoding="utf-8")))
+                replaced = not path.exists() or path.is_file()
+                temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp") if replaced else path
+                try:
+                    files.append(stack.enter_context(open(temporary, "w", encoding="utf-8")))
+                except OSError as exc:
+                    exc.filename = str(path)  # a fault names the output, not its temporary
+                    raise
+                if replaced:  # only once made: unlinking one never made can fail too
+                    replacements.append((temporary, path))
             yield files
         for temporary, path in replacements:
             os.replace(temporary, path)

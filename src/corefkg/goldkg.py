@@ -303,9 +303,9 @@ def _evaluated(key: Partition, universe: frozenset[MentionKey], records: Iterabl
     """The reduce of ``evaluate_population`` over the ``kgpop._records`` of
     ``_restriction(universe)``, ``universe`` being that of ``key``: the
     records' concepts (``kgpop._concept_groups``), each the keys of its
-    records, scored as the response against ``key``."""
+    members, scored as the response against ``key``."""
     concepts = _concept_groups(chain.from_iterable(r[4] for r in records))
-    response = Partition(chain.from_iterable(r[5] for r in c[4]) for c in concepts)
+    response = Partition(chain.from_iterable(m[4] for m in c[4]) for c in concepts)
     missing = universe.difference(*response)
     if missing:
         sample = ", ".join(map(str, sorted(missing)[:3]))

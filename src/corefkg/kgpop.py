@@ -13,14 +13,17 @@ Every graph is built by one map and one reduce. The map, ``_records``, turns
 each document into one record of plain values: its counts for the statistics
 table and one record per kept cluster (``_cluster_record``: collapse key,
 span key, mention count, typed mentions' types and a payload). The reduce,
-``_concept_groups``, groups cluster records into concepts and takes each
-concept's id and majority type. ``populate`` and ``corefkg populate`` reach it
-through ``_Population``, ``goldkg.evaluate_population`` directly; ``collapse``
-builds the cluster records of the clusters it is given. Only the clusters kept
-and the payload differ (see ``_records``). Payloads other than the library's
-clusters are plain values, so that a worker can send its records back with
-``marshal`` (see ``corefkg.parallel``). One writer serves each export format:
-``_triples`` writes the N-Triples lines and ``_kg_lines`` the JSONL lines.
+``_concept_groups``, groups cluster records into concepts as they arrive and
+takes each concept's id and majority type; of a kept cluster it keeps only a
+flat member, ``(doc_id, start, end, mention count, payload)``, and its type
+names. ``populate`` and ``corefkg populate`` reach it through ``_Population``,
+which counts each document as it arrives, ``goldkg.evaluate_population``
+directly; ``collapse`` builds the cluster records of the clusters it is given.
+Only the clusters kept and the payload differ (see ``_records``). Payloads
+other than the library's clusters are plain values, so that a worker can send
+its records back with ``marshal`` (see ``corefkg.parallel``). One writer
+serves each export format: ``_triples`` writes the N-Triples lines and
+``_kg_lines`` the JSONL lines.
 """
 
 from __future__ import annotations
@@ -198,27 +201,29 @@ def _cluster_record(cluster: CoreferenceCluster, label: str, scope: str, payload
 def _concept_groups(records: Iterable[tuple]) -> list[tuple[str, str, str, ConceptType, list]]:
     """The concepts of the cluster ``records`` (see ``_cluster_record``), in
     the order of ``KnowledgeGraph.concepts``, as ``(domain_scope, label,
-    concept_id, concept_type, records)``. The concept id hashes the key. A
-    concept's records are in the order of ``Concept.clusters``: by doc_id and
-    span key, and records with equal ones keep the order they came in (the
-    sort is stable)."""
-    groups: defaultdict[tuple[str, str, str], list[tuple]] = defaultdict(list)
-    for record in records:
-        groups[record[0]].append(record)
+    concept_id, concept_type, members)``, each record dropped once grouped.
+    The concept id hashes the key. A concept's members ``(doc_id, start, end,
+    size, payload)`` are in the order of ``Concept.clusters``: by doc_id and
+    span, and members with equal ones keep the order they came in (the sort is
+    stable)."""
+    groups = defaultdict(lambda: ([], []))  # key -> (type names, members)
+    for key, doc_id, (start, end), size, types, payload in records:
+        type_names, members = groups[key]
+        type_names.extend(types)
+        members.append((doc_id, start, end, size, payload))
     concepts = []
-    for key, members in groups.items():
-        members.sort(key=itemgetter(1, 2))  # doc_id, span_key
+    for key, (type_names, members) in groups.items():
+        members.sort(key=itemgetter(0, 1, 2))  # doc_id, span key
         concept_id = hashlib.sha256("\x1f".join(key).encode("utf-8")).hexdigest()[:16]
-        concept_type = _majority_type(chain.from_iterable(map(itemgetter(4), members)))
-        concepts.append((*key[:2], concept_id, concept_type, members))
+        concepts.append((*key[:2], concept_id, _majority_type(type_names), members))
     concepts.sort(key=itemgetter(0, 1, 2))
     return concepts
 
 
 def _concepts(groups: Iterable[tuple[str, str, str, ConceptType, list]]) -> list[Concept]:
-    """The ``Concept``s of ``_concept_groups`` whose records carry their cluster."""
-    return [Concept(concept_id, label, scope, concept_type, tuple([r[5] for r in records]))
-            for scope, label, concept_id, concept_type, records in groups]
+    """The ``Concept``s of ``_concept_groups`` whose members carry their cluster."""
+    return [Concept(concept_id, label, scope, concept_type, tuple([m[4] for m in members]))
+            for scope, label, concept_id, concept_type, members in groups]
 
 
 def collapse(
@@ -493,31 +498,35 @@ def _records(docs: Iterable[Document], strategy: CollapseStrategy, *,
 class _Population:
     """The reduce of ``populate`` over ``_records``: the documents' counts,
     and the ``_concept_groups`` of their cluster records, which may come in
-    any document order."""
+    any document order. Each document is counted, and its records grouped, as
+    it arrives."""
 
     def __init__(self, records: Iterable[tuple]):
-        self.tally = tally = _Tally()
-        per_document = []
+        self.tally = _Tally()
+        self.concepts = _concept_groups(self._counted(records))
+
+    def _counted(self, records: Iterable[tuple]) -> Iterator[tuple]:
+        """The cluster records of ``records``, each document counted as it is read."""
+        count = self.tally.count
         for doc_id, domain, mentions, coreferent, clusters in records:
-            tally.count(doc_id, domain, mentions, coreferent)
-            per_document.append(clusters)
-        self.concepts = _concept_groups(chain.from_iterable(per_document))
+            count(doc_id, domain, mentions, coreferent)
+            yield from clusters
 
     def ntriple_lines(self) -> Iterator[str]:
         """The lines of ``export_ntriples(populate(...))``."""
-        edges = ((cluster[1], concept_id)
-                 for _, _, concept_id, _, clusters in self.concepts
-                 for cluster in clusters for _ in range(cluster[3]))
+        edges = ((member[0], concept_id)
+                 for _, _, concept_id, _, members in self.concepts
+                 for member in members for _ in range(member[3]))
         return _triples(edges, ((c[2], c[1], c[3]) for c in self.concepts))
 
     def kg_lines(self) -> Iterator[str]:
         """The lines of ``export_kg_jsonl(populate(...))``; the payloads are fragments."""
         return _kg_lines(sorted(self.tally.domains),
-                         ((*c[:4], map(itemgetter(5), c[4])) for c in self.concepts))
+                         ((*c[:4], map(itemgetter(4), c[4])) for c in self.concepts))
 
     def stats(self) -> KgStats:
         """``kg_stats(populate(...), corpus)``."""
-        return self.tally.table(([cluster[1] for cluster in c[4]], c[3]) for c in self.concepts)
+        return self.tally.table(([member[0] for member in c[4]], c[3]) for c in self.concepts)
 
 
 def _concept_from_dict(obj: dict, lineno: int, clustered: set[MentionKey]) -> Concept:

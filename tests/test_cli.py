@@ -678,6 +678,26 @@ def test_an_output_through_a_symbolic_link_replaces_the_link_target(corpus_path,
                                                           "target.jsonl"]
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["convert", "--in", "in.jsonl", "--out", "exists/x.jsonl"], "exists/x.jsonl"),
+    (["convert", "--in", "in.jsonl", "--out", "exists/x.conll"], "exists/x.conll"),
+    (["convert", "--in", "in.jsonl", "--out", "out.conll"], "exists/t"),  # .tokens links there
+    (["score", "--key", "in.jsonl", "--response", "in.jsonl", "--json-out", "exists/r.json"],
+     "exists/r.json"),
+], ids=["jsonl", "columns", "tokens", "json-out"])
+def test_an_output_that_cannot_be_opened_is_named_not_its_temporary(
+        corpus_path, tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    os.rename(corpus_path, "in.jsonl")
+    Path("exists").write_text("a file\n", "utf-8")
+    os.symlink("exists/t", "out.conll.tokens")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f"{os.path.realpath(named)!r}\n")
+    assert sorted(os.listdir()) == ["exists", "in.jsonl", "out.conll.tokens"]
+    assert Path("exists").read_text("utf-8") == "a file\n"
+
+
 def test_gold_kg_on_stdout_is_byte_equal_to_the_library_string(linked_corpus_path):
     done = run_cli("compile-gold", "--in", linked_corpus_path, "--out", "-")
     assert done.returncode == 0, done.stderr.decode()

@@ -261,6 +261,13 @@ def test_enum_members_work_as_dict_keys(enum_type):
         assert member in set(enum_type)
 
 
+@pytest.mark.parametrize("concept_type", list(ConceptType))
+def test_a_mention_key_is_its_span_and_type_value(concept_type):
+    m = Mention("d", 3, 7, concept_type, "word")
+    assert m.key == ("d", 3, 7, concept_type.value)
+    assert type(m.key[3]) is str
+
+
 def test_mentions_and_clusters_are_slotted_and_copy_faithfully():
     m = Mention("d", 0, 2, ConceptType.NONE, "it", MentionSource.COREF_ONLY)
     n = Mention("d", 5, 8, ConceptType.DATA, "set")

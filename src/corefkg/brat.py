@@ -2,10 +2,10 @@
 
 Entity lines (``T1<TAB>Material 0 3<TAB>CNN``) become mentions. Coreference
 is accepted in two encodings and unioned: binary relation lines
-(``R1<TAB>Coreference Arg1:T1 Arg2:T2``), whose transitive closure forms the
-clusters, and equivalence lines (``*<TAB>Coreference T1 T2 T3``), taken as
-whole clusters. The relation/equivalence label is configurable because
-published corpora do not agree on one.
+(``R1<TAB>Coreference Arg1:T1 Arg2:T2``) and equivalence lines
+(``*<TAB>Coreference T1 T2 T3``) each link their entities, and the clusters
+are the connected components of all the links. The relation/equivalence
+label is configurable because published corpora do not agree on one.
 
 Character offsets are Unicode scalar-value counts over the text as stored:
 the .txt is read and written without newline translation, so ``\r\n`` is
@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 from .errors import ParseError
 from .jsonl import _checked, _in_blocks, _lines, _long_numeral, _read_text, _unrefused
+from .metrics import _components
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -30,7 +31,6 @@ from .model import (
     Mention,
     MentionSource,
 )
-from .unionfind import UnionFind
 
 __all__ = [
     "DEFAULT_RELATION_LABEL",
@@ -57,8 +57,11 @@ _SOURCE_BY_TYPE = {
 # [0-9], not \d: \d also matches non-ASCII digits such as ٣, which int() takes.
 _T_LINE = re.compile(r"^(T[0-9]+)\t(\S+) ([0-9]+) ([0-9]+)\t(.*)$")
 _T_DISCONT = re.compile(r"^(T[0-9]+)\t(\S+) [0-9;, ]*;[0-9;, ]*\t")
-_R_LINE = re.compile(r"^R[0-9]+\t(\S+) Arg1:(T[0-9]+) Arg2:(T[0-9]+)\s*$")
-_EQUIV_LINE = re.compile(r"^\*\t(\S+)((?: T[0-9]+)+)\s*$")
+# By link line kind: its pattern (the label, then the entity ids) and its faults' word.
+_LINK_LINES = {
+    "R": (re.compile(r"^R[0-9]+\t(\S+) Arg1:(T[0-9]+) Arg2:(T[0-9]+)\s*$"), "relation"),
+    "*": (re.compile(r"^\*\t(\S+)((?: T[0-9]+)+)\s*$"), "equivalence"),
+}
 # A mention surface on one .ann line: each line break inside it becomes a space.
 _ONE_LINE = str.maketrans("\r\n", "  ")
 
@@ -91,9 +94,8 @@ def _parse_brat(text: str, ann: str, domain: str, doc_id: str, relation_label: s
     one raises ParseError at the last .ann line, as ``jsonl._checked`` words it."""
     types = entity_types if entity_types is not None else _ENTITY_TYPES
     mentions_by_tid: dict[str, Mention] = {}
-    order: list[str] = []
     seen_keys: set[tuple[int, int, ConceptType]] = set()
-    links: UnionFind | None = None  # built at the first R or * line
+    links: dict[int, list[str]] = {}  # the entity ids of each R or * line, by line
     sound = True
 
     lines = _lines(ann)
@@ -143,44 +145,28 @@ def _parse_brat(text: str, ann: str, domain: str, doc_id: str, relation_label: s
             seen_keys.add((start, end, ctype))
             source = _SOURCE_BY_TYPE[ctype]
             mentions_by_tid[tid] = Mention(doc_id, start, end, ctype, actual, source)
-            order.append(tid)
-        elif kind == "R":
-            m = _R_LINE.match(line)
+        elif kind in _LINK_LINES:
+            pattern, word = _LINK_LINES[kind]
+            m = pattern.match(line)
             if not m:
-                raise ParseError(f"malformed relation line: {line!r}", lineno)
-            label, arg1, arg2 = m.groups()
+                raise ParseError(f"malformed {word} line: {line!r}", lineno)
+            label, *ids = m.groups()
             if label != relation_label:
-                raise ParseError(f"unsupported relation type {label!r}", lineno)
-            for tid in (arg1, arg2):
-                if tid not in mentions_by_tid:
-                    raise ParseError(f"relation references unknown entity {tid}", lineno)
-            if links is None:
-                links = UnionFind()
-            links.union(arg1, arg2)
-        elif kind == "*":
-            m = _EQUIV_LINE.match(line)
-            if not m:
-                raise ParseError(f"malformed equivalence line: {line!r}", lineno)
-            label, members = m.groups()
-            if label != relation_label:
-                raise ParseError(f"unsupported equivalence type {label!r}", lineno)
-            tids = members.split()
+                raise ParseError(f"unsupported {word} type {label!r}", lineno)
+            tids = " ".join(ids).split()
             for tid in tids:
                 if tid not in mentions_by_tid:
-                    raise ParseError(f"equivalence references unknown entity {tid}", lineno)
-            if links is None:
-                links = UnionFind()
-            for tid in tids:
-                links.union(tids[0], tid)
+                    raise ParseError(f"{word} references unknown entity {tid}", lineno)
+            links[lineno] = tids
         else:
             raise ParseError(f"unsupported record type {kind!r}: {line!r}", lineno)
 
-    groups = links.groups() if links is not None else []
     clusters = tuple(sorted(
-        (CoreferenceCluster(doc_id, frozenset(mentions_by_tid[t] for t in g)) for g in groups),
+        (CoreferenceCluster(doc_id, frozenset(mentions_by_tid[t] for t in tids))
+         for _, tids in _components(links)),
         key=CoreferenceCluster.span_key,
     ))
-    mentions = tuple(mentions_by_tid[t] for t in order)
+    mentions = tuple(mentions_by_tid.values())
     doc = Document(doc_id=doc_id, domain=domain, text=text, mentions=mentions, clusters=clusters)
     return _checked(doc, sound, len(lines), seen)
 

@@ -71,6 +71,9 @@ def _load_config(path: str | None) -> dict[str, str]:
         if key == "format" and value not in _FORMATS:
             raise ParseError(f"unknown config format {value!r}; known: {', '.join(_FORMATS)}",
                              lineno, path=path)
+        if key == "lemma_exceptions" and not value:
+            raise ParseError("empty config lemma_exceptions; expected a table path", lineno,
+                             path=path)
         cfg[key] = value
     return cfg
 
@@ -370,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in _load_config(args.config).items():
             if getattr(args, name) is None:
                 setattr(args, name, value)
-        if args.lemma_exceptions:
+        if args.lemma_exceptions is not None:  # even "", a path that names no file
             set_default_lemma_exceptions(load_lemma_exceptions(args.lemma_exceptions))
             exceptions_set = True
         return _COMMANDS[args.command](args)

@@ -280,11 +280,13 @@ def _doc_id_fault(doc_id: str) -> str | None:
     """Why ``doc_id`` breaks the doc_id rule, or None if it keeps it.
 
     The rule admits only ids that every corpus writer can write and read
-    back: not empty, no whitespace, control character or backslash, no
-    ``.`` or ``..`` segment between slashes, and not absolute.
+    back: not empty, not led by ``#``, no whitespace, control character or
+    backslash, no ``.`` or ``..`` segment between slashes, and not absolute.
     """
     if not doc_id:
         return "is empty"
+    if doc_id[0] == "#":  # what the column and entity-links formats read as a comment
+        return "starts with '#'"
     # every whitespace and control character but the space is unprintable
     if " " in doc_id or not doc_id.isprintable():
         if any(ch.isspace() for ch in doc_id):

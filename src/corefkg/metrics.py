@@ -381,12 +381,13 @@ def optimal_assignment(rows: list[dict[int, int | Fraction]]) -> dict[int, int]:
     return {i: j for i, j in col_of.items() if j < private}
 
 
-def _components(shared: dict[int, dict[int, int]]) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the overlap graph, each as its response part
-    indices and its key part indices; a key part no response part touches
-    belongs to no component. Two components that meet are merged, the
-    smaller into the larger."""
-    component_of: dict[int, tuple[list[int], list[int]]] = {}  # by key part
+def _components(shared: dict[Hashable, Iterable[Hashable]]) -> list[tuple[list, list]]:
+    """Connected components of the bipartite graph that links each key ``j``
+    of ``shared`` to each item ``i`` of ``shared[j]``, which holds at least
+    one: each component as its ``j``s and its ``i``s, each once, in the order
+    of each component's first ``i`` met. Two components that meet are merged,
+    the smaller into the larger."""
+    component_of: dict[Hashable, tuple[list, list]] = {}  # by i
     for j, counts in shared.items():
         into = None
         for i in counts:

@@ -115,6 +115,20 @@ def all_scores(key: Clustering, response: Clustering) -> dict[str, tuple[float, 
     return {"muc": m, "b3": b, "ceafe": c, "conll": conll}
 
 
+def link_closure(links: list[list]) -> Clustering:
+    """The groups that coreference links close into, as BRAT chains close:
+    each link (a list of ids) starts as one set, and any two sets that share
+    an id are merged, again and again until no two do."""
+    groups = [set(ids) for ids in links]
+    while True:
+        meeting = next(((a, b) for a in range(len(groups)) for b in range(a + 1, len(groups))
+                        if groups[a] & groups[b]), None)
+        if meeting is None:
+            return groups
+        a, b = meeting
+        groups[a] |= groups.pop(b)
+
+
 def parse_conll_chains(text: str) -> dict[str, list[set]]:
     """Independent parser of the column format: doc id -> chains of token spans.
 

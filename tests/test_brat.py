@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from corefkg.brat import parse_brat, read_brat_dir, write_brat, write_brat_dir
 from corefkg.errors import ParseError
 from corefkg.model import ConceptType, Corpus, Document, Mention, MentionSource, all_clusters
-from corefkg.unionfind import UnionFind
 
+import _reference
 from corpusgen import random_corpus
 
 TEXT = "CNN works. A CNN is fast."
@@ -46,11 +46,6 @@ def test_parse_relation_chain_forms_one_cluster():
         "R2\tCoreference Arg1:T2 Arg2:T3\n"
     )
     doc = parse_brat(text, ann, "CS", doc_id="d1")
-    # oracle: union-find over the two pairs
-    uf = UnionFind()
-    uf.union("T1", "T2")
-    uf.union("T2", "T3")
-    assert len(uf.groups()) == 1
     assert len(doc.clusters) == 1
     assert doc.clusters[0].size == 3
 
@@ -80,6 +75,48 @@ def test_parse_mixed_encodings_are_unioned():
     doc = parse_brat(text, ann, "CS", doc_id="d1")
     sizes = sorted(c.size for c in doc.clusters)
     assert sizes == [3]  # T4 is unclustered, not a parsed cluster
+
+
+@st.composite
+def linked_ann(draw):
+    """(text, ann, links): an .ann file whose T lines have distinct mention
+    keys, some of one span, and whose R and ``*`` lines, in any order among
+    the T lines, link only entities defined above them; ``links`` lists each
+    link line's entity ids. R lines may link an entity to itself, and ``*``
+    lines may list one entity or repeat one."""
+    text = "a bb ccc dd e"
+    spans = [(0, 1), (2, 4), (5, 8), (9, 11), (12, 13), (0, 4), (5, 11)]
+    types = ["Data", "Method", "CorefMention"]
+    keys = draw(st.lists(st.tuples(st.sampled_from(spans), st.sampled_from(types)),
+                         unique=True, max_size=12))
+    lines, links, tids = [], [], []
+    for (start, end), type_name in keys:
+        tids.append(f"T{len(tids) + 1}")
+        lines.append(f"{tids[-1]}\t{type_name} {start} {end}\t{text[start:end]}")
+        for _ in range(draw(st.integers(0, 2))):
+            ids = draw(st.lists(st.sampled_from(tids), min_size=1, max_size=4))
+            if len(ids) <= 2 and draw(st.booleans()):
+                head, tail = ids[0], ids[-1]
+                lines.append(f"R{len(links) + 1}\tCoreference Arg1:{head} Arg2:{tail}")
+                ids = [head, tail]
+            else:
+                lines.append("*\tCoreference " + " ".join(ids))
+            links.append(ids)
+    return text, "".join(line + "\n" for line in lines), links
+
+
+@settings(max_examples=150, deadline=None)
+@given(linked_ann())
+def test_parse_clusters_are_the_closure_of_the_links_in_span_order(case):
+    text, ann, links = case
+    doc = parse_brat(text, ann, "CS", doc_id="d")
+    tid_of = {m.key: f"T{i}" for i, m in enumerate(doc.mentions, start=1)}
+    closure = _reference.link_closure(links)
+    clusters = [frozenset(tid_of[m.key] for m in c.mentions) for c in doc.clusters]
+    assert len(clusters) == len(closure)
+    assert set(clusters) == {frozenset(group) for group in closure}
+    spans = [c.span_key() for c in doc.clusters]
+    assert spans == sorted(spans)
 
 
 def test_parse_coref_only_mention_type():
@@ -353,6 +390,19 @@ def test_read_brat_dir_refuses_a_doc_id_no_writer_can_read_back(tmp_path, name):
     assert f"line 1: doc_id {'CS/' + name!r} contains " in str(err.value)
     with pytest.raises(ParseError, match="doc_id '' is empty"):
         parse_brat("hello", "T1\tData 0 5\thello\n", "CS", doc_id="")
+
+
+def test_read_brat_dir_refuses_a_hash_led_doc_id(tmp_path):
+    # the column format and the entity-links file read a "#"-led line as a comment
+    for name in ("#a", "CS/#a"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / f"{name}.txt").write_text("hello", "utf-8")
+        (tmp_path / f"{name}.ann").write_text("T1\tData 0 5\thello\n", "utf-8")
+    with pytest.raises(ParseError) as err:
+        read_brat_dir(tmp_path)
+    assert str(err.value) == f"{tmp_path / '#a.ann'}: line 1: doc_id '#a' starts with '#'"
+    (tmp_path / "#a.txt").unlink()
+    assert [doc.doc_id for doc in read_brat_dir(tmp_path)] == ["CS/#a"]
 
 
 def test_write_brat_dir_keeps_a_dotted_last_segment_whole(tmp_path):

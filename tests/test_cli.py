@@ -156,13 +156,14 @@ def test_a_doc_id_the_column_writer_cannot_write_is_refused_at_its_input_line(tm
 
 
 def test_conll_output_of_a_hash_led_doc_id_exits_2_before_writing(tmp_path, capsys):
-    # the column format reads a "#"-led line as a comment: "#g" would read back empty
+    # the column format reads a "#"-led line as a comment, so the doc_id rule
+    # refuses "#g" as the corpus is read, before anything is written
     docs = [Document(doc_id, "CS", "ab", (Mention(doc_id, 0, 2, ConceptType.DATA, "ab"),))
             for doc_id in ("#g", "h")]
     src = tmp_path / "in.jsonl"
     src.write_text(write_jsonl(Corpus(tuple(docs))), "utf-8")
     assert main(["convert", "--in", str(src), "--out", str(tmp_path / "out.conll")]) == 2
-    assert "doc_id '#g' starts with '#'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {src}: line 1: doc_id '#g' starts with '#'\n"
     assert not (tmp_path / "out.conll").exists()
     assert not (tmp_path / "out.conll.tokens").exists()
 
@@ -369,6 +370,20 @@ def test_config_file_rejects_an_unknown_format(corpus_path, tmp_path, capsys, va
     assert capsys.readouterr() == ("", f"error: {cfg}: line 2: unknown config format {value!r}; "
                                        f"known: brat, conll, jsonl\n")
     assert not out.exists()
+
+
+def test_an_empty_lemma_exceptions_value_is_refused(ox_corpus, tmp_path, capsys):
+    # the flag names a file that does not exist, not the packaged table
+    assert main(["--lemma-exceptions", "", "populate", "--in", str(ox_corpus),
+                 "--strategy", "in", "--out", str(tmp_path / "kg.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    cfg = tmp_path / "corefkg.conf"
+    cfg.write_text("# defaults\nlemma_exceptions =\n", "utf-8")
+    assert main(["--config", str(cfg), "populate", "--in", str(ox_corpus),
+                 "--strategy", "in", "--out", str(tmp_path / "kg.jsonl")]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}: line 2: empty config lemma_exceptions; "
+                                       f"expected a table path\n")
+    assert not (tmp_path / "kg.jsonl").exists()
 
 
 def test_brat_root_must_be_a_directory(corpus_path, capsys):

@@ -29,7 +29,7 @@ from .model import (
     Corpus,
     Document,
     Mention,
-    MentionSource,
+    _SOURCE_BY_TYPE,
 )
 
 __all__ = [
@@ -49,10 +49,6 @@ COREF_MENTION_LABEL = "CorefMention"
 
 _ENTITY_TYPES = {t.value: t for t in ConceptType if t not in (ConceptType.NONE, ConceptType.MIXED)}
 _ENTITY_TYPES[COREF_MENTION_LABEL] = ConceptType.NONE
-_SOURCE_BY_TYPE = {
-    t: MentionSource.COREF_ONLY if t is ConceptType.NONE else MentionSource.CONCEPT_EXTRACTOR
-    for t in ConceptType
-}
 
 # [0-9], not \d: \d also matches non-ASCII digits such as ٣, which int() takes.
 _T_LINE = re.compile(r"^(T[0-9]+)\t(\S+) ([0-9]+) ([0-9]+)\t(.*)$")
@@ -208,19 +204,10 @@ def _txt_files(root) -> list[tuple[tuple[str, ...], str]]:
     if not os.path.isdir(root):
         raise ParseError(f"BRAT root is not a directory: {root}")
     found = []
-    pending: list[tuple[str, tuple[str, ...]]] = [(os.fspath(root), ())]
-    while pending:
-        directory, dirs = pending.pop()
-        try:
-            with os.scandir(directory) as entries:
-                for entry in entries:
-                    parts = (*dirs, entry.name)
-                    if entry.name.endswith(".txt"):
-                        found.append((parts, directory))
-                    if entry.is_dir(follow_symlinks=False):
-                        pending.append((entry.path, parts))
-        except PermissionError:
-            continue
+    for directory, dirs, files in os.walk(root):
+        rel = os.path.relpath(directory, root)
+        above = () if rel == os.curdir else tuple(rel.split(os.sep))
+        found += [((*above, name), directory) for name in dirs + files if name.endswith(".txt")]
     found.sort()
     return found
 

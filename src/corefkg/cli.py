@@ -130,12 +130,10 @@ def _write_corpus(src: str, fmt_in: str | None, out: str, fmt_out: str | None, *
         with _replacing(out, out + ".tokens") as (columns, table), \
                 mapped(conll._columns) as records:
             conll._write_columns(jsonl._unrefused(records), columns, table)
-    elif fmt == "brat":
+    else:
         with brat._staged(out) as staging, \
                 mapped(partial(brat._pairs, root=out, staging=staging)) as records:
             brat._written(records, out)
-    else:
-        raise ValueError(f"unknown corpus format {fmt!r}")
 
 
 def _strategy(args):

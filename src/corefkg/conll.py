@@ -5,9 +5,9 @@ Documents are delimited by ``#begin document <id>`` / ``#end document``; each
 line carries one token, and the final column carries coreference chain
 brackets: ``(k`` opens chain k at this token, ``k)`` closes it, ``(k)`` is a
 single-token mention, ``-`` is none; several entries are separated by ``|``.
-A line that starts with ``#`` and is no sentinel is a comment, so the writer
-refuses a doc id that starts with ``#``: its token lines would read as
-comments.
+A line that starts with ``#`` and is no sentinel is a comment; the writer
+refuses a doc id that starts with ``#``, whose token lines would read as
+comments, as it refuses every doc id outside the readers' doc_id rule.
 
 The format is token-indexed while the data model is character-indexed, so
 the writer also emits a sidecar *token table* (TSV: doc_id, token index,
@@ -41,6 +41,7 @@ from .model import (
     Document,
     Mention,
     MentionSource,
+    _doc_id_fault,
     all_clusters,
 )
 
@@ -89,9 +90,9 @@ def write_coref_columns(corpus: Corpus) -> tuple[str, str]:
 
     Every mention appears in exactly one chain: annotated clusters plus
     implicit singletons. Mention boundaries must not fall inside whitespace,
-    two mentions of one document must not share a character span, and a
-    doc_id must not be empty, hold whitespace or start with ``#`` (the
-    column format cannot represent any of these).
+    two mentions of one document must not share a character span (the
+    column format cannot represent either), and a doc_id must keep the rule
+    of every corpus reader (see ``model._doc_id_fault``).
     """
     columns, table = io.StringIO(), io.StringIO()
     _write_columns(map(_document_columns, corpus), columns, table)
@@ -124,13 +125,9 @@ def _document_columns(doc: Document) -> tuple[str, str]:
     """The column lines and the token table rows of one document, each line
     with its newline; ValueError for a document ``write_coref_columns`` refuses."""
     doc_id, text = doc.doc_id, doc.text
-    if not doc_id:
-        raise ValueError("doc_id '' is empty, which the column format cannot write")
-    if any(ch.isspace() for ch in doc_id):
-        raise ValueError(f"doc_id {doc_id!r} contains whitespace")
-    if doc_id.startswith("#"):
-        raise ValueError(f"doc_id {doc_id!r} starts with '#', which the column format "
-                         f"reads as a comment")
+    fault = _doc_id_fault(doc_id)
+    if fault:
+        raise ValueError(f"doc_id {doc_id!r} {fault}, which the column writer refuses")
     boundaries: set[int] = set()
     for m in doc.mentions:
         boundaries.update((m.start, m.end))

@@ -37,6 +37,8 @@ from .model import (
     MentionKey,
     MentionSource,
     _RESERVED_DOMAINS,
+    _SOURCE_BY_TYPE,
+    _doc_id_fault,
     concept_type_from_string,
     validate,
 )
@@ -276,32 +278,6 @@ def _key_group(keys: list[MentionKey], label: str, seen: set[MentionKey], lineno
     return group
 
 
-def _doc_id_fault(doc_id: str) -> str | None:
-    """Why ``doc_id`` breaks the doc_id rule, or None if it keeps it.
-
-    The rule admits only ids that every corpus writer can write and read
-    back: not empty, not led by ``#``, no whitespace, control character or
-    backslash, no ``.`` or ``..`` segment between slashes, and not absolute.
-    """
-    if not doc_id:
-        return "is empty"
-    if doc_id[0] == "#":  # what the column and entity-links formats read as a comment
-        return "starts with '#'"
-    # every whitespace and control character but the space is unprintable
-    if " " in doc_id or not doc_id.isprintable():
-        if any(ch.isspace() for ch in doc_id):
-            return "contains whitespace"
-        if any(ch <= "\x1f" or "\x7f" <= ch <= "\x9f" for ch in doc_id):
-            return "contains a control character"
-    if "\\" in doc_id:
-        return "contains a backslash"
-    if doc_id[0] == "/":
-        return "is absolute"
-    if "." in doc_id and not {".", ".."}.isdisjoint(doc_id.split("/")):
-        return "has a '.' or '..' segment"
-    return None
-
-
 def _checked(doc: Document, sound: bool, lineno: int, seen_ids: set[str]) -> Document:
     """The readers' validation boundary: ``doc`` must be valid and its doc_id
     new and within the doc_id rule (see ``_doc_id_fault``).
@@ -351,9 +327,7 @@ def _document_from_dict(obj: dict, lineno: int) -> tuple[Document, bool]:
         name = entry.get("source")
         source = _SOURCES.get(name) if type(name) is str else None
         if source is None:  # a missing source defaults by type
-            source = _expect_source(entry, lineno) if "source" in entry else (
-                MentionSource.COREF_ONLY if ctype is ConceptType.NONE
-                else MentionSource.CONCEPT_EXTRACTOR)
+            source = _expect_source(entry, lineno) if "source" in entry else _SOURCE_BY_TYPE[ctype]
         if not 0 <= start < end <= n or ctype is _MIXED:
             sound = False
         keys.add((start, end, ctype))

@@ -101,6 +101,13 @@ class MentionSource(enum.Enum):
     COREF_ONLY = "coref_only"
 
 
+#: The source a mention of each type takes when its input names none.
+_SOURCE_BY_TYPE = {
+    t: MentionSource.COREF_ONLY if t is ConceptType.NONE else MentionSource.CONCEPT_EXTRACTOR
+    for t in ConceptType
+}
+
+
 #: Identity key of a mention within a corpus: (doc_id, start, end, type name).
 MentionKey = tuple[str, int, int, str]
 
@@ -290,12 +297,42 @@ def validate(doc: Document) -> list[str]:
     return violations
 
 
+def _doc_id_fault(doc_id: str) -> str | None:
+    """Why ``doc_id`` breaks the doc_id rule, or None if it keeps it.
+
+    The rule admits only ids that every corpus writer can write and read
+    back: not empty, not led by ``#``, no whitespace, control character or
+    backslash, not absolute, and no empty, ``.`` or ``..`` segment between
+    slashes.
+    """
+    if not doc_id:
+        return "is empty"
+    if doc_id[0] == "#":  # what the column and entity-links formats read as a comment
+        return "starts with '#'"
+    # every whitespace and control character but the space is unprintable
+    if " " in doc_id or not doc_id.isprintable():
+        if any(ch.isspace() for ch in doc_id):
+            return "contains whitespace"
+        if any(ch <= "\x1f" or "\x7f" <= ch <= "\x9f" for ch in doc_id):
+            return "contains a control character"
+    if "\\" in doc_id:
+        return "contains a backslash"
+    if doc_id[0] == "/":
+        return "is absolute"
+    if doc_id[-1] == "/" or "//" in doc_id:  # a path would drop the segment
+        return "has an empty segment"
+    if "." in doc_id and not {".", ".."}.isdisjoint(doc_id.split("/")):
+        return "has a '.' or '..' segment"
+    return None
+
+
 #: Domain names that ``kgpop.kg_stats`` uses for its own columns.
 _RESERVED_DOMAINS = frozenset({"Total", "MIX"})
 
 
 def validate_corpus(corpus: Corpus) -> list[str]:
-    """Validate every document plus corpus-level uniqueness of doc_ids.
+    """Validate every document plus corpus-level uniqueness of doc_ids and
+    the doc_id rule (see ``_doc_id_fault``).
 
     The domain names ``Total`` and ``MIX`` are reserved for the columns of
     ``kgpop.kg_stats``.
@@ -309,6 +346,9 @@ def validate_corpus(corpus: Corpus) -> list[str]:
         violations.extend(validate(doc))
         if doc.domain in _RESERVED_DOMAINS:
             violations.append(f"domain name {doc.domain!r} is reserved")
+        fault = _doc_id_fault(doc.doc_id)
+        if fault:
+            violations.append(f"doc_id {doc.doc_id!r} {fault}")
     return violations
 
 

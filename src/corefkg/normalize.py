@@ -281,8 +281,6 @@ class _Labeler:
         if len(cluster.mentions) == 1:  # the lone mention is the longest
             for m in cluster.mentions:
                 return self.mention(m.surface, acronyms)
-        if not cluster.mentions:
-            raise ValueError("cannot label an empty cluster")
         # Each mention is expanded once; the winner's expansion is the one
         # normalized. Equal (start, end, surface) imply equal expansions.
         best = min(

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -8,11 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkg import jsonl
+from corefkg.brat import read_brat_dir, write_brat_dir
+from corefkg.conll import read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
 from corefkg.goldkg import read_gold_jsonl
 from corefkg.jsonl import document_from_dict, read_jsonl, write_jsonl
 from corefkg.kgpop import read_kg_jsonl
-from corefkg.model import ConceptType, CoreferenceCluster, Corpus, Document, Mention
+from corefkg.model import (
+    ConceptType,
+    CoreferenceCluster,
+    Corpus,
+    Document,
+    Mention,
+    validate_corpus,
+)
 
 from corpusgen import random_corpus
 
@@ -180,6 +190,9 @@ REFUSED_DOC_IDS = [
     ("a\x9bb", "contains a control character"),
     ("a\\b", "contains a backslash"),
     ("/a", "is absolute"),
+    ("/", "is absolute"),
+    ("CS/a/", "has an empty segment"),
+    ("a//b", "has an empty segment"),
     (".", "has a '.' or '..' segment"),
     ("..", "has a '.' or '..' segment"),
     ("a/./b", "has a '.' or '..' segment"),
@@ -201,14 +214,24 @@ def test_a_doc_id_no_writer_can_read_back_is_a_parse_error_at_its_line(tmp_path,
     with pytest.raises(ParseError) as streamed:
         list(jsonl._read_documents(path))
     assert str(streamed.value) == f"{path}: {err.value}"
+    # a hand-built corpus meets the same rule in the same words
+    corpus = Corpus((Document(doc_id, "", "ab"),))
+    assert validate_corpus(corpus) == [f"doc_id {doc_id!r} {reason}"]
+    with pytest.raises(ValueError, match=re.escape(f"doc_id {doc_id!r} {reason}")):
+        write_coref_columns(corpus)
 
 
 @pytest.mark.parametrize("doc_id", ["d", "CS/x", "v1.2", ".e", "d.", "a..b", "...", "a#",
                                     "CS/#g", "x/y/z", "Mößbauer", "a-b_c~"])
-def test_the_doc_id_rule_admits_ids_every_writer_reads_back(doc_id):
-    line = json.dumps({"doc_id": doc_id, "domain": "", "text": "ab", "mentions": [],
-                       "clusters": []})
-    assert [doc.doc_id for doc in read_jsonl(line)] == [doc_id]
+def test_the_doc_id_rule_admits_ids_every_writer_reads_back(tmp_path, doc_id):
+    # the domain a BRAT tree reads back: the first segment of a path, else ''
+    head, slash, _ = doc_id.partition("/")
+    corpus = Corpus((Document(doc_id, head if slash else "", "ab"),))
+    assert validate_corpus(corpus) == []
+    assert read_jsonl(write_jsonl(corpus)) == corpus
+    assert [doc.doc_id for doc in read_coref_columns(*write_coref_columns(corpus))] == [doc_id]
+    write_brat_dir(corpus, tmp_path / "tree")
+    assert read_brat_dir(tmp_path / "tree") == corpus
 
 
 class _Str(str):

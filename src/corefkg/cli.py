@@ -56,25 +56,23 @@ def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     cfg: dict[str, str] = {}
-    for lineno, raw in enumerate(jsonl._lines(jsonl._read_text(path)), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"config line is not 'key = value': {raw!r}", lineno, path=path)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in ("format", "lemma_exceptions"):
-            raise ParseError(f"unknown config key {key!r}; known: format, lemma_exceptions", lineno,
-                             path=path)
-        value = value.strip()
-        if key == "format" and value not in _FORMATS:
-            raise ParseError(f"unknown config format {value!r}; known: {', '.join(_FORMATS)}",
-                             lineno, path=path)
-        if key == "lemma_exceptions" and not value:
-            raise ParseError("empty config lemma_exceptions; expected a table path", lineno,
-                             path=path)
-        cfg[key] = value
+    with jsonl._reading(path) as lines:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise ParseError(f"config line is not 'key = value': {raw!r}", lineno)
+            if key not in ("format", "lemma_exceptions"):
+                raise ParseError(f"unknown config key {key!r}; known: format, lemma_exceptions",
+                                 lineno)
+            if key == "format" and value not in _FORMATS:
+                raise ParseError(f"unknown config format {value!r}; known: {', '.join(_FORMATS)}",
+                                 lineno)
+            if key == "lemma_exceptions" and not value:
+                raise ParseError("empty config lemma_exceptions; expected a table path", lineno)
+            cfg[key] = value
     return cfg
 
 
@@ -90,17 +88,17 @@ def _corpus(path_s: str, fmt: str | None, for_output: bool = False) -> tuple[Pat
     return path, "jsonl" if path.suffix == ".jsonl" else "conll"
 
 
-def _read_first(corpus: str, fmt: str | None, parse: Callable[[str], T], path: str) -> T:
-    """``parse`` of the file at ``path``, needed before the corpus at ``corpus``.
-    If it raises, the corpus is read to the end first, so that a corpus fault
-    is raised; a ParseError that names no file then names ``path``."""
+def _read_first(corpus: str, fmt: str | None, parse: Callable[[Iterable[str]], T],
+                path: str) -> T:
+    """``parse`` of the lines of the file at ``path`` (``jsonl._reading``),
+    needed before the corpus at ``corpus``. If it raises, the corpus is read to
+    the end first, so that a corpus fault is raised."""
     try:
-        return parse(jsonl._read_text(path))
-    except (OSError, ValueError) as exc:
+        with jsonl._reading(path) as lines:
+            return parse(lines)
+    except (OSError, ValueError):
         for _ in parallel.documents(*_corpus(corpus, fmt)):
             pass
-        if isinstance(exc, ParseError):
-            raise jsonl._naming(exc, path) from None
         raise
 
 
@@ -313,9 +311,9 @@ def _cmd_populate(args) -> int:
 
 
 def _cmd_compile_gold(args) -> int:
-    from .goldkg import _gold, _gold_lines, _gold_records, read_entity_links
+    from .goldkg import _entity_links, _gold, _gold_lines, _gold_records
 
-    links = (_read_first(args.input, args.format, read_entity_links, args.links)
+    links = (_read_first(args.input, args.format, _entity_links, args.links)
              if args.links else {})
     chain = partial(_gold_records, links=links)
     with contextlib.closing(parallel.records(*_corpus(args.input, args.format), chain)) as records:
@@ -325,10 +323,10 @@ def _cmd_compile_gold(args) -> int:
 
 
 def _cmd_eval_kg(args) -> int:
-    from .goldkg import _evaluated, _restriction, read_gold_jsonl
+    from .goldkg import _evaluated, _gold_kg, _restriction
     from .kgpop import _records
 
-    key = _read_first(args.input, args.format, read_gold_jsonl, args.gold).partition()
+    key = _read_first(args.input, args.format, _gold_kg, args.gold).partition()
     universe = key.universe()
     chain = partial(_records, strategy=_strategy(args), keep=_restriction(universe))
     with contextlib.closing(parallel.records(*_corpus(args.input, args.format), chain)) as records:

@@ -33,7 +33,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, TextIO
 
 from .errors import ParseError
-from .jsonl import _checked, _digits, _lines, _long_numeral, _naming, _read_text
+from .jsonl import _checked, _digits, _lines, _long_numeral, _naming, _read_text, _reading
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -313,7 +313,8 @@ def _column_document(doc_id: str, tokens: list[str], chains: dict[int, list[tupl
         clusters.append(CoreferenceCluster(doc_id, frozenset(members)))
     clusters.sort(key=CoreferenceCluster.span_key)
     mentions.sort(key=lambda m: (m.start, m.end))
-    return Document(doc_id=doc_id, domain="", text=text,
+    domain, sep, _ = doc_id.partition("/")
+    return Document(doc_id=doc_id, domain=domain if sep else "", text=text,
                     mentions=tuple(mentions), clusters=tuple(clusters))
 
 
@@ -375,53 +376,53 @@ def read_coref_columns(columns: str, token_table: str | None = None) -> Corpus:
     reconstructed from the tokens at their spans, with spaces in the gaps.
     Each token needs a row whose span fits it, and the spans of a document
     must increase, as the writer writes them. Without a table, tokens are
-    joined by single spaces. Chain brackets must balance per document; a
-    mention span may belong to at most one chain. A fault in the table
-    itself raises ParseError at its line, before any fault of the column
-    file. A fault in a document's tokens, spans or chains, or a repeated
-    doc_id, raises ParseError at its ``#end document`` line. A table row
-    that no token uses raises ParseError at the last line (line 1 of an
-    empty file).
+    joined by single spaces. A document's domain is its doc_id's first ``/``
+    segment, or ``''``, as ``brat.read_brat_dir`` takes the first directory.
+    Chain brackets must balance per document; a mention span may belong to at
+    most one chain. A fault in the table itself raises ParseError at its line,
+    before any fault of the column file. A fault in a document's tokens, spans
+    or chains, or a repeated doc_id, raises ParseError at its ``#end
+    document`` line. A table row that no token uses raises ParseError at the
+    last line (line 1 of an empty file).
     """
-    return _corpus(columns, token_table)
+    return _corpus(_lines(columns), token_table)
 
 
 def _read_documents(path, start: int = 0, stop: int | None = None, *,
                     seen: set[str] | None = None, read_on=None) -> Iterator[Document]:
-    """The documents of ``read_coref_columns`` of the column file at ``path``
-    and its token table ``<path>.tokens``, if there is one (see ``_corpus``).
-    A column file is one range, read whole: ``start`` and ``stop`` are 0 and
-    None, and ``read_on`` is never called."""
+    """The documents of ``_corpus`` of the ``_reading`` of the column file at
+    ``path`` and of its token table ``<path>.tokens``, if there is one, all read
+    before the first is handed on: a column file is one range, ``start`` and
+    ``stop`` are 0 and None, and ``read_on`` is never called."""
     try:
         table = _read_text(f"{path}.tokens")
     except FileNotFoundError:
         table = None
-    yield from _corpus(_read_text(path), table, seen, path)
+    with _reading(path) as lines:
+        yield from _corpus(lines, table, seen, f"{path}.tokens")
 
 
-def _corpus(columns: str, token_table: str | None, seen: set[str] | None = None,
-            path=None) -> Corpus:
-    """``read_coref_columns(columns, token_table)``, or its fault: one of the
-    table itself comes first, as if the table were read up front, and names
-    ``<path>.tokens``; any other names ``path``. ``seen`` collects the doc_ids
+def _corpus(lines: Iterable[str], token_table: str | None, seen: set[str] | None = None,
+            table_path: str | None = None) -> Corpus:
+    """``read_coref_columns`` of a column file's ``lines`` and ``token_table``,
+    or its fault: one of the table itself, which names ``table_path``, comes
+    first, as if the table were read up front. ``seen`` collects the doc_ids
     read; one already in it is repeated."""
-    table = None if token_table is None else _TokenTable(token_table, path and f"{path}.tokens")
+    table = None if token_table is None else _TokenTable(token_table, table_path)
     try:
-        return _read_columns(columns, table, set() if seen is None else seen)
-    except ParseError as exc:
-        fault = exc
-    if table is not None:
-        table.offsets()
-    raise _naming(fault, path)
+        return Corpus(tuple(_read_columns(lines, table, set() if seen is None else seen)))
+    except ParseError:
+        if table is not None:
+            table.offsets()
+        raise
 
 
-def _read_columns(columns: str, table: _TokenTable | None, seen_ids: set[str]) -> Corpus:
-    """``read_coref_columns`` line by line, collecting the doc_ids in ``seen_ids``."""
-    documents: list[Document] = []
+def _read_columns(lines: Iterable[str], table: _TokenTable | None,
+                  seen_ids: set[str]) -> Iterator[Document]:
+    """The documents of ``read_coref_columns``, collecting the doc_ids in ``seen_ids``."""
     n_tokens: dict[str, int] = {}  # doc_id -> its token count, for the unused-row check
-    lines = _lines(columns)
     doc_id: str | None = None
-    begin_line = 0
+    begin_line = lineno = 0
     for lineno, line in enumerate(lines, start=1):
         cols = line.split()
         # Most lines are 4-column token lines, so they are tested for
@@ -445,8 +446,8 @@ def _read_columns(columns: str, table: _TokenTable | None, seen_ids: set[str]) -
             open_chains = sorted(k for k, v in stacks.items() if v)
             if open_chains:
                 raise ParseError(f"unbalanced brackets: chains {open_chains} still open", lineno)
-            documents.append(_checked(_column_document(doc_id, tokens, chains, table, lineno),
-                                      True, lineno, seen_ids))
+            yield _checked(_column_document(doc_id, tokens, chains, table, lineno), True, lineno,
+                           seen_ids)
             n_tokens[doc_id] = len(tokens)
             doc_id = None
             continue
@@ -463,7 +464,6 @@ def _read_columns(columns: str, table: _TokenTable | None, seen_ids: set[str]) -
         tokens.append(token)
     if doc_id is not None:
         raise ParseError(
-            f"missing end-of-document sentinel for document begun at line {begin_line}", len(lines))
+            f"missing end-of-document sentinel for document begun at line {begin_line}", lineno)
     if table is not None:
-        table.check_used(n_tokens, max(len(lines), 1))
-    return Corpus(tuple(documents))
+        table.check_used(n_tokens, max(lineno, 1))

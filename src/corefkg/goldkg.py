@@ -177,11 +177,17 @@ def read_gold_jsonl(text: str) -> GoldKg:
     a second header, header counts that break 0 <= singleton_clusters <= clusters_kept,
     a repeated entity, a mention with offsets out of order or typed Mixed, or a concept
     that is empty, lists a mention twice or shares one."""
+    return _gold_kg(_lines(text))
+
+
+def _gold_kg(lines: Iterable[str]) -> GoldKg:
+    """``read_gold_jsonl`` of a gold KG's ``lines``; each doc_id is one string."""
     concepts: list[GoldConcept] = []
     seen: set[MentionKey] = set()
     entities: set[str] = set()
+    share = {}.setdefault
     header: tuple[int, int] | None = None
-    for lineno, obj in _json_objects(_lines(text)):
+    for lineno, obj in _json_objects(lines):
         if obj.get("record") == "gold_kg":
             if header is not None:
                 raise ParseError("repeated gold_kg header record", lineno)
@@ -195,8 +201,10 @@ def read_gold_jsonl(text: str) -> GoldKg:
         if entity in entities:
             raise ParseError(f"duplicate gold concept entity {entity!r}", lineno)
         entities.add(entity)
-        keys = [_mention_key(_expect(m, "doc_id", str, lineno), *_mention_entry(m, lineno), lineno)
-                for m in _expect_entries(obj, "mentions", dict, lineno)]
+        keys = []
+        for m in _expect_entries(obj, "mentions", dict, lineno):
+            doc_id = _expect(m, "doc_id", str, lineno)
+            keys.append(_mention_key(share(doc_id, doc_id), *_mention_entry(m, lineno), lineno))
         mentions = _key_group(keys, f"gold concept {entity!r}", seen, lineno)
         concepts.append(GoldConcept(entity=entity, mentions=mentions))
     kept, singleton = header or (0, 0)
@@ -210,8 +218,14 @@ def read_entity_links(text: str) -> dict[MentionKey, str]:
 
     Each key must have ``0 <= start < end`` and a mention type (any but Mixed).
     """
+    return _entity_links(_lines(text))
+
+
+def _entity_links(lines: Iterable[str]) -> dict[MentionKey, str]:
+    """``read_entity_links`` of a file's ``lines``; each doc_id and entity is one string."""
     links: dict[MentionKey, str] = {}
-    for lineno, line in enumerate(_lines(text), start=1):
+    share = {}.setdefault
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -220,13 +234,13 @@ def read_entity_links(text: str) -> dict[MentionKey, str]:
         if any(p != p.strip() for p in parts):
             raise ParseError(f"field with surrounding whitespace in {line!r}", lineno)
         doc_id, start_s, end_s, type_name, entity = parts
-        key = _mention_key(doc_id, _digits(start_s, "start", lineno), _digits(end_s, "end", lineno),
-                           _concept_type(type_name, lineno), lineno)
+        key = _mention_key(share(doc_id, doc_id), _digits(start_s, "start", lineno),
+                           _digits(end_s, "end", lineno), _concept_type(type_name, lineno), lineno)
         if not entity:
             raise ParseError("empty entity id", lineno)
         if key in links and links[key] != entity:
             raise ParseError(f"conflicting entity for mention {key}", lineno)
-        links[key] = entity
+        links[key] = share(entity, entity)
     return links
 
 

@@ -20,10 +20,11 @@ so each of those facts is decided in one place.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import sys
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring as _quote
 from typing import Iterable, Iterator
 
@@ -147,6 +148,58 @@ def _read_text(path, *, newlines: bool = True) -> str:
     if newlines and b"\r" in data:
         return text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+#: Bytes ``_reading`` reads at once, and then on to the end of their last line.
+_CHUNK = 1 << 16
+
+
+@contextlib.contextmanager
+def _reading(path, start: int = 0, stop: int | None = None,
+             read_on=None) -> Iterator[Iterator[str]]:
+    """The lines of the file at ``path`` from byte offset ``start`` to ``stop``
+    (line starts; None is the end of the file), numbered from ``start`` and read
+    in chunks of whole lines, each decoded once: for the whole file,
+    ``_lines(_read_text(path))``, or its ParseError. Once they reach ``stop``,
+    they go on if ``read_on()`` returns true. The lines before a bad byte's
+    line are handed on before its fault. A ParseError raised in the body names
+    ``path`` unless it names a file, but a bad byte anywhere after the lines
+    read wins, as if the whole file were decoded before it is parsed."""
+    with open(path, "rb") as f:
+        if start:
+            f.seek(start)
+        line, pending = 1, b""  # one plus the \n bytes before the bytes read and not decoded
+
+        def texts(stop: int | None) -> Iterator[str]:
+            nonlocal line, pending
+            while True:
+                if stop is not None and not pending and f.tell() == stop:  # its lines all read
+                    if not (read_on and read_on()):
+                        return
+                    stop = None
+                size = _CHUNK if stop is None else min(_CHUNK, stop - f.tell())
+                chunk, pending = pending + f.read(size), b""
+                if not chunk:
+                    return
+                if not chunk.endswith(b"\n"):
+                    chunk += f.readline()
+                try:
+                    text = chunk.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    cut = chunk.rfind(b"\n", 0, exc.start) + 1  # where the bad byte's line starts
+                    chunk, pending = chunk[:cut], chunk[cut:]  # its line is read again
+                    if not cut:
+                        raise _not_utf8(exc, line, path) from None
+                    text = chunk.decode("utf-8")
+                line += chunk.count(b"\n")
+                yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+        try:
+            yield chain.from_iterable(map(_lines, texts(stop)))
+        except ParseError as fault:
+            for _ in texts(None):  # the rest of the file, from a bad byte's line if one was met
+                pass
+            raise _naming(fault, path) from None
 
 
 def _long_numeral(what: str, lineno: int) -> ParseError:
@@ -436,50 +489,7 @@ def _unrefused(records: Iterable[tuple]) -> Iterator[tuple]:
 
 def _read_documents(path, start: int = 0, stop: int | None = None, *,
                     seen: set[str] | None = None, read_on=None) -> Iterator[Document]:
-    r"""The checked documents of the JSONL file at ``path``, from byte offset
-    ``start`` to ``stop`` (line starts; None is the end of the file), read and
-    decoded one line at a time and handed on in blocks of ``_BLOCK``: for the
-    whole file, the documents of ``read_jsonl(_read_text(path))``, or its
-    ParseError, raised once the blocks before the faulty document's block are
-    handed on. Line numbers count from ``start``, and every fault names ``path``.
-
-    The file is split at its ``\n`` bytes, which no other UTF-8 character
-    holds, and each piece is decoded with its ``\n``, so a bad byte is worded
-    as in the whole file; ``\r\n`` and a lone ``\r`` also end a line. Bytes
-    that are not UTF-8 anywhere after a faulty line, up to the end of the
-    file, take precedence over its fault, as when the whole file is decoded
-    before it is parsed.
-
-    ``seen`` collects the doc_ids read (see ``_documents``). When the reading
-    reaches ``stop``, after every document before it is checked, it goes on to
-    the end of the file if ``read_on()`` returns true.
-    """
-    with open(path, "rb") as f:
-        f.seek(start)
-        pieces = enumerate(f, start=1)  # (one plus the \n bytes before, piece)
-        n = 0
-
-        def lines() -> Iterator[str]:
-            nonlocal n
-            offset = start
-            for n, piece in pieces:
-                line = piece.decode("utf-8")
-                if "\r" in line:
-                    yield from _lines(line.replace("\r\n", "\n").replace("\r", "\n"))
-                else:
-                    yield line[:-1] if line.endswith("\n") else line
-                offset += len(piece)
-                if offset == stop and not (read_on and read_on()):
-                    return
-
-        try:
-            yield from _in_blocks(_documents(lines(), seen))
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(exc, n, path) from None
-        except ParseError as fault:
-            for n, piece in pieces:  # the rest of the file
-                try:
-                    piece.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise _not_utf8(exc, n, path) from None
-            raise _naming(fault, path) from None
+    """``_documents`` of the ``_reading`` of the JSONL file at ``path``, handed
+    on in blocks of ``_BLOCK``: for the whole file, ``read_jsonl(_read_text(path))``."""
+    with _reading(path, start, stop, read_on) as lines:
+        yield from _in_blocks(_documents(lines, seen))

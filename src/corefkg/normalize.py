@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ParseError
-from .jsonl import _lines, _read_text
+from .jsonl import _reading
 from .model import CoreferenceCluster
 
 __all__ = [
@@ -146,14 +146,15 @@ def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
     if path is None:
         path = Path(__file__).parent / "data" / "lemma_exceptions.tsv"
     table: dict[str, str] = {}
-    for lineno, line in enumerate(_lines(_read_text(path)), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"expected two columns, got {line!r}", lineno, path=str(path))
-        table[parts[0].strip().lower()] = parts[1].strip().lower()
+    with _reading(path) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"expected two columns, got {line!r}", lineno)
+            table[parts[0].strip().lower()] = parts[1].strip().lower()
     return table
 
 

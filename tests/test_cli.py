@@ -863,7 +863,7 @@ NONSENSE = {
 
 @pytest.mark.parametrize("bad, fault", [
     *((bad, "byte") for bad in ["txt", *NONSENSE]),
-    *((bad, "line") for bad in NONSENSE),
+    *((bad, fault) for bad in NONSENSE for fault in ("line", "line, then byte")),
 ])
 def test_a_faulty_file_is_named_with_its_line(corpus_path, tmp_path, capsys, bad, fault):
     corpus = read_jsonl(corpus_path.read_text("utf-8"))
@@ -903,15 +903,42 @@ def test_a_faulty_file_is_named_with_its_line(corpus_path, tmp_path, capsys, bad
     # line 2, after a line that ends in "\r\n", starts with a bad byte or is "nonsense"
     first, _, rest = target.read_bytes().partition(b"\n")
     line_2 = b"\xff" if fault == "byte" else b"nonsense\n"
-    target.write_bytes(first.rstrip(b"\r") + b"\r\n" + line_2 + rest)
+    data, bad_line = first.rstrip(b"\r") + b"\r\n" + line_2 + rest, 2
+    if fault == "line, then byte":  # and a bad byte on the last line, which wins
+        data, bad_line = data + b"\xff\n", data.count(b"\n") + 1
+    target.write_bytes(data)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    if fault == "byte":
-        assert err == f"error: {target}: line 2: not UTF-8: invalid start byte (byte 0xff)\n"
+    if fault != "line":
+        assert err == (f"error: {target}: line {bad_line}: "
+                       "not UTF-8: invalid start byte (byte 0xff)\n")
     else:
         assert err.startswith(f"error: {target}: line 2: {NONSENSE[bad]}"), err
         assert err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo does not exist here")
+def test_a_corpus_and_a_config_file_are_read_from_pipes(tmp_path, capsys):
+    # a pipe cannot seek: the line reader seeks only to a range that starts past 0
+    import threading
+
+    corpus = random_corpus(random.Random(8), n_docs=5)
+    texts = {"in.jsonl": write_jsonl(corpus), "corefkg.cfg": "format = jsonl\n"}
+    writers = []
+    for name, text in texts.items():
+        os.mkfifo(tmp_path / name)
+        writers.append(threading.Thread(target=(tmp_path / name).write_text, args=(text, "utf-8"),
+                                        daemon=True))  # one left blocked must not hold the run
+        writers[-1].start()
+    try:
+        assert main(["--config", str(tmp_path / "corefkg.cfg"), "stats",
+                     "--in", str(tmp_path / "in.jsonl")]) == 0
+    finally:
+        for writer in writers:
+            writer.join(timeout=10)
+    assert capsys.readouterr().out == corpus_stats(corpus, "concept_type").to_tsv()
+    assert not any(writer.is_alive() for writer in writers)
 
 
 def test_stats_streams_a_jsonl_input_into_the_table_of_the_whole_corpus(tmp_path, capsys,

@@ -206,6 +206,17 @@ def test_entity_links_tsv_roundtrip():
         read_entity_links("d\t0\t1\tData\tQ1\nd\t0\t1\tData\tQ2\n")
 
 
+def test_the_gold_kg_and_links_readers_keep_one_string_per_doc_id_and_entity():
+    # a string per key would hold about twice the memory of a 55,485-document links file
+    links = read_entity_links("CS/d1\t0\t5\tData\tQ1\nCS/d1\t6\t9\tData\tQ1\n")
+    (key_a, entity_a), (key_b, entity_b) = links.items()
+    assert key_a[0] is key_b[0] and entity_a is entity_b
+    gold = compile_gold(Corpus((doc_with_links("CS/d1", "CS", ["alpha", "beta", "gamma"],
+                                               {0: "Q1", 1: "Q2", 2: "Q2"}),)))
+    concepts = read_gold_jsonl(write_gold_jsonl(gold)).concepts
+    assert len({id(key[0]) for concept in concepts for key in concept.mentions}) == 1
+
+
 @pytest.mark.parametrize("row", ["d1\t 17 \t38\tMethod\tE", "d1 \t17\t38\tMethod\tE",
                                  "d1\t17\t38\t Method\tE", "d1\t17\t38\tMethod\tE ",
                                  "d1\t17\t38\tMethod\t\u00a0E"])

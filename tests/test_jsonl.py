@@ -359,9 +359,11 @@ def _streamed(path):
        pieces=st.lists(st.sampled_from(["doc", "doc", "doc", "blank", "repeat", *FAULTY_LINES]),
                        max_size=8),
        endings=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=8, max_size=8),
-       final_ending=st.booleans(), block=st.sampled_from([1, 3, jsonl._BLOCK]))
+       final_ending=st.booleans(), block=st.sampled_from([1, 3, jsonl._BLOCK]),
+       chunk=st.sampled_from([1, 7, 100, jsonl._CHUNK]))
 def test_streamed_reader_reads_a_file_as_the_whole_file_reader(tmp_path_factory, seed, pieces,
-                                                                endings, final_ending, block):
+                                                                endings, final_ending, block,
+                                                                chunk):
     rng = random.Random(seed)
     docs = [dataclasses.replace(d, text=d.text + "\u2028\x85\u00e9")  # non-ASCII, no line end
             for d in random_corpus(rng, n_docs=8)]
@@ -382,7 +384,8 @@ def test_streamed_reader_reads_a_file_as_the_whole_file_reader(tmp_path_factory,
         data = data[:-len(endings[len(written) - 1])]
     path = tmp_path_factory.getbasetemp() / "streamed.jsonl"
     path.write_bytes(data)
-    with mock.patch.object(jsonl, "_BLOCK", block):
+    # a chunk of 1 or 7 bytes ends inside most lines
+    with mock.patch.object(jsonl, "_BLOCK", block), mock.patch.object(jsonl, "_CHUNK", chunk):
         assert _file_outcome(_streamed, path) == _file_outcome(_whole_file, path)
 
 

@@ -12,8 +12,9 @@ input up to the format's documented mappings:
   back in another domain or two documents share a path.
 - The column format keeps the doc_ids, their order, the offsets and every
   character of the text but whitespace, which reads back as single spaces,
-  so the coreference partition survives. The domains and the types are lost.
-  The writer refuses no corpus that a reader accepts.
+  so the coreference partition survives. The types are lost, and a document
+  reads back in the domain of its doc_id's first ``/`` segment, as from a
+  BRAT tree. The writer refuses no corpus that a reader accepts.
 """
 
 import json
@@ -22,10 +23,12 @@ import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corefkg.brat import read_brat_dir, write_brat_dir
+from corefkg.cli import main
 from corefkg.conll import read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
 from corefkg.jsonl import read_jsonl, write_jsonl
@@ -120,8 +123,33 @@ def test_every_format_reads_back_what_it_wrote_or_refuses_before_writing(seed, d
     back = read_coref_columns(*write_coref_columns(corpus))
     assert [doc.doc_id for doc in back] == [doc.doc_id for doc in corpus]
     for doc, read in zip(corpus, back):
-        assert read.domain == ""
+        assert read.domain == (doc.doc_id.split("/")[0] if "/" in doc.doc_id else "")
         assert read.text == "".join(" " if ch.isspace() else ch for ch in doc.text)
         assert _partition(read) == _partition(doc)
         assert all(m.concept_type is ConceptType.NONE and m.source is MentionSource.COREF_ONLY
                    for m in read.mentions)
+
+
+TOY_BRAT = Path(__file__).resolve().parents[1] / "demos" / "data" / "toy_brat"
+
+
+@pytest.mark.parametrize("source", ["corpusgen", "toy_brat"])
+def test_a_corpus_keeps_its_domains_through_a_column_file_and_a_brat_tree(tmp_path, source):
+    # JSONL -> column -> BRAT -> JSONL, each doc_id led by its domain: the column
+    # reader takes that domain back, so the BRAT writer takes the document
+    src = tmp_path / "in.jsonl"
+    if source == "corpusgen":
+        src.write_text(write_jsonl(random_corpus(random.Random(7), 20)), "utf-8")
+    else:
+        assert main(["convert", "--in", str(TOY_BRAT), "--out", str(src)]) == 0
+    steps = [src, tmp_path / "c.conll", tmp_path / "tree", tmp_path / "out.jsonl"]
+    for before, after in zip(steps, steps[1:]):
+        assert main(["convert", "--in", str(before), "--out", str(after)]) == 0
+    corpus = read_jsonl(src.read_text("utf-8"))
+    columns = read_coref_columns(*(Path(f"{steps[1]}{suffix}").read_text("utf-8")
+                                   for suffix in ("", ".tokens")))
+    back = read_jsonl(steps[-1].read_text("utf-8"))
+    assert {doc.doc_id: doc.domain for doc in back} == {doc.doc_id: doc.domain for doc in corpus}
+    # BRAT keeps no singleton cluster, but the partition of the mentions survives
+    assert ({doc.doc_id: (doc.text, doc.mentions, _partition(doc)) for doc in back}
+            == {doc.doc_id: (doc.text, doc.mentions, _partition(doc)) for doc in columns})

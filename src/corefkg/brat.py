@@ -4,8 +4,7 @@ Entity lines (``T1<TAB>Material 0 3<TAB>CNN``) become mentions. Coreference
 is accepted in two encodings and unioned: binary relation lines
 (``R1<TAB>Coreference Arg1:T1 Arg2:T2``) and equivalence lines
 (``*<TAB>Coreference T1 T2 T3``) each link their entities, and the clusters
-are the connected components of all the links. The relation/equivalence
-label is configurable because published corpora do not agree on one.
+are the connected components of all the links.
 
 Character offsets are Unicode scalar-value counts over the text as stored:
 the .txt is read and written without newline translation, so ``\r\n`` is
@@ -62,37 +61,24 @@ _LINK_LINES = {
 _ONE_LINE = str.maketrans("\r\n", "  ")
 
 
-def parse_brat(
-    text: str,
-    ann: str,
-    domain: str = "",
-    *,
-    doc_id: str = "doc",
-    relation_label: str = DEFAULT_RELATION_LABEL,
-    entity_types: dict[str, ConceptType] | None = None,
-) -> Document:
+def parse_brat(text: str, ann: str, domain: str = "", *, doc_id: str = "doc") -> Document:
     """Parse one .txt/.ann pair into a validated Document.
 
     Raises ParseError (with the offending .ann line number) for malformed
     lines, out-of-range offsets, surface mismatches, repeated mention keys,
     discontinuous spans, unknown concept types, numerals longer than
-    ``int()`` takes and unsupported record kinds. A mention typed Mixed,
-    which only ``entity_types`` can map to, is reported as ``validate``
-    words it, at the last .ann line; the other invariants hold by
-    construction.
+    ``int()`` takes and unsupported record kinds; the other invariants hold
+    by construction.
     """
-    return _parse_brat(text, ann, domain, doc_id, relation_label, entity_types, set())
+    return _parse_brat(text, ann, domain, doc_id, set())
 
 
-def _parse_brat(text: str, ann: str, domain: str, doc_id: str, relation_label: str,
-                entity_types: dict[str, ConceptType] | None, seen: set[str]) -> Document:
+def _parse_brat(text: str, ann: str, domain: str, doc_id: str, seen: set[str]) -> Document:
     """``parse_brat``; ``seen`` holds the doc_ids read before, and a repeated
     one raises ParseError at the last .ann line, as ``jsonl._checked`` words it."""
-    types = entity_types if entity_types is not None else _ENTITY_TYPES
     mentions_by_tid: dict[str, Mention] = {}
     seen_keys: set[tuple[int, int, ConceptType]] = set()
     links: dict[int, list[str]] = {}  # the entity ids of each R or * line, by line
-    sound = True
 
     lines = _lines(ann)
     for lineno, line in enumerate(lines, start=1):
@@ -112,11 +98,9 @@ def _parse_brat(text: str, ann: str, domain: str, doc_id: str, relation_label: s
             tid, type_name, start_s, end_s, surface = m.groups()
             if tid in mentions_by_tid:
                 raise ParseError(f"duplicate entity id {tid}", lineno)
-            ctype = types.get(type_name)
+            ctype = _ENTITY_TYPES.get(type_name)
             if ctype is None:
                 raise ParseError(f"unknown concept type {type_name!r}", lineno)
-            if ctype is ConceptType.MIXED:
-                sound = False
             try:
                 start, end = int(start_s), int(end_s)
             except ValueError:  # past the interpreter's digit limit
@@ -147,7 +131,7 @@ def _parse_brat(text: str, ann: str, domain: str, doc_id: str, relation_label: s
             if not m:
                 raise ParseError(f"malformed {word} line: {line!r}", lineno)
             label, *ids = m.groups()
-            if label != relation_label:
+            if label != DEFAULT_RELATION_LABEL:
                 raise ParseError(f"unsupported {word} type {label!r}", lineno)
             tids = " ".join(ids).split()
             for tid in tids:
@@ -164,10 +148,10 @@ def _parse_brat(text: str, ann: str, domain: str, doc_id: str, relation_label: s
     ))
     mentions = tuple(mentions_by_tid.values())
     doc = Document(doc_id=doc_id, domain=domain, text=text, mentions=mentions, clusters=clusters)
-    return _checked(doc, sound, len(lines), seen)
+    return _checked(doc, True, len(lines), seen)
 
 
-def write_brat(doc: Document, *, relation_label: str = DEFAULT_RELATION_LABEL) -> tuple[str, str]:
+def write_brat(doc: Document) -> tuple[str, str]:
     """Serialize a Document to a (text, ann) pair.
 
     Clusters of size >= 2 are written as equivalence lines; singleton
@@ -187,7 +171,7 @@ def write_brat(doc: Document, *, relation_label: str = DEFAULT_RELATION_LABEL) -
         (c for c in doc.clusters if c.size >= 2), key=CoreferenceCluster.span_key
     ):
         tids = " ".join(tid_by_mention[m] for m in cluster.sorted_mentions())
-        lines.append(f"*\t{relation_label} {tids}")
+        lines.append(f"*\t{DEFAULT_RELATION_LABEL} {tids}")
     ann = "\n".join(lines) + "\n" if lines else ""
     return doc.text, ann
 
@@ -212,12 +196,7 @@ def _txt_files(root) -> list[tuple[tuple[str, ...], str]]:
     return found
 
 
-def read_brat_dir(
-    root: str | Path,
-    *,
-    relation_label: str = DEFAULT_RELATION_LABEL,
-    entity_types: dict[str, ConceptType] | None = None,
-) -> Corpus:
+def read_brat_dir(root: str | Path) -> Corpus:
     r"""Read every .txt/.ann pair under ``root`` into a corpus.
 
     Documents come in ``sorted(Path(root).rglob("*.txt"))`` order: component
@@ -233,14 +212,12 @@ def read_brat_dir(
     ``root`` that is missing or not a directory raises ParseError too, and so
     do two files that map to one doc_id (``.txt`` and ``.txt.txt``).
     """
-    return Corpus(tuple(_read_documents(root, _txt_files(root), relation_label=relation_label,
-                                        entity_types=entity_types)))
+    return Corpus(tuple(_read_documents(root, _txt_files(root))))
 
 
 def _read_documents(root, files: list[tuple[tuple[str, ...], str]], start: int = 0,
-                    stop: int | None = None, *, seen: set[str] | None = None, read_on=None,
-                    relation_label: str = DEFAULT_RELATION_LABEL,
-                    entity_types: dict[str, ConceptType] | None = None) -> Iterator[Document]:
+                    stop: int | None = None, *, seen: set[str] | None = None,
+                    read_on=None) -> Iterator[Document]:
     """The checked documents of ``files[start:stop]``, the ``_txt_files`` of the
     tree at ``root``, read one file at a time and handed on in blocks of
     ``jsonl._BLOCK``: for all of them, the documents of ``read_brat_dir(root)``, or
@@ -265,8 +242,7 @@ def _read_documents(root, files: list[tuple[tuple[str, ...], str]], start: int =
                 ann = _read_text(os.path.join(directory, stem + ".ann"))
                 text = _read_text(os.path.join(directory, name), newlines=False)
                 doc = _parse_brat(text, ann, parts[0] if len(parts) > 1 else "",
-                                  "/".join((*parts[:-1], stem)), relation_label, entity_types,
-                                  seen)
+                                  "/".join((*parts[:-1], stem)), seen)
             except FileNotFoundError as exc:
                 if not exc.filename.endswith(".ann"):
                     raise
@@ -282,9 +258,7 @@ def _read_documents(root, files: list[tuple[tuple[str, ...], str]], start: int =
     return _in_blocks(documents())
 
 
-def write_brat_dir(
-    corpus: Corpus, root: str | Path, *, relation_label: str = DEFAULT_RELATION_LABEL
-) -> None:
+def write_brat_dir(corpus: Corpus, root: str | Path) -> None:
     """Write a corpus as .txt/.ann pairs under ``root``, one subdir per domain.
 
     The pairs are written into a staging directory beside ``root`` and move
@@ -302,7 +276,7 @@ def write_brat_dir(
     in corpus order is the one reported.
     """
     with _staged(root) as staging:
-        _written(_pairs(corpus, root, staging, relation_label), root)
+        _written(_pairs(corpus, root, staging), root)
 
 
 def _target(doc: Document, root) -> str:
@@ -326,8 +300,7 @@ def _target(doc: Document, root) -> str:
     return stem
 
 
-def _pairs(docs: Iterable[Document], root, staging: str,
-           relation_label: str = DEFAULT_RELATION_LABEL) -> Iterator[tuple[str | None, str]]:
+def _pairs(docs: Iterable[Document], root, staging: str) -> Iterator[tuple[str | None, str]]:
     """The map of a BRAT output to ``root``: each document's pair written at
     its ``_target`` under ``staging``, and ``(doc_id, target)`` yielded, or
     ``(None, why)`` for a document refused on its own, with nothing written
@@ -341,7 +314,7 @@ def _pairs(docs: Iterable[Document], root, staging: str,
     for doc in docs:
         try:
             stem = _target(doc, root)
-            text, ann = write_brat(doc, relation_label=relation_label)
+            text, ann = write_brat(doc)
         except ValueError as exc:
             yield None, str(exc)
             continue

@@ -7,8 +7,7 @@ eval-kg. Exit codes: 0 success, 1 usage error, 2 data/validation error
 Corpus formats are detected from the path (directory = brat, .jsonl = jsonl,
 anything else = conll columns) and can be forced with --format; a corpus
 output of ``-`` is JSONL on stdout. A column file's sidecar token table is
-looked up at ``<path>.tokens``. Option values resolve as: command-line flag,
-then config file (``key = value`` lines, ``--config``), then built-in default.
+looked up at ``<path>.tokens``.
 
 Every corpus is read by the reader that ``corefkg.parallel`` picks for its
 format, which names the file of a fault. Commands that read a JSONL file or a
@@ -50,30 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    cfg: dict[str, str] = {}
-    with jsonl._reading(path) as lines:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep:
-                raise ParseError(f"config line is not 'key = value': {raw!r}", lineno)
-            if key not in ("format", "lemma_exceptions"):
-                raise ParseError(f"unknown config key {key!r}; known: format, lemma_exceptions",
-                                 lineno)
-            if key == "format" and value not in _FORMATS:
-                raise ParseError(f"unknown config format {value!r}; known: {', '.join(_FORMATS)}",
-                                 lineno)
-            if key == "lemma_exceptions" and not value:
-                raise ParseError("empty config lemma_exceptions; expected a table path", lineno)
-            cfg[key] = value
-    return cfg
 
 
 def _corpus(path_s: str, fmt: str | None, for_output: bool = False) -> tuple[Path, str]:
@@ -202,7 +177,6 @@ def _write_report(table: str, payload: dict, json_out: str | None) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="corefkg", description=__doc__)
-    parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--format", choices=_FORMATS,
                         help="corpus format (default: detect from path)")
     parser.add_argument("--lemma-exceptions", dest="lemma_exceptions",
@@ -365,10 +339,6 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     exceptions_set = False
     try:
-        # a flag wins over the config file, which wins over the built-in default
-        for name, value in _load_config(args.config).items():
-            if getattr(args, name) is None:
-                setattr(args, name, value)
         if args.lemma_exceptions is not None:  # even "", a path that names no file
             set_default_lemma_exceptions(load_lemma_exceptions(args.lemma_exceptions))
             exceptions_set = True

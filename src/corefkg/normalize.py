@@ -141,7 +141,8 @@ def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
 
     Without a path, the table shipped with the package is used. Lines
     starting with '#' are comments; any other line that is not two
-    tab-separated columns raises ParseError, naming the path and the line.
+    tab-separated columns, or that gives a plural a second singular, raises
+    ParseError, naming the path and the line.
     """
     if path is None:
         path = Path(__file__).parent / "data" / "lemma_exceptions.tsv"
@@ -154,7 +155,9 @@ def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"expected two columns, got {line!r}", lineno)
-            table[parts[0].strip().lower()] = parts[1].strip().lower()
+            plural, singular = (part.strip().lower() for part in parts)
+            if table.setdefault(plural, singular) != singular:
+                raise ParseError(f"conflicting singular for plural {plural!r}", lineno)
     return table
 
 
@@ -169,8 +172,7 @@ def set_default_lemma_exceptions(table: Mapping[str, str] | None) -> None:
     """Replace the packaged exception table process-wide; None restores it.
 
     The CLI's --lemma-exceptions flag sets it for one command and restores
-    the packaged table when the command returns; for scoped overrides in
-    library code pass ``exceptions=`` to the functions instead.
+    the packaged table when the command returns.
     """
     global _DEFAULT_EXCEPTIONS
     _DEFAULT_EXCEPTIONS = dict(table) if table is not None else None
@@ -225,8 +227,8 @@ class _Labeler:
     ``set_default_lemma_exceptions`` applies from the next call.
     """
 
-    def __init__(self, exceptions: Mapping[str, str] | None = None):
-        self._exceptions = exceptions if exceptions is not None else _default_exceptions()
+    def __init__(self):
+        self._exceptions = _default_exceptions()
         self._labels: dict[str, str] = {}
         # raw surface -> (stripped, tokens, whitespace-collapsed, its label)
         self._surfaces: dict[str, tuple[str, tuple[str, ...], str, str]] = {}
@@ -292,8 +294,7 @@ class _Labeler:
         return self._normalize(best[-1])
 
 
-def normalize_mention(surface: str, acronyms: AcronymMap = EMPTY_ACRONYMS,
-                      exceptions: Mapping[str, str] | None = None) -> str:
+def normalize_mention(surface: str, acronyms: AcronymMap = EMPTY_ACRONYMS) -> str:
     """Normalize a mention surface into a label.
 
     Pipeline: acronym expansion (whole surface or per token), lower-casing,
@@ -301,15 +302,14 @@ def normalize_mention(surface: str, acronyms: AcronymMap = EMPTY_ACRONYMS,
     possessive markers, whitespace collapsing, and per-token singularization.
     Labels are idempotent under this function.
     """
-    return _Labeler(exceptions).mention(surface, acronyms)
+    return _Labeler().mention(surface, acronyms)
 
 
-def cluster_label(cluster: CoreferenceCluster, acronyms: AcronymMap = EMPTY_ACRONYMS,
-                  exceptions: Mapping[str, str] | None = None) -> str:
+def cluster_label(cluster: CoreferenceCluster, acronyms: AcronymMap = EMPTY_ACRONYMS) -> str:
     """Label of a cluster: its longest mention, normalized.
 
     Length is measured in characters after acronym expansion, so an
     acronym-only cluster still yields an informative label; ties break by
     earliest start offset.
     """
-    return _Labeler(exceptions).cluster(cluster, acronyms)
+    return _Labeler().cluster(cluster, acronyms)

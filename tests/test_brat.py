@@ -172,25 +172,16 @@ def test_parse_error_non_ascii_digits(line):
 
 
 def test_parse_error_unknown_type():
-    with pytest.raises(ParseError) as err:
-        parse_brat(TEXT, "T1\tGadget 0 3\tCNN\n", "CS", doc_id="d1")
-    assert (str(err.value), err.value.line) == ("line 1: unknown concept type 'Gadget'", 1)
+    for name in ("Gadget", "Mixed"):  # only a cluster or concept is Mixed, never a mention
+        with pytest.raises(ParseError) as err:
+            parse_brat(TEXT, f"T1\t{name} 0 3\tCNN\n", "CS", doc_id="d1")
+        assert (str(err.value), err.value.line) == (f"line 1: unknown concept type {name!r}", 1)
 
 
 def test_parse_error_unknown_relation_label():
     ann = "T1\tMaterial 0 3\tCNN\nR1\tPartOf Arg1:T1 Arg2:T1\n"
     with pytest.raises(ParseError, match="unsupported relation"):
         parse_brat(TEXT, ann, "CS", doc_id="d1")
-
-
-def test_parse_configurable_relation_label():
-    ann = (
-        "T1\tMaterial 0 3\tCNN\n"
-        "T2\tMaterial 13 16\tCNN\n"
-        "R1\tCoref Arg1:T1 Arg2:T2\n"
-    )
-    doc = parse_brat(TEXT, ann, "CS", doc_id="d1", relation_label="Coref")
-    assert len(doc.clusters) == 1
 
 
 def test_parse_skips_note_lines():

@@ -337,52 +337,11 @@ def test_lemma_exceptions_flag_holds_for_one_call(ox_corpus, tmp_path, capsys):
     assert _populated_concepts(ox_corpus, tmp_path / "kg4.jsonl") == 2
 
 
-def test_config_file_provides_defaults(ox_corpus, tmp_path, capsys):
-    merging, other = tmp_path / "merging.tsv", tmp_path / "other.tsv"
-    merging.write_text("oxen\tox\n", "utf-8")
-    other.write_text("geese\tgoose\n", "utf-8")
-    cfg = tmp_path / "corefkg.conf"
-    cfg.write_text(f"# defaults\nlemma_exceptions = {merging}\n", "utf-8")
-    # default < config: the configured table merges the two labels
-    assert _populated_concepts(ox_corpus, tmp_path / "kg1.jsonl") == 2
-    assert _populated_concepts(ox_corpus, tmp_path / "kg2.jsonl", "--config", str(cfg)) == 1
-    # config < flag: the flag's table replaces the configured one
-    assert _populated_concepts(ox_corpus, tmp_path / "kg3.jsonl", "--config", str(cfg),
-                               "--lemma-exceptions", str(other)) == 2
-
-
-@pytest.mark.parametrize("key", ["lemma_exception", "formt"])
-def test_config_file_rejects_unknown_keys(corpus_path, tmp_path, capsys, key):
-    cfg = tmp_path / "corefkg.conf"
-    cfg.write_text(f"# defaults\nformat = jsonl\n{key} = brat\n", "utf-8")
-    assert main(["--config", str(cfg), "stats", "--in", str(corpus_path)]) == 2
-    err = capsys.readouterr().err
-    assert f"line 3: unknown config key {key!r}" in err
-
-
-@pytest.mark.parametrize("value", ["xml", "JSONL", ""])
-def test_config_file_rejects_an_unknown_format(corpus_path, tmp_path, capsys, value):
-    cfg = tmp_path / "corefkg.conf"
-    cfg.write_text(f"# defaults\nformat = {value}\n", "utf-8")
-    out = tmp_path / "out.jsonl"
-    assert main(["--config", str(cfg), "convert", "--from", "jsonl", "--in", str(corpus_path),
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: {cfg}: line 2: unknown config format {value!r}; "
-                                       f"known: brat, conll, jsonl\n")
-    assert not out.exists()
-
-
 def test_an_empty_lemma_exceptions_value_is_refused(ox_corpus, tmp_path, capsys):
     # the flag names a file that does not exist, not the packaged table
     assert main(["--lemma-exceptions", "", "populate", "--in", str(ox_corpus),
                  "--strategy", "in", "--out", str(tmp_path / "kg.jsonl")]) == 2
     assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
-    cfg = tmp_path / "corefkg.conf"
-    cfg.write_text("# defaults\nlemma_exceptions =\n", "utf-8")
-    assert main(["--config", str(cfg), "populate", "--in", str(ox_corpus),
-                 "--strategy", "in", "--out", str(tmp_path / "kg.jsonl")]) == 2
-    assert capsys.readouterr() == ("", f"error: {cfg}: line 2: empty config lemma_exceptions; "
-                                       f"expected a table path\n")
     assert not (tmp_path / "kg.jsonl").exists()
 
 
@@ -394,6 +353,7 @@ def test_brat_root_must_be_a_directory(corpus_path, capsys):
 def test_removed_global_options_are_usage_errors(capsys):
     assert main(["--jobs", "2", "stats", "--in", "x.jsonl"]) == 1
     assert main(["--seed", "0", "stats", "--in", "x.jsonl"]) == 1
+    assert main(["--config", "f", "stats", "--in", "x.jsonl"]) == 1
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -856,7 +816,6 @@ NONSENSE = {
     "tokens": "token table expects 4 columns, got 'nonsense'",
     "gold": "invalid JSON: Expecting value",
     "links": "expected 5 tab-separated columns, got 'nonsense'",
-    "config": "config line is not 'key = value': 'nonsense'",
     "lemma-exceptions": "expected two columns, got 'nonsense'",
 }
 
@@ -873,8 +832,7 @@ def test_a_faulty_file_is_named_with_its_line(corpus_path, tmp_path, capsys, bad
     gold_path, links_path = tmp_path / "gold.jsonl", tmp_path / "links.tsv"
     gold_path.write_text(write_gold_jsonl(compile_gold(corpus)), "utf-8")
     links_path.write_text("d1\t0\t5\tData\tQ1\n", "utf-8")
-    config_path, exceptions_path = tmp_path / "corefkg.cfg", tmp_path / "exceptions.tsv"
-    config_path.write_text("# defaults\nformat = jsonl\n", "utf-8")
+    exceptions_path = tmp_path / "exceptions.tsv"
     exceptions_path.write_text("mice\tmouse\ngeese\tgoose\n", "utf-8")
     argv = {
         "ann": ["stats", "--in", str(brat_dir)],
@@ -885,7 +843,6 @@ def test_a_faulty_file_is_named_with_its_line(corpus_path, tmp_path, capsys, bad
         "gold": ["eval-kg", "--in", str(corpus_path), "--gold", str(gold_path),
                  "--strategy", "in"],
         "links": ["compile-gold", "--in", str(corpus_path), "--links", str(links_path)],
-        "config": ["--config", str(config_path), "stats", "--in", str(corpus_path)],
         "lemma-exceptions": ["--lemma-exceptions", str(exceptions_path),
                              "stats", "--in", str(corpus_path)],
     }[bad]
@@ -897,7 +854,6 @@ def test_a_faulty_file_is_named_with_its_line(corpus_path, tmp_path, capsys, bad
         "tokens": Path(str(conll_path) + ".tokens"),
         "gold": gold_path,
         "links": links_path,
-        "config": config_path,
         "lemma-exceptions": exceptions_path,
     }[bad]
     # line 2, after a line that ends in "\r\n", starts with a bad byte or is "nonsense"
@@ -919,26 +875,23 @@ def test_a_faulty_file_is_named_with_its_line(corpus_path, tmp_path, capsys, bad
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo does not exist here")
-def test_a_corpus_and_a_config_file_are_read_from_pipes(tmp_path, capsys):
+def test_a_corpus_is_read_from_a_pipe(tmp_path, capsys):
     # a pipe cannot seek: the line reader seeks only to a range that starts past 0
     import threading
 
     corpus = random_corpus(random.Random(8), n_docs=5)
-    texts = {"in.jsonl": write_jsonl(corpus), "corefkg.cfg": "format = jsonl\n"}
-    writers = []
-    for name, text in texts.items():
-        os.mkfifo(tmp_path / name)
-        writers.append(threading.Thread(target=(tmp_path / name).write_text, args=(text, "utf-8"),
-                                        daemon=True))  # one left blocked must not hold the run
-        writers[-1].start()
+    pipe = tmp_path / "in.jsonl"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(write_jsonl(corpus), "utf-8"))
+    writer.start()
     try:
-        assert main(["--config", str(tmp_path / "corefkg.cfg"), "stats",
-                     "--in", str(tmp_path / "in.jsonl")]) == 0
+        assert main(["stats", "--in", str(pipe)]) == 0
     finally:
-        for writer in writers:
+        writer.join(timeout=10)
+        if writer.is_alive():  # the pipe was not read to its end: read it, so the writer ends
+            pipe.read_bytes()
             writer.join(timeout=10)
     assert capsys.readouterr().out == corpus_stats(corpus, "concept_type").to_tsv()
-    assert not any(writer.is_alive() for writer in writers)
 
 
 def test_stats_streams_a_jsonl_input_into_the_table_of_the_whole_corpus(tmp_path, capsys,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkg.baseline import PRONOUNS, resolve_corpus
+from corefkg.errors import ParseError
 from corefkg.kgpop import CollapseStrategy, DomainScope, populate
 from corefkg.model import (
     ConceptType,
@@ -181,6 +182,17 @@ def test_singularize_is_idempotent_on_exception_values():
 
 def test_singularize_custom_exceptions():
     assert singularize("oxen", {"oxen": "ox"}) == "ox"
+
+
+def test_a_lemma_table_refuses_a_second_singular_for_a_plural(tmp_path):
+    table = tmp_path / "irregular.tsv"
+    table.write_text("mice\tmouse\nMice\tmouse\n# same row again\nmice\tmice2\n", "utf-8")
+    with pytest.raises(ParseError) as err:
+        load_lemma_exceptions(table)
+    assert (str(err.value), err.value.line) == (
+        f"{table}: line 4: conflicting singular for plural 'mice'", 4)
+    table.write_text("mice\tmouse\nMICE\tMouse\n", "utf-8")  # a repeated row is accepted
+    assert load_lemma_exceptions(table) == {"mice": "mouse"}
 
 
 # --- mention normalization ------------------------------------------------------

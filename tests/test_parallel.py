@@ -6,6 +6,7 @@ response a worker reads, from every input format."""
 import contextlib
 import io
 import json
+import marshal
 import os
 import random
 from pathlib import Path
@@ -736,3 +737,52 @@ def test_no_worker_starts_below_the_size_floor(tmp_path, monkeypatch):
         assert len(forks) == workers
         assert (tmp_path / "pred.jsonl").read_text("utf-8") == write_jsonl(
             resolve_corpus(read_brat_dir(root)))
+
+
+#: each map the command line hands to ``parallel.records`` or ``parallel.aside``: a command
+#: whose arguments name the input, an output directory, the gold KG and the links file
+MAPS = {
+    **{f"{command} to {fmt}": f"{command} --in {{src}} --out {{out}}/corpus{suffix}"
+       for command in ("convert", "baseline")
+       for fmt, suffix in (("jsonl", ".jsonl"), ("conll", ".conll"), ("brat", ""))},
+    "populate fragments": "populate --in {src} --strategy cross --out {out}/kg.jsonl",
+    "populate no payload": "populate --in {src} --strategy cross --format ntriples "
+                           "--out {out}/kg.nt",
+    "compile-gold links": "compile-gold --in {src} --links {links} --out {out}/gold.jsonl",
+    "eval-kg restriction": "eval-kg --in {src} --gold {gold} --strategy in "
+                           "--json-out {out}/eval.json",
+    "score parts": "score --key {src} --response {src} --json-out {out}/report.json",
+}
+
+
+@pytest.mark.parametrize("command", MAPS.values(), ids=MAPS.keys())
+def test_every_map_of_the_command_line_yields_records_marshal_carries(tmp_path, monkeypatch,
+                                                                       capsys, command):
+    # a record marshal cannot carry makes every worker fail, and the main process then
+    # reads every range itself, with the same output
+    corpus = random_corpus(random.Random(19), n_docs=12)
+    src = tmp_path / "in.jsonl"
+    src.write_text(write_jsonl(corpus), "utf-8")
+    links = {key: entity for key, entity in _links(corpus, 19).items() if key != NOWHERE}
+    _links_file(tmp_path / "links.tsv", links)
+    gold = compile_gold(attach_entity_links(corpus, links))
+    (tmp_path / "gold.jsonl").write_text(write_gold_jsonl(gold), "utf-8")
+    mapped = []
+
+    def recorded(chain):
+        def chain_recorded(docs):
+            for record in chain(docs):
+                mapped.append(record)
+                yield record
+        return chain_recorded
+
+    monkeypatch.setattr(parallel, "_processes", lambda: 1)  # every map runs here, where seen
+    for name in ("records", "aside"):
+        monkeypatch.setattr(parallel, name, lambda path, fmt, chain, run=getattr(parallel, name):
+                            run(path, fmt, recorded(chain)))
+    (tmp_path / "out").mkdir()
+    paths = {"src": src, "out": tmp_path / "out", "gold": tmp_path / "gold.jsonl",
+             "links": tmp_path / "links.tsv"}
+    assert main([arg.format(**paths) for arg in command.split()]) == 0
+    assert len(mapped) == len(corpus.documents)  # one record per document
+    assert marshal.loads(marshal.dumps(mapped)) == mapped

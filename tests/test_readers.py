@@ -34,7 +34,7 @@ from corefkg.errors import ParseError
 from corefkg.goldkg import compile_gold, read_entity_links, read_gold_jsonl, write_gold_jsonl
 from corefkg.jsonl import document_from_dict, read_jsonl, write_jsonl
 from corefkg.kgpop import CollapseStrategy, export_kg_jsonl, populate, read_kg_jsonl
-from corefkg.model import ConceptType, Corpus, Document, validate, validate_corpus
+from corefkg.model import Corpus, Document, validate, validate_corpus
 
 from corpusgen import random_corpus
 
@@ -410,15 +410,6 @@ def test_jsonl_reader_rejects_exactly_what_validate_rejects(rng, edits):
         assert (str(exc), exc.line) == (f"line {i + 1}: {'; '.join(violations)}", i + 1)
     else:
         assert violations == []
-
-
-def test_brat_mixed_mention_is_worded_by_validate():
-    text = "CNN works. A CNN is fast."
-    ann = "T1\tFoo 0 3\tCNN\nT2\tMethod 13 16\tCNN\n"
-    types = {"Foo": ConceptType.MIXED, "Method": ConceptType.METHOD}
-    with pytest.raises(ParseError) as err:
-        parse_brat(text, ann, entity_types=types)
-    assert (str(err.value), err.value.line) == ("line 2: mention typed Mixed @ doc[0,3)", 2)
 
 
 @pytest.mark.parametrize("table", [

@@ -20,20 +20,24 @@ so ``'A deep\\nnet\\tworks. '`` reads back as ``'A deep net works.'``.
 Reading without it synthesizes text by joining tokens with single spaces.
 
 The reader checks each line of a column file and words every fault. It
-takes a document's rows of a table in the writer's order as one slice of
-the table, split once; any other table goes through a line loop that checks
-each row.
+reads a table in step with the column file: each document takes the next
+lines of the table, one per token, checked and split at once. A table whose
+rows are not in the writer's order is read whole into the dict of
+``parse_token_table``, whose line loop checks each row.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import re
-from itertools import repeat
-from typing import Iterable, Iterator, TextIO
+from functools import partial
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import ParseError
-from .jsonl import _checked, _digits, _lines, _long_numeral, _naming, _read_text, _reading
+from .jsonl import (_checked, _digits, _in_blocks, _lines, _long_numeral, _naming, _read_text,
+                    _reading)
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -57,11 +61,10 @@ _ENTRY = re.compile(r"^(\(?)([0-9]+)(\)?)$")
 
 # A token table row in the writer's shape: a doc_id that holds no whitespace
 # and is not led by "#", and three ASCII digit runs. [0-9], not \d: \d also
-# matches non-ASCII digits such as ٣, which int() takes. A table has the
-# writer's shape when removing every row leaves nothing. One match of the rows
-# repeated would keep state for each row until it ends, megabytes for a large
-# table. The pattern is compiled at first use, through re's cache, so that
-# commands that read no column file do not pay for compiling it at start-up.
+# matches non-ASCII digits such as ٣, which int() takes. A document's rows have
+# the writer's shape when removing every row leaves nothing. The pattern is
+# compiled at first use, through re's cache, so that commands that read no
+# column file do not pay for compiling it at start-up.
 _TABLE_ROW = r"(?m)^[^\s#]\S*\t[0-9]+\t[0-9]+\t[0-9]+\n"
 
 
@@ -174,24 +177,6 @@ def _document_columns(doc: Document) -> tuple[str, str]:
     return "".join(lines), "".join(rows)
 
 
-def _table_fields(table: str) -> tuple[list[str], list[str], list[tuple[int, int]]] | None:
-    """The doc fields, index fields and spans of a table in the writer's
-    shape: a row of four tab-separated fields on each line, the first not
-    empty, holding no whitespace and not led by ``#``, the others ASCII
-    digits, and a ``\\n`` after each row. None for any other table, and for
-    one with an offset that ``int()`` refuses; ``parse_token_table`` reads those.
-    A token listed twice, and an index that ``int()`` refuses, are left to
-    the caller."""
-    if re.sub(_TABLE_ROW, "", table):
-        return None
-    fields = table.split()
-    try:
-        spans = list(zip(map(int, fields[2::4]), map(int, fields[3::4])))
-    except ValueError:  # past the interpreter's digit limit
-        return None
-    return fields[0::4], fields[1::4], spans
-
-
 def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
     """Parse a sidecar token table into {(doc_id, token index): (start, end)},
     line by line with a check per field: ParseError at the first faulty line,
@@ -212,30 +197,27 @@ def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
 
 
 class _TokenTable:
-    """A token table as the column reader uses it.
+    """A token table as the column reader uses it: its ``lines``, read in step
+    with the column file, and ``text()``, the whole table.
 
-    While the rows follow the writer's order, each document takes the next
-    slice of them. When the table is not in the writer's shape, or once a
-    document's slice does not hold its rows, the rows are looked up by
-    (doc_id, index) in the dict of ``parse_token_table``. A fault of the table
-    itself names its ``path``, if it has one.
+    Each document takes the next lines, one per token, as its rows while they
+    are in the writer's shape and hold its doc_id and its token indices in
+    order. Otherwise the table is read whole, from its start, into the dict of
+    ``parse_token_table``, and rows are looked up by (doc_id, index). A fault
+    of the table itself names its ``path``, if it has one.
     """
 
-    def __init__(self, text: str, path: str | None = None):
-        self.text, self.path = text, path
-        self.fields = _table_fields(text)
-        self.used = 0  # rows that documents took as slices
+    def __init__(self, lines: Iterator[str], text: Callable[[], str], path: str | None = None):
+        self.lines, self.text, self.path = lines, text, path
         self.numerals: list[str] = []  # "0", "1", ...: the index fields of a document
         self.rows = None
-        if self.fields is None:
-            self.offsets()
 
     def offsets(self) -> dict[tuple[str, int], tuple[int, int]]:
         """The rows by (doc_id, index); reading them raises ParseError at the
         table's first faulty line."""
         if self.rows is None:
             try:
-                self.rows = parse_token_table(self.text)
+                self.rows = parse_token_table(self.text())
             except ParseError as exc:
                 raise _naming(exc, self.path) from None
         return self.rows
@@ -244,13 +226,15 @@ class _TokenTable:
         """The rows of the ``n`` tokens of a document, up to the first token
         without one."""
         if self.rows is None:
-            docs, index, spans = self.fields
-            first, stop = self.used, self.used + n
+            rows = "\n".join([*islice(self.lines, n), ""])
             if n > len(self.numerals):
                 self.numerals = list(map(str, range(2 * n)))
-            if docs[first:stop].count(doc_id) == n and index[first:stop] == self.numerals[:n]:
-                self.used = stop
-                return spans[first:stop]
+            fields = [] if re.sub(_TABLE_ROW, "", rows) else rows.split()
+            if fields[0::4].count(doc_id) == n and fields[1::4] == self.numerals[:n]:
+                try:
+                    return list(zip(map(int, fields[2::4]), map(int, fields[3::4])))
+                except ValueError:  # past the interpreter's digit limit
+                    pass
             self.offsets()
         spans = list(map(self.rows.get, zip(repeat(doc_id), range(n))))
         if None in spans:
@@ -260,7 +244,7 @@ class _TokenTable:
     def check_used(self, n_tokens: dict[str, int], lineno: int) -> None:
         """ParseError, at ``lineno``, for a row that no token used, given each
         document's token count."""
-        if self.rows is None and self.used == len(self.fields[2]):
+        if self.rows is None and next(self.lines, None) is None:
             return
         offsets = self.offsets()
         # Each document used one row per token, all distinct (doc_ids are unique).
@@ -385,32 +369,37 @@ def read_coref_columns(columns: str, token_table: str | None = None) -> Corpus:
     document`` line. A table row that no token uses raises ParseError at the
     last line (line 1 of an empty file).
     """
-    return _corpus(_lines(columns), token_table)
+    table = None if token_table is None else _TokenTable(iter(_lines(token_table)),
+                                                         lambda: token_table)
+    return Corpus(tuple(_corpus(_lines(columns), table)))
 
 
 def _read_documents(path, start: int = 0, stop: int | None = None, *,
                     seen: set[str] | None = None, read_on=None) -> Iterator[Document]:
     """The documents of ``_corpus`` of the ``_reading`` of the column file at
-    ``path`` and of its token table ``<path>.tokens``, if there is one, all read
-    before the first is handed on: a column file is one range, ``start`` and
-    ``stop`` are 0 and None, and ``read_on`` is never called."""
-    try:
-        table = _read_text(f"{path}.tokens")
-    except FileNotFoundError:
-        table = None
-    with _reading(path) as lines:
-        yield from _corpus(lines, table, seen, f"{path}.tokens")
+    ``path`` and of its token table ``<path>.tokens``, if there is one, read in
+    step: a column file is one range, ``start`` and ``stop`` are 0 and None,
+    and ``read_on`` is never called. The table's reading encloses the column
+    file's, so that a bad byte of the table wins over one of the column file."""
+    table_path = f"{path}.tokens"
+    with contextlib.ExitStack() as files:
+        try:
+            table = _TokenTable(files.enter_context(_reading(table_path)),
+                                partial(_read_text, table_path), table_path)
+        except FileNotFoundError:
+            table = None
+        with _reading(path) as lines:
+            yield from _corpus(lines, table, seen)
 
 
-def _corpus(lines: Iterable[str], token_table: str | None, seen: set[str] | None = None,
-            table_path: str | None = None) -> Corpus:
-    """``read_coref_columns`` of a column file's ``lines`` and ``token_table``,
-    or its fault: one of the table itself, which names ``table_path``, comes
-    first, as if the table were read up front. ``seen`` collects the doc_ids
-    read; one already in it is repeated."""
-    table = None if token_table is None else _TokenTable(token_table, table_path)
+def _corpus(lines: Iterable[str], table: _TokenTable | None,
+            seen: set[str] | None = None) -> Iterator[Document]:
+    """The documents of ``read_coref_columns`` of a column file's ``lines`` and
+    its ``table``, handed on in blocks of ``jsonl._BLOCK``, or its fault: one of
+    the table itself comes first, as if the table were read up front. ``seen``
+    collects the doc_ids read; one already in it is repeated."""
     try:
-        return Corpus(tuple(_read_columns(lines, table, set() if seen is None else seen)))
+        yield from _in_blocks(_read_columns(lines, table, set() if seen is None else seen))
     except ParseError:
         if table is not None:
             table.offsets()

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from corefkg import cli, jsonl
 from corefkg.baseline import resolve_corpus
 from corefkg.brat import read_brat_dir, write_brat_dir
 from corefkg.cli import main
-from corefkg.conll import write_coref_columns
+from corefkg.conll import read_coref_columns, write_coref_columns
 from corefkg.goldkg import compile_gold, write_gold_jsonl
 from corefkg.jsonl import read_jsonl, write_jsonl
 from corefkg.kgpop import (CollapseStrategy, DomainScope, export_kg_jsonl, export_ntriples,
@@ -600,20 +601,64 @@ def test_baseline_to_stdout_holds_the_blocks_before_a_fault(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("command", ["baseline", "convert"])
-def test_a_brat_tree_to_stdout_holds_the_blocks_before_a_fault(tmp_path, capsys, monkeypatch,
-                                                               command):
-    monkeypatch.setattr(jsonl, "_BLOCK", 3)  # documents 1-3, then 4 and 5, which is faulty
-    root = tmp_path / "brat"
-    write_brat_dir(random_corpus(random.Random(5), n_docs=5), root)
-    corpus = read_brat_dir(root)
-    last_ann = sorted(root.rglob("*.ann"))[-1]
-    with open(last_ann, "a", encoding="utf-8") as f:
+@pytest.mark.parametrize("form", ["brat", "conll"])
+def test_a_corpus_to_stdout_holds_the_blocks_before_a_fault(tmp_path, capsys, monkeypatch, form,
+                                                            command):
+    monkeypatch.setattr(jsonl, "_BLOCK", 3)  # documents 1-3, then 4 and 5 and a fault
+    written = random_corpus(random.Random(5), n_docs=5)
+    if form == "brat":
+        path = tmp_path / "brat"
+        write_brat_dir(written, path)
+        corpus = read_brat_dir(path)
+        faulty = sorted(path.rglob("*.ann"))[-1]
+    else:
+        path = faulty = tmp_path / "c.conll"
+        columns, table = write_coref_columns(written)
+        path.write_text(columns, "utf-8")
+        Path(f"{path}.tokens").write_text(table, "utf-8")
+        corpus = read_coref_columns(columns, table)
+    with open(faulty, "a", encoding="utf-8") as f:
         f.write("garbage line\n")
-    assert main([command, "--in", str(root), "--out", "-"]) == 2
+    assert main([command, "--in", str(path), "--out", "-"]) == 2
     out, err = capsys.readouterr()
     head = Corpus(corpus.documents[:3])
     assert out == write_jsonl(resolve_corpus(head) if command == "baseline" else head)
-    assert err.startswith(f"error: {last_ann}: line ")
+    assert err.startswith(f"error: {faulty}: line ")
+
+
+# The faults of a column file and its table, in the order README gives: the
+# one earlier in this list wins, wherever each is in its file.
+COLUMN_FAULTS = ["table byte", "column byte", "table row", "column cell"]
+
+
+@pytest.mark.parametrize("command", ["stats", "convert"])
+@pytest.mark.parametrize("early, late", itertools.permutations(COLUMN_FAULTS, 2),
+                         ids="-then-".join)
+def test_the_faults_of_a_column_file_and_its_table_keep_their_order(tmp_path, capsys, command,
+                                                                    early, late):
+    path = tmp_path / "c.conll"
+    tokens = Path(f"{path}.tokens")
+    columns, table = write_coref_columns(random_corpus(random.Random(44), n_docs=4))
+    lines = {"column": columns.encode("utf-8").splitlines(keepends=True),
+             "table": table.encode("utf-8").splitlines(keepends=True)}
+    # each fault on line 2 or on the last token line or row of its file
+    last = {"column": len(lines["column"]) - 1, "table": len(lines["table"])}  # "#end document"
+    where = {early: 2, late: last[late.split()[0]]}
+    for fault, line in where.items():
+        file, kind = fault.split()
+        old = lines[file][line - 1]
+        lines[file][line - 1] = {"byte": b"\xff" + old, "row": b"nonsense\n",
+                                 "cell": old[:old.rindex(b"\t")] + b"\t(x\n"}[kind]
+    path.write_bytes(b"".join(lines["column"]))
+    tokens.write_bytes(b"".join(lines["table"]))
+    winner = min(early, late, key=COLUMN_FAULTS.index)
+    reason = {"byte": "not UTF-8: invalid start byte (byte 0xff)",
+              "row": "token table expects 4 columns, got 'nonsense'",
+              "cell": "malformed coreference entry '(x'"}[winner.split()[1]]
+    target = tokens if winner.startswith("table") else path
+    argv = [command, "--in", str(path)] + (["--out", "-"] if command == "convert" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {target}: line {where[winner]}: {reason}\n")
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])

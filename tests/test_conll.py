@@ -1,14 +1,19 @@
 import ast
+import contextlib
 import random
 import re
 import sys
+import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkg import conll
+from corefkg import conll, jsonl
 from corefkg.conll import parse_token_table, read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
 from corefkg.model import (
@@ -234,9 +239,19 @@ def edit_table(rng: random.Random, table: str, edits: list[str]) -> str:
     return "\n".join(lines)
 
 
-def table_outcome(read, table: str):
+def column_file_outcome(directory: Path, columns: str, table: str, *, fall_back: bool = False):
+    """The documents of ``columns`` beside its token ``table``, both written to
+    ``directory`` as stored and read through ``conll._read_documents``, or the
+    ParseError text and line. With ``fall_back``, no document's rows pass the
+    per-document check, so the table is read whole into the dict of
+    ``parse_token_table``."""
+    path = directory / "c.conll"
+    path.write_bytes(columns.encode("utf-8"))
+    Path(f"{path}.tokens").write_bytes(table.encode("utf-8"))
+    never = mock.patch.object(conll, "_TABLE_ROW", "(?!)") if fall_back else contextlib.nullcontext()
     try:
-        return list(read(table).items())
+        with never:
+            return list(conll._read_documents(path))
     except ParseError as exc:
         return str(exc), exc.line
 
@@ -245,18 +260,57 @@ def table_outcome(read, table: str):
 @given(rng=st.randoms(use_true_random=False),
        edits=st.lists(st.sampled_from(TABLE_EDITS), max_size=4))
 def test_token_table_fast_path_agrees_with_its_line_loop(rng, edits):
-    _, table = write_coref_columns(random_corpus(rng, n_docs=rng.randint(1, 2)))
+    # the table read in step with the column file, and read whole into the
+    # dict of parse_token_table: the same documents, or the same fault
+    columns, table = write_coref_columns(random_corpus(rng, n_docs=rng.randint(1, 3)))
     if rng.random() < 0.5:
         table = table.replace("\n", "\r\n")
     table = edit_table(rng, table, edits)
-    expected = table_outcome(parse_token_table, table)
-    fields = conll._table_fields(table)
-    if fields is not None:  # the bulk split took every line as a row
-        docs, index, spans = fields
-        if isinstance(expected, tuple):  # a fault the bulk split leaves to its caller
-            assert expected[0].endswith(" twice") or " digits" in expected[0], expected
-        else:
-            assert list(zip(zip(docs, map(int, index)), spans)) == expected
+    with tempfile.TemporaryDirectory() as directory:
+        expected = column_file_outcome(Path(directory), columns, table, fall_back=True)
+        # the writer's table, unedited, is read in step to its end, never whole
+        whole = mock.patch.object(conll, "parse_token_table", side_effect=AssertionError("whole"))
+        with whole if not edits else contextlib.nullcontext():
+            assert column_file_outcome(Path(directory), columns, table) == expected
+
+
+def _read_peak(directory: Path, n_docs: int) -> int:
+    """The peak of the bytes allocated while ``conll._read_documents`` reads a
+    column file and table of ``n_docs`` generated documents, one at a time."""
+    path = directory / f"{n_docs}.conll"
+    columns, table = write_coref_columns(random_corpus(random.Random(44), n_docs=n_docs))
+    path.write_text(columns, "utf-8")
+    Path(f"{path}.tokens").write_text(table, "utf-8")
+    del columns, table
+    tracemalloc.start()
+    try:
+        for doc in conll._read_documents(path):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_column_file_and_its_table_are_read_in_bounded_memory(tmp_path, monkeypatch):
+    # 250 documents are two blocks; 2,000 are 16, read into the same memory
+    # but for the doc ids kept to refuse a repeated one
+    small, large = _read_peak(tmp_path, 250), _read_peak(tmp_path, 2000)
+    assert large < 2 * small, (small, large)
+    # closed before the reader ends, it closes the column file and its table
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(jsonl, "open", recording_open, raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        documents = conll._read_documents(tmp_path / "2000.conll")
+        assert next(documents).doc_id.endswith("/d0")
+        documents.close()
+    assert sorted(Path(f.name).name for f in opened) == ["2000.conll", "2000.conll.tokens"]
+    assert all(f.closed for f in opened)
 
 
 @pytest.mark.parametrize("table", [

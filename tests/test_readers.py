@@ -17,6 +17,7 @@ document with broken invariants must be rejected exactly when ``validate``
 finds violations, with ``validate``'s message.
 """
 
+import contextlib
 import json
 import random
 import re
@@ -253,8 +254,8 @@ def read_outcome(columns: str, table: str | None):
 
 def table_loop_outcome(columns: str, table: str | None):
     """``read_outcome`` with the table read by its line loop alone, as the dict
-    of ``parse_token_table``: no table has the writer's shape."""
-    with mock.patch.object(conll, "_table_fields", lambda table: None):
+    of ``parse_token_table``: no document's rows pass the per-document check."""
+    with mock.patch.object(conll, "_TABLE_ROW", "(?!)"):
         return read_outcome(columns, table)
 
 
@@ -271,7 +272,10 @@ def test_conll_table_slices_read_as_the_table_loop_reads_them(rng, edit, with_ta
         columns, table = edit_columns(rng, corpus, edit)
     table = table if with_table else None
     expected = table_loop_outcome(columns, table)
-    assert read_outcome(columns, table) == expected
+    # the writer's table, unedited, is read in step to its end, never whole
+    whole = mock.patch.object(conll, "parse_token_table", side_effect=AssertionError("whole"))
+    with whole if edit is None else contextlib.nullcontext():
+        assert read_outcome(columns, table) == expected
     if edit is None:  # the generator's texts are single-spaced, so either read restores them
         assert [(d.doc_id, d.text) for d in expected] == [(d.doc_id, d.text) for d in corpus]
 

@@ -197,9 +197,10 @@ def test_token_table_rows_in_any_order_read_alike():
 
 
 # A table with two rows of d, edited: a "\r" before the "\n", blank, "#" and
-# tab-only lines, odd doc fields, a repeated row, a numeral past the digit
-# limit, a changed, dropped or added field.
-TABLE_EDITS = ("crlf", "blank", "comment", "doc", "repeat", "long", "field")
+# tab-only lines, odd doc fields, a repeated row, a row swapped with the next,
+# a tab made a space, a numeral past the digit limit, a changed, dropped or
+# added field.
+TABLE_EDITS = ("crlf", "blank", "comment", "doc", "repeat", "swap", "spaced", "long", "field")
 BLANK_LINES = ["", " ", "\t\t\t", "\r", " \t\x0b", "\u2028", "\x85\r"]
 DOC_FIELDS = ["", " ", "#d", " d", "d ", "\x85", "d\rd", "٣", "d\t"]
 FIELD_VALUES = ["", "0", "7", "01", "+1", "٣", " 1", "1 ", "x", "\t"]
@@ -221,6 +222,10 @@ def edit_table(rng: random.Random, table: str, edits: list[str]) -> str:
             lines[i] = "\t".join([rng.choice(DOC_FIELDS)] + fields[1:])
         elif edit == "repeat":
             lines.insert(i, lines[i])
+        elif edit == "swap":
+            lines[i:i + 2] = reversed(lines[i:i + 2])
+        elif edit == "spaced":
+            lines[i] = lines[i].replace("\t", " ", 1)
         elif edit == "long":
             runs = [m.span() for m in re.finditer("[0-9]+", lines[i])]
             if runs:
@@ -239,18 +244,25 @@ def edit_table(rng: random.Random, table: str, edits: list[str]) -> str:
     return "\n".join(lines)
 
 
+def whole_table_spans(table, doc_id: str, n: int, spans=conll._TokenTable.spans):
+    """``_TokenTable.spans`` of a table read whole first: the per-document
+    check never runs."""
+    table.offsets()
+    return spans(table, doc_id, n)
+
+
 def column_file_outcome(directory: Path, columns: str, table: str, *, fall_back: bool = False):
     """The documents of ``columns`` beside its token ``table``, both written to
     ``directory`` as stored and read through ``conll._read_documents``, or the
-    ParseError text and line. With ``fall_back``, no document's rows pass the
-    per-document check, so the table is read whole into the dict of
-    ``parse_token_table``."""
+    ParseError text and line. With ``fall_back``, the table is read whole into
+    the dict of ``parse_token_table`` at the first document, before its rows
+    are checked."""
     path = directory / "c.conll"
     path.write_bytes(columns.encode("utf-8"))
     Path(f"{path}.tokens").write_bytes(table.encode("utf-8"))
-    never = mock.patch.object(conll, "_TABLE_ROW", "(?!)") if fall_back else contextlib.nullcontext()
+    whole = mock.patch.object(conll._TokenTable, "spans", whole_table_spans)
     try:
-        with never:
+        with whole if fall_back else contextlib.nullcontext():
             return list(conll._read_documents(path))
     except ParseError as exc:
         return str(exc), exc.line

@@ -252,10 +252,16 @@ def read_outcome(columns: str, table: str | None):
         return str(exc), exc.line
 
 
+def whole_table_spans(table, doc_id: str, n: int, spans=conll._TokenTable.spans):
+    """``_TokenTable.spans`` of a table read whole first."""
+    table.offsets()
+    return spans(table, doc_id, n)
+
+
 def table_loop_outcome(columns: str, table: str | None):
     """``read_outcome`` with the table read by its line loop alone, as the dict
-    of ``parse_token_table``: no document's rows pass the per-document check."""
-    with mock.patch.object(conll, "_TABLE_ROW", "(?!)"):
+    of ``parse_token_table``: the per-document check never runs."""
+    with mock.patch.object(conll._TokenTable, "spans", whole_table_spans):
         return read_outcome(columns, table)
 
 

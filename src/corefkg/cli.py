@@ -300,11 +300,10 @@ def _cmd_eval_kg(args) -> int:
     from .goldkg import _evaluated, _gold_kg, _restriction
     from .kgpop import _records
 
-    key = _read_first(args.input, args.format, _gold_kg, args.gold).partition()
-    universe = key.universe()
-    chain = partial(_records, strategy=_strategy(args), keep=_restriction(universe))
+    gold = _read_first(args.input, args.format, _gold_kg, args.gold)
+    chain = partial(_records, strategy=_strategy(args), keep=_restriction(gold))
     with contextlib.closing(parallel.records(*_corpus(args.input, args.format), chain)) as records:
-        result = _evaluated(key, universe, records, args.ceafe_drop_singletons)
+        result = _evaluated(gold, records, args.ceafe_drop_singletons)
     table = result.report.to_table() + f"concepts\t{result.n_concepts}\n"
     _write_report(table, result.to_dict(), args.json_out)
     return 0

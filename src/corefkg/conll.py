@@ -32,7 +32,7 @@ import contextlib
 import io
 import re
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import ParseError
@@ -203,14 +203,15 @@ class _TokenTable:
     Each document takes the next lines, one per token, as its rows while they
     are in the writer's shape and hold its doc_id and its token indices in
     order. Otherwise the table is read whole, from its start, into the dict of
-    ``parse_token_table``, and rows are looked up by (doc_id, index). A fault
-    of the table itself names its ``path``, if it has one.
+    ``parse_token_table``, and each row used is moved to its end. A fault of
+    the table itself names its ``path``, if it has one.
     """
 
     def __init__(self, lines: Iterator[str], text: Callable[[], str], path: str | None = None):
         self.lines, self.text, self.path = lines, text, path
         self.numerals: list[str] = []  # "0", "1", ...: the index fields of a document
         self.rows = None
+        self.streamed = self.moved = 0  # the rows used in step, and moved since
 
     def offsets(self) -> dict[tuple[str, int], tuple[int, int]]:
         """The rows by (doc_id, index); reading them raises ParseError at the
@@ -232,25 +233,26 @@ class _TokenTable:
             fields = [] if re.sub(_TABLE_ROW, "", rows) else rows.split()
             if fields[0::4].count(doc_id) == n and fields[1::4] == self.numerals[:n]:
                 try:
-                    return list(zip(map(int, fields[2::4]), map(int, fields[3::4])))
+                    spans = list(zip(map(int, fields[2::4]), map(int, fields[3::4])))
+                    self.streamed += n
+                    return spans
                 except ValueError:  # past the interpreter's digit limit
                     pass
             self.offsets()
-        spans = list(map(self.rows.get, zip(repeat(doc_id), range(n))))
-        if None in spans:
-            del spans[spans.index(None):]
+        spans = list(takewhile(lambda span: span is not None,
+                               map(self.rows.pop, zip(repeat(doc_id), range(n)), repeat(None))))
+        self.rows.update(zip(zip(repeat(doc_id), range(len(spans))), spans))
+        self.moved += len(spans)
         return spans
 
-    def check_used(self, n_tokens: dict[str, int], lineno: int) -> None:
-        """ParseError, at ``lineno``, for a row that no token used, given each
-        document's token count."""
+    def check_used(self, lineno: int) -> None:
+        """ParseError, at ``lineno``, for the first row that no token used: the
+        dict's first after the rows used in step, as those moved are its last."""
         if self.rows is None and next(self.lines, None) is None:
             return
         offsets = self.offsets()
-        # Each document used one row per token, all distinct (doc_ids are unique).
-        if len(offsets) != sum(n_tokens.values()):
-            used = {(d, i) for d, n in n_tokens.items() for i in range(n)}
-            unused = next(key for key in offsets if key not in used)
+        if len(offsets) > self.streamed + self.moved:
+            unused = next(islice(offsets, self.streamed, None))
             raise ParseError(f"token table row {unused!r} matches no token", lineno)
 
 
@@ -409,7 +411,6 @@ def _corpus(lines: Iterable[str], table: _TokenTable | None,
 def _read_columns(lines: Iterable[str], table: _TokenTable | None,
                   seen_ids: set[str]) -> Iterator[Document]:
     """The documents of ``read_coref_columns``, collecting the doc_ids in ``seen_ids``."""
-    n_tokens: dict[str, int] = {}  # doc_id -> its token count, for the unused-row check
     doc_id: str | None = None
     begin_line = lineno = 0
     for lineno, line in enumerate(lines, start=1):
@@ -437,7 +438,6 @@ def _read_columns(lines: Iterable[str], table: _TokenTable | None,
                 raise ParseError(f"unbalanced brackets: chains {open_chains} still open", lineno)
             yield _checked(_column_document(doc_id, tokens, chains, table, lineno), True, lineno,
                            seen_ids)
-            n_tokens[doc_id] = len(tokens)
             doc_id = None
             continue
         elif not cols or line[0] == "#":
@@ -455,4 +455,4 @@ def _read_columns(lines: Iterable[str], table: _TokenTable | None,
         raise ParseError(
             f"missing end-of-document sentinel for document begun at line {begin_line}", lineno)
     if table is not None:
-        table.check_used(n_tokens, max(lineno, 1))
+        table.check_used(max(lineno, 1))

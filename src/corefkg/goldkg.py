@@ -4,22 +4,23 @@ evaluation of population strategies against it.
 A cluster enters the gold KG only if every one of its mentions is linked and
 all links agree on one entity; clusters sharing an entity are merged into
 one gold concept. The result is a partition of mention identity 4-tuples,
-which serves as the *key* when scoring a population strategy's concepts
-(the *response*) with the coreference metrics.
+the *key* against which a population strategy's concepts (the *response*)
+are scored, through one index from each key to its position (``_restriction``).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ParseError, ValidationError
 from .jsonl import (_concept_type, _digits, _expect, _expect_entries, _json_objects, _key_group,
                     _lines, _mention_entry, _mention_key, _quote)
 from .kgpop import CollapseStrategy, _concept_groups, _records
-from .metrics import Partition, ScoreReport, score
+from .metrics import ScoreReport, _counts, _Overlap, _report
 from .model import (
     CoreferenceCluster,
     Corpus,
@@ -58,9 +59,6 @@ class GoldKg:
     concepts: tuple[GoldConcept, ...]
     n_clusters_kept: int
     n_singleton_clusters: int
-
-    def partition(self) -> Partition:
-        return Partition(c.mentions for c in self.concepts)
 
     def mix_count(self, domains: Mapping[str, str]) -> int:
         """Concepts whose mentions span at least two domains."""
@@ -281,56 +279,59 @@ def evaluate_population(
     ceafe_drop_singleton_response_parts: bool = False,
 ) -> EvalResult:
     """Collapse the corpus clusters restricted to the gold mention universe
-    and score the resulting concepts against the gold partition.
+    and score the resulting concepts against the gold concepts.
 
     With ``use_coreference=False`` every gold-universe mention becomes a
     singleton cluster first. Raises ValidationError if the corpus does not
     cover the gold mention universe. ``corpus`` is iterated once, through the
     map and reduce that ``corefkg eval-kg`` runs: ``kgpop._records`` with the
-    ``_restriction`` to the universe, then ``_evaluated``.
+    ``_restriction`` to the gold KG, then ``_evaluated``.
     """
-    key = gold.partition()
-    universe = key.universe()
-    records = _records(corpus, strategy, keep=_restriction(universe))
-    return _evaluated(key, universe, records, ceafe_drop_singleton_response_parts)
+    records = _records(corpus, strategy, keep=_restriction(gold))
+    return _evaluated(gold, records, ceafe_drop_singleton_response_parts)
 
 
-def _restriction(universe: frozenset[MentionKey]
+def _restriction(gold: GoldKg
                  ) -> Callable[[CoreferenceCluster], tuple[CoreferenceCluster, list] | None]:
-    """The ``keep`` of ``kgpop._records`` for ``evaluate_population``: each
-    cluster restricted to its mentions in ``universe``, with their keys as
-    payload, or None if none is in it. Each key is computed once."""
+    """The ``keep`` of ``kgpop._records`` for ``evaluate_population``: each cluster
+    restricted to its gold mentions, with their positions as payload (each key's
+    index in the concepts' keys, listed concept by concept), or None if it has none."""
+    position = dict(zip(chain.from_iterable(c.mentions for c in gold.concepts), count())).get
+
     def restricted(cluster: CoreferenceCluster) -> tuple[CoreferenceCluster, list] | None:
-        members, keys = [], []
+        members, positions = [], []
         for m in cluster.mentions:
-            key = m.key
-            if key in universe:
+            p = position(m.key)
+            if p is not None:
                 members.append(m)
-                keys.append(key)
-        return (CoreferenceCluster(cluster.doc_id, members), keys) if keys else None
+                positions.append(p)
+        return (CoreferenceCluster(cluster.doc_id, members), positions) if positions else None
 
     return restricted
 
 
-def _evaluated(key: Partition, universe: frozenset[MentionKey], records: Iterable[tuple],
-               ceafe_drop_singleton_response_parts: bool) -> EvalResult:
+def _evaluated(gold: GoldKg, records: Iterable[tuple], drop: bool) -> EvalResult:
     """The reduce of ``evaluate_population`` over the ``kgpop._records`` of
-    ``_restriction(universe)``, ``universe`` being that of ``key``: the
-    records' concepts (``kgpop._concept_groups``), each the keys of its
-    members, scored as the response against ``key``."""
+    ``_restriction(gold)``: the records' concepts (``kgpop._concept_groups``), each
+    a ``metrics._Overlap`` row of its positions by gold concept, scored against the
+    gold concepts. A byte per position marks those held, to find one held twice or never."""
+    key_sizes = [len(c.mentions) for c in gold.concepts]
+    concept_of = [i for i, size in enumerate(key_sizes) for _ in range(size)]
+    keys = chain.from_iterable(c.mentions for c in gold.concepts)  # by position, for a fault
+    seen, shared = bytearray(len(concept_of)), []
     concepts = _concept_groups(chain.from_iterable(r[4] for r in records))
-    response = Partition(chain.from_iterable(m[4] for m in c[4]) for c in concepts)
-    missing = universe.difference(*response)
-    if missing:
-        sample = ", ".join(map(str, sorted(missing)[:3]))
-        raise ValidationError(
-            [f"corpus does not cover the gold mention universe: missing {sample} "
-             f"({len(missing)} total)"]
-        )
-
-    report = score(
-        key,
-        response,
-        ceafe_drop_singleton_response_parts=ceafe_drop_singleton_response_parts,
-    )
-    return EvalResult(report=report, n_concepts=len(concepts))
+    for concept in concepts:
+        positions = {p for member in concept[4] for p in member[4]}  # one held twice counts once
+        if any(map(seen.__getitem__, positions)):  # held by an earlier concept
+            repeated = sorted([k for p, k in enumerate(keys) if seen[p] and p in positions], key=repr)
+            raise ValueError(f"parts are not disjoint: {repeated[:3]!r} repeated")
+        for p in positions:
+            seen[p] = 1
+        shared.append(Counter(map(concept_of.__getitem__, positions)))
+    if 0 in seen:
+        missing = sorted(k for k, held in zip(keys, seen) if not held)
+        raise ValidationError([f"corpus does not cover the gold mention universe: missing "
+                               f"{', '.join(map(str, missing[:3]))} ({len(missing)} total)"])
+    response_sizes = [sum(row.values()) for row in shared]
+    table = _Overlap(shared, key_sizes, response_sizes, len(concept_of))
+    return EvalResult(_report(*_counts(table, drop)), len(concepts))

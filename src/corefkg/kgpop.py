@@ -480,7 +480,7 @@ def _records(docs: Iterable[Document], strategy: CollapseStrategy, *,
     ``strategy.clusters`` order, the ``_cluster_record`` of each cluster and
     payload that ``keep(cluster)`` returns, unless it returns None: ``_kept``
     and the cluster, fragment or None for ``populate``, the gold-universe
-    restriction and its mention keys for ``evaluate_population``. One labeler
+    restriction and its gold positions for ``evaluate_population``. One labeler
     serves every document, as one serves a ``collapse`` call.
     """
     labeler = _Labeler()

@@ -725,15 +725,21 @@ def test_gold_kg_on_stdout_is_byte_equal_to_the_library_string(linked_corpus_pat
     assert done.stdout == write_gold_jsonl(compile_gold(corpus)).encode("utf-8")
 
 
-def _cli_outputs(src: Path, workdir: Path, hash_seed: str) -> dict[str, bytes]:
-    """Run baseline, then populate in both formats, in fresh interpreters."""
+def _cli_outputs(src: Path, links: Path, workdir: Path, hash_seed: str) -> dict[str, bytes]:
+    """Run baseline, then populate in both formats, compile-gold with ``links``
+    and eval-kg of the baseline's output, in fresh interpreters."""
     workdir.mkdir()
-    pred = workdir / "pred.jsonl"
+    pred, gold = workdir / "pred.jsonl", workdir / "gold.jsonl"
     runs = [["baseline", "--in", src, "--out", pred],
             ["populate", "--in", pred, "--strategy", "cross", "--format", "ntriples",
              "--out", workdir / "kg.nt"],
             ["populate", "--in", pred, "--strategy", "in", "--format", "jsonl",
-             "--out", workdir / "kg.jsonl"]]
+             "--out", workdir / "kg.jsonl"],
+            ["compile-gold", "--in", src, "--links", links, "--out", gold],
+            ["eval-kg", "--in", pred, "--gold", gold, "--strategy", "cross",
+             "--json-out", workdir / "eval.json"],
+            ["eval-kg", "--in", pred, "--gold", gold, "--strategy", "in",
+             "--ceafe-drop-singletons"]]
     outputs = {}
     for i, argv in enumerate(runs):
         done = run_cli(*argv, hash_seed=hash_seed)
@@ -746,12 +752,18 @@ def _cli_outputs(src: Path, workdir: Path, hash_seed: str) -> dict[str, bytes]:
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     corpus = random_corpus(random.Random(31), n_docs=40)
-    src = tmp_path / "in.jsonl"
+    src, links = tmp_path / "in.jsonl", tmp_path / "links.tsv"
     src.write_text(write_jsonl(corpus), "utf-8")
-    seed0 = _cli_outputs(src, tmp_path / "seed0", "0")
-    seed1 = _cli_outputs(src, tmp_path / "seed1", "1")
-    assert set(seed0) == {"stdout0", "stdout1", "stdout2", "pred.jsonl", "kg.nt", "kg.jsonl"}
-    assert all(seed0[name] for name in ("pred.jsonl", "kg.nt", "kg.jsonl", "stdout1"))
+    # a link per mention, to the first word of its surface: concepts of many mentions
+    links.write_text("".join(f"{m.doc_id}\t{m.start}\t{m.end}\t{m.concept_type.value}\t"
+                             f"{m.surface.split()[0].lower()}\n"
+                             for doc in corpus for m in doc.mentions), "utf-8")
+    seed0 = _cli_outputs(src, links, tmp_path / "seed0", "0")
+    seed1 = _cli_outputs(src, links, tmp_path / "seed1", "1")
+    assert set(seed0) == {*(f"stdout{i}" for i in range(6)),
+                          "pred.jsonl", "kg.nt", "kg.jsonl", "gold.jsonl", "eval.json"}
+    assert all(seed0[name] for name in ("pred.jsonl", "kg.nt", "kg.jsonl", "stdout1",
+                                        "gold.jsonl", "stdout4", "eval.json", "stdout5"))
     assert seed0 == seed1
 
 

@@ -336,6 +336,18 @@ def test_token_table_rows_no_token_uses_are_rejected(table):
         "line 4: token table row ('d', 9) matches no token", 4)
 
 
+def test_an_unused_row_is_found_after_the_table_falls_back_to_its_dict():
+    # a's row is read in step; d's rows are out of the writer's order, so the
+    # table is read whole, and the row of zz is the first that no token uses
+    columns = ("#begin document a\na\t0\tx\t-\n#end document\n"
+               "#begin document d\nd\t0\tab\t(0)\nd\t1\tcd\t-\n#end document\n")
+    table = "a\t0\t0\t1\nd\t1\t3\t5\nzz\t0\t0\t2\nd\t9\t7\t9\nd\t0\t0\t2\n"
+    with pytest.raises(ParseError) as err:
+        read_coref_columns(columns, table)
+    assert (str(err.value), err.value.line) == (
+        "line 7: token table row ('zz', 0) matches no token", 7)
+
+
 def test_token_table_rows_beside_an_empty_column_file_are_rejected_at_line_1():
     with pytest.raises(ParseError) as err:
         read_coref_columns("", "d\t0\t0\t2\n")

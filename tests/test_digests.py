@@ -1,7 +1,8 @@
 """The sha256 of every output of one command-line chain over a seeded corpus,
 pinned: ``convert`` to each format, ``baseline``, ``score`` of a JSONL pair and
-of a column pair, ``populate`` in both exports, ``compile-gold --links`` and
-``eval-kg`` under the four strategies. The corpus spans more than two blocks of
+of a column pair, ``populate`` in both exports, ``compile-gold --links``, and
+``eval-kg`` under the four strategies and under two of them with
+``--ceafe-drop-singletons``. The corpus spans more than two blocks of
 ``jsonl._BLOCK`` documents, so that the commands that map it fork workers.
 
 The same table must hold on every Python the package supports and under every
@@ -39,7 +40,9 @@ CHAIN = [
     "populate --in pred.jsonl --strategy in --format jsonl --out kg.jsonl",
     "compile-gold --in corpus.jsonl --links links.tsv --out gold.jsonl",
     *(f"eval-kg --in corpus.jsonl --gold gold.jsonl --strategy {strategy} --json-out eval{i}.json"
-      for i, strategy in enumerate(("cross", "cross --no-coref", "in", "in --no-coref"), 1)),
+      for i, strategy in enumerate(("cross", "cross --no-coref", "in", "in --no-coref",
+                                    "cross --ceafe-drop-singletons",
+                                    "in --no-coref --ceafe-drop-singletons"), 1)),
 ]
 
 #: the sha256 of each call's stdout (``-``) and of each file or tree it wrote, by call
@@ -105,6 +108,14 @@ PINNED = {
     'eval-kg --in corpus.jsonl --gold gold.jsonl --strategy in --no-coref --json-out eval4.json': {
         '-': '1c102aaad7fdab20be4ee35d53cc33d994b5a2cb1686ea636236510311ec528e',
         'eval4.json': '5e6eb4bc42d03c9d932b104d95e0bd37ff338874f8fcbebe522c99ac43d26d47',
+    },
+    'eval-kg --in corpus.jsonl --gold gold.jsonl --strategy cross --ceafe-drop-singletons --json-out eval5.json': {
+        '-': '16869ebf57d46e3ca31ae5d2154ecd794a26e9f5c3988143e824dec54147cbde',
+        'eval5.json': 'a807608f34a501c91a23beedd90a9262f6d8ad4a2564578eb147dc659b3a6038',
+    },
+    'eval-kg --in corpus.jsonl --gold gold.jsonl --strategy in --no-coref --ceafe-drop-singletons --json-out eval6.json': {
+        '-': 'c0f07083ff7c6f18e17d481ca642d7a945d741c1f716cd3151f8afe51baf98ec',
+        'eval6.json': '3ff7afcecbc53516bdf062474abea72c1d42d657e335edd8db8fa77f69b2ffae',
     },
 }
 

@@ -87,11 +87,10 @@ def test_singletons_counted():
 def test_gold_partition_is_valid():
     doc = doc_with_links("d", "CS", ["a1", "b2", "c3"], {0: "Q1", 1: "Q1", 2: "Q2"})
     gold = compile_gold(Corpus((doc,)))
-    partition = gold.partition()
-    assert len(partition.universe()) == 3
     # every mention carries its entity's concept
     by_entity = {c.entity: c.mentions for c in gold.concepts}
     assert len(by_entity["Q1"]) == 2
+    assert sum(map(len, by_entity.values())) == 3
 
 
 def test_gold_jsonl_roundtrip():
@@ -359,6 +358,36 @@ def test_evaluate_names_the_first_three_missing_keys_and_their_total():
         "('d', 6, 8, 'Material'), ('d', 9, 11, 'Material') (4 total)"]
 
 
+def _clustered(doc, *groups):
+    """``doc`` with a cluster of its mentions at the indices of each of ``groups``,
+    which may share a mention, as no reader lets them."""
+    return dataclasses.replace(doc, clusters=tuple(
+        CoreferenceCluster(doc.doc_id, frozenset(doc.mentions[i] for i in group))
+        for group in groups))
+
+
+def test_evaluate_refuses_a_mention_in_two_concepts():
+    surfaces = ["x0", "x1", "x2", "x3", "x4", "betaword", "gammaword"]
+    d = doc_with_links("d", "CS", surfaces, {i: f"Q{i}" for i in range(7)})
+    gold = compile_gold(Corpus((d,)))
+    # x0 to x4 are in the concepts labelled betaword and gammaword; the first
+    # three of them by repr are named
+    with pytest.raises(ValueError) as err:
+        evaluate_population(gold, Corpus((_clustered(d, (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6)),)),
+                            IN)
+    assert str(err.value) == ("parts are not disjoint: [('d', 0, 2, 'Material'), "
+                              "('d', 12, 14, 'Material'), ('d', 3, 5, 'Material')] repeated")
+
+
+def test_evaluate_counts_a_mention_held_twice_by_one_concept_once():
+    d = doc_with_links("d", "CS", ["ab", "beta", "betas"], {0: "Q1", 1: "Q2", 2: "Q2"})
+    gold = compile_gold(Corpus((d,)))
+    # ab is in two clusters that both collapse into the concept labelled beta
+    result = evaluate_population(gold, Corpus((_clustered(d, (0, 1), (0, 2)),)), IN)
+    key = Partition(c.mentions for c in gold.concepts)
+    assert result == EvalResult(score(key, Partition([[m.key for m in d.mentions]])), 1)
+
+
 def test_evaluate_identical_partition_perfect():
     # response reproduces the gold partition exactly (labels are unique and
     # the coref cluster matches the entity grouping), so every score is 1;
@@ -399,7 +428,8 @@ def _linked(seed: int) -> tuple[Corpus, Corpus]:
 def _collapsed_and_scored(gold, corpus, strategy, drop):
     """``evaluate_population`` from public names: each cluster restricted to
     the gold universe, ``collapse``d, its concepts' mention keys scored."""
-    universe = gold.partition().universe()
+    key = Partition(c.mentions for c in gold.concepts)
+    universe = key.universe()
     restricted = []
     for doc in corpus:
         for cluster in strategy.clusters(doc):
@@ -410,7 +440,7 @@ def _collapsed_and_scored(gold, corpus, strategy, drop):
     concepts = collapse(restricted, corpus.domains(), strategy, acronyms)
     response = Partition(frozenset(m.key for c in concept.clusters for m in c.mentions)
                          for concept in concepts)
-    report = score(gold.partition(), response, ceafe_drop_singleton_response_parts=drop)
+    report = score(key, response, ceafe_drop_singleton_response_parts=drop)
     return EvalResult(report=report, n_concepts=len(concepts))
 
 

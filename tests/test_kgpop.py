@@ -569,8 +569,7 @@ def _reduced_bytes(corpus, strategy, gold, gold_kg, order):
 
     ntriples = _Population(arriving(_kept(gold, None)))
     kg = _Population(arriving(_kept(gold, _cluster_fragment)))
-    key = gold_kg.partition()
-    result = _evaluated(key, key.universe(), arriving(_restriction(key.universe())), False)
+    result = _evaluated(gold_kg, arriving(_restriction(gold_kg)), False)
     return ("".join(ntriples.ntriple_lines()), ntriples.stats().to_tsv(),
             "".join(kg.kg_lines()), kg.stats().to_tsv(), json.dumps(result.to_dict()))
 

@@ -96,10 +96,12 @@ def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str],
     """Exit status, stdout, stderr and the output directory's files of one call
     of ``argv`` with ``in_flag src`` and ``out_flag`` the file ``name`` or stdout.
     The call runs in the output directory, so that ``name`` names the output
-    alike in every call's messages."""
+    alike in every call's messages. A call that succeeds must have joined each
+    worker it forked, and each with the doc ids it read: a worker that failed
+    there failed without cause, hidden by this process reading its range again."""
     out_dir.mkdir()
     out, err = io.StringIO(), io.StringIO()
-    fork = os.fork
+    fork, join, joins = os.fork, parallel._Worker.join, []
 
     def counted_fork():
         pid = fork()
@@ -107,17 +109,24 @@ def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str],
             forks.append(pid)
         return pid
 
+    def spied_join(worker):
+        joins.append(join(worker))
+        return joins[-1]
+
     cwd = os.getcwd()
     os.chdir(out_dir)
     try:
         with mock.patch.object(parallel, "_cpus", lambda: cpus), \
                 mock.patch.object(os, "fork", counted_fork), \
+                mock.patch.object(parallel._Worker, "join", spied_join), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = main([*argv, in_flag, str(src), out_flag, "-" if to_stdout else name])
     finally:
         os.chdir(cwd)
     with pytest.raises(ChildProcessError):  # every worker has been waited for
         os.waitpid(-1, os.WNOHANG)
+    if status == 0:
+        assert len(joins) == len(forks) and None not in joins, joins
     return status, out.getvalue(), err.getvalue(), _files(out_dir)
 
 
@@ -323,11 +332,12 @@ BRAT_COMMANDS = {
     "populate": (lambda gold, links: ["populate", "--strategy", "in"], "kg.jsonl", "--out"),
     "compile-gold": (lambda gold, links: ["compile-gold", "--links", str(links)], "gold.jsonl",
                      "--out"),
-    **{f"eval-kg {strategy}{no_coref}": (
-        lambda gold, links, strategy=strategy, no_coref=no_coref: [
-            "eval-kg", "--gold", str(gold), "--strategy", strategy, *no_coref.split()],
+    **{f"eval-kg {strategy}{flags}": (
+        lambda gold, links, strategy=strategy, flags=flags: [
+            "eval-kg", "--gold", str(gold), "--strategy", strategy, *flags.split()],
         "eval.json", "--json-out")
-       for strategy in ("cross", "in") for no_coref in ("", " --no-coref")},
+       for strategy in ("cross", "in") for no_coref in ("", " --no-coref")
+       for flags in (no_coref, f"{no_coref} --ceafe-drop-singletons")},
 }
 
 
@@ -342,8 +352,10 @@ def _brat_expected(command: str, corpus, links: dict, gold) -> tuple[str, str]:
         return export_kg_jsonl(kg), kg_stats(kg, corpus).to_tsv()
     if command == "compile-gold":
         return write_gold_jsonl(compile_gold(attach_entity_links(corpus, links))), ""
-    _, strategy, *no_coref = command.split()
-    result = evaluate_population(gold, corpus, CollapseStrategy(_SCOPES[strategy], not no_coref))
+    _, strategy, *flags = command.split()
+    result = evaluate_population(
+        gold, corpus, CollapseStrategy(_SCOPES[strategy], "--no-coref" not in flags),
+        ceafe_drop_singleton_response_parts="--ceafe-drop-singletons" in flags)
     table = result.report.to_table() + f"concepts\t{result.n_concepts}\n"
     return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", table
 

@@ -11,15 +11,15 @@ are scored, through one index from each key to its position (``_restriction``).
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from itertools import chain, count
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ParseError, ValidationError
 from .jsonl import (_concept_type, _digits, _expect, _expect_entries, _json_objects, _key_group,
-                    _lines, _mention_entry, _mention_key, _quote)
-from .kgpop import CollapseStrategy, _concept_groups, _records
+                    _lines, _mention_entry, _mention_key, _quote, _unmarked)
+from .kgpop import CollapseStrategy, _concept_order, _records
 from .metrics import ScoreReport, _counts, _Overlap, _report
 from .model import (
     CoreferenceCluster,
@@ -214,8 +214,8 @@ def _gold_kg(lines: Iterable[str]) -> GoldKg:
 def read_entity_links(text: str) -> dict[MentionKey, str]:
     """Parse an entity-links TSV: doc_id, start, end, type, entity per line.
 
-    Each key must have ``0 <= start < end`` and a mention type (any but Mixed).
-    """
+    Each key must have ``0 <= start < end`` and a mention type (any but Mixed);
+    a UTF-8 byte-order mark before the first line raises ParseError at line 1."""
     return _entity_links(_lines(text))
 
 
@@ -224,6 +224,8 @@ def _entity_links(lines: Iterable[str]) -> dict[MentionKey, str]:
     links: dict[MentionKey, str] = {}
     share = {}.setdefault
     for lineno, line in enumerate(lines, start=1):
+        if lineno == 1:
+            _unmarked(line)
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -281,11 +283,11 @@ def evaluate_population(
     """Collapse the corpus clusters restricted to the gold mention universe
     and score the resulting concepts against the gold concepts.
 
-    With ``use_coreference=False`` every gold-universe mention becomes a
-    singleton cluster first. Raises ValidationError if the corpus does not
-    cover the gold mention universe. ``corpus`` is iterated once, through the
-    map and reduce that ``corefkg eval-kg`` runs: ``kgpop._records`` with the
-    ``_restriction`` to the gold KG, then ``_evaluated``.
+    With ``use_coreference=False`` every gold-universe mention becomes a singleton cluster
+    first. Raises ValidationError if the corpus does not cover the gold mention universe.
+    ``corpus`` is iterated once, through the map and reduce that ``corefkg eval-kg`` runs:
+    ``kgpop._records`` with the ``_restriction`` to the gold KG, then ``_evaluated``, which
+    keeps of each concept that ``collapse`` would build only its gold positions.
     """
     records = _records(corpus, strategy, keep=_restriction(gold))
     return _evaluated(gold, records, ceafe_drop_singleton_response_parts)
@@ -311,17 +313,18 @@ def _restriction(gold: GoldKg
 
 
 def _evaluated(gold: GoldKg, records: Iterable[tuple], drop: bool) -> EvalResult:
-    """The reduce of ``evaluate_population`` over the ``kgpop._records`` of
-    ``_restriction(gold)``: the records' concepts (``kgpop._concept_groups``), each
-    a ``metrics._Overlap`` row of its positions by gold concept, scored against the
-    gold concepts. A byte per position marks those held, to find one held twice or never."""
+    """The reduce of ``evaluate_population`` over the ``kgpop._records`` of ``_restriction(gold)``:
+    one set of positions per concept key, each taken in ``kgpop._concept_order`` and dropped as
+    it becomes a ``metrics._Overlap`` row by gold concept, scored against the gold concepts.
+    A byte per position marks those held, to find one held twice or never."""
     key_sizes = [len(c.mentions) for c in gold.concepts]
     concept_of = [i for i, size in enumerate(key_sizes) for _ in range(size)]
     keys = chain.from_iterable(c.mentions for c in gold.concepts)  # by position, for a fault
     seen, shared = bytearray(len(concept_of)), []
-    concepts = _concept_groups(chain.from_iterable(r[4] for r in records))
-    for concept in concepts:
-        positions = {p for member in concept[4] for p in member[4]}  # one held twice counts once
+    groups = defaultdict(set)  # concept key -> its positions; one held twice counts once
+    for key, _, _, _, _, positions in chain.from_iterable(r[4] for r in records):
+        groups[key].update(positions)
+    for positions in map(groups.pop, sorted(groups, key=_concept_order)):
         if any(map(seen.__getitem__, positions)):  # held by an earlier concept
             repeated = sorted([k for p, k in enumerate(keys) if seen[p] and p in positions], key=repr)
             raise ValueError(f"parts are not disjoint: {repeated[:3]!r} repeated")
@@ -334,4 +337,4 @@ def _evaluated(gold: GoldKg, records: Iterable[tuple], drop: bool) -> EvalResult
                                f"{', '.join(map(str, missing[:3]))} ({len(missing)} total)"])
     response_sizes = [sum(row.values()) for row in shared]
     table = _Overlap(shared, key_sizes, response_sizes, len(concept_of))
-    return EvalResult(_report(*_counts(table, drop)), len(concepts))
+    return EvalResult(_report(*_counts(table, drop)), len(shared))

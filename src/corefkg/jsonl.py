@@ -208,6 +208,13 @@ def _long_numeral(what: str, lineno: int) -> ParseError:
     return ParseError(f"{what} has more than {sys.get_int_max_str_digits()} digits", lineno)
 
 
+def _unmarked(line: str) -> None:
+    """ParseError at line 1 if ``line``, the first of a table's text, starts
+    with a UTF-8 byte-order mark, which would otherwise join its first field."""
+    if line.startswith("\ufeff"):
+        raise ParseError("text starts with a UTF-8 byte-order mark (BOM)", 1)
+
+
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]").search
 
 

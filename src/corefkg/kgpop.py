@@ -12,13 +12,14 @@ byte-identical exports regardless of document order.
 Every graph is built by one map and one reduce. The map, ``_records``, turns
 each document into one record of plain values: its counts for the statistics
 table and one record per kept cluster (``_cluster_record``: collapse key,
-span key, mention count, typed mentions' types and a payload). The reduce,
-``_concept_groups``, groups cluster records into concepts as they arrive and
-takes each concept's id and majority type; of a kept cluster it keeps only a
-flat member, ``(doc_id, start, end, mention count, payload)``, and its type
-names. ``populate`` and ``corefkg populate`` reach it through ``_Population``,
-which counts each document as it arrives, ``goldkg.evaluate_population``
-directly; ``collapse`` builds the cluster records of the clusters it is given.
+span key, mention count, typed mentions' types and a payload). The reduce of
+``populate`` and ``collapse``, ``_concept_groups``, groups cluster records into
+concepts as they arrive and takes each concept's id and majority type; of a
+kept cluster it keeps a flat member, ``(doc_id, start, end, mention count,
+payload)``, and its type names. ``populate`` and ``corefkg populate`` reach it
+through ``_Population``, which counts each document as it arrives; ``collapse``
+builds the records of the clusters it is given. ``goldkg.evaluate_population``
+keeps of each concept key only the payloads, in the same ``_concept_order``.
 Only the clusters kept and the payload differ (see ``_records``). Payloads
 other than the library's clusters are plain values, so that a worker can send
 its records back with ``marshal`` (see ``corefkg.parallel``). One writer
@@ -198,14 +199,19 @@ def _cluster_record(cluster: CoreferenceCluster, label: str, scope: str, payload
             _typed(cluster), payload)
 
 
+def _concept_order(key: tuple[str, str, str]) -> tuple[str, str, str]:
+    """The sort key of the concept of ``key`` (see ``_cluster_record``) in
+    ``KnowledgeGraph.concepts``: its scope, label and id, a hash of ``key``."""
+    return key[0], key[1], hashlib.sha256("\x1f".join(key).encode("utf-8")).hexdigest()[:16]
+
+
 def _concept_groups(records: Iterable[tuple]) -> list[tuple[str, str, str, ConceptType, list]]:
-    """The concepts of the cluster ``records`` (see ``_cluster_record``), in
-    the order of ``KnowledgeGraph.concepts``, as ``(domain_scope, label,
-    concept_id, concept_type, members)``, each record dropped once grouped.
-    The concept id hashes the key. A concept's members ``(doc_id, start, end,
-    size, payload)`` are in the order of ``Concept.clusters``: by doc_id and
-    span, and members with equal ones keep the order they came in (the sort is
-    stable)."""
+    """The concepts of the cluster ``records`` (see ``_cluster_record``) for
+    ``populate`` and ``collapse``, in ``_concept_order``, as ``(domain_scope,
+    label, concept_id, concept_type, members)``, each record dropped once
+    grouped. A concept's members ``(doc_id, start, end, size, payload)`` are in
+    the order of ``Concept.clusters``: by doc_id and span, and members with
+    equal ones keep the order they came in (the sort is stable)."""
     groups = defaultdict(lambda: ([], []))  # key -> (type names, members)
     for key, doc_id, (start, end), size, types, payload in records:
         type_names, members = groups[key]
@@ -214,8 +220,7 @@ def _concept_groups(records: Iterable[tuple]) -> list[tuple[str, str, str, Conce
     concepts = []
     for key, (type_names, members) in groups.items():
         members.sort(key=itemgetter(0, 1, 2))  # doc_id, span key
-        concept_id = hashlib.sha256("\x1f".join(key).encode("utf-8")).hexdigest()[:16]
-        concepts.append((*key[:2], concept_id, _majority_type(type_names), members))
+        concepts.append((*_concept_order(key), _majority_type(type_names), members))
     concepts.sort(key=itemgetter(0, 1, 2))
     return concepts
 

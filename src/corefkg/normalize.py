@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ParseError
-from .jsonl import _reading
+from .jsonl import _reading, _unmarked
 from .model import CoreferenceCluster
 
 __all__ = [
@@ -142,13 +142,16 @@ def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
     Without a path, the table shipped with the package is used. Lines
     starting with '#' are comments; any other line that is not two
     tab-separated columns, or that gives a plural a second singular, raises
-    ParseError, naming the path and the line.
+    ParseError, naming the path and the line, as does a UTF-8 byte-order mark
+    before the first line.
     """
     if path is None:
         path = Path(__file__).parent / "data" / "lemma_exceptions.tsv"
     table: dict[str, str] = {}
     with _reading(path) as lines:
         for lineno, line in enumerate(lines, start=1):
+            if lineno == 1:
+                _unmarked(line)
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

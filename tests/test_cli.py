@@ -864,6 +864,23 @@ def test_score_without_json_out_prints_the_table_then_the_json(corpus_path, tmp_
     assert capsys.readouterr().out == table + (tmp_path / "report.json").read_text("utf-8")
 
 
+@pytest.mark.parametrize("argv, row", [
+    (["compile-gold", "--links", "{table}"], "a\t0\t9\tMethod\tQ1"),
+    (["compile-gold", "--links", "{table}", "--skip-unmatched-links"], "a\t0\t9\tMethod\tQ1"),
+    (["--lemma-exceptions", "{table}", "stats"], "mice\tmouse"),
+], ids=["links", "links skipping unmatched", "lemma-exceptions"])
+def test_a_table_led_by_a_byte_order_mark_is_refused_at_line_1(corpus_path, tmp_path, capsys,
+                                                               argv, row):
+    # read as part of the first row, the mark would make its doc_id or plural one that
+    # matches nothing, and a skipped link row would be dropped without a word
+    table = tmp_path / "table.tsv"
+    table.write_text(f"\ufeff{row}\n", "utf-8")
+    assert main([a.format(table=table) for a in argv] + ["--in", str(corpus_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {table}: line 1: text starts with a UTF-8 byte-order mark (BOM)\n")
+
+
 # the reason each file kind gives for a line 2 that reads "nonsense"; a .txt
 # file has no malformed line, since any text reads
 NONSENSE = {

@@ -92,16 +92,19 @@ POPULATE = [
 
 
 def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str], name: str,
-         out_flag: str = "--out", in_flag: str = "--in"):
+         out_flag: str = "--out", in_flag: str = "--in", joins: list | None = None):
     """Exit status, stdout, stderr and the output directory's files of one call
     of ``argv`` with ``in_flag src`` and ``out_flag`` the file ``name`` or stdout.
     The call runs in the output directory, so that ``name`` names the output
-    alike in every call's messages. A call that succeeds must have joined each
-    worker it forked, and each with the doc ids it read: a worker that failed
-    there failed without cause, hidden by this process reading its range again."""
+    alike in every call's messages. ``forks`` gains the pid of each worker
+    forked, and ``joins`` what each join returned: None for a worker that
+    failed, whose range this process then read again. A call that succeeds must
+    have joined each worker it forked, and each with the doc ids it read: a
+    worker that failed there failed without cause, hidden by that reading."""
     out_dir.mkdir()
     out, err = io.StringIO(), io.StringIO()
-    fork, join, joins = os.fork, parallel._Worker.join, []
+    fork, join = os.fork, parallel._Worker.join
+    joins = [] if joins is None else joins
 
     def counted_fork():
         pid = fork()
@@ -521,6 +524,37 @@ def test_a_read_fault_in_the_last_range_wins_over_a_refusal_in_the_first(
         assert main(["baseline", "--in", str(src), "--out", str(out)]) == 2
         assert capsys.readouterr().err == err.format(src=src)
         assert _files(out.parent) == {}
+
+
+#: a forking command of each map: its argv after its input, given the gold and links
+#: files; the name of its output file; its output flag
+FORKING = {command: BRAT_COMMANDS[command] for command in (
+    "baseline", "convert", "populate", "compile-gold", "eval-kg in --no-coref")}
+
+
+@pytest.mark.parametrize("command", FORKING)
+def test_a_fault_in_a_workers_range_is_found_by_this_process_reading_it_again(
+        tmp_path, monkeypatch, command):
+    src = _split_corpus(tmp_path, monkeypatch, 3, last=BAD_JSON)
+    corpus = random_corpus(random.Random(8), n_docs=12)  # the documents of src
+    links = _links(corpus, 0)
+    gold, links_path = tmp_path / "gold.jsonl", tmp_path / "links.tsv"
+    gold.write_text(write_gold_jsonl(compile_gold(attach_entity_links(
+        corpus, links, skip_unmatched=True))), "utf-8")
+    _links_file(links_path, links)
+    argv, name, out_flag = FORKING[command]
+    outcomes = []
+    for cpus in (1, 2, 3):
+        forks, joins = [], []
+        outcomes.append(_run(src, tmp_path / f"out-{cpus}", cpus, False, forks,
+                             argv(gold, links_path), name, out_flag, joins=joins))
+        # of the workers, only that of the last range, which holds the fault, failed
+        assert len(forks) == len(joins) == cpus - 1
+        assert all(joins[:-1]) and joins[-1:] == [None] * (cpus > 1), joins
+    status, out, err, files = outcomes[0]
+    assert (status, out, files) == (2, "", {})
+    assert err == f"error: {src}: line 13: invalid JSON: Expecting value\n"
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 #: two doc_ids of domain CS whose BRAT targets collide, and how the writer words it, given

@@ -10,9 +10,10 @@ output of ``-`` is JSONL on stdout. A column file's sidecar token table is
 looked up at ``<path>.tokens``.
 
 Every corpus is read by the reader that ``corefkg.parallel`` picks for its
-format, which names the file of a fault. Commands that read a JSONL file or a
-BRAT tree map it on every CPU they may use; ``score`` reads its key and its
-response at once, on two processes when two CPUs may be used.
+format, which names the file of a fault. convert, baseline, populate,
+compile-gold and eval-kg map a corpus in any format on every CPU they may use;
+stats reads it in one process, and score reads its key and its response at
+once, on two processes when two CPUs may be used.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def build_parser() -> _Parser:
                         help="two-column TSV overriding the plural/singular table")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("convert", help="convert a corpus between formats (from a JSONL file "
-                       "or BRAT tree: one process per CPU it may use)")
+    p = sub.add_parser("convert", help="convert a corpus between formats (one process per "
+                       "CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--from", dest="from_format", choices=_FORMATS)
@@ -205,13 +206,13 @@ def build_parser() -> _Parser:
     p.add_argument("--ceafe-drop-singletons", action="store_true",
                    help="diagnostic CEAFe variant that ignores singleton response parts")
 
-    p = sub.add_parser("baseline", help="run the string-match coreference baseline (from a "
-                       "JSONL file or BRAT tree: one process per CPU it may use)")
+    p = sub.add_parser("baseline", help="run the string-match coreference baseline (one process "
+                       "per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
 
-    p = sub.add_parser("populate", help="populate a knowledge graph from a corpus (from a "
-                       "JSONL file or BRAT tree: one process per CPU it may use)")
+    p = sub.add_parser("populate", help="populate a knowledge graph from a corpus (one process "
+                       "per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--strategy", choices=["cross", "in"], required=True)
     p.add_argument("--no-coref", action="store_true",
@@ -222,15 +223,15 @@ def build_parser() -> _Parser:
     p.add_argument("--format", dest="kg_format", choices=["jsonl", "ntriples"],
                    default="jsonl", help="export format of the populated graph")
 
-    p = sub.add_parser("compile-gold", help="compile the gold KG from entity links (from a "
-                       "JSONL file or BRAT tree: one process per CPU it may use)")
+    p = sub.add_parser("compile-gold", help="compile the gold KG from entity links (one process "
+                       "per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--links", help="entity links TSV (doc_id, start, end, type, entity)")
     p.add_argument("--skip-unmatched-links", action="store_true")
     p.add_argument("--out", dest="output", default="-")
 
     p = sub.add_parser("eval-kg", help="evaluate a population strategy against a gold KG "
-                       "(from a JSONL file or BRAT tree: one process per CPU it may use)")
+                       "(one process per CPU it may use)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--strategy", choices=["cross", "in"], required=True)

@@ -24,20 +24,27 @@ reads a table in step with the column file: each document takes the next
 lines of the table, one per token, checked and split at once. A table whose
 rows are not in the writer's order is read whole into the dict of
 ``parse_token_table``, whose line loop checks each row.
+
+A file in the writer's shape, whose every line is a token line with a table
+row or a sentinel, is cut into ranges between documents (``_starts``), each
+read in step with its own range of the table (``_read_documents``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
+from bisect import bisect_left
 from functools import partial
 from itertools import islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, TextIO
 
+from . import jsonl
 from .errors import ParseError
 from .jsonl import (_checked, _digits, _in_blocks, _lines, _long_numeral, _naming, _read_text,
-                    _reading)
+                    _reading, _unmarked)
 from .model import (
     ConceptType,
     CoreferenceCluster,
@@ -180,7 +187,8 @@ def _document_columns(doc: Document) -> tuple[str, str]:
 def parse_token_table(table: str) -> dict[tuple[str, int], tuple[int, int]]:
     """Parse a sidecar token table into {(doc_id, token index): (start, end)},
     line by line with a check per field: ParseError at the first faulty line,
-    such as a second row for one token."""
+    such as a second row for one token, or a byte-order mark before the first."""
+    _unmarked(table)
     out: dict[tuple[str, int], tuple[int, int]] = {}
     for lineno, line in enumerate(_lines(table), start=1):
         if not line.strip() or line.startswith("#"):
@@ -204,10 +212,13 @@ class _TokenTable:
     are in the writer's shape and hold its doc_id and its token indices in
     order. Otherwise the table is read whole, from its start, into the dict of
     ``parse_token_table``, and each row used is moved to its end. A fault of
-    the table itself names its ``path``, if it has one.
+    the table itself names its ``path``, if it has one. A table with no
+    ``text``, a range of the table that a worker reads, has no dict: a row out
+    of the writer's order, or one that no token uses, is a ParseError.
     """
 
-    def __init__(self, lines: Iterator[str], text: Callable[[], str], path: str | None = None):
+    def __init__(self, lines: Iterator[str], text: Callable[[], str] | None,
+                 path: str | None = None):
         self.lines, self.text, self.path = lines, text, path
         self.numerals: list[str] = []  # "0", "1", ...: the index fields of a document
         self.rows = None
@@ -217,6 +228,8 @@ class _TokenTable:
         """The rows by (doc_id, index); reading them raises ParseError at the
         table's first faulty line."""
         if self.rows is None:
+            if self.text is None:
+                raise ParseError("token table rows are not in the writer's order")
             try:
                 self.rows = parse_token_table(self.text())
             except ParseError as exc:
@@ -376,22 +389,126 @@ def read_coref_columns(columns: str, token_table: str | None = None) -> Corpus:
     return Corpus(tuple(_corpus(_lines(columns), table)))
 
 
-def _read_documents(path, start: int = 0, stop: int | None = None, *,
-                    seen: set[str] | None = None, read_on=None) -> Iterator[Document]:
+def _read_documents(path, start=0, stop=None, *, seen: set[str] | None = None,
+                    read_on=None) -> Iterator[Document]:
     """The documents of ``_corpus`` of the ``_reading`` of the column file at
     ``path`` and of its token table ``<path>.tokens``, if there is one, read in
-    step: a column file is one range, ``start`` and ``stop`` are 0 and None,
-    and ``read_on`` is never called. The table's reading encloses the column
-    file's, so that a bad byte of the table wins over one of the column file."""
+    step from ``start`` to ``stop``: 0 and None for the whole file, or starts of
+    ``_starts``. The table's reading encloses the column file's, so that a bad
+    byte of the table wins over one of the column file.
+
+    A range from 0 is read as the whole file is, and once at ``stop`` it goes
+    on if ``read_on(must)`` returns true; ``must`` says that its documents did
+    not take, in step, every table row before the next range's first, or left
+    one open, so that the next range cannot be read as a part of the whole. A
+    range from a later start, a worker's, reads its range of the table, which
+    must exist, with no dict (see ``_TokenTable``), and its documents must use
+    every row of it: else it fails, and this process reads it as one process
+    would."""
     table_path = f"{path}.tokens"
+    if start:
+        (start, table_start, _), (stop, table_stop, _) = start, stop or (None, None, None)
+        with _reading(table_path, table_start, table_stop) as rows, \
+                _reading(path, start, stop) as lines:
+            yield from _corpus(lines, _TokenTable(rows, None), seen)
+        return
+    seen = set() if seen is None else seen
     with contextlib.ExitStack() as files:
         try:
             table = _TokenTable(files.enter_context(_reading(table_path)),
                                 partial(_read_text, table_path), table_path)
         except FileNotFoundError:
             table = None
-        with _reading(path) as lines:
+
+        def reading_on() -> bool:
+            # whole: the lines before the stop are its documents' tokens, each
+            # with a table row taken in step, and two sentinels a document
+            whole = (table is not None and table.rows is None
+                     and table.streamed + 2 * len(seen) == stop[2])
+            if read_on and read_on(not whole):
+                return True
+            if table is not None:
+                table.lines = iter(())  # the rest of the table is the workers'
+            return False
+
+        with _reading(path, 0, stop and stop[0], reading_on) as lines:
             yield from _corpus(lines, table, seen)
+
+
+#: Bytes ``_starts`` reads at once, and then on to the end of their last line.
+_SCAN = 1 << 20
+
+
+def _chunks(f) -> Iterator[tuple[int, bytes]]:
+    """The byte offset and the bytes of each chunk of the binary file ``f``,
+    ``_SCAN`` bytes read on to the end of their last line."""
+    offset = 0
+    while chunk := f.read(_SCAN):
+        if not chunk.endswith(b"\n"):
+            chunk += f.readline()
+        yield offset, chunk
+        offset += len(chunk)
+
+
+def _lone_cr(chunk: bytes) -> bool:
+    """Whether ``chunk`` holds a ``\\r`` with no ``\\n`` after it, which the
+    readers take for a line end."""
+    return b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")
+
+
+def _starts(path, cuts: Callable[[int], list[int]]) -> list[tuple[int, int, int]]:
+    """The starts of the ranges after the first of the column file at ``path``
+    and its table, before the documents ``cuts(n)`` names of its ``n`` (whole
+    blocks of ``jsonl._BLOCK``): each the byte offset of a ``#begin document``
+    line, the byte offset of the table row the range begins with, and the
+    number of column lines before it. One chunked byte scan of each file finds
+    them, as the table rows before a cut are the column lines before it less
+    two per document. There are none unless the files have the writer's shape
+    in total: as many column lines as table rows and two per document, and no
+    line that ends in a lone ``\\r``; so a file with comments, blank lines or
+    no table is one range. The reader of each range checks the rest."""
+    begin = _BEGIN.encode("utf-8")
+    marker, block = b"\n" + begin, jsonl._BLOCK
+    blocks: list[tuple[int, int]] = []  # the offset and lines before of each block's #begin
+    documents = lines = 0
+    with open(path, "rb") as f:
+        for offset, chunk in _chunks(f):
+            if _lone_cr(chunk):
+                return []
+            n = chunk.count(marker) + chunk.startswith(begin)
+            counted = 0  # lines holds the lines before it
+            if -documents % block < n:  # a block starts in this chunk
+                at = 0 if chunk.startswith(begin) else chunk.find(marker) + 1
+                for index in range(documents, documents + n):
+                    if index % block == 0:
+                        lines += chunk.count(b"\n", counted, at)
+                        counted = at
+                        blocks.append((offset + at, lines))
+                    at = chunk.find(marker, at) + 1
+            lines += chunk.count(b"\n", counted)
+            documents += n
+    indices = cuts(documents)
+    cut = [blocks[index // block] for index in indices]
+    targets = [before - 2 * index for (_, before), index in zip(cut, indices)]
+    table = f"{path}.tokens"
+    if (not targets or any(b < a for a, b in zip([0, *targets], targets))
+            or not os.path.isfile(table)):  # no table, or one that cannot be read twice
+        return []
+    found, rows = [], 0  # the table offsets of the targets, and the rows before a chunk
+    with open(table, "rb") as f:
+        for offset, chunk in _chunks(f):
+            if _lone_cr(chunk):
+                return []
+            n = chunk.count(b"\n")
+            for target in targets[len(found):]:
+                if target > rows + n:
+                    break
+                found.append(offset + bisect_left(range(len(chunk) + 1), target - rows,
+                                                  key=partial(chunk.count, b"\n", 0)))
+            rows += n
+    if lines != rows + 2 * documents or len(found) < len(targets):
+        return []
+    return [(offset, row, before) for (offset, before), row in zip(cut, found)]
 
 
 def _corpus(lines: Iterable[str], table: _TokenTable | None,

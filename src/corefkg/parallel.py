@@ -25,8 +25,11 @@ One constant, ``jsonl._BLOCK``, sizes everything here. The readers hand on
 documents in blocks of it, a worker writes its records in blocks of it, and
 the corpus is cut into one contiguous range per CPU at the whole blocks
 nearest to equal shares (``_cuts``): a BRAT tree's sorted ``.txt`` files
-(``brat._txt_files``), or a JSONL file's lines, whose count and block starts
-one pass over the file finds; a column file is one range. ``_ranges`` is the
+(``brat._txt_files``), a JSONL file's lines, whose count and block starts
+one pass over the file finds, or the documents of a column file in the
+writer's shape, whose count and block starts, with the table rows each range
+begins with, one chunked byte scan of the file and one of its table find
+(``conll._starts``). ``_ranges`` is the
 one place that picks the reader of a format (``jsonl._read_documents``,
 ``brat._read_documents``, ``conll._read_documents``), and each reader names
 the file of its fault. This process maps the first range, which ends on a
@@ -34,18 +37,21 @@ block boundary, so it maps every document of its range before it waits; each
 other range goes to a forked worker. A worker writes its records to an unnamed
 temporary file, each block one ``marshal.dumps`` after its length, and then
 the doc_ids it read. Once its own range is read, this process waits for the
-workers, and if every one of them succeeded and no doc_id was read twice, it
-loads their blocks one whole block at a time, in corpus order, and yields
-their records after its own. Otherwise it kills them and reads on to the end
+workers, and if every one of them succeeded, no doc_id was read twice and its
+reader does not say that its range was not read as a part of the whole (a
+column file's, see ``conll._read_documents``), it loads their blocks one
+whole block at a time, in corpus order, and yields their records after its
+own. Otherwise it kills them and reads on to the end
 of the corpus itself, so that every fault is found, worded and placed as by
 one process reading the whole corpus. Documents and clusters never cross a
 process boundary: pickling a decoded corpus costs more than decoding it.
 
 One process reads the whole corpus when only one CPU is available, when
 ``os.fork`` does not exist, when another thread runs (forking a threaded
-process is unsafe), when the input is a column file or a JSONL input that is
-not a regular file, or when the corpus holds fewer than two blocks of files
-or lines. One range runs the same code, with no worker.
+process is unsafe), when the input is a JSONL or column file that is not a
+regular file or a column file not in the writer's shape, or when the corpus
+holds fewer than two blocks of files, lines or documents. One range runs the
+same code, with no worker.
 """
 
 from __future__ import annotations
@@ -113,12 +119,12 @@ def _line_blocks(path) -> tuple[list[int], int]:
             lines += count
 
 
-def _ranges(path, fmt: str, parts: int) -> tuple[Callable[..., Iterator[Document]], list[int]]:
+def _ranges(path, fmt: str, parts: int) -> tuple[Callable[..., Iterator[Document]], list]:
     """The reader of the corpus at ``path`` in format ``fmt``, called as
     ``read(start, stop, *, seen, read_on)``, and the starts of its ranges after
     the first, fewer than ``parts``: indices into a BRAT tree's file list, byte
-    offsets of a JSONL file; a column file is one range. ParseError if ``path``
-    is missing."""
+    offsets of a JSONL file, and of a column file in the writer's shape the
+    starts of ``conll._starts``. ParseError if ``path`` is missing."""
     if not Path(path).exists():
         raise ParseError(f"no such file or directory: {path}")
     if fmt == "brat":
@@ -127,7 +133,10 @@ def _ranges(path, fmt: str, parts: int) -> tuple[Callable[..., Iterator[Document
     if fmt == "conll":
         from . import conll  # here, so that a command that reads no column file does not load it
 
-        return partial(conll._read_documents, path), []
+        read = partial(conll._read_documents, path)
+        if parts < 2 or not os.path.isfile(path):
+            return read, []
+        return read, conll._starts(path, partial(_cuts, parts=parts))
     if fmt != "jsonl":
         raise ValueError(f"unknown corpus format {fmt!r}")
     read = partial(jsonl._read_documents, path)
@@ -225,11 +234,12 @@ def records(path, fmt: str, chain: Callable[[Iterable[Document]], Iterable]) -> 
             workers.append(_Worker(partial(read, start, stop), chain))
         seen: set[str] = set()
 
-        def read_on() -> bool:
-            """Whether this process must read the workers' ranges itself: a
-            worker failed, or a doc_id was read in two ranges."""
+        def read_on(must: bool = False) -> bool:
+            """Whether this process must read the workers' ranges itself, once
+            each has been joined: its reader says it ``must``, a worker failed,
+            or a doc_id was read in two ranges."""
             ids = [worker.join() for worker in workers]
-            if None not in ids:
+            if not must and None not in ids:
                 theirs = set().union(*ids)
                 if len(theirs) == sum(map(len, ids)) and seen.isdisjoint(theirs):
                     return False

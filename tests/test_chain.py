@@ -1,7 +1,7 @@
 """The command line's chain, ``convert → baseline → score → populate →
 compile-gold → eval-kg``, in fresh interpreters in development mode, where an
 unclosed file is an error, on inputs that fork real workers: 2,000 documents
-as JSONL, their first 300 as JSONL and as a BRAT tree. Each call gives what the
+as JSONL and as a column file, their first 300 as JSONL and as a BRAT tree. Each call gives what the
 library gives on every CPU and on one CPU, to which its affinity holds
 it. ``test_parallel.py`` covers the same commands in this process."""
 
@@ -63,7 +63,12 @@ LEGS = {
     "convert --in mid.jsonl --out out.jsonl": _written("mid.jsonl"),
     "convert --in big.jsonl --out out.conll": _written("key.conll"),
     "convert --in mid.jsonl --out tree": _written("tree"),
+    # column files cut into ranges, with "\n" and with "\r\n" line ends
     "baseline --in key.conll --out out.conll": _written("pred.conll"),
+    "baseline --in crlf.conll --out out.conll": _written("pred.conll"),
+    "convert --in key.conll --out out.jsonl": lambda c, argv: (
+        0, "", "", {argv[-1]: jsonl.write_jsonl(conll.read_coref_columns(
+            *c["files"]["key.conll"].values()))}),
     "convert --in tree --out out.jsonl": _written("tree.jsonl"),
     "populate --in pred.jsonl --strategy cross --format ntriples --out kg.nt": _populated,
     "populate --in big.jsonl --gold --no-coref --strategy in --format jsonl --out kg.jsonl":

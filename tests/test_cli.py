@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import corefkg
-from corefkg import cli, jsonl
+from corefkg import cli, jsonl, parallel
 from corefkg.baseline import resolve_corpus
 from corefkg.brat import read_brat_dir, write_brat_dir
 from corefkg.cli import main
@@ -631,11 +631,16 @@ def test_a_corpus_to_stdout_holds_the_blocks_before_a_fault(tmp_path, capsys, mo
 COLUMN_FAULTS = ["table byte", "column byte", "table row", "column cell"]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("command", ["stats", "convert"])
 @pytest.mark.parametrize("early, late", itertools.permutations(COLUMN_FAULTS, 2),
                          ids="-then-".join)
-def test_the_faults_of_a_column_file_and_its_table_keep_their_order(tmp_path, capsys, command,
-                                                                    early, late):
+def test_the_faults_of_a_column_file_and_its_table_keep_their_order(tmp_path, capsys, monkeypatch,
+                                                                    command, early, late, cpus):
+    # in blocks of one document, convert cuts the file into one range per CPU: the
+    # early fault is in the first range, and the late one in the last
+    monkeypatch.setattr(jsonl, "_BLOCK", 1)
+    monkeypatch.setattr(parallel, "_cpus", lambda: cpus)
     path = tmp_path / "c.conll"
     tokens = Path(f"{path}.tokens")
     columns, table = write_coref_columns(random_corpus(random.Random(44), n_docs=4))
@@ -651,6 +656,7 @@ def test_the_faults_of_a_column_file_and_its_table_keep_their_order(tmp_path, ca
                                  "cell": old[:old.rindex(b"\t")] + b"\t(x\n"}[kind]
     path.write_bytes(b"".join(lines["column"]))
     tokens.write_bytes(b"".join(lines["table"]))
+    assert len(parallel._ranges(path, "conll", cpus)[1]) == cpus - 1
     winner = min(early, late, key=COLUMN_FAULTS.index)
     reason = {"byte": "not UTF-8: invalid start byte (byte 0xff)",
               "row": "token table expects 4 columns, got 'nonsense'",
@@ -868,12 +874,17 @@ def test_score_without_json_out_prints_the_table_then_the_json(corpus_path, tmp_
     (["compile-gold", "--links", "{table}"], "a\t0\t9\tMethod\tQ1"),
     (["compile-gold", "--links", "{table}", "--skip-unmatched-links"], "a\t0\t9\tMethod\tQ1"),
     (["--lemma-exceptions", "{table}", "stats"], "mice\tmouse"),
-], ids=["links", "links skipping unmatched", "lemma-exceptions"])
+    *((argv, "d1\t0\t0\t2") for argv in (["stats"], ["convert", "--out", "-"])),
+], ids=["links", "links skipping unmatched", "lemma-exceptions", "column token table",
+        "column token table, convert"])
 def test_a_table_led_by_a_byte_order_mark_is_refused_at_line_1(corpus_path, tmp_path, capsys,
                                                                argv, row):
     # read as part of the first row, the mark would make its doc_id or plural one that
     # matches nothing, and a skipped link row would be dropped without a word
     table = tmp_path / "table.tsv"
+    if row.startswith("d1"):  # the .tokens table of a column file of one document
+        corpus_path, table = tmp_path / "c.conll", tmp_path / "c.conll.tokens"
+        corpus_path.write_text("#begin document d1\nd1\t0\tab\t-\n#end document\n", "utf-8")
     table.write_text(f"\ufeff{row}\n", "utf-8")
     assert main([a.format(table=table) for a in argv] + ["--in", str(corpus_path)]) == 2
     captured = capsys.readouterr()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkg import conll, jsonl
+from corefkg import conll, jsonl, parallel
 from corefkg.conll import parse_token_table, read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
 from corefkg.model import (
@@ -323,6 +323,26 @@ def test_a_column_file_and_its_table_are_read_in_bounded_memory(tmp_path, monkey
         documents.close()
     assert sorted(Path(f.name).name for f in opened) == ["2000.conll", "2000.conll.tokens"]
     assert all(f.closed for f in opened)
+
+
+def test_a_column_file_and_its_table_are_cut_in_bounded_memory(tmp_path, monkeypatch):
+    # the cut scan reads each file in chunks, so its peak is a few chunks, whatever the
+    # size of the files: 250 documents are one range, 4,000 (2 MB of columns) two
+    monkeypatch.setattr(conll, "_SCAN", 1 << 16)
+    for n_docs, ranges in ((250, 1), (4000, 2)):
+        path = tmp_path / f"{n_docs}.conll"
+        columns, table = write_coref_columns(random_corpus(random.Random(44), n_docs=n_docs))
+        path.write_text(columns, "utf-8")
+        Path(f"{path}.tokens").write_text(table, "utf-8")
+        del columns, table
+        tracemalloc.start()
+        try:
+            starts = parallel._ranges(path, "conll", 2)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(starts) + 1 == ranges
+        assert peak < 4 * conll._SCAN, (n_docs, peak)
 
 
 @pytest.mark.parametrize("table", [

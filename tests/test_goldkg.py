@@ -382,6 +382,19 @@ def test_evaluate_refuses_a_mention_in_two_concepts():
                               "('d', 12, 14, 'Material'), ('d', 3, 5, 'Material')] repeated")
 
 
+def test_evaluate_visits_concepts_of_empty_labels_in_concept_id_order():
+    # "the", "a" and "its" all normalize to the empty label, so each cluster is a concept
+    # of its own, keyed by its first mention. By concept id (kgpop._concept_order) the
+    # concepts {a} and {its} come before {the, a, its}, which then repeats both; by raw
+    # key, {the, a, its} would come first and {a} repeat a alone
+    d = doc_with_links("d", "CS", ["the", "a", "its"], {i: f"Q{i}" for i in range(3)})
+    gold = compile_gold(Corpus((d,)))
+    with pytest.raises(ValueError) as err:
+        evaluate_population(gold, Corpus((_clustered(d, (0, 1, 2), (1,), (2,)),)), IN)
+    assert str(err.value) == ("parts are not disjoint: [('d', 4, 5, 'Material'), "
+                              "('d', 6, 9, 'Material')] repeated")
+
+
 def test_evaluate_counts_a_mention_held_twice_by_one_concept_once():
     d = doc_with_links("d", "CS", ["ab", "beta", "betas"], {0: "Q1", 1: "Q2", 2: "Q2"})
     gold = compile_gold(Corpus((d,)))

@@ -9,6 +9,8 @@ import json
 import marshal
 import os
 import random
+import re
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +22,7 @@ from corefkg import jsonl, parallel
 from corefkg.baseline import resolve_corpus
 from corefkg.brat import read_brat_dir, write_brat_dir
 from corefkg.cli import main
-from corefkg.conll import write_coref_columns
+from corefkg.conll import read_coref_columns, write_coref_columns
 from corefkg.errors import ParseError
 from corefkg.goldkg import (attach_entity_links, compile_gold, evaluate_population,
                             write_gold_jsonl)
@@ -92,15 +94,18 @@ POPULATE = [
 
 
 def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str], name: str,
-         out_flag: str = "--out", in_flag: str = "--in", joins: list | None = None):
+         out_flag: str = "--out", in_flag: str = "--in", joins: list | None = None,
+         failing: list[bool] | None = None):
     """Exit status, stdout, stderr and the output directory's files of one call
     of ``argv`` with ``in_flag src`` and ``out_flag`` the file ``name`` or stdout.
     The call runs in the output directory, so that ``name`` names the output
     alike in every call's messages. ``forks`` gains the pid of each worker
     forked, and ``joins`` what each join returned: None for a worker that
     failed, whose range this process then read again. A call that succeeds must
-    have joined each worker it forked, and each with the doc ids it read: a
-    worker that failed there failed without cause, hidden by that reading."""
+    have joined each worker it forked, and each with the doc ids it read, but
+    those that ``failing`` names by their order: a worker that failed there
+    failed without cause, hidden by that reading, and one named there must
+    fail, as its range cannot be read as a part of the whole."""
     out_dir.mkdir()
     out, err = io.StringIO(), io.StringIO()
     fork, join = os.fork, parallel._Worker.join
@@ -129,13 +134,14 @@ def _run(src, out_dir, cpus: int, to_stdout: bool, forks: list, argv: list[str],
     with pytest.raises(ChildProcessError):  # every worker has been waited for
         os.waitpid(-1, os.WNOHANG)
     if status == 0:
-        assert len(joins) == len(forks) and None not in joins, joins
+        assert len(joins) == len(forks), joins
+        assert [ids is None for ids in joins] == (failing or [False] * len(joins)), joins
     return status, out.getvalue(), err.getvalue(), _files(out_dir)
 
 
 def _format(src) -> str:
-    """The format of a test input: a BRAT tree or a JSONL file."""
-    return "brat" if os.path.isdir(src) else "jsonl"
+    """The format of a test input: a BRAT tree, a column file or a JSONL file."""
+    return "brat" if os.path.isdir(src) else "conll" if src.suffix == ".conll" else "jsonl"
 
 
 def _files(directory) -> dict:
@@ -146,19 +152,22 @@ def _files(directory) -> dict:
 
 
 def _outcome(root, src, argv: list[str], name: str, block: int, out_flag: str = "--out",
-             stdout: bool = True, in_flag: str = "--in", workers=None) -> dict[bool, tuple]:
+             stdout: bool = True, in_flag: str = "--in", workers=None,
+             failing=None) -> dict[bool, tuple]:
     """The outcome of ``argv`` with ``in_flag src``, and ``out_flag`` a file and,
     if ``stdout``, stdout (the keys), which must be the same with ``_cpus``
     patched to 1, 2 and 3. Either input is read, cut and handed back in blocks
     of ``block`` documents. ``workers(cpus)`` is the number of workers each call
-    starts; by default one per range after the first, at least one on 2 CPUs."""
+    starts; by default one per range after the first, at least one on 2 CPUs.
+    ``failing(cpus)`` is the ``failing`` of ``_run``."""
     outcomes: dict[bool, list] = {}
     with mock.patch.object(jsonl, "_BLOCK", block):
         for to_stdout in (False, True)[:1 + stdout]:
             for cpus in (1, 2, 3):
                 forks: list[int] = []
                 outcome = _run(src, root / f"out-{to_stdout}-{cpus}", cpus, to_stdout, forks,
-                               argv, name, out_flag, in_flag)
+                               argv, name, out_flag, in_flag,
+                               failing=failing and failing(cpus))
                 if workers is None:
                     ranges = len(parallel._ranges(src, _format(src), cpus)[1])
                     assert len(forks) == ranges >= min(cpus - 1, 1)
@@ -399,10 +408,19 @@ def test_every_process_count_reads_a_brat_tree_as_one(tmp_path_factory, command,
 COLUMN_FAULTS = [None, "bad-cell", "bad-row", "not-utf8"]
 
 
-def _column_file(path, corpus, fault, position: int) -> None:
+#: the faults of a column file and its table that keep the writer's shape in total, so that
+#: the file is cut as a faultless one is: two rows of one document swapped, which one
+#: process reads through the whole-table dict; a row dropped, with a blank line after the
+#: last row; and a comment line before a document, with a blank line or a garbage row
+#: before its first row, so that the ranges after it are cut where their rows begin
+SHAPED_FAULTS = ["swapped", "dropped", "comment", "comment-and-row"]
+
+
+def _column_file(path, corpus, fault, position: int, crlf: bool = False) -> None:
     """``corpus`` written as the column file at ``path`` and its token table, with
-    ``fault`` injected at the token or row ``position`` (see ``COLUMN_FAULTS``;
-    "bad-cell-and-row" injects both, and "wide-span" makes a row one wider)."""
+    ``fault`` injected at the token or row ``position`` (see ``COLUMN_FAULTS`` and
+    ``SHAPED_FAULTS``; "bad-cell-and-row" injects both, and "wide-span" makes a row
+    one wider), each line ended by ``\\r\\n`` if ``crlf``."""
     columns, table = write_coref_columns(corpus)
     lines, rows = columns.splitlines(), table.splitlines()
     if fault in ("bad-cell", "bad-cell-and-row"):
@@ -414,9 +432,24 @@ def _column_file(path, corpus, fault, position: int) -> None:
     elif fault == "wide-span":
         doc_id, index, start, end = rows[position % len(rows)].split("\t")
         rows[position % len(rows)] = f"{doc_id}\t{index}\t{start}\t{int(end) + 1}"
+    elif fault == "swapped":  # two neighbouring rows of one document, if there are any
+        doc_ids = [row.split("\t")[0] for row in rows]
+        pairs = [i for i in range(len(rows) - 1) if doc_ids[i] == doc_ids[i + 1]]
+        if pairs:
+            i = pairs[position % len(pairs)]
+            rows[i:i + 2] = rows[i + 1], rows[i]
+    elif fault == "dropped":
+        del rows[position % len(rows)]
+        rows.append("")
+    elif fault in ("comment", "comment-and-row"):
+        doc_id = corpus.documents[position % len(corpus.documents)].doc_id
+        lines.insert(lines.index(f"#begin document {doc_id}"), "# a comment")
+        first = next((i for i, row in enumerate(rows) if row.startswith(f"{doc_id}\t")), len(rows))
+        rows.insert(first, "garbage row" if fault == "comment-and-row" else "")
+    end = "\r\n" if crlf else "\n"
     tail = b"\xff\n" if fault == "not-utf8" else b""
-    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8") + tail)
-    Path(f"{path}.tokens").write_text("".join(row + "\n" for row in rows), "utf-8")
+    path.write_bytes("".join(line + end for line in lines).encode("utf-8") + tail)
+    Path(f"{path}.tokens").write_bytes("".join(row + end for row in rows).encode("utf-8"))
 
 
 #: each input format of score: the faults an input may carry, and its path's name
@@ -484,6 +517,47 @@ def test_every_process_count_writes_a_brat_tree_to_a_column_file_or_brat_tree_as
     corpus = _brat_tree(root / "in", seed, n_docs, fault, position)
     outcome = _outcome(root, root / "in", [command], OUTPUTS[output], block, stdout=False)
     _check_written(root, outcome, command, output, corpus, fault, "txt-not-utf8")
+
+
+def _differing(src, faultless, cpus: int) -> list[bool]:
+    """Whether the range of each worker of the column file ``src`` on ``cpus``
+    differs, in its column file or its table, from that of ``faultless``, the file
+    of the same documents before the fault was injected: such a worker must fail."""
+    def ranges(path) -> list[tuple[bytes, bytes]]:
+        starts = parallel._ranges(path, "conll", cpus)[1]
+        columns, table = path.read_bytes(), Path(f"{path}.tokens").read_bytes()
+        return [(columns[start[0]:stop and stop[0]], table[start[1]:stop and stop[1]])
+                for start, stop in zip(starts, [*starts[1:], None])]
+
+    return [mine != theirs for mine, theirs in zip(ranges(src), ranges(faultless))]
+
+
+@pytest.mark.parametrize("command", ["baseline", "convert"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(6, 14),
+       block=st.sampled_from([1, 2, 3]), fault=st.sampled_from([*COLUMN_FAULTS, *SHAPED_FAULTS]),
+       position=st.integers(0, 300), crlf=st.booleans())
+def test_every_process_count_reads_a_column_file_as_one(tmp_path_factory, command, seed, n_docs,
+                                                         block, fault, position, crlf):
+    root = tmp_path_factory.mktemp("columns")
+    corpus = random_corpus(random.Random(seed), n_docs=n_docs)
+    src, faultless = root / "in.conll", root / "faultless.conll"
+    _column_file(src, corpus, fault, position, crlf)
+    _column_file(faultless, corpus, None, position, crlf)
+    with mock.patch.object(jsonl, "_BLOCK", block):  # only a file with a byte appended is uncut
+        assert (parallel._ranges(src, "conll", 2)[1] == []) is (fault == "not-utf8")
+    outcome = _outcome(root, src, [command], "pred.jsonl", block,
+                       workers=lambda cpus: len(parallel._ranges(src, "conll", cpus)[1]),
+                       failing=partial(_differing, src, faultless))
+    read = read_coref_columns(*write_coref_columns(corpus))
+    expected = write_jsonl(resolve_corpus(read) if command == "baseline" else read)
+    for to_stdout, (status, out, err, files) in outcome.items():
+        if fault in (None, "swapped", "comment"):  # a swapped row or a comment is no fault
+            assert (status, err) == (0, "")
+            assert (out, files) == ((expected, {}) if to_stdout else
+                                    ("", {"pred.jsonl": expected.encode("utf-8")}))
+        else:
+            assert status == 2 and err.startswith(f"error: {src}") and files == {}
 
 
 def _split_corpus(tmp_path, monkeypatch, cpus: int, first: bytes | None = None,
@@ -697,12 +771,34 @@ def test_the_ranges_of_a_corpus_read_as_the_whole_corpus(tmp_path, monkeypatch, 
             assert len(ranges) == 1 + len(parallel._cuts(11, parts)) >= min(parts, 2)
             assert [doc.doc_id for start, stop in ranges for doc in read(start, stop)] == doc_ids
     columns, table = write_coref_columns(corpus)
-    (tmp_path / "in.conll").write_text(columns, "utf-8")
-    (tmp_path / "in.conll.tokens").write_text(table, "utf-8")
-    for parts in range(1, 5):  # a column file is one range
-        read, starts = parallel._ranges(tmp_path / "in.conll", "conll", parts)
-        assert starts == []
-        assert [doc.doc_id for doc in read(0, None)] == whole["in.jsonl"]
+    crlf = (columns.replace("\n", "\r\n"), table.replace("\n", "\r\n"))
+    for shape, (text, rows) in {"lf": (columns, table), "crlf": crlf,
+                                **{shape: make(columns, table) for shape, make in SHAPELESS.items()}
+                                }.items():
+        path = tmp_path / f"{shape}.conll"
+        path.write_bytes(text.encode("utf-8"))
+        if rows is not None:
+            Path(f"{path}.tokens").write_bytes(rows.encode("utf-8"))
+        for parts in range(1, 5):
+            read, starts = parallel._ranges(path, "conll", parts)
+            ranges = list(zip([0, *starts], [*starts, None]))
+            # a file in the writer's shape is cut as a JSONL file is, and any other is one range
+            assert len(ranges) == (1 if shape in SHAPELESS else 1 + len(parallel._cuts(11, parts)))
+            assert [doc.doc_id for start, stop in ranges
+                    for doc in read(start, stop)] == whole["in.jsonl"]
+
+
+#: column files that are not in the writer's shape, made from its column file and table
+#: (None for no table): each is read as one range
+SHAPELESS = {
+    "comment": lambda columns, table: (columns.replace("\n", "\n# a comment\n", 5), table),
+    "blank line": lambda columns, table: (columns.replace("\n", "\n\n", 5), table),
+    "no table": lambda columns, table: (columns, None),
+    "lone cr": lambda columns, table: (columns.replace("\n", "\r", 5), table),
+    "conll-2012": lambda columns, table: (re.sub(
+        r"(?m)^(\S+)\t(\d+)\t(\S+)\t(\S+)$", r"\1\t0\t\2\t\3\tNN\t-\t-\t-\t-\t-\t-\t\4",
+        columns).replace("#end", "\n#end"), None),
+}
 
 
 def _bad_jsonl_line(tmp_path, corpus):
